@@ -76,7 +76,7 @@ print(f"settled after iteration {last_support_change(trace)}")
 # Groups well below the level 1 die fast; the one nearest to 1 holds
 # on longest. Certificate norms at the reference solution:
 
-reference = reference_solve(problem, config)
+reference = reference_solve(problem, config, trace)
 report = qualification_check(reference, problem)
 print()
 print("group  sigma  certificate")

@@ -55,7 +55,7 @@ print(f"final step norm    {trace.final_step_norm:.2e}")
 # (ten times the budget). qc_holds means every off-support certificate
 # is strictly below the level 1, so the recovered support is exact
 # after finitely many iterations, not just in the limit.
-reference = reference_solve(problem, config)
+reference = reference_solve(problem, config, trace)
 report = qualification_check(reference, problem)
 print()
 print(f"extended support   {sorted(report.extended_support)}")

@@ -31,6 +31,7 @@ from .experiments import (
     emit_summary,
     emit_traces,
     run_batch,
+    write_trace_rows,
 )
 from .kernels import GaussianFamily, LinearGroupProjection, assemble_gram_blocks
 from .oracle import bcd_solve, enumerate_solve
@@ -312,7 +313,7 @@ def _cmd_solve(args):
     t1 = time.perf_counter()
     coeffs, trace = solve(problem, config, alpha0)
     t2 = time.perf_counter()
-    reference = reference_solve(problem, config)
+    reference = reference_solve(problem, config, trace)
     report = qualification_check(reference, problem, eps_rel=args.eps_rel)
     burn_in = last_support_change(trace)
     verdict = sandwich_check(trace, report, burn_in)
@@ -342,14 +343,7 @@ def _cmd_solve(args):
     if args.trace:
         trace_path = os.path.join(args.out_dir, "trace.jsonl")
         with open(trace_path, "w", encoding="utf-8", newline="\n") as fh:
-            for i in range(trace.n_recorded):
-                row = {
-                    "run": 0,
-                    "iter": int(trace.iterations[i]),
-                    "support": sorted(g + 1 for g in trace.support_set(i)),
-                    "objective": float(trace.objectives[i]),
-                }
-                fh.write(json.dumps(row, separators=(",", ":")) + "\n")
+            write_trace_rows(fh, 0, trace)
         outputs.append(trace_path)
     _write_manifest(
         args.out_dir, "solve", config_doc, None, outputs,

@@ -40,6 +40,7 @@ __all__ = [
     "emit_histogram",
     "load_histogram",
     "emit_traces",
+    "write_trace_rows",
     "emit_summary",
 ]
 
@@ -272,7 +273,7 @@ def _run_single(config, index, keep_trace):
     )
     try:
         coeffs, trace = solve(problem, solver_cfg)
-        reference = reference_solve(problem, solver_cfg)
+        reference = reference_solve(problem, solver_cfg, trace)
     except DivergenceError as err:
         raise DivergenceError(
             err.iteration,
@@ -387,15 +388,31 @@ def emit_traces(result, path, final_size=None):
         for rec, trace in zip(result.per_run, result.traces):
             if final_size is not None and rec.support_size != int(final_size):
                 continue
-            for i in range(trace.n_recorded):
-                labels = sorted(g + 1 for g in trace.support_set(i))
-                row = {
-                    "run": rec.index,
-                    "iter": int(trace.iterations[i]),
-                    "support": labels,
-                    "objective": float(trace.objectives[i]),
-                }
-                fh.write(json.dumps(row, separators=(",", ":")) + "\n")
+            write_trace_rows(fh, rec.index, trace)
+
+
+def write_trace_rows(fh, run, trace):
+    """Write one JSON line per recorded iteration of `trace` to `fh`.
+
+    Rows read ``{"run": run, "iter": n, "support": [...], "objective": v}``
+    with the support as a sorted list of 1-based group labels, formatted
+    as ``json.dumps(row, separators=(",", ":"))`` would.
+    """
+    labels = {}
+    for mask in set(trace.supports.tolist()):
+        labels[mask] = json.dumps(
+            [g + 1 for g in range(trace.n_groups) if mask >> g & 1],
+            separators=(",", ":"),
+        )
+    # one dumps call formats every objective as a row's dumps would
+    objectives = json.dumps(trace.objectives.tolist())[1:-1].split(", ")
+    fh.write("".join(
+        f'{{"run":{int(run)},"iter":{n},"support":{labels[mask]},'
+        f'"objective":{obj}}}\n'
+        for n, mask, obj in zip(
+            trace.iterations.tolist(), trace.supports.tolist(), objectives
+        )
+    ))
 
 
 def emit_summary(result, path):

@@ -14,7 +14,10 @@ space (not the Euclidean norm of the coefficients) so stopping decisions
 match the quantity the convergence statement controls.
 """
 
-from dataclasses import dataclass
+import bisect
+import math
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +28,10 @@ __all__ = ["SolverConfig", "SolveTrace", "group_threshold", "ikta_step", "solve"
 
 #: Trace supports are packed into int64 bitmasks.
 MAX_TRACE_GROUPS = 62
+
+#: Step norm at which a reference solve stops. Every solve remembers the
+#: first iterate whose step reaches it, so a reference can reuse it.
+REFERENCE_STOP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -76,6 +83,25 @@ class SolverConfig:
 
 
 @dataclass(frozen=True, eq=False)
+class _EndState:
+    """Where a trajectory stands after a solve, so that it can go on.
+
+    `problem` is a weak reference, so a kept trace does not keep the
+    Gram blocks alive. `settled` is ``(n, AT)`` for the first iterate
+    whose step norm was at most REFERENCE_STOP_TOL, or None.
+    """
+
+    problem: weakref.ref
+    tau: float
+    from_zero: bool
+    n: int
+    AT: np.ndarray
+    KA: np.ndarray
+    step: float
+    settled: tuple | None
+
+
+@dataclass(frozen=True, eq=False)
 class SolveTrace:
     """Observables recorded while solving.
 
@@ -91,12 +117,20 @@ class SolveTrace:
     step_norms : (R,) float64 ndarray
         Function-space norm of the step taken at each recorded iteration.
     iters_run : int
-        Number of iterations actually executed.
+        Trajectory index of the returned iterate: the number of
+        iterations from the trajectory's start, counting those the
+        exact-cycle exit did not need to compute and, for a run that
+        continues an earlier trace, the earlier run's iterations.
     final_step_norm : float
         Step norm of the last executed iteration; populated even when
         trace recording is off, so budget sufficiency can always be
         judged after the fact.
     n_groups : int
+
+    The trace also carries its run's exact final state, private and
+    in-process only (it is dropped on pickling), so that
+    :func:`solve` and :func:`~sparsemkl.support.reference_solve` can
+    continue the trajectory instead of replaying it.
     """
 
     iterations: np.ndarray
@@ -106,6 +140,7 @@ class SolveTrace:
     iters_run: int
     final_step_norm: float
     n_groups: int
+    _end: _EndState | None = field(default=None, repr=False)
 
     def __post_init__(self):
         it = np.asarray(self.iterations, dtype=np.int64)
@@ -126,6 +161,11 @@ class SolveTrace:
         object.__setattr__(self, "final_step_norm", float(self.final_step_norm))
         object.__setattr__(self, "n_groups", int(self.n_groups))
 
+    def __getstate__(self):
+        # a weak reference does not pickle, and the problem it names
+        # would not be the unpickled one anyway
+        return {**self.__dict__, "_end": None}
+
     @property
     def n_recorded(self):
         return self.iterations.shape[0]
@@ -139,6 +179,22 @@ class SolveTrace:
         """Support cardinality per recorded iteration, as an int array."""
         bits = (self.supports[:, None] >> np.arange(self.n_groups)) & 1
         return bits.sum(axis=1)
+
+    def _end_state(self, problem, tau_factor):
+        """The final state, if this run solved `problem` at `tau_factor`."""
+        end = self._end
+        if end is None or end.problem() is not problem:
+            return None
+        if end.tau != tau_factor / problem.gram.lipschitz:
+            return None
+        return end
+
+
+def pack_masks(rows):
+    """Pack bool rows (..., G) into int64 bitmasks, bit g for column g."""
+    rows = np.asarray(rows, dtype=bool)
+    weights = np.left_shift(1, np.arange(rows.shape[-1], dtype=np.int64))
+    return rows.astype(np.int64) @ weights
 
 
 def group_threshold(a, gram_block, threshold):
@@ -213,11 +269,9 @@ def ikta_step(coeffs, problem, tau):
     return DualCoefficients(out)
 
 
-def _encode_mask(active_groups):
-    mask = 0
-    for g in active_groups:
-        mask |= 1 << int(g)
-    return mask
+def _same_bits(a, b):
+    # bitwise rather than ==, which equates -0.0 with 0.0
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def solve(problem, config, alpha0=None):
@@ -228,12 +282,26 @@ def solve(problem, config, alpha0=None):
     bit-identical outputs: there is no randomness and the arithmetic
     order is fixed.
 
+    The iteration is a deterministic map of its state, so once the state
+    repeats bit for bit every later iterate is known. The loop looks for
+    such a repeat with Brent's cycle detection: each state is compared
+    with a checkpoint that moves to the current state whenever its
+    distance reaches the next power of two, and the full bitwise compare
+    runs only when the step norm equals the checkpoint's. On a repeat
+    it skips whole periods, computes only the iterations left over, and
+    copies the trace records of one recorded period into the skipped
+    span. Coefficients, trace and `final_step_norm` are exactly those of
+    running every iteration.
+
     Parameters
     ----------
     problem : ProblemInstance
     config : SolverConfig
-    alpha0 : DualCoefficients, optional
-        Starting point; defaults to zero.
+    alpha0 : DualCoefficients or SolveTrace, optional
+        Starting point; defaults to zero. The trace of an earlier run on
+        the same problem at the same `tau_factor` continues that run's
+        trajectory from its exact final state; iteration numbers and
+        `config.max_iters` then count from the trajectory's start.
 
     Returns
     -------
@@ -265,12 +333,26 @@ def solve(problem, config, alpha0=None):
     tau = config.tau_factor / problem.gram.lipschitz
     thr = tau * lam
 
+    n, step, settled, from_zero = 0, 0.0, None, alpha0 is None
     if alpha0 is None:
         AT = np.zeros((G, m))
         KA = np.zeros((G, m))
+    elif isinstance(alpha0, SolveTrace):
+        start = alpha0._end_state(problem, config.tau_factor)
+        if start is None:
+            raise ContractViolation(
+                "alpha0 trace does not come from a solve of this problem "
+                "at this tau_factor in this process"
+            )
+        AT, KA = start.AT, start.KA
+        n, step, settled, from_zero = (
+            start.n, start.step, start.settled, start.from_zero
+        )
     else:
         if not isinstance(alpha0, DualCoefficients):
-            raise ContractViolation("alpha0 must be a DualCoefficients")
+            raise ContractViolation(
+                "alpha0 must be a DualCoefficients or a SolveTrace"
+            )
         if alpha0.m != m or alpha0.n_groups != G:
             raise ContractViolation(
                 f"alpha0 shaped {alpha0.alpha.shape} does not match problem "
@@ -280,15 +362,21 @@ def solve(problem, config, alpha0=None):
         KA = np.einsum("gij,gj->gi", K, AT)
 
     K2 = K.reshape(G * m, m)
-    rec_iters, rec_masks, rec_objs, rec_steps = [], [], [], []
     record = config.record_trace
     stride = config.trace_stride
     stop_tol = config.stop_tol
+    max_iters = config.max_iters
+    # the objective of a record is its penalty plus half the squared
+    # residual of the new iterate, which is the next iteration's r
+    rec_iters, rec_keep, rec_pen, rec_fit, rec_steps = [], [], [], [], []
+    ck_n, ck_AT, ck_KA, ck_step, power = n, AT, KA, None, 1
+    span = jump_at = tile = None
 
-    iters_run = 0
-    final_step = 0.0
-    for n in range(1, config.max_iters + 1):
+    while n < max_iters:
+        n += 1
         r = KA.sum(axis=0) - y
+        if len(rec_fit) < len(rec_pen):
+            rec_fit.append(0.5 * (r @ r))
         Kr = (K2 @ r).reshape(G, m)
         B = AT - tau * r
         KB = KA - tau * Kr
@@ -306,28 +394,70 @@ def solve(problem, config, alpha0=None):
         step = float(np.sqrt(max(step_sq, 0.0)))
         AT = AT_new
         KA = KA_new
-        iters_run = n
-        final_step = step
+        if settled is None and step <= REFERENCE_STOP_TOL:
+            settled = (n, AT)
 
-        stopping = (stop_tol > 0.0 and step <= stop_tol) or n == config.max_iters
-        if record and ((n - 1) % stride == 0 or stopping):
-            r_new = KA.sum(axis=0) - y
-            # surviving blocks have kernel norm nu - thr by construction
-            obj = float(lam * (nu[keep] - thr).sum() + 0.5 * (r_new @ r_new))
+        stopping = stop_tol > 0.0 and step <= stop_tol
+        if record and ((n - 1) % stride == 0 or stopping or n == max_iters):
             rec_iters.append(n)
-            rec_masks.append(_encode_mask(np.flatnonzero(keep)))
-            rec_objs.append(obj)
+            rec_keep.append(keep)
+            # surviving blocks have kernel norm nu - thr by construction
+            rec_pen.append(lam * (nu[keep] - thr).sum())
             rec_steps.append(step)
-        if stopping and stop_tol > 0.0 and step <= stop_tol:
+        if stopping:
             break
 
+        if span is None:
+            if (step == ck_step and _same_bits(AT, ck_AT)
+                    and _same_bits(KA, ck_KA)):
+                # strided records repeat every lcm(period, stride)
+                # iterations, once that many past the checkpoint
+                span = n - ck_n
+                if record:
+                    span = math.lcm(span, stride)
+                jump_at = ck_n + span
+            elif n - ck_n == power:
+                ck_n, ck_AT, ck_KA, ck_step = n, AT, KA, step
+                power *= 2
+        if n == jump_at:
+            # state n + skip equals state n; the last iteration is always
+            # computed, so the final record and step come from the loop
+            skip = max(0, (max_iters - 1 - n) // span) * span
+            if skip and record:
+                first = bisect.bisect_right(rec_iters, n - span)
+                tile = (first, len(rec_iters), skip // span)
+            n += skip
+
+    if len(rec_fit) < len(rec_pen):
+        r = KA.sum(axis=0) - y
+        rec_fit.append(0.5 * (r @ r))
+    iterations = np.array(rec_iters, dtype=np.int64)
+    keep_rows = np.array(rec_keep, dtype=bool).reshape(-1, G)
+    objectives = np.add(np.array(rec_pen, dtype=np.float64),
+                        np.array(rec_fit, dtype=np.float64))
+    step_norms = np.array(rec_steps, dtype=np.float64)
+    if tile is not None:
+        # records first..k-1 cover one span; repeat them over the skip
+        first, k, reps = tile
+        iterations, keep_rows, objectives, step_norms = (
+            np.concatenate([a[:k]] + [a[first:k]] * reps + [a[k:]])
+            for a in (iterations, keep_rows, objectives, step_norms)
+        )
+        iterations[k:k + reps * (k - first)] += np.repeat(
+            span * np.arange(1, reps + 1), k - first
+        )
+
     trace = SolveTrace(
-        iterations=np.array(rec_iters, dtype=np.int64),
-        supports=np.array(rec_masks, dtype=np.int64),
-        objectives=np.array(rec_objs, dtype=np.float64),
-        step_norms=np.array(rec_steps, dtype=np.float64),
-        iters_run=iters_run,
-        final_step_norm=final_step,
+        iterations=iterations,
+        supports=pack_masks(keep_rows),
+        objectives=objectives,
+        step_norms=step_norms,
+        iters_run=n,
+        final_step_norm=step,
         n_groups=G,
+        _end=_EndState(
+            problem=weakref.ref(problem), tau=tau, from_zero=from_zero,
+            n=n, AT=AT, KA=KA, step=step, settled=settled,
+        ),
     )
     return DualCoefficients(np.ascontiguousarray(AT.T)), trace

@@ -16,7 +16,13 @@ import numpy as np
 
 from .core import DualCoefficients, group_dual_norm, residual
 from .errors import ContractViolation
-from .solver import SolverConfig, SolveTrace, solve
+from .solver import (
+    REFERENCE_STOP_TOL,
+    SolverConfig,
+    SolveTrace,
+    pack_masks,
+    solve,
+)
 
 __all__ = [
     "SupportReport",
@@ -216,8 +222,8 @@ def sandwich_check(trace, reference_report, burn_in=0):
             f"burn_in {burn_in} is beyond the last recorded iteration "
             f"{int(trace.iterations[-1])}"
         )
-    lo = _encode(reference_report.support)
-    hi = _encode(reference_report.extended_support)
+    lo = _mask(reference_report.support, trace.n_groups)
+    hi = _mask(reference_report.extended_support, trace.n_groups)
     masks = trace.supports
     sel = trace.iterations >= burn_in
     m = masks[sel]
@@ -228,11 +234,12 @@ def sandwich_check(trace, reference_report, burn_in=0):
     return SandwichVerdict(False, first)
 
 
-def _encode(groups):
-    mask = 0
-    for g in groups:
-        mask |= 1 << int(g)
-    return mask
+def _mask(groups, n_groups):
+    if any(g >= n_groups for g in groups):
+        raise ContractViolation(
+            f"reference report names groups beyond the trace's G={n_groups}"
+        )
+    return pack_masks(np.isin(np.arange(n_groups), sorted(groups)))
 
 
 def last_support_change(trace):
@@ -254,29 +261,60 @@ def last_support_change(trace):
     return int(trace.iterations[changed[-1] + 1])
 
 
-def reference_solve(problem, config, budget_factor=10):
+def reference_solve(problem, config, trace=None, budget_factor=10):
     """Well-converged same-family reference for identification checks.
 
-    Reruns the solver from zero with `budget_factor` times the
-    configured iteration budget and a step-norm stop of 1e-12, trace
-    off. This is deliberately a same-algorithm reference; independent
-    ground truth lives in the oracle module.
+    The reference is the solver's own trajectory from zero at
+    `config.tau_factor`, run for `budget_factor` times the configured
+    iteration budget or until the step norm falls to 1e-12
+    (`REFERENCE_STOP_TOL`). This is deliberately a same-algorithm
+    reference; independent ground truth lives in the oracle module.
+
+    Parameters
+    ----------
+    problem : ProblemInstance
+    config : SolverConfig
+    trace : SolveTrace, optional
+        Trace of the production run. If that run started from zero on
+        this problem at this `tau_factor`, its trajectory is not
+        replayed: when it already passed a step norm of at most 1e-12
+        within the reference budget, that iterate is the reference, and
+        otherwise the iteration continues from the run's final state.
+        With no such trace the trajectory is replayed from zero. Either
+        way the result is bit-identical to the replay.
+    budget_factor : int
 
     Returns
     -------
     DualCoefficients
+
+    Notes
+    -----
+    When the iteration continues, the inner solve's trace reports
+    `iters_run` as the trajectory index of the returned iterate, which
+    counts the production run's iterations too.
     """
     if not isinstance(config, SolverConfig):
         raise ContractViolation("config must be a SolverConfig")
+    if trace is not None and not isinstance(trace, SolveTrace):
+        raise ContractViolation("trace must be a SolveTrace")
     budget_factor = int(budget_factor)
     if budget_factor < 1:
         raise ContractViolation(f"budget_factor must be >= 1, got {budget_factor!r}")
     ref_cfg = SolverConfig(
         tau_factor=config.tau_factor,
         max_iters=config.max_iters * budget_factor,
-        stop_tol=1e-12,
+        stop_tol=REFERENCE_STOP_TOL,
         record_trace=False,
         trace_stride=1,
     )
+    end = None if trace is None else trace._end_state(problem, config.tau_factor)
+    if end is not None and end.from_zero:
+        # a settled iterate comes no later than the run's final state
+        if end.settled is not None and end.settled[0] <= ref_cfg.max_iters:
+            return DualCoefficients(np.ascontiguousarray(end.settled[1].T))
+        if end.n <= ref_cfg.max_iters:
+            coeffs, _ = solve(problem, ref_cfg, trace)
+            return coeffs
     coeffs, _ = solve(problem, ref_cfg)
     return coeffs
