@@ -13,7 +13,7 @@ import numpy as np
 
 from sparsemkl.core import Dataset, DualCoefficients, GramBlocks, ProblemInstance
 from sparsemkl.oracle import enumerate_solve
-from sparsemkl.solver import SolverConfig, ikta_step, solve
+from sparsemkl.solver import SolverConfig, solve
 from sparsemkl.support import (
     last_support_change,
     qualification_check,
@@ -21,14 +21,10 @@ from sparsemkl.support import (
     support_of,
 )
 
-# The operator bound is pinned at exactly 1 so a step factor of 0.5
-# translates to step size 0.5 with no safety slack in the way.
-gram = GramBlocks(
-    blocks=np.ones((1, 1, 1)),
-    block_sum=np.ones((1, 1)),
-    lipschitz=1.0,
-    group_dims=(1,),
-)
+# The operator bound is pinned at exactly 1, the top eigenvalue itself
+# rather than the default with its margin, so a step factor of 0.5 is
+# the step size 0.5.
+gram = GramBlocks(blocks=np.ones((1, 1, 1)), lipschitz=1.0, group_dims=(1,))
 problem = ProblemInstance(
     dataset=Dataset(np.ones((1, 1)), np.ones(1)),
     gram=gram,
@@ -45,10 +41,11 @@ problem = ProblemInstance(
 # zero.
 
 tau = 0.5
-alpha = DualCoefficients(np.ones((1, 1)))
+state = DualCoefficients(np.ones((1, 1)))
 print("n    iterate        closed form 0.5^n")
 for n in range(1, 9):
-    alpha = ikta_step(alpha, problem, tau)
+    # each solve continues the previous one's trajectory by one step
+    alpha, state = solve(problem, SolverConfig(tau_factor=tau, max_iters=n), state)
     print(f"{n}    {alpha.alpha[0, 0]:.9f}    {0.5 ** n:.9f}")
 
 # ------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .errors import (
     DivergenceError,
     DualInfeasible,
     OracleFailure,
-    PowerIterationError,
 )
 from .experiments import (
     BatchResult,
@@ -42,10 +41,9 @@ from .kernels import (
     GaussianFamily,
     LinearGroupProjection,
     assemble_gram_blocks,
-    operator_norm,
 )
 from .oracle import OracleResult, bcd_solve, enumerate_solve
-from .solver import SolveTrace, SolverConfig, group_threshold, ikta_step, solve
+from .solver import SolveTrace, SolverConfig, solve
 from .strata import (
     DualMark,
     DualStratum,
@@ -63,7 +61,6 @@ from .support import (
     SandwichVerdict,
     SupportReport,
     certificate_norms,
-    extended_support,
     last_support_change,
     qualification_check,
     reference_solve,
@@ -86,7 +83,6 @@ __all__ = [
     "DivergenceError",
     "DualInfeasible",
     "OracleFailure",
-    "PowerIterationError",
     "BatchResult",
     "ExperimentConfig",
     "PerRun",
@@ -100,14 +96,11 @@ __all__ = [
     "GaussianFamily",
     "LinearGroupProjection",
     "assemble_gram_blocks",
-    "operator_norm",
     "OracleResult",
     "bcd_solve",
     "enumerate_solve",
     "SolveTrace",
     "SolverConfig",
-    "group_threshold",
-    "ikta_step",
     "solve",
     "DualMark",
     "DualStratum",
@@ -123,7 +116,6 @@ __all__ = [
     "SandwichVerdict",
     "SupportReport",
     "certificate_norms",
-    "extended_support",
     "last_support_change",
     "qualification_check",
     "reference_solve",

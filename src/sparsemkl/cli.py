@@ -203,14 +203,11 @@ def _print_config(doc):
 def _paper_1d_problem():
     """Hand-built single-kernel instance with unit data.
 
-    The operator bound is pinned to exactly 1 so tau_factor translates
-    into the step size with no safety slack; the closed-form iterates
-    are then reproduced digit for digit.
+    The operator bound is pinned to exactly 1, the top eigenvalue itself
+    rather than the default with its margin, so tau_factor is the step
+    size; the closed-form iterates are then reproduced digit for digit.
     """
-    gram = GramBlocks(
-        blocks=np.ones((1, 1, 1)), block_sum=np.ones((1, 1)),
-        lipschitz=1.0, group_dims=(1,),
-    )
+    gram = GramBlocks(blocks=np.ones((1, 1, 1)), lipschitz=1.0, group_dims=(1,))
     dataset = Dataset(np.ones((1, 1)), np.ones(1))
     problem = ProblemInstance(dataset=dataset, gram=gram, lam=1.0)
     return problem, DualCoefficients(np.ones((1, 1)))

@@ -21,23 +21,6 @@ class DivergenceError(RuntimeError):
         super().__init__(message)
 
 
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge within its iteration cap.
-
-    Attributes
-    ----------
-    last_estimate : float
-        Rayleigh quotient at the last completed iteration.
-    """
-
-    def __init__(self, last_estimate, max_iter):
-        self.last_estimate = float(last_estimate)
-        super().__init__(
-            f"power iteration did not converge within {max_iter} iterations "
-            f"(last estimate {self.last_estimate!r})"
-        )
-
-
 class OracleFailure(RuntimeError):
     """No candidate support produced a certified stationary point."""
 

@@ -221,11 +221,9 @@ def generate_instance(config, index):
     if config.s:
         alpha_star[:, chosen] = rng.standard_normal((config.m, config.s))
     noise = config.noise_std * rng.standard_normal(config.m)
-    y = np.einsum("gij,jg->i", gram.blocks, alpha_star) + noise
+    y = gram.apply(alpha_star) + noise
 
-    certs = np.sqrt(
-        np.maximum(np.einsum("i,gij,j->g", y, gram.blocks, y), 0.0)
-    )
+    certs = np.sqrt(np.maximum(gram.quad(y), 0.0))
     problem = ProblemInstance(
         dataset=Dataset(points, y), gram=gram,
         lam=config.lam * float(certs.max()),

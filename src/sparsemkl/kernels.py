@@ -5,7 +5,8 @@ disjoint column groups of the design matrix (the group-lasso setting,
 where each block is :math:`X_g X_g^T`), and a bank of Gaussian kernels
 with one bandwidth per group (all groups then read the full point set).
 Both produce the same artifact, a :class:`~sparsemkl.core.GramBlocks`
-stack whose certified `lipschitz` bound feeds the solver's step size.
+stack, whose validation derives the `lipschitz` bound that feeds the
+solver's step size.
 """
 
 from dataclasses import dataclass
@@ -13,13 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, GramBlocks
-from .errors import ContractViolation, PowerIterationError
+from .errors import ContractViolation
 
 __all__ = [
     "LinearGroupProjection",
     "GaussianFamily",
     "assemble_gram_blocks",
-    "operator_norm",
 ]
 
 
@@ -71,76 +71,18 @@ class GaussianFamily:
         return len(self.sigmas)
 
 
-def _power_iteration(matrix, tol, max_iter):
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
-
-    Runs until the relative change of the Rayleigh quotient drops to
-    `tol`; raises PowerIterationError (carrying the last estimate) if the
-    cap is hit first. The starting vector is drawn from a fixed-seed
-    generator so repeated calls agree bit for bit.
-    """
-    m = matrix.shape[0]
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(m)
-    v /= np.linalg.norm(v)
-    rq_prev = None
-    for _ in range(int(max_iter)):
-        w = matrix @ v
-        rq = float(v @ w)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0  # v is in the kernel; for PSD input only the zero matrix gets here generically
-        v = w / nw
-        if rq_prev is not None and abs(rq - rq_prev) <= tol * max(abs(rq), 1e-300):
-            return rq
-        rq_prev = rq
-    raise PowerIterationError(rq_prev, max_iter)
-
-
-def operator_norm(gram, tol=1e-10, max_iter=10000):
-    """Largest eigenvalue of the summed Gram operator.
-
-    This is the raw power-iteration estimate of
-    ``lambda_max(gram.block_sum)``, with no safety inflation; assembly
-    applies its safety factor on top of this value.
-
-    Parameters
-    ----------
-    gram : GramBlocks
-    tol : float
-        Relative Rayleigh-quotient change at which to stop.
-    max_iter : int
-
-    Returns
-    -------
-    float
-
-    Raises
-    ------
-    PowerIterationError
-        If the cap is reached; the exception carries the last estimate.
-    """
-    if not isinstance(gram, GramBlocks):
-        raise ContractViolation("gram must be a GramBlocks")
-    return _power_iteration(gram.block_sum, tol, max_iter)
-
-
-def assemble_gram_blocks(dataset, spec, safety=1.01):
+def assemble_gram_blocks(dataset, spec):
     """Build the Gram-block stack of a kernel family on a dataset.
 
     Parameters
     ----------
     dataset : Dataset
     spec : LinearGroupProjection or GaussianFamily
-    safety : float
-        Factor >= 1 applied to the power-iteration estimate of the summed
-        operator's largest eigenvalue before it is stored as the
-        certified `lipschitz` bound. The default 1.01 absorbs the
-        estimate's stopping error.
 
     Returns
     -------
     GramBlocks
+        With the default `lipschitz` bound.
 
     Raises
     ------
@@ -150,9 +92,6 @@ def assemble_gram_blocks(dataset, spec, safety=1.01):
     """
     if not isinstance(dataset, Dataset):
         raise ContractViolation("dataset must be a Dataset")
-    safety = float(safety)
-    if not np.isfinite(safety) or safety < 1.0:
-        raise ContractViolation(f"safety must be >= 1, got {safety!r}")
 
     X = dataset.points
     m = dataset.m
@@ -182,9 +121,4 @@ def assemble_gram_blocks(dataset, spec, safety=1.01):
     else:
         raise ContractViolation(f"unsupported kernel spec {type(spec).__name__}")
 
-    block_sum = blocks.sum(axis=0)
-    raw = _power_iteration(block_sum, tol=1e-10, max_iter=10000)
-    if raw <= 0.0:
-        raise ContractViolation("all Gram blocks are zero; no usable operator")
-    return GramBlocks(blocks=blocks, block_sum=block_sum,
-                      lipschitz=raw * safety, group_dims=group_dims)
+    return GramBlocks(blocks=blocks, group_dims=group_dims)

@@ -63,11 +63,6 @@ class OracleResult:
     kkt_residual: float
 
 
-def _certificates(rho, K):
-    quad = np.einsum("i,gij,j->g", rho, K, rho)
-    return np.sqrt(np.maximum(quad, 0.0))
-
-
 def _fixed_point(K_s, y, lam):
     """Solve the on-support stationarity system for scalings c > 0.
 
@@ -94,7 +89,7 @@ def _fixed_point(K_s, y, lam):
     for k in range(_FP_MAX_ITERS):
         A = eye + np.tensordot(c, K_s, axes=1)
         rho = -np.linalg.solve(A, y)
-        theta = _certificates(rho, K_s)
+        theta = np.sqrt(np.maximum(np.einsum("i,gij,j->g", rho, K_s, rho), 0.0))
         if not np.isfinite(theta).all():
             return None
         err = float(np.abs(theta - lam).max())
@@ -186,7 +181,7 @@ def enumerate_solve(problem, tol=1e-9):
                 if sol is None:
                     continue
                 c, rho = sol
-            theta = _certificates(rho, K)
+            theta = np.sqrt(np.maximum(problem.gram.quad(rho), 0.0))
             off = [g for g in range(G) if g not in S]
             if off and theta[off].max() > lam * (1.0 + tol):
                 continue

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DualCoefficients, GramBlocks, ProblemInstance, group_dual_norm
+from .core import DualCoefficients, ProblemInstance
 from .errors import ContractViolation, DivergenceError
 
-__all__ = ["SolverConfig", "SolveTrace", "group_threshold", "ikta_step", "solve"]
+__all__ = ["SolverConfig", "SolveTrace", "solve"]
 
 #: Trace supports are packed into int64 bitmasks.
 MAX_TRACE_GROUPS = 62
@@ -191,82 +191,19 @@ class SolveTrace:
 
 
 def pack_masks(rows):
-    """Pack bool rows (..., G) into int64 bitmasks, bit g for column g."""
+    """Pack bool rows (..., G) into int64 bitmasks, bit g for column g.
+
+    This is the package's one bitmask encoding; a mask holds at most
+    MAX_TRACE_GROUPS groups.
+    """
     rows = np.asarray(rows, dtype=bool)
+    if rows.size and rows.shape[-1] > MAX_TRACE_GROUPS:
+        raise ContractViolation(
+            f"bitmasks hold at most {MAX_TRACE_GROUPS} groups, "
+            f"got {rows.shape[-1]}"
+        )
     weights = np.left_shift(1, np.arange(rows.shape[-1], dtype=np.int64))
     return rows.astype(np.int64) @ weights
-
-
-def group_threshold(a, gram_block, threshold):
-    """Proximal map of one group's kernel norm.
-
-    Zeroes the block when its kernel norm is at or below the threshold,
-    otherwise shrinks it radially so the output norm is exactly the
-    excess over the threshold.
-
-    Parameters
-    ----------
-    a : (m,) array_like
-    gram_block : (m, m) array_like
-    threshold : float
-        Positive.
-
-    Returns
-    -------
-    (m,) ndarray
-        Exact zero vector, or ``a * (nu - threshold) / nu`` with
-        ``nu = group_dual_norm(a, gram_block)``; the output's kernel norm
-        is ``max(0, nu - threshold)``.
-    """
-    threshold = float(threshold)
-    if not np.isfinite(threshold) or threshold <= 0.0:
-        raise ContractViolation(f"threshold must be positive, got {threshold!r}")
-    a = np.asarray(a, dtype=np.float64)
-    nu = group_dual_norm(a, gram_block)
-    if nu <= threshold:
-        return np.zeros_like(a)
-    # (nu - threshold) / nu, not 1 - threshold/nu: the explicit difference
-    # keeps full relative accuracy when nu sits just above the threshold
-    return a * ((nu - threshold) / nu)
-
-
-def ikta_step(coeffs, problem, tau):
-    """One iteration: shared gradient step, then per-group thresholding.
-
-    Parameters
-    ----------
-    coeffs : DualCoefficients
-    problem : ProblemInstance
-    tau : float
-        Step size in (0, 2/L) with L the problem's certified operator
-        bound.
-
-    Returns
-    -------
-    DualCoefficients
-    """
-    tau = float(tau)
-    L = problem.gram.lipschitz
-    if not (0.0 < tau < 2.0 / L):
-        raise ContractViolation(
-            f"tau must lie in (0, {2.0 / L!r}) for this problem, got {tau!r}"
-        )
-    if coeffs.m != problem.m or coeffs.n_groups != problem.n_groups:
-        raise ContractViolation(
-            f"coeffs shaped {coeffs.alpha.shape} do not match problem with "
-            f"G={problem.n_groups}, m={problem.m}"
-        )
-    K = problem.gram.blocks
-    r = np.einsum("gij,jg->i", K, coeffs.alpha) - problem.dataset.responses
-    if not np.isfinite(r).all():
-        raise DivergenceError(1)
-    thr = tau * problem.effective_lambda
-    out = np.empty_like(coeffs.alpha)
-    for g in range(problem.n_groups):
-        out[:, g] = group_threshold(coeffs.alpha[:, g] - tau * r, K[g], thr)
-    if not np.isfinite(out).all():
-        raise DivergenceError(1)
-    return DualCoefficients(out)
 
 
 def _same_bits(a, b):
@@ -320,8 +257,8 @@ def solve(problem, config, alpha0=None):
         raise ContractViolation("problem must be a ProblemInstance")
     if not isinstance(config, SolverConfig):
         raise ContractViolation("config must be a SolverConfig")
-    K = problem.gram.blocks
-    G, m, _ = K.shape
+    gram = problem.gram
+    G, m = gram.n_groups, gram.m
     if config.record_trace and G > MAX_TRACE_GROUPS:
         raise ContractViolation(
             f"trace recording packs supports into 64-bit masks and allows "
@@ -359,9 +296,8 @@ def solve(problem, config, alpha0=None):
                 f"with G={G}, m={m}"
             )
         AT = np.ascontiguousarray(alpha0.alpha.T)
-        KA = np.einsum("gij,gj->gi", K, AT)
+        KA = gram.apply_each(AT)
 
-    K2 = K.reshape(G * m, m)
     record = config.record_trace
     stride = config.trace_stride
     stop_tol = config.stop_tol
@@ -377,7 +313,7 @@ def solve(problem, config, alpha0=None):
         r = KA.sum(axis=0) - y
         if len(rec_fit) < len(rec_pen):
             rec_fit.append(0.5 * (r @ r))
-        Kr = (K2 @ r).reshape(G, m)
+        Kr = gram.apply_each(r)
         B = AT - tau * r
         KB = KA - tau * Kr
         sq = np.einsum("gi,gi->g", B, KB)
@@ -386,7 +322,8 @@ def solve(problem, config, alpha0=None):
         nu = np.sqrt(np.maximum(sq, 0.0))
         keep = nu > thr
         denom = np.where(keep, nu, 1.0)
-        # same cancellation-safe form as group_threshold
+        # (nu - thr) / nu, not 1 - thr / nu: the explicit difference
+        # keeps full relative accuracy when nu sits just above thr
         gamma = np.where(keep, (nu - thr) / denom, 0.0)
         AT_new = gamma[:, None] * B
         KA_new = gamma[:, None] * KB

@@ -19,6 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ContractViolation, DualInfeasible
+from .solver import pack_masks
 from .support import support_of
 
 __all__ = [
@@ -95,11 +96,7 @@ class PrimalStratum:
 
     def as_mask(self):
         """Bitmask with bit g set iff group g is Nonzero."""
-        mask = 0
-        for g, p in enumerate(self.pattern):
-            if p is PrimalMark.NONZERO:
-                mask |= 1 << g
-        return mask
+        return int(pack_masks([p is PrimalMark.NONZERO for p in self.pattern]))
 
     @classmethod
     def from_mask(cls, mask, n_groups):
@@ -131,11 +128,7 @@ class DualStratum:
 
     def as_mask(self):
         """Bitmask with bit g set iff group g is on the Sphere."""
-        mask = 0
-        for g, p in enumerate(self.pattern):
-            if p is DualMark.SPHERE:
-                mask |= 1 << g
-        return mask
+        return int(pack_masks([p is DualMark.SPHERE for p in self.pattern]))
 
     @classmethod
     def from_mask(cls, mask, n_groups):

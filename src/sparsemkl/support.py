@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DualCoefficients, group_dual_norm, residual
+from .core import DualCoefficients, residual
 from .errors import ContractViolation
 from .solver import (
     REFERENCE_STOP_TOL,
@@ -29,7 +29,6 @@ __all__ = [
     "SandwichVerdict",
     "support_of",
     "certificate_norms",
-    "extended_support",
     "qualification_check",
     "sandwich_check",
     "last_support_change",
@@ -132,24 +131,8 @@ def certificate_norms(coeffs, problem):
     (G,) ndarray
     """
     r = residual(coeffs, problem.gram, problem.dataset.responses)
-    lam = problem.effective_lambda
-    K = problem.gram.blocks
-    quad = np.einsum("i,gij,j->g", r, K, r)
-    return np.sqrt(np.maximum(quad, 0.0)) / lam
-
-
-def extended_support(coeffs, problem, eps_rel=DEFAULT_EPS_REL):
-    """Groups whose certificate norm reaches 1 within `eps_rel`.
-
-    At a minimizer these are the active constraints of the dual problem;
-    away from minimizers the set is still defined but carries no
-    guarantee. 0-based indices.
-    """
-    eps_rel = float(eps_rel)
-    if not (0.0 <= eps_rel < 1.0):
-        raise ContractViolation(f"eps_rel must lie in [0, 1), got {eps_rel!r}")
-    norms = certificate_norms(coeffs, problem)
-    return set(int(g) for g in np.flatnonzero(norms >= 1.0 - eps_rel))
+    quad = problem.gram.quad(r)
+    return np.sqrt(np.maximum(quad, 0.0)) / problem.effective_lambda
 
 
 def qualification_check(coeffs, problem, eps_rel=DEFAULT_EPS_REL):

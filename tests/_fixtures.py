@@ -41,8 +41,8 @@ def group_lasso_instance(index):
     alpha = np.zeros((m, G))
     alpha[:, chosen] = rng.standard_normal((m, s))
     gram = assemble_gram_blocks(Dataset(X, np.zeros(m)), LinearGroupProjection(dims))
-    y = np.einsum("gij,jg->i", gram.blocks, alpha) + 1e-2 * rng.standard_normal(m)
-    certs = np.sqrt(np.einsum("i,gij,j->g", y, gram.blocks, y))
+    y = gram.apply(alpha) + 1e-2 * rng.standard_normal(m)
+    certs = np.sqrt(gram.quad(y))
     f = 10.0 ** rng.uniform(np.log10(0.05), np.log10(2.0))
     lam = float(f * certs.max())
     return ProblemInstance(dataset=Dataset(X, y), gram=gram, lam=lam)
@@ -65,8 +65,8 @@ def gaussian_sandwich_instance(index):
     alpha = np.zeros((m, G))
     alpha[:, chosen] = rng.standard_normal((m, s))
     gram = assemble_gram_blocks(Dataset(X, np.zeros(m)), GaussianFamily(sigmas))
-    y = np.einsum("gij,jg->i", gram.blocks, alpha) + 1e-2 * rng.standard_normal(m)
-    certs = np.sqrt(np.einsum("i,gij,j->g", y, gram.blocks, y))
+    y = gram.apply(alpha) + 1e-2 * rng.standard_normal(m)
+    certs = np.sqrt(gram.quad(y))
     f = 10.0 ** rng.uniform(np.log10(0.15), np.log10(1.5))
     lam = float(f * certs.max())
     return ProblemInstance(dataset=Dataset(X, y), gram=gram, lam=lam)
@@ -75,15 +75,11 @@ def gaussian_sandwich_instance(index):
 def one_dim_problem():
     """The scalar worked example: G=1, K=1, y=1, lambda=1.
 
-    Built by hand so the Lipschitz constant is exactly 1.0 and
-    tau_factor = 0.5 lands on tau = 0.5 with no rounding.
+    Built by hand so the Lipschitz constant is the top eigenvalue 1.0
+    itself, without the default margin, and tau_factor = 0.5 lands on
+    tau = 0.5 with no rounding.
     """
-    gram = GramBlocks(
-        blocks=np.ones((1, 1, 1)),
-        block_sum=np.ones((1, 1)),
-        lipschitz=1.0,
-        group_dims=(1,),
-    )
+    gram = GramBlocks(blocks=np.ones((1, 1, 1)), lipschitz=1.0, group_dims=(1,))
     return ProblemInstance(
         dataset=Dataset(np.ones((1, 1)), np.ones(1)),
         gram=gram,
@@ -99,14 +95,9 @@ def orthonormal_problem():
     """
     X = np.eye(2)
     gram = assemble_gram_blocks(Dataset(X, np.zeros(2)), LinearGroupProjection((1, 1)))
-    # rebuild without the power-iteration safety factor: lipschitz is
-    # exactly 1 here and tau=1 tests rely on 2/L staying exactly 2
-    gram = GramBlocks(
-        blocks=gram.blocks,
-        block_sum=gram.block_sum,
-        lipschitz=1.0,
-        group_dims=(1, 1),
-    )
+    # rebuild without the default margin: the top eigenvalue is exactly
+    # 1 here and tau=1 tests rely on 2/L staying exactly 2
+    gram = GramBlocks(blocks=gram.blocks, lipschitz=1.0, group_dims=(1, 1))
     return ProblemInstance(
         dataset=Dataset(X, np.array([3.0, 0.5])),
         gram=gram,

@@ -19,7 +19,7 @@ import pytest
 from sparsemkl.cli import main as cli_main
 from sparsemkl.core import DualCoefficients, objective
 from sparsemkl.oracle import enumerate_solve
-from sparsemkl.solver import SolverConfig, ikta_step, solve
+from sparsemkl.solver import SolverConfig, solve
 from sparsemkl.strata import verify_lattice
 from sparsemkl.support import (
     last_support_change,
@@ -156,10 +156,13 @@ def test_criterion_1_one_group_example_exact():
     tau = 0.5
     start = DualCoefficients(np.ones((1, 1)))
 
-    alpha = start
+    state = start
     worst = 0.0
     for n in range(1, 51):
-        alpha = ikta_step(alpha, problem, tau)
+        # each solve continues the previous one's trajectory; the exact
+        # bound L = 1 makes tau_factor = tau * L the step size itself
+        step = SolverConfig(tau_factor=tau * problem.gram.lipschitz, max_iters=n)
+        alpha, state = solve(problem, step, state)
         value = float(alpha.alpha[0, 0])
         exact = (1.0 - tau) ** n
         worst = max(worst, abs(value - exact) / exact)

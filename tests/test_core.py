@@ -13,6 +13,7 @@ from sparsemkl import (
     objective,
     residual,
 )
+from sparsemkl.core import LIPSCHITZ_MARGIN
 
 from _fixtures import coeffs_like, group_lasso_instance
 
@@ -51,47 +52,37 @@ class TestDataset:
 
 class TestGramBlocks:
     def _valid(self):
-        blocks = np.stack([np.eye(2), 2.0 * np.eye(2)])
-        return blocks, blocks.sum(axis=0)
+        return np.stack([np.eye(2), 2.0 * np.eye(2)])
 
     def test_accepts_valid(self):
-        blocks, total = self._valid()
-        gb = GramBlocks(blocks=blocks, block_sum=total, lipschitz=3.0)
+        gb = GramBlocks(blocks=self._valid(), lipschitz=3.0)
         assert gb.n_groups == 2
         assert gb.m == 2
         assert gb.group_dims is None
 
     def test_rejects_asymmetric_block(self):
-        blocks, total = self._valid()
-        blocks = blocks.copy()
-        blocks[0, 0, 1] = 0.5
-        with pytest.raises(ContractViolation):
-            GramBlocks(blocks=blocks, block_sum=blocks.sum(axis=0), lipschitz=4.0)
+        for g in (0, 1):
+            blocks = self._valid()
+            blocks[g, 0, 1] = 0.5
+            with pytest.raises(ContractViolation, match=f"block {g} is asymmetric"):
+                GramBlocks(blocks=blocks, lipschitz=4.0)
 
     def test_rejects_indefinite_block(self):
         blocks = np.stack([np.diag([1.0, -1.0])])
         with pytest.raises(ContractViolation):
-            GramBlocks(blocks=blocks, block_sum=blocks[0], lipschitz=2.0)
-
-    def test_rejects_block_sum_mismatch(self):
-        blocks, total = self._valid()
-        with pytest.raises(ContractViolation):
-            GramBlocks(blocks=blocks, block_sum=total + 0.01, lipschitz=4.0)
+            GramBlocks(blocks=blocks, lipschitz=2.0)
 
     def test_rejects_understated_lipschitz(self):
-        blocks, total = self._valid()
         with pytest.raises(ContractViolation):
-            GramBlocks(blocks=blocks, block_sum=total, lipschitz=1.0)
+            GramBlocks(blocks=self._valid(), lipschitz=1.0)
 
-    def test_from_blocks_computes_exact_bound(self):
-        blocks, _ = self._valid()
-        gb = GramBlocks.from_blocks(blocks)
-        assert gb.lipschitz == pytest.approx(3.0, rel=1e-12)
+    def test_default_bound_is_top_eigenvalue_with_margin(self):
+        gb = GramBlocks(blocks=self._valid())
+        assert gb.lipschitz == pytest.approx(3.0 * LIPSCHITZ_MARGIN, rel=1e-12)
 
     def test_group_dims_length_checked(self):
-        blocks, total = self._valid()
         with pytest.raises(ContractViolation):
-            GramBlocks(blocks=blocks, block_sum=total, lipschitz=3.0, group_dims=(1,))
+            GramBlocks(blocks=self._valid(), lipschitz=3.0, group_dims=(1,))
 
 
 class TestDualCoefficients:

@@ -14,8 +14,8 @@ from sparsemkl import (
     assemble_gram_blocks,
     bcd_solve,
     enumerate_solve,
-    extended_support,
     objective,
+    qualification_check,
     solve,
 )
 from sparsemkl.oracle import MAX_ENUM_GROUPS
@@ -46,14 +46,12 @@ class TestEnumerateSolve:
         assert res.support == frozenset()
         assert res.objective == pytest.approx(0.5, rel=1e-14)
         assert res.kkt_residual == 0.0
-        assert extended_support(res.alpha_or_w, one_d) == {0}
+        assert qualification_check(res.alpha_or_w, one_d).extended_support == {0}
 
     def test_group_count_cap(self):
         G = MAX_ENUM_GROUPS + 1
         blocks = np.stack([np.eye(2)] * G)
-        gram = GramBlocks(
-            blocks=blocks, block_sum=float(G) * np.eye(2), lipschitz=float(G)
-        )
+        gram = GramBlocks(blocks=blocks, lipschitz=float(G))
         prob = ProblemInstance(
             dataset=Dataset(np.ones((2, 1)), np.ones(2)), gram=gram, lam=1.0
         )

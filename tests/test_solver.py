@@ -13,8 +13,6 @@ from sparsemkl import (
     assemble_gram_blocks,
     enumerate_solve,
     group_dual_norm,
-    group_threshold,
-    ikta_step,
     objective,
     residual,
     solve,
@@ -44,19 +42,44 @@ class TestSolverConfig:
             SolverConfig(trace_stride=0)
 
 
+def one_step(problem, coeffs, tau):
+    """One iteration at step size `tau`, run through `solve`."""
+    config = SolverConfig(tau_factor=tau * problem.gram.lipschitz, max_iters=1)
+    out, _ = solve(problem, config, coeffs)
+    return out
+
+
+def thresholded(a, K, threshold, lipschitz=None):
+    """Group thresholding of `a` with block `K`, run through `solve`.
+
+    One step from zero on the one-group problem with y = a / tau and
+    lambda = threshold / tau: its gradient step lands on `a`, and its
+    threshold tau * lambda is `threshold`.
+    """
+    gram = GramBlocks(blocks=np.asarray(K, dtype=float)[None], lipschitz=lipschitz)
+    tau = 1.0 / gram.lipschitz
+    a = np.asarray(a, dtype=float)
+    problem = ProblemInstance(
+        dataset=Dataset(np.zeros((a.shape[0], 1)), a / tau),
+        gram=gram,
+        lam=threshold / tau,
+    )
+    coeffs, _ = solve(problem, SolverConfig(tau_factor=1.0, max_iters=1))
+    return coeffs.column(0)
+
+
 class TestGroupThreshold:
     def test_zero_input_stays_zero(self):
-        K = np.eye(3)
-        out = group_threshold(np.zeros(3), K, 7.5)
+        out = thresholded(np.zeros(3), np.eye(3), 7.5, lipschitz=1.0)
         assert np.array_equal(out, np.zeros(3))
 
     def test_boundary_norm_maps_to_exact_zero(self):
-        out = group_threshold(np.array([0.6, 0.8]), np.eye(2), 1.0)
+        out = thresholded(np.array([0.6, 0.8]), np.eye(2), 1.0, lipschitz=1.0)
         assert out.shape == (2,)
         assert np.array_equal(out, np.zeros(2))
 
     def test_radial_shrinkage(self):
-        out = group_threshold(np.array([3.0, 4.0]), np.eye(2), 1.0)
+        out = thresholded(np.array([3.0, 4.0]), np.eye(2), 1.0, lipschitz=1.0)
         assert np.allclose(out, [2.4, 3.2], rtol=1e-15, atol=0.0)
 
     def test_output_norm_is_soft_thresholded(self, rng):
@@ -66,29 +89,33 @@ class TestGroupThreshold:
             a = rng.standard_normal(prob.m)
             nu = group_dual_norm(a, K)
             thr = float(rng.uniform(0.1, 2.0) * max(nu, 1e-3))
-            out = group_threshold(a, K, thr)
+            out = thresholded(a, K, thr)
             expected = max(0.0, nu - thr)
             assert group_dual_norm(out, K) == pytest.approx(expected, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
+        gram = GramBlocks(blocks=np.eye(2)[None])
+        prob = ProblemInstance(
+            dataset=Dataset(np.zeros((2, 1)), np.ones(2)), gram=gram, lam=1.0
+        )
         with pytest.raises(ContractViolation):
-            group_threshold(np.ones(3), np.eye(2), 1.0)
+            solve(prob, SolverConfig(max_iters=1), DualCoefficients(np.ones((3, 1))))
 
 
 class TestIktaStep:
     def test_scalar_contraction(self, one_d):
         # alpha' = (1 - tau) alpha when lambda = 1, K = 1, y = 1
         c = DualCoefficients(np.full((1, 1), 0.5))
-        out = ikta_step(c, one_d, 0.5)
+        out = one_step(one_d, c, 0.5)
         assert out.alpha[0, 0] == 0.25
 
     def test_zero_fixed_point_under_large_lambda(self, ortho):
         big = ProblemInstance(dataset=ortho.dataset, gram=ortho.gram, lam=3.5)
-        out = ikta_step(DualCoefficients.zeros(2, 2), big, 0.9)
+        out = one_step(big, DualCoefficients.zeros(2, 2), 0.9)
         assert np.array_equal(out.alpha, np.zeros((2, 2)))
 
     def test_orthonormal_single_step_solves(self, ortho):
-        out = ikta_step(DualCoefficients.zeros(2, 2), ortho, 1.0)
+        out = one_step(ortho, DualCoefficients.zeros(2, 2), 1.0)
         # w_g = e_g^T alpha_g: group 1 lands on 2, group 2 dies
         assert out.alpha[0, 0] == pytest.approx(2.0, rel=1e-15)
         assert np.array_equal(out.alpha[:, 1], np.zeros(2))
@@ -96,11 +123,11 @@ class TestIktaStep:
     @pytest.mark.parametrize("tau", [0.0, -0.5, 2.0, 2.1])
     def test_step_size_window_enforced(self, one_d, tau):
         with pytest.raises(ContractViolation):
-            ikta_step(DualCoefficients.zeros(1, 1), one_d, tau)
+            one_step(one_d, DualCoefficients.zeros(1, 1), tau)
 
     def test_coefficient_shape_checked(self, one_d):
         with pytest.raises(ContractViolation):
-            ikta_step(DualCoefficients.zeros(2, 1), one_d, 0.5)
+            one_step(one_d, DualCoefficients.zeros(2, 1), 0.5)
 
 
 class TestSolveScalarExample:
@@ -115,9 +142,10 @@ class TestSolveScalarExample:
         assert np.array_equal(trace.iterations, np.arange(1, 21))
 
     def test_iterate_path_matches_closed_form(self, one_d):
-        c = DualCoefficients(np.ones((1, 1)))
+        state = DualCoefficients(np.ones((1, 1)))
         for n in range(1, 51):
-            c = ikta_step(c, one_d, 0.5)
+            # each solve continues the previous one's trajectory
+            c, state = solve(one_d, SolverConfig(tau_factor=0.5, max_iters=n), state)
             assert c.alpha[0, 0] == pytest.approx(0.5**n, rel=1e-12)
             assert support_of(c) == {0}
 
@@ -139,7 +167,7 @@ class TestSolveGeneral:
         gram = assemble_gram_blocks(ds0, LinearGroupProjection((2, 2, 2, 2)))
         alpha = np.zeros((8, 4))
         alpha[:, [0, 2]] = rng.standard_normal((8, 2))
-        y = np.einsum("gij,jg->i", gram.blocks, alpha) + 0.01 * rng.standard_normal(8)
+        y = gram.apply(alpha) + 0.01 * rng.standard_normal(8)
         prob = ProblemInstance(dataset=Dataset(X, y), gram=gram, lam=0.8)
 
         cfg = SolverConfig(tau_factor=0.8, max_iters=100000, stop_tol=1e-13)
@@ -252,8 +280,10 @@ class TestRepresenterEquivalence:
         alpha = DualCoefficients(rng.standard_normal((m, G)))
         w = np.concatenate([X[:, sl].T @ alpha.alpha[:, g] for g, sl in enumerate(slices)])
 
-        for _ in range(50):
-            alpha = ikta_step(alpha, prob, tau)
+        state = alpha
+        for n in range(1, 51):
+            cfg = SolverConfig(tau_factor=0.8, max_iters=n)
+            alpha, state = solve(prob, cfg, state)
             grad = X.T @ (X @ w - y)
             z = w - tau * grad
             w_next = np.zeros(p)
@@ -299,9 +329,7 @@ class TestTrace:
     def test_group_count_cap_for_tracing(self):
         G = MAX_TRACE_GROUPS + 1
         blocks = np.ones((G, 1, 1))
-        gram = GramBlocks(
-            blocks=blocks, block_sum=np.full((1, 1), float(G)), lipschitz=float(G)
-        )
+        gram = GramBlocks(blocks=blocks, lipschitz=float(G))
         prob = ProblemInstance(
             dataset=Dataset(np.ones((1, 1)), np.ones(1)), gram=gram, lam=1.0
         )

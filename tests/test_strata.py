@@ -22,6 +22,7 @@ from sparsemkl import (
     transfer_JRstar,
     verify_lattice,
 )
+from sparsemkl.solver import MAX_TRACE_GROUPS
 
 from _fixtures import coeffs_like, group_lasso_instance
 
@@ -47,6 +48,11 @@ class TestPrimalStrata:
     def test_mask_round_trip(self):
         for mask in range(16):
             assert PrimalStratum.from_mask(mask, 4).as_mask() == mask
+
+    def test_mask_group_cap(self):
+        wide = PrimalStratum.from_support({0}, MAX_TRACE_GROUPS + 1)
+        with pytest.raises(ContractViolation):
+            wide.as_mask()
 
     def test_matches_support_report(self, ortho):
         c = coeffs_like(ortho, {0: np.array([2.0, 0.0])})

@@ -9,9 +9,7 @@ from sparsemkl import (
     SolverConfig,
     SupportReport,
     certificate_norms,
-    extended_support,
     group_dual_norm,
-    ikta_step,
     last_support_change,
     qualification_check,
     reference_solve,
@@ -29,9 +27,9 @@ class TestSupportOf:
         assert support_of(DualCoefficients.zeros(4, 3)) == frozenset()
 
     def test_scalar_example_iterates(self, one_d):
-        c = DualCoefficients(np.ones((1, 1)))
-        for _ in range(30):
-            c = ikta_step(c, one_d, 0.5)
+        state = DualCoefficients(np.ones((1, 1)))
+        for n in range(1, 31):
+            c, state = solve(one_d, SolverConfig(tau_factor=0.5, max_iters=n), state)
             assert support_of(c) == {0}
 
     def test_equals_positive_dual_norm_groups(self):
@@ -51,7 +49,7 @@ class TestCertificatesAndEsupp:
         zero = DualCoefficients.zeros(1, 1)
         norms = certificate_norms(zero, one_d)
         assert norms[0] == 1.0
-        assert extended_support(zero, one_d) == {0}
+        assert qualification_check(zero, one_d).extended_support == {0}
         assert support_of(zero) == frozenset()
 
     def test_zero_data_empty_esupp(self, one_d):
@@ -61,14 +59,14 @@ class TestCertificatesAndEsupp:
             lam=1.0,
         )
         zero = DualCoefficients.zeros(1, 1)
-        assert extended_support(zero, silent) == frozenset()
+        assert qualification_check(zero, silent).extended_support == frozenset()
 
     def test_orthonormal_solution(self, ortho):
         # w = (2, 0): residual (-1, -0.5), certificates (1, 0.5)
         c = coeffs_like(ortho, {0: np.array([2.0, 0.0])})
         norms = certificate_norms(c, ortho)
         assert np.allclose(norms, [1.0, 0.5], atol=1e-15)
-        assert extended_support(c, ortho) == {0}
+        assert qualification_check(c, ortho).extended_support == {0}
         assert support_of(c) == {0}
 
     def test_norms_scale_with_convention(self, ortho):
@@ -96,7 +94,6 @@ class TestCertificatesAndEsupp:
             dataset=prob.dataset,
             gram=GramBlocks(
                 blocks=prob.gram.blocks[perm],
-                block_sum=prob.gram.block_sum,
                 lipschitz=prob.gram.lipschitz,
             ),
             lam=prob.lam,
@@ -229,10 +226,9 @@ class TestBurnInAndReference:
         prob = group_lasso_instance(20)
         cfg = SolverConfig(tau_factor=0.8, max_iters=5000)
         ref = reference_solve(prob, cfg)
-        tau = 0.8 / prob.gram.lipschitz
-        moved = ikta_step(ref, prob, tau)
+        moved, _ = solve(prob, SolverConfig(tau_factor=0.8, max_iters=1), ref)
         d = moved.alpha - ref.alpha
-        h_sq = float(np.einsum("ig,gij,jg->", d, prob.gram.blocks, d))
+        h_sq = float(prob.gram.quad(d).sum())
         assert np.sqrt(max(h_sq, 0.0)) <= 1e-11
 
     def test_budget_factor_validated(self, one_d):

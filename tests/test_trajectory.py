@@ -26,8 +26,10 @@ from sparsemkl import solver as solver_module
 from sparsemkl import support as support_module
 
 # periods of the exact cycles the group-lasso preset (master seed 0)
-# falls into within its 5000-iteration budget, by instance
-PRESET_PERIODS = {4: 1, 0: 2, 2: 12}
+# falls into within its 5000-iteration budget, by instance; they move
+# with the low bits of the step size. Instance 0 is the one most tests
+# below run on.
+PRESET_PERIODS = {4: 1, 0: 1, 2: 2, 1: 3}
 
 
 def iterates(problem, config, alpha0=None):
@@ -148,8 +150,8 @@ class TestCycleExit:
         assert period == PRESET_PERIODS[index]
         assert start < 2500
 
-    # 4999 and 5000 put the remaining budget at both parities, so a
-    # period of 2 and of 12 both get a remainder that is not 0
+    # 4999 and 5000 give consecutive remaining budgets, so every
+    # period above 1 gets a remainder that is not 0 from one of them
     @pytest.mark.parametrize("max_iters", [4999, 5000])
     @pytest.mark.parametrize("stride", [1, 7])
     @pytest.mark.parametrize("index", sorted(PRESET_PERIODS))
