@@ -263,7 +263,7 @@ def _solve_from_config(args):
             if val is not None:
                 solver_kw["max_iters" if key == "iters" else key] = val
     solver_kw.setdefault("max_iters", 1000)
-    return problem, solver_kw, None
+    return problem, solver_kw
 
 
 def _cmd_solve(args):
@@ -275,7 +275,8 @@ def _cmd_solve(args):
         problem, alpha0 = _paper_1d_problem()
         solver_kw = {"tau_factor": 0.5, "max_iters": 50}
     else:
-        problem, solver_kw, alpha0 = _solve_from_config(args)
+        problem, solver_kw = _solve_from_config(args)
+        alpha0 = None
 
     if args.lam is not None:
         if args.lam <= 0:
@@ -477,11 +478,8 @@ def _oracle_suite_small():
         y_seed = rng.standard_normal(m)
         dataset = Dataset(points, y_seed)
         gram = assemble_gram_blocks(dataset, LinearGroupProjection(dims))
-        certs = [
-            float(np.sqrt(y_seed @ (gram.blocks[g] @ y_seed)))
-            for g in range(3)
-        ]
-        lam = float((0.25 + 0.5 * rng.random()) * max(certs))
+        certs = np.sqrt(gram.quad(y_seed))
+        lam = float((0.25 + 0.5 * rng.random()) * certs.max())
         problem = ProblemInstance(dataset=dataset, gram=gram, lam=lam)
 
         ikta, _ = solve(problem, SolverConfig(

@@ -45,7 +45,16 @@ LIPSCHITZ_MARGIN = 1.01
 
 
 def _readonly(a, dtype=np.float64):
-    """Copy `a` to a C-contiguous read-only float array."""
+    """`a` as a C-contiguous read-only float array.
+
+    An array that already is one and owns its data is returned as is;
+    anything else, a read-only view of a writable array included, is
+    copied, so no writable alias of the result is left behind.
+    """
+    if (isinstance(a, np.ndarray) and a.dtype == dtype
+            and a.flags.c_contiguous and a.flags.owndata
+            and not a.flags.writeable):
+        return a
     out = np.array(a, dtype=dtype, order="C", copy=True)
     out.setflags(write=False)
     return out
@@ -127,9 +136,10 @@ class GramBlocks:
     ------
     ContractViolation
         If a block is asymmetric beyond ``SYMMETRY_TOL`` or has an
-        eigenvalue below ``-PSD_TOL * trace``, or if `lipschitz` is not
-        positive or fails to dominate the largest eigenvalue of
-        ``sum_g K_g``.
+        eigenvalue at or below ``-PSD_TOL * max(trace, 1)`` (tested by
+        a Cholesky factorization of the shifted block), or if
+        `lipschitz` is not positive or fails to dominate the largest
+        eigenvalue of ``sum_g K_g``.
     """
 
     blocks: np.ndarray
@@ -154,13 +164,19 @@ class GramBlocks:
                 raise ContractViolation(
                     f"block {g} is asymmetric: max defect {asym:.3e}"
                 )
-            lo = np.linalg.eigvalsh(K)[0]
+            # K + tol*I has a Cholesky factor iff every eigenvalue of K
+            # exceeds -tol; eigvalsh only runs to name one in the error
             scale = max(np.trace(K), 1.0)
-            if lo < -PSD_TOL * scale:
+            shifted = K.copy()
+            shifted.flat[::m + 1] += PSD_TOL * scale
+            try:
+                np.linalg.cholesky(shifted)
+            except np.linalg.LinAlgError:
+                lo = np.linalg.eigvalsh(K)[0]
                 raise ContractViolation(
                     f"block {g} is not positive semi-definite "
                     f"(eigenvalue {lo:.3e})"
-                )
+                ) from None
 
         top = float(np.linalg.eigvalsh(blocks.sum(axis=0))[-1])
         if self.lipschitz is None:

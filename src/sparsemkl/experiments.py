@@ -396,20 +396,22 @@ def write_trace_rows(fh, run, trace):
     with the support as a sorted list of 1-based group labels, formatted
     as ``json.dumps(row, separators=(",", ":"))`` would.
     """
-    labels = {}
-    for mask in set(trace.supports.tolist()):
-        labels[mask] = json.dumps(
-            [g + 1 for g in range(trace.n_groups) if mask >> g & 1],
+    # each support row's bytes key its label, formatted once per support
+    rows = np.ascontiguousarray(trace.supports)
+    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
+    labels = {
+        key: json.dumps(
+            (np.flatnonzero(np.frombuffer(key, dtype=bool)) + 1).tolist(),
             separators=(",", ":"),
         )
+        for key in set(keys)
+    }
     # one dumps call formats every objective as a row's dumps would
     objectives = json.dumps(trace.objectives.tolist())[1:-1].split(", ")
     fh.write("".join(
-        f'{{"run":{int(run)},"iter":{n},"support":{labels[mask]},'
+        f'{{"run":{int(run)},"iter":{n},"support":{labels[key]},'
         f'"objective":{obj}}}\n'
-        for n, mask, obj in zip(
-            trace.iterations.tolist(), trace.supports.tolist(), objectives
-        )
+        for n, key, obj in zip(trace.iterations.tolist(), keys, objectives)
     ))
 
 

@@ -121,4 +121,6 @@ def assemble_gram_blocks(dataset, spec):
     else:
         raise ContractViolation(f"unsupported kernel spec {type(spec).__name__}")
 
+    # frozen here, the stack becomes the GramBlocks' own without a copy
+    blocks.setflags(write=False)
     return GramBlocks(blocks=blocks, group_dims=group_dims)

@@ -26,9 +26,6 @@ from .errors import ContractViolation, DivergenceError
 
 __all__ = ["SolverConfig", "SolveTrace", "solve"]
 
-#: Trace supports are packed into int64 bitmasks.
-MAX_TRACE_GROUPS = 62
-
 #: Step norm at which a reference solve stops. Every solve remembers the
 #: first iterate whose step reaches it, so a reference can reuse it.
 REFERENCE_STOP_TOL = 1e-12
@@ -109,9 +106,10 @@ class SolveTrace:
     ----------
     iterations : (R,) int64 ndarray
         1-based iteration numbers of the recorded entries, increasing.
-    supports : (R,) int64 ndarray
-        Support at each recorded iteration, packed as a bitmask with bit
-        g set when group g (0-based) is active.
+    supports : (R, G) bool ndarray
+        Support at each recorded iteration: row i, column g is True when
+        group g (0-based) is active. Any number of groups can be traced;
+        an untraced run has shape ``(0, G)``.
     objectives : (R,) float64 ndarray
         Objective value at each recorded iteration.
     step_norms : (R,) float64 ndarray
@@ -125,7 +123,6 @@ class SolveTrace:
         Step norm of the last executed iteration; populated even when
         trace recording is off, so budget sufficiency can always be
         judged after the fact.
-    n_groups : int
 
     The trace also carries its run's exact final state, private and
     in-process only (it is dropped on pickling), so that
@@ -139,16 +136,19 @@ class SolveTrace:
     step_norms: np.ndarray
     iters_run: int
     final_step_norm: float
-    n_groups: int
     _end: _EndState | None = field(default=None, repr=False)
 
     def __post_init__(self):
         it = np.asarray(self.iterations, dtype=np.int64)
-        su = np.asarray(self.supports, dtype=np.int64)
+        su = np.asarray(self.supports, dtype=bool)
         ob = np.asarray(self.objectives, dtype=np.float64)
         st = np.asarray(self.step_norms, dtype=np.float64)
-        if not (it.shape == su.shape == ob.shape == st.shape) or it.ndim != 1:
+        if not (it.shape == ob.shape == st.shape) or it.ndim != 1:
             raise ContractViolation("trace arrays must share one 1-D shape")
+        if su.ndim != 2 or su.shape[0] != it.shape[0]:
+            raise ContractViolation(
+                "supports must hold one (G,) row per recorded iteration"
+            )
         if st.size and st.min() < 0.0:
             raise ContractViolation("step norms must be nonnegative")
         for arr in (it, su, ob, st):
@@ -159,7 +159,6 @@ class SolveTrace:
         object.__setattr__(self, "step_norms", st)
         object.__setattr__(self, "iters_run", int(self.iters_run))
         object.__setattr__(self, "final_step_norm", float(self.final_step_norm))
-        object.__setattr__(self, "n_groups", int(self.n_groups))
 
     def __getstate__(self):
         # a weak reference does not pickle, and the problem it names
@@ -170,15 +169,17 @@ class SolveTrace:
     def n_recorded(self):
         return self.iterations.shape[0]
 
+    @property
+    def n_groups(self):
+        return self.supports.shape[1]
+
     def support_set(self, i):
-        """Decode record `i`'s bitmask into a set of 0-based group indices."""
-        mask = int(self.supports[i])
-        return frozenset(g for g in range(self.n_groups) if mask >> g & 1)
+        """Record `i`'s support as a set of 0-based group indices."""
+        return frozenset(int(g) for g in np.flatnonzero(self.supports[i]))
 
     def support_sizes(self):
         """Support cardinality per recorded iteration, as an int array."""
-        bits = (self.supports[:, None] >> np.arange(self.n_groups)) & 1
-        return bits.sum(axis=1)
+        return self.supports.sum(axis=1)
 
     def _end_state(self, problem, tau_factor):
         """The final state, if this run solved `problem` at `tau_factor`."""
@@ -188,22 +189,6 @@ class SolveTrace:
         if end.tau != tau_factor / problem.gram.lipschitz:
             return None
         return end
-
-
-def pack_masks(rows):
-    """Pack bool rows (..., G) into int64 bitmasks, bit g for column g.
-
-    This is the package's one bitmask encoding; a mask holds at most
-    MAX_TRACE_GROUPS groups.
-    """
-    rows = np.asarray(rows, dtype=bool)
-    if rows.size and rows.shape[-1] > MAX_TRACE_GROUPS:
-        raise ContractViolation(
-            f"bitmasks hold at most {MAX_TRACE_GROUPS} groups, "
-            f"got {rows.shape[-1]}"
-        )
-    weights = np.left_shift(1, np.arange(rows.shape[-1], dtype=np.int64))
-    return rows.astype(np.int64) @ weights
 
 
 def _same_bits(a, b):
@@ -259,12 +244,6 @@ def solve(problem, config, alpha0=None):
         raise ContractViolation("config must be a SolverConfig")
     gram = problem.gram
     G, m = gram.n_groups, gram.m
-    if config.record_trace and G > MAX_TRACE_GROUPS:
-        raise ContractViolation(
-            f"trace recording packs supports into 64-bit masks and allows "
-            f"at most {MAX_TRACE_GROUPS} groups, got G={G}; disable "
-            f"record_trace for wider problems"
-        )
     y = problem.dataset.responses
     lam = problem.effective_lambda
     tau = config.tau_factor / problem.gram.lipschitz
@@ -386,12 +365,11 @@ def solve(problem, config, alpha0=None):
 
     trace = SolveTrace(
         iterations=iterations,
-        supports=pack_masks(keep_rows),
+        supports=keep_rows,
         objectives=objectives,
         step_norms=step_norms,
         iters_run=n,
         final_step_norm=step,
-        n_groups=G,
         _end=_EndState(
             problem=weakref.ref(problem), tau=tau, from_zero=from_zero,
             n=n, AT=AT, KA=KA, step=step, settled=settled,

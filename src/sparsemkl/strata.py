@@ -19,7 +19,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import ContractViolation, DualInfeasible
-from .solver import pack_masks
 from .support import support_of
 
 __all__ = [
@@ -95,8 +94,8 @@ class PrimalStratum:
         )
 
     def as_mask(self):
-        """Bitmask with bit g set iff group g is Nonzero."""
-        return int(pack_masks([p is PrimalMark.NONZERO for p in self.pattern]))
+        """Bitmask with bit g set iff group g is Nonzero, as a Python int."""
+        return sum(1 << g for g in self.nonzero_set())
 
     @classmethod
     def from_mask(cls, mask, n_groups):
@@ -127,8 +126,8 @@ class DualStratum:
         )
 
     def as_mask(self):
-        """Bitmask with bit g set iff group g is on the Sphere."""
-        return int(pack_masks([p is DualMark.SPHERE for p in self.pattern]))
+        """Bitmask with bit g set iff group g is on the Sphere, as a Python int."""
+        return sum(1 << g for g in self.sphere_set())
 
     @classmethod
     def from_mask(cls, mask, n_groups):

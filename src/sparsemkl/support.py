@@ -16,13 +16,7 @@ import numpy as np
 
 from .core import DualCoefficients, residual
 from .errors import ContractViolation
-from .solver import (
-    REFERENCE_STOP_TOL,
-    SolverConfig,
-    SolveTrace,
-    pack_masks,
-    solve,
-)
+from .solver import REFERENCE_STOP_TOL, SolverConfig, SolveTrace, solve
 
 __all__ = [
     "SupportReport",
@@ -37,6 +31,9 @@ __all__ = [
 
 #: Default relative tolerance band around the certificate level 1.
 DEFAULT_EPS_REL = 1e-4
+
+#: A reference solve runs for this many times the production budget.
+REFERENCE_BUDGET_FACTOR = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,24 +202,22 @@ def sandwich_check(trace, reference_report, burn_in=0):
             f"burn_in {burn_in} is beyond the last recorded iteration "
             f"{int(trace.iterations[-1])}"
         )
-    lo = _mask(reference_report.support, trace.n_groups)
-    hi = _mask(reference_report.extended_support, trace.n_groups)
-    masks = trace.supports
+    G = trace.n_groups
+    supp = reference_report.support
+    esupp = reference_report.extended_support
+    if any(g >= G for g in supp | esupp):
+        raise ContractViolation(
+            f"reference report names groups beyond the trace's G={G}"
+        )
+    lo = np.isin(np.arange(G), sorted(supp))
+    hi = np.isin(np.arange(G), sorted(esupp))
     sel = trace.iterations >= burn_in
-    m = masks[sel]
-    ok = ((lo & ~m) == 0) & ((m & ~hi) == 0)
+    rows = trace.supports[sel]
+    ok = (rows >= lo).all(axis=1) & (rows <= hi).all(axis=1)
     if ok.all():
         return SandwichVerdict(True, None)
     first = int(trace.iterations[sel][np.flatnonzero(~ok)[0]])
     return SandwichVerdict(False, first)
-
-
-def _mask(groups, n_groups):
-    if any(g >= n_groups for g in groups):
-        raise ContractViolation(
-            f"reference report names groups beyond the trace's G={n_groups}"
-        )
-    return pack_masks(np.isin(np.arange(n_groups), sorted(groups)))
 
 
 def last_support_change(trace):
@@ -237,19 +232,19 @@ def last_support_change(trace):
         raise ContractViolation("trace must be a SolveTrace")
     if trace.n_recorded == 0:
         raise ContractViolation("trace has no recorded iterations")
-    masks = trace.supports
-    changed = np.flatnonzero(masks[1:] != masks[:-1])
+    rows = trace.supports
+    changed = np.flatnonzero((rows[1:] != rows[:-1]).any(axis=1))
     if changed.size == 0:
         return int(trace.iterations[0])
     return int(trace.iterations[changed[-1] + 1])
 
 
-def reference_solve(problem, config, trace=None, budget_factor=10):
+def reference_solve(problem, config, trace=None):
     """Well-converged same-family reference for identification checks.
 
     The reference is the solver's own trajectory from zero at
-    `config.tau_factor`, run for `budget_factor` times the configured
-    iteration budget or until the step norm falls to 1e-12
+    `config.tau_factor`, run for `REFERENCE_BUDGET_FACTOR` (10) times the
+    configured iteration budget or until the step norm falls to 1e-12
     (`REFERENCE_STOP_TOL`). This is deliberately a same-algorithm
     reference; independent ground truth lives in the oracle module.
 
@@ -265,7 +260,6 @@ def reference_solve(problem, config, trace=None, budget_factor=10):
         otherwise the iteration continues from the run's final state.
         With no such trace the trajectory is replayed from zero. Either
         way the result is bit-identical to the replay.
-    budget_factor : int
 
     Returns
     -------
@@ -281,12 +275,9 @@ def reference_solve(problem, config, trace=None, budget_factor=10):
         raise ContractViolation("config must be a SolverConfig")
     if trace is not None and not isinstance(trace, SolveTrace):
         raise ContractViolation("trace must be a SolveTrace")
-    budget_factor = int(budget_factor)
-    if budget_factor < 1:
-        raise ContractViolation(f"budget_factor must be >= 1, got {budget_factor!r}")
     ref_cfg = SolverConfig(
         tau_factor=config.tau_factor,
-        max_iters=config.max_iters * budget_factor,
+        max_iters=config.max_iters * REFERENCE_BUDGET_FACTOR,
         stop_tol=REFERENCE_STOP_TOL,
         record_trace=False,
         trace_stride=1,

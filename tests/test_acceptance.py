@@ -254,14 +254,12 @@ def test_criterion_4_exact_recovery_under_qc(gl_battery):
         if not run.report.qc_holds:
             continue
         checked += 1
-        masks = run.trace.supports
-        ref_mask = 0
-        for g in run.report.support:
-            ref_mask |= 1 << g
-        mismatch = np.flatnonzero(masks != ref_mask)
+        rows = run.trace.supports
+        ref_row = np.isin(np.arange(rows.shape[1]), sorted(run.report.support))
+        mismatch = np.flatnonzero((rows != ref_row).any(axis=1))
         if mismatch.size:
             settle = int(run.trace.iterations[mismatch[-1]]) + 1
-            assert masks[-1] == ref_mask, (
+            assert np.array_equal(rows[-1], ref_row), (
                 "trace never settles on the reference support"
             )
         else:

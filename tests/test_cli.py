@@ -5,6 +5,7 @@ stdout/stderr, and the files left in a temporary output directory.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -341,6 +342,32 @@ def test_batch_trace_output(tmp_path, capsys):
     assert all(
         all(1 <= g <= 4 for g in row["support"]) for row in rows
     )
+
+
+def test_batch_trace_matches_recorded_output(tmp_path, capsys):
+    # tests/data holds this command's histogram.csv and traces.jsonl as
+    # written before the trace supports became bool rows
+    data = Path(__file__).parent / "data"
+    out_dir = tmp_path / "out"
+    rc, _, _ = run_cli(
+        ["batch", "--preset", "group-lasso-paper", "--instances", "2",
+         "--iters", "300", "--trace", "--seed", "0",
+         "--out-dir", str(out_dir)],
+        capsys,
+    )
+    assert rc == 0
+    assert ((out_dir / "histogram.csv").read_bytes()
+            == (data / "histogram.csv").read_bytes())
+    lines = (out_dir / "traces.jsonl").read_text().splitlines()
+    golden = (data / "traces.jsonl").read_text().splitlines()
+    assert len(lines) == len(golden) == 600
+    for line, want in zip(lines, golden):
+        row, want = json.loads(line), json.loads(want)
+        assert line == json.dumps(row, separators=(",", ":"))
+        assert (row["run"], row["iter"], row["support"]) == (
+            want["run"], want["iter"], want["support"]
+        )
+        assert row["objective"] == pytest.approx(want["objective"], rel=1e-12)
 
 
 def test_batch_preset_dry_run(capsys):

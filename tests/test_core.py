@@ -13,7 +13,7 @@ from sparsemkl import (
     objective,
     residual,
 )
-from sparsemkl.core import LIPSCHITZ_MARGIN
+from sparsemkl.core import LIPSCHITZ_MARGIN, PSD_TOL
 
 from _fixtures import coeffs_like, group_lasso_instance
 
@@ -71,6 +71,35 @@ class TestGramBlocks:
         blocks = np.stack([np.diag([1.0, -1.0])])
         with pytest.raises(ContractViolation):
             GramBlocks(blocks=blocks, lipschitz=2.0)
+
+    @pytest.mark.parametrize("depth, accepted", [(0.5, True), (2.0, False)])
+    def test_psd_tolerance_boundary(self, depth, accepted):
+        # smallest eigenvalue -depth * PSD_TOL * trace, in a rotated basis
+        # so the factorization sees a dense block
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))
+        low = -depth * PSD_TOL * 6.0 / (1.0 + depth * PSD_TOL)
+        K = (q * np.array([3.0, 2.0, 1.0, low])) @ q.T
+        K = 0.5 * (K + K.T)
+        assert np.linalg.eigvalsh(K)[0] == pytest.approx(
+            -depth * PSD_TOL * np.trace(K), rel=1e-3
+        )
+        blocks = np.stack([np.eye(4), K])
+        if accepted:
+            GramBlocks(blocks=blocks)
+        else:
+            with pytest.raises(ContractViolation,
+                               match="block 1 is not positive semi-definite"):
+                GramBlocks(blocks=blocks)
+
+    def test_writable_input_is_copied(self):
+        blocks = self._valid()
+        assert not np.shares_memory(GramBlocks(blocks=blocks).blocks, blocks)
+        view = blocks.view()
+        view.setflags(write=False)
+        assert not np.shares_memory(GramBlocks(blocks=view).blocks, blocks)
+        frozen = self._valid()
+        frozen.setflags(write=False)
+        assert GramBlocks(blocks=frozen).blocks is frozen
 
     def test_rejects_understated_lipschitz(self):
         with pytest.raises(ContractViolation):

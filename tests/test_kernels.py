@@ -64,6 +64,24 @@ class TestLinearAssembly:
         assert rebuilt.n_groups == 2
 
 
+    def test_assembled_stack_is_not_copied(self, rng, monkeypatch):
+        from sparsemkl import kernels
+
+        built = []
+
+        def capture(blocks, **kw):
+            built.append(blocks)
+            return GramBlocks(blocks, **kw)
+
+        monkeypatch.setattr(kernels, "GramBlocks", capture)
+        X = rng.standard_normal((4, 5))
+        gram = assemble_gram_blocks(
+            Dataset(X, np.zeros(4)), LinearGroupProjection((2, 3))
+        )
+        assert gram.blocks is built[0]
+        assert not gram.blocks.flags.writeable
+
+
 class TestGaussianAssembly:
     def test_diagonal_exactly_one(self, rng):
         X = rng.standard_normal((6, 2))

@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,13 @@ from sparsemkl import (
     solve,
     support_of,
 )
-from sparsemkl.solver import MAX_TRACE_GROUPS
+from sparsemkl.experiments import write_trace_rows
+from sparsemkl.support import (
+    last_support_change,
+    qualification_check,
+    reference_solve,
+    sandwich_check,
+)
 
 from _fixtures import coeffs_like, group_lasso_instance, one_dim_problem
 
@@ -138,7 +147,8 @@ class TestSolveScalarExample:
         assert coeffs.alpha[0, 0] == 0.5**20
         # every iterate keeps the single group active even though the
         # limit is the zero solution
-        assert np.all(trace.supports == 1)
+        assert trace.supports.shape == (20, 1)
+        assert trace.supports.all()
         assert np.array_equal(trace.iterations, np.arange(1, 21))
 
     def test_iterate_path_matches_closed_form(self, one_d):
@@ -199,6 +209,7 @@ class TestSolveGeneral:
         b, tb = solve(prob, cfg)
         assert np.array_equal(a.alpha, b.alpha)
         assert np.array_equal(ta.objectives, tb.objectives)
+        assert ta.supports.dtype == tb.supports.dtype == bool
         assert np.array_equal(ta.supports, tb.supports)
 
 
@@ -311,6 +322,8 @@ class TestTrace:
         cfg = SolverConfig(tau_factor=0.8, max_iters=50, record_trace=False)
         _, trace = solve(prob, cfg)
         assert trace.n_recorded == 0
+        assert trace.supports.shape == (0, prob.n_groups)
+        assert trace.n_groups == prob.n_groups
         assert trace.iters_run == 50
         assert trace.final_step_norm >= 0.0
 
@@ -319,6 +332,7 @@ class TestTrace:
         _, trace = solve(one_d, cfg, alpha0=DualCoefficients(np.ones((1, 1))))
         assert trace.support_set(0) == frozenset({0})
         assert np.array_equal(trace.support_sizes(), np.ones(5, dtype=np.int64))
+        assert trace.n_groups == 1
 
     def test_arrays_are_read_only(self, one_d):
         cfg = SolverConfig(tau_factor=0.5, max_iters=3)
@@ -326,14 +340,43 @@ class TestTrace:
         with pytest.raises(ValueError):
             trace.supports[0] = 0
 
-    def test_group_count_cap_for_tracing(self):
-        G = MAX_TRACE_GROUPS + 1
-        blocks = np.ones((G, 1, 1))
-        gram = GramBlocks(blocks=blocks, lipschitz=float(G))
-        prob = ProblemInstance(
-            dataset=Dataset(np.ones((1, 1)), np.ones(1)), gram=gram, lam=1.0
-        )
-        with pytest.raises(ContractViolation):
-            solve(prob, SolverConfig(max_iters=2, record_trace=True))
-        coeffs, trace = solve(prob, SolverConfig(max_iters=2, record_trace=False))
-        assert trace.n_recorded == 0
+    def test_wide_trace_at_100_groups(self):
+        # one scalar group per feature; no group cap applies to traces
+        G = 100
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((12, G))
+        y = X[:, [3, 70, 99]] @ np.array([2.0, -1.5, 1.0])
+        dataset = Dataset(X, y)
+        gram = assemble_gram_blocks(dataset, LinearGroupProjection((1,) * G))
+        certs = np.sqrt(gram.quad(y))
+        prob = ProblemInstance(dataset=dataset, gram=gram,
+                               lam=0.5 * float(certs.max()))
+        cfg = SolverConfig(tau_factor=0.8, max_iters=400)
+        coeffs, trace = solve(prob, cfg)
+
+        rows = trace.supports
+        assert rows.shape == (400, G) and rows.dtype == bool
+        assert trace.n_groups == G
+        assert rows[:, 64:].any()
+        for i in (0, 1, trace.n_recorded - 1):
+            assert trace.support_set(i) == frozenset(np.flatnonzero(rows[i]))
+        assert np.array_equal(trace.support_sizes(), rows.sum(axis=1))
+        assert trace.support_set(-1) == frozenset(support_of(coeffs))
+
+        burn = last_support_change(trace)
+        i = int(np.searchsorted(trace.iterations, burn))
+        assert (rows[i:] == rows[-1]).all()
+        assert burn == 1 or (rows[i - 1] != rows[i]).any()
+        report = qualification_check(reference_solve(prob, cfg, trace), prob)
+        assert sandwich_check(trace, report, burn).passed
+
+        out = io.StringIO()
+        write_trace_rows(out, 7, trace)
+        lines = out.getvalue().splitlines()
+        assert len(lines) == trace.n_recorded
+        for i, line in enumerate(lines):
+            row = json.loads(line)
+            assert row["run"] == 7
+            assert row["iter"] == int(trace.iterations[i])
+            assert row["support"] == [int(g) + 1 for g in np.flatnonzero(rows[i])]
+            assert row["objective"] == float(trace.objectives[i])

@@ -22,7 +22,6 @@ from sparsemkl import (
     transfer_JRstar,
     verify_lattice,
 )
-from sparsemkl.solver import MAX_TRACE_GROUPS
 
 from _fixtures import coeffs_like, group_lasso_instance
 
@@ -49,10 +48,15 @@ class TestPrimalStrata:
         for mask in range(16):
             assert PrimalStratum.from_mask(mask, 4).as_mask() == mask
 
-    def test_mask_group_cap(self):
-        wide = PrimalStratum.from_support({0}, MAX_TRACE_GROUPS + 1)
-        with pytest.raises(ContractViolation):
-            wide.as_mask()
+    def test_mask_round_trip_is_exact_at_70_groups(self):
+        support = {0, 1, 40, 63, 64, 69}
+        mask = PrimalStratum.from_support(support, 70).as_mask()
+        assert type(mask) is int
+        assert mask == sum(1 << g for g in support)
+        assert PrimalStratum.from_mask(mask, 70).nonzero_set() == support
+        dual = DualStratum.from_mask(mask, 70)
+        assert dual.sphere_set() == support
+        assert type(dual.as_mask()) is int and dual.as_mask() == mask
 
     def test_matches_support_report(self, ortho):
         c = coeffs_like(ortho, {0: np.array([2.0, 0.0])})
@@ -202,7 +206,9 @@ class TestIdentificationOnTraces:
         for i in range(trace.n_recorded):
             if trace.iterations[i] < burn:
                 continue
-            here = PrimalStratum.from_mask(int(trace.supports[i]), prob.n_groups)
+            here = PrimalStratum.from_support(
+                np.flatnonzero(trace.supports[i]), prob.n_groups
+            )
             if not (stratum_leq(s_bar, here) and stratum_leq(here, upper)):
                 lattice_ok = False
                 break

@@ -74,15 +74,14 @@ def replica(problem, config, alpha0=None):
         ):
             r_new = KA.sum(axis=0) - y
             obj = float(lam * (nu[keep] - thr).sum() + 0.5 * (r_new @ r_new))
-            mask = sum(1 << int(g) for g in np.flatnonzero(keep))
-            rows.append((n, mask, obj, step))
+            rows.append((n, keep, obj, step))
         if stop:
             break
     cols = list(zip(*rows)) if rows else [(), (), (), ()]
     return {
         "alpha": np.ascontiguousarray(AT.T),
         "iterations": np.array(cols[0], dtype=np.int64),
-        "supports": np.array(cols[1], dtype=np.int64),
+        "supports": np.array(cols[1], dtype=bool).reshape(-1, problem.n_groups),
         "objectives": np.array(cols[2], dtype=np.float64),
         "step_norms": np.array(cols[3], dtype=np.float64),
         "iters_run": n,
