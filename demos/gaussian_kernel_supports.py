@@ -55,7 +55,7 @@ problem = ProblemInstance(dataset=dataset, gram=gram,
 # zero shrinks by tau * lambda * (1 - certificate) per step.
 
 config = SolverConfig(tau_factor=0.8, max_iters=30000, stop_tol=0.0,
-                      record_trace=True, trace_stride=1)
+                      record_trace=True)
 coeffs, trace = solve(problem, config)
 
 sizes = trace.support_sizes()

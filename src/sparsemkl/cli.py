@@ -59,17 +59,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_shared(sub):
-    sub.add_argument("--config", help="INI config file")
-    sub.add_argument("--seed", type=int, help="override master_seed")
     sub.add_argument("--out-dir", default=".", help="output directory")
-    sub.add_argument("--jobs", type=int, default=1, help="worker processes")
+    sub.add_argument("--dry-run", action="store_true",
+                     help="print the resolved configuration and exit")
+
+
+def _add_problem(sub):
+    sub.add_argument("--config", help="INI config file")
     sub.add_argument("--iters", type=int, help="override iteration budget")
     sub.add_argument("--lambda", dest="lam", type=float,
                      help="override regularization weight")
     sub.add_argument("--tau-factor", type=float, help="override step factor")
     sub.add_argument("--preset", help="built-in configuration name")
-    sub.add_argument("--dry-run", action="store_true",
-                     help="print the resolved configuration and exit")
 
 
 def _build_parser():
@@ -79,6 +80,7 @@ def _build_parser():
 
     p_solve = subs.add_parser("solve", help="solve one problem instance")
     _add_shared(p_solve)
+    _add_problem(p_solve)
     p_solve.add_argument("--example", help="alias of --preset",
                          choices=_SOLVE_PRESETS)
     p_solve.add_argument("--trace", action="store_true",
@@ -88,6 +90,9 @@ def _build_parser():
 
     p_batch = subs.add_parser("batch", help="run a synthetic batch")
     _add_shared(p_batch)
+    _add_problem(p_batch)
+    p_batch.add_argument("--seed", type=int, help="override master_seed")
+    p_batch.add_argument("--jobs", type=int, default=1, help="worker processes")
     p_batch.add_argument("--instances", type=int,
                          help="override n_instances")
     p_batch.add_argument("--trace", action="store_true",
@@ -158,6 +163,13 @@ def _get(section, sec_name, key, conv, required=True, default=None):
         raise ConfigError(
             f"bad value for '{key}' in section [{sec_name}]: {raw!r}"
         ) from err
+
+
+def _reject_unknown_keys(section, sec_name, known):
+    known = {section.parser.optionxform(key) for key in known}
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"unknown key '{key}' in section [{sec_name}]")
 
 
 def _int_tuple(raw):
@@ -247,6 +259,10 @@ def _solve_from_config(args):
         raise ConfigError(
             f"bad value for 'family' in section [problem]: {family!r}"
         )
+    _reject_unknown_keys(prob_sec, "problem", (
+        "data", "family", "lambda", "lambda_convention",
+        "group_dims" if family == "group-lasso" else "sigmas",
+    ))
     lam = _get(prob_sec, "problem", "lambda", float)
     convention = _get(prob_sec, "problem", "lambda_convention", str,
                       required=False, default="raw")
@@ -257,8 +273,9 @@ def _solve_from_config(args):
     solver_kw = {}
     if ini.has_section("solver"):
         sec = ini["solver"]
-        for key, conv in (("tau_factor", float), ("iters", int),
-                          ("stop_tol", float), ("trace_stride", int)):
+        keys = (("tau_factor", float), ("iters", int), ("stop_tol", float))
+        _reject_unknown_keys(sec, "solver", [key for key, _ in keys])
+        for key, conv in keys:
             val = _get(sec, "solver", key, conv, required=False)
             if val is not None:
                 solver_kw["max_iters" if key == "iters" else key] = val
@@ -393,6 +410,11 @@ def _batch_config(args):
             config = ExperimentConfig(**kw)
         except ContractViolation as err:
             raise ConfigError(f"invalid [experiment] config: {err}") from err
+        _reject_unknown_keys(sec, "experiment", (
+            "family", "m", "G", "s", "lambda", "p", "noise_std",
+            "n_instances", "iters", "tau_factor", "master_seed",
+            "group_dims" if family == "group-lasso" else "sigma_range",
+        ))
 
     overrides = {}
     if args.seed is not None:
@@ -505,9 +527,7 @@ def _oracle_suite_small():
 
 def _cmd_verify(args):
     t0 = time.perf_counter()
-    if args.lattice_g is not None and not (
-        1 <= args.lattice_g <= MAX_LATTICE_GROUPS
-    ):
+    if not 1 <= args.lattice_g <= MAX_LATTICE_GROUPS:
         raise ConfigError(
             f"--lattice-G must lie in [1, {MAX_LATTICE_GROUPS}], "
             f"got {args.lattice_g}"

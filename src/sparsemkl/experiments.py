@@ -267,7 +267,7 @@ def _run_single(config, index, keep_trace):
     problem, _ = generate_instance(config, index)
     solver_cfg = SolverConfig(
         tau_factor=config.tau_factor, max_iters=config.iters,
-        stop_tol=0.0, record_trace=True, trace_stride=1,
+        stop_tol=0.0, record_trace=True,
     )
     try:
         coeffs, trace = solve(problem, solver_cfg)

@@ -14,9 +14,8 @@ space (not the Euclidean norm of the coefficients) so stopping decisions
 match the quantity the convergence statement controls.
 """
 
-import bisect
-import math
 import weakref
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,17 +46,13 @@ class SolverConfig:
         Stop once the function-space step norm drops to this value;
         0 disables early stopping and runs the full budget.
     record_trace : bool
-        Record per-iteration support, objective and step norm.
-    trace_stride : int
-        Record every k-th iteration (the first and last are always
-        recorded when tracing is on).
+        Record the support, objective and step norm of every iteration.
     """
 
     tau_factor: float = 0.8
     max_iters: int = 1000
     stop_tol: float = 0.0
     record_trace: bool = True
-    trace_stride: int = 1
 
     def __post_init__(self):
         if not (0.0 < float(self.tau_factor) < 2.0):
@@ -68,15 +63,10 @@ class SolverConfig:
             raise ContractViolation(f"max_iters must be >= 1, got {self.max_iters!r}")
         if not (float(self.stop_tol) >= 0.0):
             raise ContractViolation(f"stop_tol must be >= 0, got {self.stop_tol!r}")
-        if int(self.trace_stride) < 1:
-            raise ContractViolation(
-                f"trace_stride must be >= 1, got {self.trace_stride!r}"
-            )
         object.__setattr__(self, "tau_factor", float(self.tau_factor))
         object.__setattr__(self, "max_iters", int(self.max_iters))
         object.__setattr__(self, "stop_tol", float(self.stop_tol))
         object.__setattr__(self, "record_trace", bool(self.record_trace))
-        object.__setattr__(self, "trace_stride", int(self.trace_stride))
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +95,8 @@ class SolveTrace:
     Attributes
     ----------
     iterations : (R,) int64 ndarray
-        1-based iteration numbers of the recorded entries, increasing.
+        1-based iteration numbers of the recorded entries; consecutive,
+        as a traced run records every iteration it runs.
     supports : (R, G) bool ndarray
         Support at each recorded iteration: row i, column g is True when
         group g (0-based) is active. Any number of groups can be traced;
@@ -211,9 +202,9 @@ def solve(problem, config, alpha0=None):
     distance reaches the next power of two, and the full bitwise compare
     runs only when the step norm equals the checkpoint's. On a repeat
     it skips whole periods, computes only the iterations left over, and
-    copies the trace records of one recorded period into the skipped
-    span. Coefficients, trace and `final_step_norm` are exactly those of
-    running every iteration.
+    repeats the trace records of the last period over the skipped
+    iterations. Coefficients, trace and `final_step_norm` are exactly
+    those of running every iteration.
 
     Parameters
     ----------
@@ -278,20 +269,19 @@ def solve(problem, config, alpha0=None):
         KA = gram.apply_each(AT)
 
     record = config.record_trace
-    stride = config.trace_stride
     stop_tol = config.stop_tol
     max_iters = config.max_iters
-    # the objective of a record is its penalty plus half the squared
-    # residual of the new iterate, which is the next iteration's r
-    rec_iters, rec_keep, rec_pen, rec_fit, rec_steps = [], [], [], [], []
+    # one record per iteration; its objective is the penalty plus half
+    # the squared residual of the new iterate, the next iteration's r
+    rec_keep, rec_obj, rec_steps = bytearray(), array("d"), array("d")
     ck_n, ck_AT, ck_KA, ck_step, power = n, AT, KA, None, 1
-    span = jump_at = tile = None
+    span = tile = None
 
     while n < max_iters:
         n += 1
         r = KA.sum(axis=0) - y
-        if len(rec_fit) < len(rec_pen):
-            rec_fit.append(0.5 * (r @ r))
+        if rec_obj:
+            rec_obj[-1] += 0.5 * (r @ r)
         Kr = gram.apply_each(r)
         B = AT - tau * r
         KB = KA - tau * Kr
@@ -313,55 +303,42 @@ def solve(problem, config, alpha0=None):
         if settled is None and step <= REFERENCE_STOP_TOL:
             settled = (n, AT)
 
-        stopping = stop_tol > 0.0 and step <= stop_tol
-        if record and ((n - 1) % stride == 0 or stopping or n == max_iters):
-            rec_iters.append(n)
-            rec_keep.append(keep)
+        if record:
+            rec_keep += keep.tobytes()
             # surviving blocks have kernel norm nu - thr by construction
-            rec_pen.append(lam * (nu[keep] - thr).sum())
+            rec_obj.append(lam * (nu[keep] - thr).sum())
             rec_steps.append(step)
-        if stopping:
+        if stop_tol > 0.0 and step <= stop_tol:
             break
 
         if span is None:
             if (step == ck_step and _same_bits(AT, ck_AT)
                     and _same_bits(KA, ck_KA)):
-                # strided records repeat every lcm(period, stride)
-                # iterations, once that many past the checkpoint
+                # state n + skip equals state n; the final record and
+                # step come from the last iteration, always computed
                 span = n - ck_n
-                if record:
-                    span = math.lcm(span, stride)
-                jump_at = ck_n + span
+                skip = max(0, (max_iters - 1 - n) // span) * span
+                if skip and record:
+                    tile = (len(rec_steps), skip // span)
+                n += skip
             elif n - ck_n == power:
                 ck_n, ck_AT, ck_KA, ck_step = n, AT, KA, step
                 power *= 2
-        if n == jump_at:
-            # state n + skip equals state n; the last iteration is always
-            # computed, so the final record and step come from the loop
-            skip = max(0, (max_iters - 1 - n) // span) * span
-            if skip and record:
-                first = bisect.bisect_right(rec_iters, n - span)
-                tile = (first, len(rec_iters), skip // span)
-            n += skip
 
-    if len(rec_fit) < len(rec_pen):
+    if rec_obj:
         r = KA.sum(axis=0) - y
-        rec_fit.append(0.5 * (r @ r))
-    iterations = np.array(rec_iters, dtype=np.int64)
-    keep_rows = np.array(rec_keep, dtype=bool).reshape(-1, G)
-    objectives = np.add(np.array(rec_pen, dtype=np.float64),
-                        np.array(rec_fit, dtype=np.float64))
-    step_norms = np.array(rec_steps, dtype=np.float64)
+        rec_obj[-1] += 0.5 * (r @ r)
+    keep_rows = np.frombuffer(rec_keep, dtype=bool).reshape(-1, G)
+    objectives = np.frombuffer(rec_obj)
+    step_norms = np.frombuffer(rec_steps)
     if tile is not None:
-        # records first..k-1 cover one span; repeat them over the skip
-        first, k, reps = tile
-        iterations, keep_rows, objectives, step_norms = (
-            np.concatenate([a[:k]] + [a[first:k]] * reps + [a[k:]])
-            for a in (iterations, keep_rows, objectives, step_norms)
+        # the last span records before the jump repeat over the skip
+        k, reps = tile
+        keep_rows, objectives, step_norms = (
+            np.concatenate([a[:k]] + [a[k - span:k]] * reps + [a[k:]])
+            for a in (keep_rows, objectives, step_norms)
         )
-        iterations[k:k + reps * (k - first)] += np.repeat(
-            span * np.arange(1, reps + 1), k - first
-        )
+    iterations = np.arange(n - len(step_norms) + 1, n + 1)
 
     trace = SolveTrace(
         iterations=iterations,

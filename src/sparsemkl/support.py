@@ -280,7 +280,6 @@ def reference_solve(problem, config, trace=None):
         max_iters=config.max_iters * REFERENCE_BUDGET_FACTOR,
         stop_tol=REFERENCE_STOP_TOL,
         record_trace=False,
-        trace_stride=1,
     )
     end = None if trace is None else trace._end_state(problem, config.tau_factor)
     if end is not None and end.from_zero:

@@ -201,10 +201,56 @@ def test_solve_rejects_bad_flag_values(tmp_path, capsys):
         assert err.startswith("error:"), extra
 
 
-def test_unknown_flag_exits_one(capsys):
-    rc, _, err = run_cli(["solve", "--no-such-flag"], capsys)
-    assert rc == 1
-    assert err.startswith("error:")
+def test_unknown_flag_exits_one(tmp_path, capsys):
+    # --seed and --jobs are batch flags; verify takes none of the
+    # problem flags either
+    out = ["--out-dir", str(tmp_path), "--dry-run"]
+    for argv in (
+        ["solve", "--no-such-flag"],
+        ["solve", "--example", "paper-1d", "--seed", "3", *out],
+        ["solve", "--example", "paper-1d", "--jobs", "2", *out],
+        ["verify", "--jobs", "2", *out],
+        ["verify", "--seed", "3", *out],
+        ["verify", "--config", "run.ini", *out],
+        ["verify", "--iters", "5", *out],
+        ["verify", "--lambda", "1.0", *out],
+        ["verify", "--tau-factor", "0.5", *out],
+        ["verify", "--preset", "paper-1d", *out],
+    ):
+        rc, _, err = run_cli(argv, capsys)
+        assert rc == 1, argv
+        assert err.startswith("error:"), argv
+
+
+def test_unknown_ini_key_named_in_error(tmp_path, capsys):
+    cfg = write_two_group_inputs(tmp_path)
+    text = cfg.read_text(encoding="utf-8")
+    # a removed option, and a key of the other kernel family
+    for edited, key, section in (
+        (text + "trace_stride = 5\n", "trace_stride", "[solver]"),
+        (text.replace("[solver]", "sigmas = 1.0\n[solver]"), "sigmas",
+         "[problem]"),
+    ):
+        cfg.write_text(edited, encoding="utf-8")
+        rc, _, err = run_cli(
+            ["solve", "--config", str(cfg), "--out-dir", str(tmp_path / "out")],
+            capsys,
+        )
+        assert rc == 1, key
+        assert f"'{key}'" in err and section in err
+
+
+def test_readme_solve_config_parses(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    ini = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.ini").write_text(ini, encoding="utf-8")
+    np.savetxt(tmp_path / "data.csv", np.eye(4, 7), delimiter=",")
+    rc, out, err = run_cli(["solve", "--config", "run.ini", "--dry-run"],
+                           capsys)
+    assert (rc, err) == (0, "")
+    assert "G=3" in out.splitlines()
 
 
 def test_missing_dataset_file_named_in_error(tmp_path, capsys):
@@ -396,6 +442,13 @@ def test_batch_rejects_bad_worker_count(tmp_path, capsys):
     )
     assert rc == 1
     assert "--jobs" in err
+
+
+def test_batch_unknown_key_named_in_error(tmp_path, capsys):
+    cfg = write_batch_ini(tmp_path, master_sead=3)
+    rc, _, err = run_cli(["batch", "--config", str(cfg)], capsys)
+    assert rc == 1
+    assert "'master_sead'" in err and "[experiment]" in err
 
 
 def test_batch_missing_key_named_in_error(tmp_path, capsys):

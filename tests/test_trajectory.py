@@ -3,13 +3,14 @@ reference solve that continues the production run.
 
 Both shortcuts claim bit-identical results, so every comparison here is
 bitwise. The oracle is a plain replica of the solver's arithmetic that
-runs every iteration and records every strided entry.
+runs and records every iteration.
 """
 
 import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,16 +63,14 @@ def iterates(problem, config, alpha0=None):
 
 
 def replica(problem, config, alpha0=None):
-    """Every iteration and every strided record, without shortcuts."""
+    """Every iteration and its record, without shortcuts."""
     y = problem.dataset.responses
     lam = problem.effective_lambda
     thr = config.tau_factor / problem.gram.lipschitz * lam
     rows = []
     for n, nu, keep, AT, KA, step in iterates(problem, config, alpha0):
         stop = config.stop_tol > 0.0 and step <= config.stop_tol
-        if config.record_trace and (
-            (n - 1) % config.trace_stride == 0 or stop or n == config.max_iters
-        ):
+        if config.record_trace:
             r_new = KA.sum(axis=0) - y
             obj = float(lam * (nu[keep] - thr).sum() + 0.5 * (r_new @ r_new))
             rows.append((n, keep, obj, step))
@@ -152,12 +151,11 @@ class TestCycleExit:
     # 4999 and 5000 give consecutive remaining budgets, so every
     # period above 1 gets a remainder that is not 0 from one of them
     @pytest.mark.parametrize("max_iters", [4999, 5000])
-    @pytest.mark.parametrize("stride", [1, 7])
     @pytest.mark.parametrize("index", sorted(PRESET_PERIODS))
     def test_matches_every_iteration(self, preset_problems, repeats, index,
-                                     stride, max_iters):
+                                     max_iters):
         problem = preset_problems[index]
-        config = SolverConfig(max_iters=max_iters, trace_stride=stride)
+        config = SolverConfig(max_iters=max_iters)
         coeffs, trace = solve(problem, config)
         assert any(repeats), "the cycle exit did not fire"
         assert_matches_replica(coeffs, trace, replica(problem, config))
@@ -168,22 +166,23 @@ class TestCycleExit:
         start, period = first_repeat(problem, SolverConfig(max_iters=5000))
         for max_iters in (start + period, start + 2 * period + 1,
                           start + 3 * period - 1):
-            config = SolverConfig(max_iters=max_iters, trace_stride=3)
+            config = SolverConfig(max_iters=max_iters)
             coeffs, trace = solve(problem, config)
             assert_matches_replica(coeffs, trace, replica(problem, config))
 
-    @pytest.mark.parametrize("index, stride, budgets", [
-        (4, 5, range(1100, 1105)),
-        (0, 4, range(2000, 2004)),
-    ])
-    def test_every_remainder_of_the_strided_period(self, preset_problems,
-                                                   index, stride, budgets):
-        # consecutive budgets put the remainder after the last skipped
-        # period at every value, 0 included
+    @pytest.mark.parametrize("index", [1, 2])
+    def test_every_remainder_of_the_period(self, preset_problems, repeats,
+                                           index):
+        # period + 1 consecutive budgets, all past the first repeat, put
+        # the remainder after the last skipped period at every value, 0
+        # included
         problem = preset_problems[index]
-        for max_iters in budgets:
-            config = SolverConfig(max_iters=max_iters, trace_stride=stride)
+        period = PRESET_PERIODS[index]
+        for max_iters in range(5000 - period, 5001):
+            repeats.clear()
+            config = SolverConfig(max_iters=max_iters)
             coeffs, trace = solve(problem, config)
+            assert any(repeats), "the cycle exit did not fire"
             assert_matches_replica(coeffs, trace, replica(problem, config))
 
     def test_untraced_run(self, preset_problems, repeats):
@@ -204,10 +203,40 @@ class TestCycleExit:
     def test_warm_start(self, preset_problems, repeats):
         problem = preset_problems[2]
         warm, _ = solve(problem, SolverConfig(max_iters=40, record_trace=False))
-        config = SolverConfig(max_iters=5000, trace_stride=5)
+        config = SolverConfig(max_iters=5000)
         coeffs, trace = solve(problem, config, alpha0=warm)
         assert any(repeats)
         assert_matches_replica(coeffs, trace, replica(problem, config, warm))
+
+
+class TestTraceMemory:
+    @staticmethod
+    def traced_peak(problem, config):
+        """tracemalloc peak of one solve, after a warm-up solve."""
+        solve(problem, config)
+        tracemalloc.start()
+        try:
+            _, trace = solve(problem, config)
+            return tracemalloc.get_traced_memory()[1], trace
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_is_near_the_finished_arrays(self, preset_problems):
+        peak, trace = self.traced_peak(preset_problems[0],
+                                       SolverConfig(max_iters=5000))
+        kept = sum(getattr(trace, name).nbytes for name in
+                   ("iterations", "supports", "objectives", "step_norms"))
+        assert trace.n_recorded == 5000
+        assert peak <= 2.5 * kept
+
+    def test_buffers_grow_with_the_iterations_run(self, preset_problems):
+        # a full-budget reservation would take tens of megabytes here
+        peak, trace = self.traced_peak(
+            preset_problems[0],
+            SolverConfig(max_iters=2_000_000, stop_tol=1e-9),
+        )
+        assert trace.iters_run < 5000
+        assert peak < 1_000_000
 
 
 class TestContinuation:
@@ -215,7 +244,7 @@ class TestContinuation:
                                                             preset_problems):
         problem = preset_problems[2]
         _, first = solve(problem, SolverConfig(max_iters=300))
-        config = SolverConfig(max_iters=2000, trace_stride=4)
+        config = SolverConfig(max_iters=2000)
         coeffs, trace = solve(problem, config, alpha0=first)
         full = replica(problem, config)
         tail = full["iterations"] > 300
