@@ -37,12 +37,12 @@ probe = assemble_gram_blocks(Dataset(points, np.zeros(m)),
 alpha_star = np.zeros((m, len(sigmas)))
 alpha_star[:, 1] = rng.standard_normal(m) * 0.5
 alpha_star[:, 5] = rng.standard_normal(m) * 0.5
-y = sum(probe.blocks[g] @ alpha_star[:, g] for g in (1, 5))
+y = probe.apply(alpha_star)
 y += 1e-2 * rng.standard_normal(m)
 
 dataset = Dataset(points, y)
 gram = assemble_gram_blocks(dataset, GaussianFamily(sigmas))
-certs = np.sqrt([y @ (gram.blocks[g] @ y) for g in range(len(sigmas))])
+certs = np.sqrt(gram.quad(y))
 problem = ProblemInstance(dataset=dataset, gram=gram,
                           lam=0.5 * certs.max())
 

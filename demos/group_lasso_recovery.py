@@ -33,7 +33,7 @@ gram = assemble_gram_blocks(dataset, LinearGroupProjection(dims))
 
 # Weights are meaningful relative to the certificate norms
 # sqrt(y' K_g y); a quarter of the largest is a sensible default.
-certs = np.sqrt([y @ (gram.blocks[g] @ y) for g in range(len(dims))])
+certs = np.sqrt(gram.quad(y))
 lam = 0.25 * certs.max()
 problem = ProblemInstance(dataset=dataset, gram=gram, lam=lam)
 print(f"certificate norms  {np.array2string(certs, precision=2)}")

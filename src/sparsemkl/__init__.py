@@ -14,7 +14,6 @@ from .core import (
     DualCoefficients,
     GramBlocks,
     ProblemInstance,
-    group_dual_norm,
     objective,
     residual,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "DualCoefficients",
     "GramBlocks",
     "ProblemInstance",
-    "group_dual_norm",
     "objective",
     "residual",
     "ConfigError",

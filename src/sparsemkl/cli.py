@@ -448,11 +448,11 @@ def _cmd_batch(args):
     t0 = time.perf_counter()
     config = _batch_config(args)
     config_doc = _config_dict(config)
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be >= 1")
     if args.dry_run:
         _print_config(config_doc)
         return 0
-    if args.jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
 
     t1 = time.perf_counter()
     result = run_batch(config, jobs=args.jobs, keep_traces=args.trace)

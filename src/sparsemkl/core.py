@@ -26,7 +26,6 @@ __all__ = [
     "GramBlocks",
     "DualCoefficients",
     "ProblemInstance",
-    "group_dual_norm",
     "residual",
     "objective",
 ]
@@ -112,41 +111,90 @@ class Dataset:
 
 @dataclass(frozen=True, eq=False)
 class GramBlocks:
-    """A stack of per-group Gram matrices and the operator they define.
+    """Per-group Gram matrices and the operator they define.
 
     The package applies the Gram operator through three methods:
     :meth:`apply` for :math:`\\sum_g K_g \\alpha_g`, :meth:`apply_each`
     for :math:`K_g v` per group, and :meth:`quad` for the group
-    quadratic forms.
+    quadratic forms. They work on one of two storages:
+
+    * dense, from `blocks`: the ``(G, m, m)`` stack itself, for implicit
+      kernels such as the Gaussian family;
+    * factored, from `features` and `group_dims`: linear kernels on
+      consecutive column groups, ``K_g = X_g X_g'``. The column groups
+      are stored as a zero-padded ``(G, m, d_max)`` factor stack, so
+      ``K_g v = X_g (X_g' v)`` costs two batched matrix products of
+      O(m d_max) per group, and no ``(m, m)`` block is ever formed.
+
+    :meth:`dense` returns the ``(G, m, m)`` stack for code that needs
+    the blocks themselves; on factored storage it builds them anew.
 
     Parameters
     ----------
-    blocks : (G, m, m) array_like
+    blocks : (G, m, m) array_like, optional
         Symmetric positive semi-definite Gram matrix of each group.
     lipschitz : float, optional
         Upper bound on the largest eigenvalue of ``sum_g K_g``. Step
         sizes are derived from this number, so it must genuinely
         dominate the spectrum. By default it is ``LIPSCHITZ_MARGIN``
-        times that eigenvalue, which validation computes exactly.
+        times that eigenvalue, which validation computes exactly: from
+        the block sum, or from the ``p x p`` matrix ``X'X``, whose
+        nonzero eigenvalues are those of ``sum_g X_g X_g' = X X'``.
     group_dims : tuple of int, optional
-        For Gram blocks built from explicit feature groups, the width of
-        each group's column slice. `None` for implicit kernels.
+        The width of each group's column slice. Required with
+        `features`; with `blocks` it marks blocks built from explicit
+        feature groups and is `None` for implicit kernels.
+    features : (m, p) array_like, optional
+        The design matrix X whose consecutive column groups, of widths
+        `group_dims`, give the blocks. Give exactly one of `blocks` and
+        `features`.
 
     Raises
     ------
     ContractViolation
-        If a block is asymmetric beyond ``SYMMETRY_TOL`` or has an
-        eigenvalue at or below ``-PSD_TOL * max(trace, 1)`` (tested by
-        a Cholesky factorization of the shifted block), or if
-        `lipschitz` is not positive or fails to dominate the largest
-        eigenvalue of ``sum_g K_g``.
+        If a dense block is asymmetric beyond ``SYMMETRY_TOL`` or has
+        an eigenvalue at or below ``-PSD_TOL * max(trace, 1)`` (tested
+        by a Cholesky factorization of the shifted block), if the
+        features are not finite or `group_dims` does not split their
+        columns, or if `lipschitz` is not positive or fails to dominate
+        the largest eigenvalue of ``sum_g K_g``. Factored blocks are
+        symmetric positive semi-definite by construction.
     """
 
-    blocks: np.ndarray
+    blocks: np.ndarray | None = None
     lipschitz: float | None = None
     group_dims: tuple | None = None
+    features: np.ndarray | None = None
+    factors: np.ndarray | None = field(init=False, default=None, repr=False)
+    _factors_t: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
+        if (self.blocks is None) == (self.features is None):
+            raise ContractViolation("give exactly one of blocks and features")
+        if self.blocks is None:
+            top = self._init_factors()
+        else:
+            top = self._init_blocks()
+
+        if self.lipschitz is None:
+            lip = top * LIPSCHITZ_MARGIN
+        else:
+            lip = float(self.lipschitz)
+        if not np.isfinite(lip) or lip <= 0.0:
+            raise ContractViolation(
+                f"lipschitz must be positive, got {lip!r} (the largest "
+                f"eigenvalue of the block sum is {top!r})"
+            )
+        # tiny slack: eigvalsh itself carries rounding error
+        if lip < top * (1.0 - 1e-9):
+            raise ContractViolation(
+                f"lipschitz={lip!r} does not dominate the largest "
+                f"eigenvalue {top!r} of the block sum"
+            )
+        object.__setattr__(self, "lipschitz", lip)
+
+    def _init_blocks(self):
+        """Validate the dense stack; return the block sum's top eigenvalue."""
         blocks = _readonly(self.blocks)
         if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
             raise ContractViolation(
@@ -178,23 +226,6 @@ class GramBlocks:
                     f"(eigenvalue {lo:.3e})"
                 ) from None
 
-        top = float(np.linalg.eigvalsh(blocks.sum(axis=0))[-1])
-        if self.lipschitz is None:
-            lip = top * LIPSCHITZ_MARGIN
-        else:
-            lip = float(self.lipschitz)
-        if not np.isfinite(lip) or lip <= 0.0:
-            raise ContractViolation(
-                f"lipschitz must be positive, got {lip!r} (the largest "
-                f"eigenvalue of the block sum is {top!r})"
-            )
-        # tiny slack: eigvalsh itself carries rounding error
-        if lip < top * (1.0 - 1e-9):
-            raise ContractViolation(
-                f"lipschitz={lip!r} does not dominate the largest "
-                f"eigenvalue {top!r} of the block sum"
-            )
-
         dims = self.group_dims
         if dims is not None:
             dims = tuple(int(d) for d in dims)
@@ -202,18 +233,73 @@ class GramBlocks:
                 raise ContractViolation(
                     f"group_dims must list {n_groups} positive widths, got {dims}"
                 )
-
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "lipschitz", lip)
         object.__setattr__(self, "group_dims", dims)
+        return float(np.linalg.eigvalsh(blocks.sum(axis=0))[-1])
+
+    def _init_factors(self):
+        """Validate X, build the factor stacks; return the top eigenvalue."""
+        X = _readonly(self.features)
+        if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
+            raise ContractViolation(
+                f"features must be a non-empty (m, p) matrix, got shape {X.shape}"
+            )
+        if not np.isfinite(X).all():
+            raise ContractViolation("features contain non-finite entries")
+        if self.group_dims is None:
+            raise ContractViolation("features need group_dims")
+        dims = tuple(int(d) for d in self.group_dims)
+        if not dims or any(d < 1 for d in dims) or sum(dims) != X.shape[1]:
+            raise ContractViolation(
+                f"group_dims must be positive widths summing to "
+                f"p={X.shape[1]}, got {dims}"
+            )
+
+        # F_g holds X_g zero-padded to d_max columns; the zeros add
+        # nothing to F_g' v or to F_g u. F' is kept contiguous for matmul
+        F = np.zeros((len(dims), X.shape[0], max(dims)))
+        start = 0
+        for g, d in enumerate(dims):
+            F[g, :, :d] = X[:, start:start + d]
+            start += d
+        FT = np.ascontiguousarray(F.transpose(0, 2, 1))
+        F.setflags(write=False)
+        FT.setflags(write=False)
+        object.__setattr__(self, "features", X)
+        object.__setattr__(self, "group_dims", dims)
+        object.__setattr__(self, "factors", F)
+        object.__setattr__(self, "_factors_t", FT)
+        # X'X by einsum's own loop, not BLAS, whose threaded products
+        # change their low bits with the thread count
+        return float(np.linalg.eigvalsh(np.einsum("ij,ik->jk", X, X))[-1])
 
     @property
     def n_groups(self):
-        return self.blocks.shape[0]
+        stack = self.blocks if self.factors is None else self.factors
+        return stack.shape[0]
 
     @property
     def m(self):
-        return self.blocks.shape[1]
+        stack = self.blocks if self.factors is None else self.factors
+        return stack.shape[1]
+
+    def dense(self):
+        """The ``(G, m, m)`` stack of Gram blocks, read-only.
+
+        Dense storage returns its own stack. Factored storage builds
+        ``X_g X_g'`` on every call, O(G m^2) memory, for code that needs
+        the blocks themselves (subset solves, cross-checks, demos).
+        """
+        if self.factors is None:
+            return self.blocks
+        K = self.factors @ self._factors_t
+        K = 0.5 * (K + K.transpose(0, 2, 1))  # exactly symmetric
+        K.setflags(write=False)
+        return K
+
+    def _project(self, v):
+        """``X_g' v_g`` for every group, as a (G, d_max, 1) array."""
+        return self._factors_t @ v[..., None]
 
     def apply(self, alpha):
         """The summed operator ``sum_g K_g alpha_g``.
@@ -228,7 +314,9 @@ class GramBlocks:
         -------
         (m,) ndarray
         """
-        return np.einsum("gij,jg->i", self.blocks, alpha)
+        if self.factors is None:
+            return np.einsum("gij,jg->i", self.blocks, alpha)
+        return (self.factors @ self._project(alpha.T)).sum(axis=0)[:, 0]
 
     def apply_each(self, v):
         """Every block applied on its own, ``K_g v_g`` for each g.
@@ -243,6 +331,8 @@ class GramBlocks:
         (G, m) ndarray
             Row g is ``K_g`` applied to the vector of group g.
         """
+        if self.factors is not None:
+            return (self.factors @ self._project(v))[..., 0]
         if v.ndim == 1:
             G, m, _ = self.blocks.shape
             return (self.blocks.reshape(G * m, m) @ v).reshape(G, m)
@@ -260,8 +350,12 @@ class GramBlocks:
         Returns
         -------
         (G,) ndarray
-            Not clamped: PSD blocks can give values a few ulp below 0.
+            Not clamped: dense PSD blocks can give values a few ulp
+            below 0. Factored blocks give ``||X_g' v_g||^2 >= 0``.
         """
+        if self.factors is not None:
+            u = self._project(v if v.ndim == 1 else v.T)
+            return np.einsum("gdk,gdk->g", u, u)
         if v.ndim == 1:
             return np.einsum("i,gij,j->g", v, self.blocks, v)
         return np.einsum("ig,gij,jg->g", v, self.blocks, v)
@@ -306,10 +400,6 @@ class DualCoefficients:
     @property
     def n_groups(self):
         return self.alpha.shape[1]
-
-    def column(self, g):
-        """Coefficient vector of group `g` (0-based)."""
-        return self.alpha[:, g]
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,35 +458,6 @@ class ProblemInstance:
     @property
     def n_groups(self):
         return self.gram.n_groups
-
-
-def group_dual_norm(v, gram_block):
-    """Kernel-weighted norm :math:`\\sqrt{v^T K v}` of a vector.
-
-    For a coefficient column this is the norm of the group's function
-    block; for a residual it is the norm of the group's correlation with
-    that residual, the quantity the optimality certificate bounds.
-
-    Parameters
-    ----------
-    v : (m,) array_like
-    gram_block : (m, m) array_like
-        Symmetric positive semi-definite.
-
-    Returns
-    -------
-    float
-        Non-negative; the quadratic form is clamped at zero before the
-        square root since PSD blocks can dip a few ulp negative.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    K = np.asarray(gram_block, dtype=np.float64)
-    if v.ndim != 1 or K.shape != (v.shape[0], v.shape[0]):
-        raise ContractViolation(
-            f"shape mismatch: v {v.shape} against block {K.shape}"
-        )
-    q = float(v @ (K @ v))
-    return float(np.sqrt(max(q, 0.0)))
 
 
 def residual(coeffs, gram, y):

@@ -4,9 +4,10 @@ Two families cover the experiments in this package: linear kernels on
 disjoint column groups of the design matrix (the group-lasso setting,
 where each block is :math:`X_g X_g^T`), and a bank of Gaussian kernels
 with one bandwidth per group (all groups then read the full point set).
-Both produce the same artifact, a :class:`~sparsemkl.core.GramBlocks`
-stack, whose validation derives the `lipschitz` bound that feeds the
-solver's step size.
+Both produce the same artifact, a :class:`~sparsemkl.core.GramBlocks`,
+whose validation derives the `lipschitz` bound that feeds the solver's
+step size. The linear family keeps its column groups as factors and
+never forms an ``(m, m)`` block; the Gaussian family is a dense stack.
 """
 
 from dataclasses import dataclass
@@ -72,7 +73,7 @@ class GaussianFamily:
 
 
 def assemble_gram_blocks(dataset, spec):
-    """Build the Gram-block stack of a kernel family on a dataset.
+    """Build the Gram blocks of a kernel family on a dataset.
 
     Parameters
     ----------
@@ -82,7 +83,9 @@ def assemble_gram_blocks(dataset, spec):
     Returns
     -------
     GramBlocks
-        With the default `lipschitz` bound.
+        With the default `lipschitz` bound: factored storage on the
+        dataset's points for the linear family, a dense stack for the
+        Gaussian family.
 
     Raises
     ------
@@ -93,34 +96,18 @@ def assemble_gram_blocks(dataset, spec):
     if not isinstance(dataset, Dataset):
         raise ContractViolation("dataset must be a Dataset")
 
-    X = dataset.points
-    m = dataset.m
-
     if isinstance(spec, LinearGroupProjection):
-        dims = spec.group_dims
-        if sum(dims) != dataset.p:
-            raise ContractViolation(
-                f"group_dims sum to {sum(dims)} but the dataset has p={dataset.p}"
-            )
-        blocks = np.empty((len(dims), m, m))
-        start = 0
-        for g, d in enumerate(dims):
-            Xg = X[:, start:start + d]
-            K = Xg @ Xg.T
-            blocks[g] = 0.5 * (K + K.T)  # exact symmetry regardless of BLAS path
-            start += d
-        group_dims = dims
-    elif isinstance(spec, GaussianFamily):
-        diff = X[:, None, :] - X[None, :, :]
-        sq = np.einsum("ijk,ijk->ij", diff, diff)  # zero diagonal by construction
-        sq = 0.5 * (sq + sq.T)
-        blocks = np.empty((spec.n_groups, m, m))
-        for g, sigma in enumerate(spec.sigmas):
-            blocks[g] = np.exp(-sq / (2.0 * sigma * sigma))
-        group_dims = None
-    else:
+        return GramBlocks(features=dataset.points, group_dims=spec.group_dims)
+    if not isinstance(spec, GaussianFamily):
         raise ContractViolation(f"unsupported kernel spec {type(spec).__name__}")
 
+    X = dataset.points
+    diff = X[:, None, :] - X[None, :, :]
+    sq = np.einsum("ijk,ijk->ij", diff, diff)  # zero diagonal by construction
+    sq = 0.5 * (sq + sq.T)
+    blocks = np.empty((spec.n_groups, dataset.m, dataset.m))
+    for g, sigma in enumerate(spec.sigmas):
+        blocks[g] = np.exp(-sq / (2.0 * sigma * sigma))
     # frozen here, the stack becomes the GramBlocks' own without a copy
     blocks.setflags(write=False)
-    return GramBlocks(blocks=blocks, group_dims=group_dims)
+    return GramBlocks(blocks=blocks)

@@ -166,7 +166,7 @@ def enumerate_solve(problem, tol=1e-9):
     tol = float(tol)
     if tol <= 0.0:
         raise ContractViolation(f"tol must be positive, got {tol!r}")
-    K = problem.gram.blocks
+    K = problem.gram.dense()
     y = problem.dataset.responses
     lam = problem.effective_lambda
     m = problem.m
@@ -270,12 +270,13 @@ def bcd_solve(problem, tol=1e-10, max_sweeps=10000):
     lam = problem.effective_lambda
     starts = np.concatenate([[0], np.cumsum(dims)])
 
+    K = problem.gram.dense()
     slices, spectra = [], []
     for g, d in enumerate(dims):
         Xg = X[:, starts[g]:starts[g] + d]
         Kg = Xg @ Xg.T
         scale = max(float(np.abs(Kg).max()), 1.0)
-        if np.abs(Kg - problem.gram.blocks[g]).max() > 1e-8 * scale:
+        if np.abs(Kg - K[g]).max() > 1e-8 * scale:
             raise ContractViolation(
                 f"gram block {g} does not match the dataset's column "
                 f"group; bcd_solve only applies to canonical projections"

@@ -94,10 +94,9 @@ def orthonormal_problem():
     tau=1 solves the problem exactly at w = (2, 0).
     """
     X = np.eye(2)
-    gram = assemble_gram_blocks(Dataset(X, np.zeros(2)), LinearGroupProjection((1, 1)))
-    # rebuild without the default margin: the top eigenvalue is exactly
-    # 1 here and tau=1 tests rely on 2/L staying exactly 2
-    gram = GramBlocks(blocks=gram.blocks, lipschitz=1.0, group_dims=(1, 1))
+    # without the default margin: the top eigenvalue is exactly 1 here
+    # and tau=1 tests rely on 2/L staying exactly 2
+    gram = GramBlocks(features=X, lipschitz=1.0, group_dims=(1, 1))
     return ProblemInstance(
         dataset=Dataset(X, np.array([3.0, 0.5])),
         gram=gram,

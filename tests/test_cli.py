@@ -442,6 +442,14 @@ def test_batch_rejects_bad_worker_count(tmp_path, capsys):
     )
     assert rc == 1
     assert "--jobs" in err
+    # a dry run rejects what the real run would
+    rc, out, err = run_cli(
+        ["batch", "--preset", "group-lasso-paper", "--dry-run", "--jobs", "0"],
+        capsys,
+    )
+    assert rc == 1
+    assert "--jobs" in err
+    assert out == ""
 
 
 def test_batch_unknown_key_named_in_error(tmp_path, capsys):

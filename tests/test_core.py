@@ -9,7 +9,6 @@ from sparsemkl import (
     LinearGroupProjection,
     ProblemInstance,
     assemble_gram_blocks,
-    group_dual_norm,
     objective,
     residual,
 )
@@ -113,13 +112,102 @@ class TestGramBlocks:
         with pytest.raises(ContractViolation):
             GramBlocks(blocks=self._valid(), lipschitz=3.0, group_dims=(1,))
 
+    def test_needs_exactly_one_storage(self):
+        with pytest.raises(ContractViolation, match="exactly one"):
+            GramBlocks()
+        with pytest.raises(ContractViolation, match="exactly one"):
+            GramBlocks(blocks=self._valid(), features=np.eye(2),
+                       group_dims=(1, 1))
+
+
+def factored_and_dense(dims):
+    """Factored storage on a random (9, p) X, and the dense stack of X_g X_g'."""
+    X = np.random.default_rng(0).standard_normal((9, sum(dims)))
+    factored = GramBlocks(features=X, group_dims=dims)
+    starts = np.cumsum((0,) + dims)
+    blocks = np.stack([X[:, a:b] @ X[:, a:b].T for a, b in
+                       zip(starts[:-1], starts[1:])])
+    return factored, GramBlocks(blocks=0.5 * (blocks + blocks.transpose(0, 2, 1)))
+
+
+def rel_err(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+@pytest.mark.parametrize("dims", [(5,) * 4, (1, 3, 2)], ids=["even", "uneven"])
+class TestFactoredAgreesWithDense:
+    """Factored storage against the dense stack of the same blocks."""
+
+    def test_apply(self, dims):
+        factored, dense = factored_and_dense(dims)
+        alpha = np.random.default_rng(1).standard_normal((9, len(dims)))
+        assert rel_err(factored.apply(alpha), dense.apply(alpha)) <= 1e-12
+
+    def test_apply_each_shared_vector(self, dims):
+        factored, dense = factored_and_dense(dims)
+        v = np.random.default_rng(2).standard_normal(9)
+        out = factored.apply_each(v)
+        assert out.shape == (len(dims), 9)
+        assert rel_err(out, dense.apply_each(v)) <= 1e-12
+
+    def test_apply_each_row_per_group(self, dims):
+        factored, dense = factored_and_dense(dims)
+        V = np.random.default_rng(3).standard_normal((len(dims), 9))
+        assert rel_err(factored.apply_each(V), dense.apply_each(V)) <= 1e-12
+
+    def test_quad_shared_vector(self, dims):
+        factored, dense = factored_and_dense(dims)
+        v = np.random.default_rng(4).standard_normal(9)
+        assert rel_err(factored.quad(v), dense.quad(v)) <= 1e-12
+
+    def test_quad_column_per_group(self, dims):
+        factored, dense = factored_and_dense(dims)
+        A = np.random.default_rng(5).standard_normal((9, len(dims)))
+        assert rel_err(factored.quad(A), dense.quad(A)) <= 1e-12
+
+    def test_lipschitz(self, dims):
+        factored, dense = factored_and_dense(dims)
+        assert factored.lipschitz == pytest.approx(dense.lipschitz, rel=1e-12)
+
+    def test_dense_materialisation(self, dims):
+        factored, dense = factored_and_dense(dims)
+        blocks = factored.dense()
+        assert not blocks.flags.writeable
+        assert np.array_equal(blocks, blocks.transpose(0, 2, 1))
+        assert rel_err(blocks, dense.blocks) <= 1e-12
+        assert dense.dense() is dense.blocks
+
+
+class TestFactoredValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_features(self, bad):
+        X = np.ones((3, 2))
+        X[1, 0] = bad
+        with pytest.raises(ContractViolation, match="non-finite"):
+            GramBlocks(features=X, group_dims=(1, 1))
+
+    @pytest.mark.parametrize("dims", [(1,), (1, 2), (2, 0), ()])
+    def test_rejects_group_dims_not_splitting_the_columns(self, dims):
+        with pytest.raises(ContractViolation, match="group_dims"):
+            GramBlocks(features=np.ones((3, 2)), group_dims=dims)
+
+    def test_needs_group_dims(self):
+        with pytest.raises(ContractViolation, match="group_dims"):
+            GramBlocks(features=np.ones((3, 2)))
+
+    def test_explicit_lipschitz_must_dominate(self):
+        X = np.eye(2)  # top eigenvalue of X'X is 1
+        assert GramBlocks(features=X, group_dims=(1, 1), lipschitz=1.0)
+        with pytest.raises(ContractViolation, match="does not dominate"):
+            GramBlocks(features=X, group_dims=(1, 1), lipschitz=0.5)
+
 
 class TestDualCoefficients:
     def test_zeros_and_column(self):
         c = DualCoefficients.zeros(3, 2)
         assert c.alpha.shape == (3, 2)
         assert c.m == 3 and c.n_groups == 2
-        assert np.array_equal(c.column(1), np.zeros(3))
+        assert np.array_equal(c.alpha[:, 1], np.zeros(3))
 
     def test_rejects_nonfinite(self):
         a = np.zeros((2, 2))
@@ -255,19 +343,21 @@ class TestObjective:
 
 
 class TestGroupDualNorm:
+    """The kernel-weighted norm sqrt(v' K_g v), through `GramBlocks.quad`."""
+
     def test_operator_norm_bound(self, rng):
         prob = group_lasso_instance(7)
-        for g in range(prob.n_groups):
-            K = prob.gram.blocks[g]
-            top = float(np.linalg.eigvalsh(K)[-1])
-            for _ in range(20):
-                v = rng.standard_normal(prob.m)
-                nu = group_dual_norm(v, K)
-                assert nu * nu <= top * float(v @ v) + 1e-9
+        top = [float(np.linalg.eigvalsh(K)[-1]) for K in prob.gram.dense()]
+        for _ in range(20):
+            v = rng.standard_normal(prob.m)
+            nu = np.sqrt(np.maximum(prob.gram.quad(v), 0.0))
+            for g in range(prob.n_groups):
+                assert nu[g] * nu[g] <= top[g] * float(v @ v) + 1e-9
 
     def test_clamps_tiny_negative_quadratic_forms(self):
         # rank-1 PSD block, vector in its kernel: the quadratic form can
-        # round below zero and must still produce 0.0, not NaN
-        K = np.array([[1.0, 1.0], [1.0, 1.0]])
+        # round below zero and the clamped norm must still be 0.0, not NaN
         v = np.array([1.0, -1.0])
-        assert group_dual_norm(v, K) == 0.0
+        for gram in (GramBlocks(blocks=np.ones((1, 2, 2))),
+                     GramBlocks(features=np.ones((2, 1)), group_dims=(1,))):
+            assert np.sqrt(np.maximum(gram.quad(v), 0.0))[0] == 0.0

@@ -105,7 +105,8 @@ class TestGenerateInstance:
     def test_benchmark_dimensions(self):
         cfg = ExperimentConfig.group_lasso_paper(n_instances=1)
         prob, planted = generate_instance(cfg, 0)
-        assert prob.gram.blocks.shape == (20, 50, 50)
+        assert (prob.gram.n_groups, prob.gram.m) == (20, 50)
+        assert prob.gram.factors.shape == (20, 50, 5)
         assert len(support_of(planted)) == 5
 
     def test_bit_identical_regeneration(self):
@@ -127,7 +128,7 @@ class TestGenerateInstance:
         cfg = small_gl_config()
         prob, _ = generate_instance(cfg, 0)
         y = prob.dataset.responses
-        certs = np.sqrt(np.einsum("i,gij,j->g", y, prob.gram.blocks, y))
+        certs = np.sqrt(np.einsum("i,gij,j->g", y, prob.gram.dense(), y))
         assert prob.lam == pytest.approx(cfg.lam * certs.max(), rel=1e-14)
 
     def test_index_range_checked(self):

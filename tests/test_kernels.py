@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,11 @@ from sparsemkl import (
     GaussianFamily,
     GramBlocks,
     LinearGroupProjection,
+    ProblemInstance,
+    SolverConfig,
     assemble_gram_blocks,
+    certificate_norms,
+    solve,
 )
 from sparsemkl.core import LIPSCHITZ_MARGIN
 
@@ -32,10 +38,11 @@ class TestLinearAssembly:
         dims = (2, 1, 3)
         X = rng.standard_normal((5, 6))
         gram = assemble_gram_blocks(Dataset(X, np.zeros(5)), LinearGroupProjection(dims))
+        blocks = gram.dense()
         offset = 0
         for g, d in enumerate(dims):
             Xg = X[:, offset : offset + d]
-            assert np.allclose(gram.blocks[g], Xg @ Xg.T, atol=1e-12)
+            assert np.allclose(blocks[g], Xg @ Xg.T, atol=1e-12)
             offset += d
         assert gram.group_dims == dims
 
@@ -46,7 +53,7 @@ class TestLinearAssembly:
             Dataset(X, np.zeros(6)), LinearGroupProjection((1, 1, 1))
         )
         for g in range(3):
-            s = np.linalg.svd(gram.blocks[g], compute_uv=False)
+            s = np.linalg.svd(gram.dense()[g], compute_uv=False)
             assert np.sum(s > 1e-10 * s[0]) <= 1
 
     def test_validated_by_gram_blocks_contract(self, rng):
@@ -57,13 +64,42 @@ class TestLinearAssembly:
             Dataset(X, np.zeros(4)), LinearGroupProjection((2, 3))
         )
         rebuilt = GramBlocks(
-            blocks=gram.blocks,
+            blocks=gram.dense(),
             lipschitz=gram.lipschitz,
             group_dims=gram.group_dims,
         )
         assert rebuilt.n_groups == 2
 
+    def test_factored_without_dense_blocks(self, rng):
+        X = rng.standard_normal((6, 5))
+        ds = Dataset(X, np.zeros(6))
+        gram = assemble_gram_blocks(ds, LinearGroupProjection((2, 3)))
+        assert gram.blocks is None
+        assert gram.features is ds.points
+        assert gram.factors.shape == (2, 6, 3)
 
+    def test_peak_memory_is_the_factors(self, rng):
+        # large-m shape: one dense (G, m, m) stack would be 102 MB, the
+        # factor stack and its transpose are 0.64 MB each
+        m, G, d = 800, 20, 5
+        ds = Dataset(rng.standard_normal((m, G * d)), rng.standard_normal(m))
+        spec = LinearGroupProjection((d,) * G)
+        tracemalloc.start()
+        try:
+            gram = assemble_gram_blocks(ds, spec)
+            assembly_peak = tracemalloc.get_traced_memory()[1]
+            problem = ProblemInstance(dataset=ds, gram=gram, lam=1.0)
+            coeffs, _ = solve(problem, SolverConfig(max_iters=20))
+            certificate_norms(coeffs, problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gram.factors.nbytes == m * G * d * 8
+        assert assembly_peak < 4_000_000
+        assert peak < 4_000_000
+
+
+class TestGaussianAssembly:
     def test_assembled_stack_is_not_copied(self, rng, monkeypatch):
         from sparsemkl import kernels
 
@@ -74,15 +110,13 @@ class TestLinearAssembly:
             return GramBlocks(blocks, **kw)
 
         monkeypatch.setattr(kernels, "GramBlocks", capture)
-        X = rng.standard_normal((4, 5))
+        X = rng.standard_normal((4, 2))
         gram = assemble_gram_blocks(
-            Dataset(X, np.zeros(4)), LinearGroupProjection((2, 3))
+            Dataset(X, np.zeros(4)), GaussianFamily((0.5, 2.0))
         )
         assert gram.blocks is built[0]
         assert not gram.blocks.flags.writeable
 
-
-class TestGaussianAssembly:
     def test_diagonal_exactly_one(self, rng):
         X = rng.standard_normal((6, 2))
         gram = assemble_gram_blocks(Dataset(X, np.zeros(6)), GaussianFamily((0.5, 2.0)))
@@ -147,7 +181,7 @@ class TestOperatorNorm:
             Dataset(X, np.zeros(7)), LinearGroupProjection((2, 2, 2))
         )
         per_block = sum(
-            float(np.linalg.eigvalsh(gram.blocks[g])[-1]) for g in range(3)
+            float(np.linalg.eigvalsh(K)[-1]) for K in gram.dense()
         )
         assert gram.lipschitz <= per_block * LIPSCHITZ_MARGIN * (1.0 + 1e-10)
 
@@ -158,7 +192,7 @@ class TestAssembledStepBound:
         gram = assemble_gram_blocks(
             Dataset(X, np.zeros(9)), LinearGroupProjection((3, 3))
         )
-        top = float(np.linalg.eigvalsh(gram.blocks.sum(axis=0))[-1])
+        top = float(np.linalg.eigvalsh(gram.dense().sum(axis=0))[-1])
         assert gram.lipschitz >= top
         assert gram.lipschitz == pytest.approx(top * 1.01, rel=1e-6)
 

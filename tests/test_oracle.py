@@ -38,7 +38,7 @@ class TestEnumerateSolve:
         assert res.support == {0}
         assert res.objective == pytest.approx(2.625, rel=1e-11)
         # recover w through the block action: K_1 alpha_1 = (w_1, 0)
-        w_vec = ortho.gram.blocks[0] @ res.alpha_or_w.column(0)
+        w_vec = ortho.gram.apply_each(res.alpha_or_w.alpha.T)[0]
         assert w_vec[0] == pytest.approx(2.0, rel=1e-10)
 
     def test_scalar_example_zero_minimizer(self, one_d):

@@ -9,7 +9,6 @@ from sparsemkl import (
     SolverConfig,
     SupportReport,
     certificate_norms,
-    group_dual_norm,
     last_support_change,
     qualification_check,
     reference_solve,
@@ -37,9 +36,7 @@ class TestSupportOf:
         cfg = SolverConfig(tau_factor=0.8, max_iters=400)
         coeffs, _ = solve(prob, cfg)
         via_norms = {
-            g
-            for g in range(prob.n_groups)
-            if group_dual_norm(coeffs.column(g), prob.gram.blocks[g]) > 0.0
+            int(g) for g in np.flatnonzero(prob.gram.quad(coeffs.alpha) > 0.0)
         }
         assert support_of(coeffs) == via_norms
 
@@ -93,7 +90,7 @@ class TestCertificatesAndEsupp:
         permuted = ProblemInstance(
             dataset=prob.dataset,
             gram=GramBlocks(
-                blocks=prob.gram.blocks[perm],
+                blocks=prob.gram.dense()[perm],
                 lipschitz=prob.gram.lipschitz,
             ),
             lam=prob.lam,
