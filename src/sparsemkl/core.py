@@ -318,13 +318,16 @@ class GramBlocks:
             return np.einsum("gij,jg->i", self.blocks, alpha)
         return (self.factors @ self._project(alpha.T)).sum(axis=0)[:, 0]
 
-    def apply_each(self, v):
+    def apply_each(self, v, out=None):
         """Every block applied on its own, ``K_g v_g`` for each g.
 
         Parameters
         ----------
         v : (m,) or (G, m) ndarray
             One vector shared by all groups, or one row per group.
+        out : (G, m) C-contiguous float64 ndarray, optional
+            Where to write the result; the bits are those of a call
+            without it.
 
         Returns
         -------
@@ -332,11 +335,17 @@ class GramBlocks:
             Row g is ``K_g`` applied to the vector of group g.
         """
         if self.factors is not None:
-            return (self.factors @ self._project(v))[..., 0]
+            if out is None:
+                return (self.factors @ self._project(v))[..., 0]
+            np.matmul(self.factors, self._project(v), out=out[..., None])
+            return out
         if v.ndim == 1:
             G, m, _ = self.blocks.shape
-            return (self.blocks.reshape(G * m, m) @ v).reshape(G, m)
-        return np.einsum("gij,gj->gi", self.blocks, v)
+            if out is None:
+                return (self.blocks.reshape(G * m, m) @ v).reshape(G, m)
+            np.matmul(self.blocks.reshape(G * m, m), v, out=out.reshape(G * m))
+            return out
+        return np.einsum("gij,gj->gi", self.blocks, v, out=out)
 
     def quad(self, v):
         """Group quadratic forms ``v_g' K_g v_g``, one per group.

@@ -20,6 +20,11 @@ class DivergenceError(RuntimeError):
             message = f"non-finite iterate at iteration {self.iteration}"
         super().__init__(message)
 
+    def __reduce__(self):
+        # the default rebuilds from the message alone, which is not an
+        # iteration, so a worker's error could not reach its pool
+        return type(self), (self.iteration, str(self))
+
 
 class OracleFailure(RuntimeError):
     """No candidate support produced a certified stationary point."""

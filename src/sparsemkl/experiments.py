@@ -263,50 +263,104 @@ class BatchResult:
     traces: tuple | None
 
 
-def _run_single(config, index, keep_trace):
-    problem, _ = generate_instance(config, index)
+#: Bytes that the instances stepped together may hold at once: their
+#: Gram storage and the trace buffers of their production solves. It
+#: sets how many instances a batch solves as one stack.
+CHUNK_BYTES = 2 << 20
+
+
+def _row_bytes(config):
+    """Bytes one instance holds while its chunk is solved."""
+    if config.family == "group-lasso":
+        # the (G, m, d_max) factor stack and its transpose
+        gram = 2 * 8 * config.G * config.m * max(config.group_dims)
+    else:
+        gram = 8 * config.G * config.m * config.m
+    # per iteration: a support row of G bools, an objective, a step
+    # norm and an iteration number
+    return gram + config.iters * (config.G + 24)
+
+
+def _chunks(config, jobs):
+    """Consecutive index ranges, each solved as one stack by one worker.
+
+    As few chunks as the `CHUNK_BYTES` cap allows, but at least one per
+    worker, with sizes that differ by at most one.
+    """
+    n = config.n_instances
+    size = max(1, CHUNK_BYTES // _row_bytes(config))
+    k = max(min(jobs, n), -(-n // size))
+    return [range(i * n // k, (i + 1) * n // k) for i in range(k)]
+
+
+def _run_chunk(config, indices, keep_traces):
+    problems = [generate_instance(config, i)[0] for i in indices]
     solver_cfg = SolverConfig(
         tau_factor=config.tau_factor, max_iters=config.iters,
         stop_tol=0.0, record_trace=True,
     )
     try:
-        coeffs, trace = solve(problem, solver_cfg)
-        reference = reference_solve(problem, solver_cfg, trace)
+        coeffs, traces = solve(problems, solver_cfg)
+        references = reference_solve(problems, solver_cfg, traces)
     except DivergenceError as err:
-        raise DivergenceError(
-            err.iteration,
-            f"instance {index}: {err}",
-        ) from err
-    report = qualification_check(reference, problem)
-    burn_in = last_support_change(trace)
-    verdict = sandwich_check(trace, report, burn_in)
-    supp = frozenset(support_of(coeffs))
-    record = PerRun(
-        index=index,
-        seed=instance_seed(config.master_seed, index),
-        support=supp,
-        support_size=len(supp),
-        objective=float(trace.objectives[-1]),
-        qc_margin=report.qc_margin,
-        sandwich_passed=verdict.passed,
-        sandwich_first_violation=verdict.first_violation,
-        burn_in=burn_in,
-        final_step_norm=trace.final_step_norm,
-    )
-    return record, (trace if keep_trace else None)
+        if len(indices) == 1:
+            raise DivergenceError(
+                err.iteration,
+                f"instance {indices[0]}: {err}",
+            ) from err
+        # rows do not depend on each other, so solving them one at a
+        # time names the first instance that diverges, as any chunking
+        # would
+        for i in indices:
+            _run_chunk(config, [i], keep_traces)
+        raise
+    outcomes = []
+    for index, problem, coeff, trace, reference in zip(
+            indices, problems, coeffs, traces, references):
+        report = qualification_check(reference, problem)
+        burn_in = last_support_change(trace)
+        verdict = sandwich_check(trace, report, burn_in)
+        supp = frozenset(support_of(coeff))
+        record = PerRun(
+            index=index,
+            seed=instance_seed(config.master_seed, index),
+            support=supp,
+            support_size=len(supp),
+            objective=float(trace.objectives[-1]),
+            qc_margin=report.qc_margin,
+            sandwich_passed=verdict.passed,
+            sandwich_first_violation=verdict.first_violation,
+            burn_in=burn_in,
+            final_step_norm=trace.final_step_norm,
+        )
+        # the problem dies with this chunk, so the end state that would
+        # let a solve continue the trace could never be used
+        kept = dataclasses.replace(trace, _end=None) if keep_traces else None
+        outcomes.append((record, kept))
+    return outcomes
 
 
 def run_batch(config, jobs=1, keep_traces=True):
     """Generate, solve, and certify every instance of a batch.
 
+    Instances go in chunks of consecutive indices. Each chunk is
+    generated when it is reached, and its production solves and then
+    its reference solves run as one stack each (see :func:`solve`). A
+    chunk holds at most `CHUNK_BYTES` of Gram storage and trace buffers
+    (at least one instance), so memory does not grow with the batch.
+    Each instance's results are bit-identical to solving it alone.
+
     Parameters
     ----------
     config : ExperimentConfig
     jobs : int
-        Worker processes; results are reduced in index order, so any
-        worker count yields the identical BatchResult.
+        Worker processes, each taking whole chunks; results are reduced
+        in index order, so any worker count yields the identical
+        BatchResult.
     keep_traces : bool
-        Retain each run's SolveTrace (needed for trace emission).
+        Retain each run's SolveTrace (needed for trace emission); a kept
+        trace holds its records only, not the state a solve could
+        continue from.
 
     Returns
     -------
@@ -315,22 +369,24 @@ def run_batch(config, jobs=1, keep_traces=True):
     Raises
     ------
     DivergenceError
-        If any instance diverges; the message names the instance index.
+        If any instance diverges; the message names the first such
+        instance.
     """
     if not isinstance(config, ExperimentConfig):
         raise ContractViolation("config must be an ExperimentConfig")
     jobs = int(jobs)
     if jobs < 1:
         raise ContractViolation(f"jobs must be >= 1, got {jobs!r}")
-    indices = range(config.n_instances)
+    chunks = _chunks(config, jobs)
     if jobs == 1:
-        outcomes = [_run_single(config, i, keep_traces) for i in indices]
+        done = [_run_chunk(config, chunk, keep_traces) for chunk in chunks]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(
-                _run_single, [config] * config.n_instances, indices,
-                [keep_traces] * config.n_instances,
+            done = list(pool.map(
+                _run_chunk, [config] * len(chunks), chunks,
+                [keep_traces] * len(chunks),
             ))
+    outcomes = [outcome for chunk in done for outcome in chunk]
     records = tuple(rec for rec, _ in outcomes)
     traces = tuple(tr for _, tr in outcomes) if keep_traces else None
     histogram = {}

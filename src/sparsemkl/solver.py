@@ -14,6 +14,7 @@ space (not the Euclidean norm of the coefficients) so stopping decisions
 match the quantity the convergence statement controls.
 """
 
+import math
 import weakref
 from array import array
 from dataclasses import dataclass, field
@@ -24,6 +25,11 @@ from .core import DualCoefficients, ProblemInstance
 from .errors import ContractViolation, DivergenceError
 
 __all__ = ["SolverConfig", "SolveTrace", "solve"]
+
+#: Elements einsum reduces in one buffered pass. In a stack of rows
+#: longer than this it splits each row differently from the row alone,
+#: so their step norms are reduced one row at a time to keep the bits.
+_EINSUM_BUFSIZE = 8192
 
 #: Step norm at which a reference solve stops. Every solve remembers the
 #: first iterate whose step reaches it, so a reference can reuse it.
@@ -206,21 +212,33 @@ def solve(problem, config, alpha0=None):
     iterations. Coefficients, trace and `final_step_norm` are exactly
     those of running every iteration.
 
+    A list or tuple of problems is solved as one stack: one loop steps
+    every row together, each row with its own step size, threshold,
+    cycle exit, stop rule and trace. A row that finishes is copied out
+    of the stack and dropped from it. Each row's result is bit-identical
+    to solving its problem alone, whatever else is in the stack; a
+    single problem is solved as a stack of one.
+
     Parameters
     ----------
-    problem : ProblemInstance
+    problem : ProblemInstance or list/tuple of ProblemInstance
+        The problems of a stack must share G and m.
     config : SolverConfig
     alpha0 : DualCoefficients or SolveTrace, optional
         Starting point; defaults to zero. The trace of an earlier run on
         the same problem at the same `tau_factor` continues that run's
         trajectory from its exact final state; iteration numbers and
-        `config.max_iters` then count from the trajectory's start.
+        `config.max_iters` then count from the trajectory's start. A
+        stack takes a list or tuple of such starts, None for zero, one
+        per problem.
 
     Returns
     -------
     coeffs : DualCoefficients
         Final iterate, with thresholded-out columns exactly zero.
     trace : SolveTrace
+        For a stack, `coeffs` and `trace` are tuples with one entry per
+        problem, in the order given.
 
     Raises
     ------
@@ -228,22 +246,57 @@ def solve(problem, config, alpha0=None):
         If a non-finite quantity appears, naming the iteration; with a
         valid config this indicates the Gram blocks' `lipschitz` field
         under-reports the true operator norm, or data at overflow scale.
+        A stack raises for the first row that diverges.
     """
-    if not isinstance(problem, ProblemInstance):
-        raise ContractViolation("problem must be a ProblemInstance")
     if not isinstance(config, SolverConfig):
         raise ContractViolation("config must be a SolverConfig")
+    if not isinstance(problem, (list, tuple)):
+        coeffs, traces = _solve_stack([problem], config, [alpha0])
+        return coeffs[0], traces[0]
+    if alpha0 is None:
+        alpha0 = [None] * len(problem)
+    elif not isinstance(alpha0, (list, tuple)) or len(alpha0) != len(problem):
+        raise ContractViolation(
+            "a stack's alpha0 must be a list or tuple of one start per problem"
+        )
+    return _solve_stack(problem, config, alpha0)
+
+
+class _Row:
+    """One row of a stack: everything but the stacked arrays."""
+
+    __slots__ = ("index", "problem", "apply_each", "lam", "tau", "thr",
+                 "from_zero", "n", "step", "settled", "ck_n", "ck_AT",
+                 "ck_KA", "ck_step", "power", "span", "tile", "keep", "obj",
+                 "steps")
+
+    def __init__(self, index, problem, tau, n, step, settled, from_zero):
+        self.index = index  # place in the stack as given
+        self.problem = problem
+        self.apply_each = problem.gram.apply_each
+        self.lam = problem.effective_lambda
+        self.tau = tau
+        self.thr = tau * self.lam
+        self.from_zero = from_zero
+        self.n, self.step, self.settled = n, step, settled
+        # Brent's checkpoint; no compare until it first moves
+        self.ck_n, self.ck_AT, self.ck_KA, self.ck_step = n, None, None, None
+        self.power = 1
+        self.span = self.tile = None
+        # one record per iteration; its objective is the penalty plus half
+        # the squared residual of the new iterate, the next iteration's r
+        self.keep, self.obj, self.steps = bytearray(), array("d"), array("d")
+
+
+def _start(index, problem, config, alpha0):
+    """Row `index` of a stack and its starting (AT, KA)."""
+    if not isinstance(problem, ProblemInstance):
+        raise ContractViolation("problem must be a ProblemInstance")
     gram = problem.gram
     G, m = gram.n_groups, gram.m
-    y = problem.dataset.responses
-    lam = problem.effective_lambda
-    tau = config.tau_factor / problem.gram.lipschitz
-    thr = tau * lam
-
     n, step, settled, from_zero = 0, 0.0, None, alpha0 is None
     if alpha0 is None:
-        AT = np.zeros((G, m))
-        KA = np.zeros((G, m))
+        AT = KA = np.zeros((G, m))
     elif isinstance(alpha0, SolveTrace):
         start = alpha0._end_state(problem, config.tau_factor)
         if start is None:
@@ -267,89 +320,140 @@ def solve(problem, config, alpha0=None):
             )
         AT = np.ascontiguousarray(alpha0.alpha.T)
         KA = gram.apply_each(AT)
+    tau = config.tau_factor / gram.lipschitz
+    row = _Row(index, problem, tau, n, step, settled, from_zero)
+    return row, AT, KA
 
+
+def _solve_stack(problems, config, starts):
+    if not problems:
+        raise ContractViolation("a stack needs at least one problem")
+    rows, ATs, KAs = zip(*(_start(i, p, config, a)
+                           for i, (p, a) in enumerate(zip(problems, starts))))
+    if len({A.shape for A in ATs}) > 1:
+        raise ContractViolation("stacked problems must share G and m")
     record = config.record_trace
     stop_tol = config.stop_tol
     max_iters = config.max_iters
-    # one record per iteration; its objective is the penalty plus half
-    # the squared residual of the new iterate, the next iteration's r
-    rec_keep, rec_obj, rec_steps = bytearray(), array("d"), array("d")
-    ck_n, ck_AT, ck_KA, ck_step, power = n, AT, KA, None, 1
-    span = tile = None
+    AT, KA = np.stack(ATs), np.stack(KAs)
+    Y = np.stack([p.dataset.responses for p in problems])
+    one_pass = AT[0].size <= _EINSUM_BUFSIZE
 
-    while n < max_iters:
-        n += 1
-        r = KA.sum(axis=0) - y
-        if rec_obj:
-            rec_obj[-1] += 0.5 * (r @ r)
-        Kr = gram.apply_each(r)
-        B = AT - tau * r
+    results = [None] * len(rows)
+    done = [j for j, row in enumerate(rows) if row.n >= max_iters]
+    Kr = None
+    while True:
+        if done:
+            for j in done:
+                results[rows[j].index] = _finish(rows[j], AT[j], KA[j], Y[j])
+            sel = [j for j in range(len(rows)) if j not in done]
+            if not sel:
+                break
+            rows = [rows[j] for j in sel]
+            AT, KA, Y = AT[sel], KA[sel], Y[sel]
+            Kr = None
+        if Kr is None:  # the stack is new or has shrunk
+            Kr = np.empty_like(AT)
+            tau = np.array([row.tau for row in rows])[:, None, None]
+            thr = np.array([row.thr for row in rows])[:, None]
+
+        r = KA.sum(axis=1) - Y
+        for j, row in enumerate(rows):
+            row.n += 1
+            if row.obj:
+                row.obj[-1] += 0.5 * (r[j] @ r[j])
+            row.apply_each(r[j], out=Kr[j])
+        B = AT - tau * r[:, None, :]
         KB = KA - tau * Kr
-        sq = np.einsum("gi,gi->g", B, KB)
+        sq = np.einsum("ngi,ngi->ng", B, KB)
         if not np.isfinite(sq).all():
-            raise DivergenceError(n)
+            j = int(np.flatnonzero(~np.isfinite(sq).all(axis=1))[0])
+            raise DivergenceError(rows[j].n, None if len(results) == 1 else (
+                f"non-finite iterate at iteration {rows[j].n} of stack row "
+                f"{rows[j].index}"
+            ))
         nu = np.sqrt(np.maximum(sq, 0.0))
         keep = nu > thr
-        denom = np.where(keep, nu, 1.0)
         # (nu - thr) / nu, not 1 - thr / nu: the explicit difference
         # keeps full relative accuracy when nu sits just above thr
-        gamma = np.where(keep, (nu - thr) / denom, 0.0)
-        AT_new = gamma[:, None] * B
-        KA_new = gamma[:, None] * KB
-        step_sq = float(np.einsum("gi,gi->", AT_new - AT, KA_new - KA))
-        step = float(np.sqrt(max(step_sq, 0.0)))
+        gamma = np.zeros(nu.shape)
+        np.divide(nu - thr, nu, out=gamma, where=keep)
+        gamma = gamma[:, :, None]
+        AT_new = gamma * B
+        KA_new = gamma * KB
+        # B and KB are spent: they take the step's differences
+        dA = np.subtract(AT_new, AT, out=B)
+        dK = np.subtract(KA_new, KA, out=KB)
+        if one_pass or len(rows) == 1:
+            step_sq = np.einsum("ngi,ngi->n", dA, dK).tolist()
+        else:
+            step_sq = [float(np.einsum("gi,gi->", a, k))
+                       for a, k in zip(dA, dK)]
         AT = AT_new
         KA = KA_new
-        if settled is None and step <= REFERENCE_STOP_TOL:
-            settled = (n, AT)
 
-        if record:
-            rec_keep += keep.tobytes()
-            # surviving blocks have kernel norm nu - thr by construction
-            rec_obj.append(lam * (nu[keep] - thr).sum())
-            rec_steps.append(step)
-        if stop_tol > 0.0 and step <= stop_tol:
-            break
+        done = []
+        for j, (row, s) in enumerate(zip(rows, step_sq)):
+            row.step = step = math.sqrt(max(s, 0.0))
+            if row.settled is None and step <= REFERENCE_STOP_TOL:
+                row.settled = (row.n, AT[j].copy())
+            if record:
+                row.keep += keep[j].tobytes()
+                # surviving blocks have kernel norm nu - thr by construction
+                row.obj.append(row.lam * (nu[j][keep[j]] - row.thr).sum())
+                row.steps.append(step)
+            if stop_tol > 0.0 and step <= stop_tol:
+                done.append(j)
+                continue
+            if row.span is None:
+                if (step == row.ck_step and _same_bits(AT[j], row.ck_AT)
+                        and _same_bits(KA[j], row.ck_KA)):
+                    # state n + skip equals state n; the final record and
+                    # step come from the last iteration, always computed
+                    row.span = span = row.n - row.ck_n
+                    skip = max(0, (max_iters - 1 - row.n) // span) * span
+                    if skip and record:
+                        row.tile = (len(row.steps), skip // span)
+                    row.n += skip
+                elif row.n - row.ck_n == row.power:
+                    # copies: a view would keep the whole stack alive
+                    row.ck_n, row.ck_step = row.n, step
+                    row.ck_AT, row.ck_KA = AT[j].copy(), KA[j].copy()
+                    row.power *= 2
+            if row.n >= max_iters:
+                done.append(j)
+    return tuple(c for c, _ in results), tuple(t for _, t in results)
 
-        if span is None:
-            if (step == ck_step and _same_bits(AT, ck_AT)
-                    and _same_bits(KA, ck_KA)):
-                # state n + skip equals state n; the final record and
-                # step come from the last iteration, always computed
-                span = n - ck_n
-                skip = max(0, (max_iters - 1 - n) // span) * span
-                if skip and record:
-                    tile = (len(rec_steps), skip // span)
-                n += skip
-            elif n - ck_n == power:
-                ck_n, ck_AT, ck_KA, ck_step = n, AT, KA, step
-                power *= 2
 
-    if rec_obj:
+def _finish(row, AT, KA, y):
+    """One row's result, copied out so that it does not pin the stack."""
+    n = row.n
+    if row.obj:
         r = KA.sum(axis=0) - y
-        rec_obj[-1] += 0.5 * (r @ r)
-    keep_rows = np.frombuffer(rec_keep, dtype=bool).reshape(-1, G)
-    objectives = np.frombuffer(rec_obj)
-    step_norms = np.frombuffer(rec_steps)
-    if tile is not None:
+        row.obj[-1] += 0.5 * (r @ r)
+    keep_rows = np.frombuffer(row.keep, dtype=bool).reshape(-1, AT.shape[0])
+    objectives = np.frombuffer(row.obj)
+    step_norms = np.frombuffer(row.steps)
+    if row.tile is not None:
         # the last span records before the jump repeat over the skip
-        k, reps = tile
+        (k, reps), span = row.tile, row.span
         keep_rows, objectives, step_norms = (
             np.concatenate([a[:k]] + [a[k - span:k]] * reps + [a[k:]])
             for a in (keep_rows, objectives, step_norms)
         )
     iterations = np.arange(n - len(step_norms) + 1, n + 1)
-
+    AT, KA = AT.copy(), KA.copy()
     trace = SolveTrace(
         iterations=iterations,
         supports=keep_rows,
         objectives=objectives,
         step_norms=step_norms,
         iters_run=n,
-        final_step_norm=step,
+        final_step_norm=row.step,
         _end=_EndState(
-            problem=weakref.ref(problem), tau=tau, from_zero=from_zero,
-            n=n, AT=AT, KA=KA, step=step, settled=settled,
+            problem=weakref.ref(row.problem), tau=row.tau,
+            from_zero=row.from_zero, n=n, AT=AT, KA=KA, step=row.step,
+            settled=row.settled,
         ),
     )
     return DualCoefficients(np.ascontiguousarray(AT.T)), trace

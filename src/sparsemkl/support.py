@@ -250,7 +250,9 @@ def reference_solve(problem, config, trace=None):
 
     Parameters
     ----------
-    problem : ProblemInstance
+    problem : ProblemInstance or list/tuple of ProblemInstance
+        A list or tuple is referenced as one stack: the trajectories
+        that must run go through one stacked solve.
     config : SolverConfig
     trace : SolveTrace, optional
         Trace of the production run. If that run started from zero on
@@ -259,11 +261,13 @@ def reference_solve(problem, config, trace=None):
         within the reference budget, that iterate is the reference, and
         otherwise the iteration continues from the run's final state.
         With no such trace the trajectory is replayed from zero. Either
-        way the result is bit-identical to the replay.
+        way the result is bit-identical to the replay. A stack takes a
+        list or tuple of traces (or None), one per problem.
 
     Returns
     -------
     DualCoefficients
+        For a stack, a tuple with one per problem.
 
     Notes
     -----
@@ -273,7 +277,18 @@ def reference_solve(problem, config, trace=None):
     """
     if not isinstance(config, SolverConfig):
         raise ContractViolation("config must be a SolverConfig")
-    if trace is not None and not isinstance(trace, SolveTrace):
+    stacked = isinstance(problem, (list, tuple))
+    problems = list(problem) if stacked else [problem]
+    if not stacked:
+        traces = [trace]
+    elif trace is None:
+        traces = [None] * len(problems)
+    elif isinstance(trace, (list, tuple)) and len(trace) == len(problems):
+        traces = list(trace)
+    else:
+        raise ContractViolation("a stack needs a list or tuple of traces, "
+                                "one per problem")
+    if any(t is not None and not isinstance(t, SolveTrace) for t in traces):
         raise ContractViolation("trace must be a SolveTrace")
     ref_cfg = SolverConfig(
         tau_factor=config.tau_factor,
@@ -281,13 +296,25 @@ def reference_solve(problem, config, trace=None):
         stop_tol=REFERENCE_STOP_TOL,
         record_trace=False,
     )
-    end = None if trace is None else trace._end_state(problem, config.tau_factor)
-    if end is not None and end.from_zero:
-        # a settled iterate comes no later than the run's final state
-        if end.settled is not None and end.settled[0] <= ref_cfg.max_iters:
-            return DualCoefficients(np.ascontiguousarray(end.settled[1].T))
-        if end.n <= ref_cfg.max_iters:
-            coeffs, _ = solve(problem, ref_cfg, trace)
-            return coeffs
-    coeffs, _ = solve(problem, ref_cfg)
-    return coeffs
+    refs = [None] * len(problems)
+    todo, starts = [], []
+    for i, (prob, tr) in enumerate(zip(problems, traces)):
+        end = None if tr is None else tr._end_state(prob, config.tau_factor)
+        start = None
+        if end is not None and end.from_zero:
+            # a settled iterate comes no later than the run's final state
+            if end.settled is not None and end.settled[0] <= ref_cfg.max_iters:
+                refs[i] = DualCoefficients(np.ascontiguousarray(end.settled[1].T))
+                continue
+            if end.n <= ref_cfg.max_iters:
+                start = tr
+        todo.append(i)
+        starts.append(start)
+    if todo:
+        if stacked:
+            coeffs, _ = solve([problems[i] for i in todo], ref_cfg, starts)
+        else:
+            coeffs = (solve(problems[0], ref_cfg, starts[0])[0],)
+        for i, c in zip(todo, coeffs):
+            refs[i] = c
+    return tuple(refs) if stacked else refs[0]

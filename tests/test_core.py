@@ -155,6 +155,15 @@ class TestFactoredAgreesWithDense:
         V = np.random.default_rng(3).standard_normal((len(dims), 9))
         assert rel_err(factored.apply_each(V), dense.apply_each(V)) <= 1e-12
 
+    def test_apply_each_into_out_keeps_the_bits(self, dims):
+        v = np.random.default_rng(2).standard_normal(9)
+        V = np.random.default_rng(3).standard_normal((len(dims), 9))
+        for gram in factored_and_dense(dims):
+            for arg in (v, V):
+                out = np.empty((2, len(dims), 9))
+                gram.apply_each(arg, out=out[1])
+                assert out[1].tobytes() == gram.apply_each(arg).tobytes()
+
     def test_quad_shared_vector(self, dims):
         factored, dense = factored_and_dense(dims)
         v = np.random.default_rng(4).standard_normal(9)

@@ -1,8 +1,11 @@
 import json
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sparsemkl import experiments
 from sparsemkl import (
     BatchResult,
     ContractViolation,
@@ -189,6 +192,121 @@ class TestRunBatch:
         with pytest.raises(DivergenceError, match="instance 0") as exc:
             run_batch(small_gl_config(), keep_traces=False)
         assert exc.value.iteration == 3
+
+
+def gaussian_preset(n_instances, iters=300):
+    return ExperimentConfig.gaussian_kernel_paper(
+        n_instances=n_instances, master_seed=0, iters=iters,
+    )
+
+
+class TestChunkedBatch:
+    def test_outputs_do_not_depend_on_jobs(self):
+        # 3 workers split 8 instances into uneven chunks of 3, 3 and 2
+        cfg = gaussian_preset(8)
+        runs = [run_batch(cfg, jobs=jobs, keep_traces=True)
+                for jobs in (1, 2, 3)]
+        first = runs[0]
+        for other in runs[1:]:
+            assert other.per_run == first.per_run
+            assert other.histogram == first.histogram
+            for a, b in zip(first.traces, other.traces):
+                for name in ("iterations", "supports", "objectives",
+                             "step_norms"):
+                    x, y = getattr(a, name), getattr(b, name)
+                    assert x.dtype == y.dtype and x.shape == y.shape
+                    assert x.tobytes() == y.tobytes(), name
+                assert a.iters_run == b.iters_run
+                assert a.final_step_norm == b.final_step_norm
+
+    def test_chunks_are_capped_by_row_bytes(self):
+        # eight 400 kB Gaussian Gram stacks do not fit under the cap
+        cfg = gaussian_preset(8)
+        assert 8 * experiments._row_bytes(cfg) > experiments.CHUNK_BYTES
+        for jobs in (1, 2, 3):
+            chunks = experiments._chunks(cfg, jobs)
+            assert [i for c in chunks for i in c] == list(range(8))
+            assert len(chunks) >= jobs
+            assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
+            for chunk in chunks:
+                assert (len(chunk) * experiments._row_bytes(cfg)
+                        <= experiments.CHUNK_BYTES)
+
+    def test_trace_buffers_count_toward_the_cap(self):
+        # at the preset's own budget one row's traces exceed the cap
+        cfg = gaussian_preset(8, iters=50000)
+        assert 50000 * (cfg.G + 24) > experiments.CHUNK_BYTES
+        assert [len(c) for c in experiments._chunks(cfg, 1)] == [1] * 8
+        # tiny Grams, long traces: the traces set the chunk size
+        cfg = small_gl_config(n_instances=8, iters=20000)
+        assert 8 * 8 * cfg.G * cfg.m * 2 < experiments.CHUNK_BYTES
+        assert [len(c) for c in experiments._chunks(cfg, 1)] == [2, 3, 3]
+
+    @staticmethod
+    def batch_peak(cfg, keep_traces=False):
+        run_batch(cfg, keep_traces=keep_traces)
+        tracemalloc.start()
+        try:
+            result = run_batch(cfg, keep_traces=keep_traces)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, held, peak
+
+    def test_peak_is_bounded_by_the_chunk(self):
+        _, _, one = self.batch_peak(gaussian_preset(1))
+        _, _, eight = self.batch_peak(gaussian_preset(8))
+        assert eight <= experiments.CHUNK_BYTES + one
+
+    def test_peak_is_bounded_when_traces_dominate(self):
+        _, _, one = self.batch_peak(small_gl_config(n_instances=1,
+                                                    iters=20000))
+        _, _, eight = self.batch_peak(small_gl_config(n_instances=8,
+                                                      iters=20000))
+        assert eight <= experiments.CHUNK_BYTES + one
+
+    def test_kept_traces_hold_their_records_only(self):
+        result, held, _ = self.batch_peak(gaussian_preset(8),
+                                          keep_traces=True)
+        assert all(trace._end is None for trace in result.traces)
+        records = sum(
+            getattr(trace, name).nbytes for trace in result.traces
+            for name in ("iterations", "supports", "objectives", "step_norms")
+        )
+        # an end state would add 16 kB per trace, more than its records
+        assert held < 1.5 * records
+
+    def test_divergence_names_the_first_instance_whatever_the_chunks(
+            self, monkeypatch):
+        # instances 2 and 4 diverge; chunks of 1, 3 and 6 all name 2
+        cfg = small_gl_config()
+        bad = {generate_instance(cfg, i)[0].lam: i for i in (2, 4)}
+        real_solve = experiments.solve
+
+        def solve(problem, config, alpha0=None):
+            rows = problem if isinstance(problem, list) else [problem]
+            hits = [bad[p.lam] for p in rows if p.lam in bad]
+            if hits:
+                raise DivergenceError(10 + max(hits))
+            return real_solve(problem, config, alpha0)
+
+        monkeypatch.setattr(experiments, "solve", solve)
+        per_instance = experiments._row_bytes(cfg)
+        for size in (1, 3, 6):
+            monkeypatch.setattr(experiments, "CHUNK_BYTES",
+                                size * per_instance)
+            assert len(experiments._chunks(cfg, 1)) == 6 // size
+            with pytest.raises(DivergenceError, match="instance 2") as exc:
+                run_batch(cfg, keep_traces=False)
+            assert exc.value.iteration == 12
+
+    def test_divergence_error_survives_pickling(self):
+        # a worker's error reaches its pool pickled
+        err = pickle.loads(pickle.dumps(
+            DivergenceError(7, "instance 3: non-finite iterate")))
+        assert isinstance(err, DivergenceError)
+        assert err.iteration == 7
+        assert str(err) == "instance 3: non-finite iterate"
 
 
 class TestEmission:

@@ -212,6 +212,42 @@ class TestSolveGeneral:
         assert np.array_equal(ta.supports, tb.supports)
 
 
+class TestSolveStack:
+    def test_results_come_back_in_the_order_given(self, ortho):
+        big = ProblemInstance(dataset=ortho.dataset, gram=ortho.gram, lam=10.0)
+        cfg = SolverConfig(tau_factor=0.8, max_iters=50)
+        coeffs, traces = solve((big, ortho), cfg)
+        for problem, c, t in zip((big, ortho), coeffs, traces):
+            alone, trace = solve(problem, cfg)
+            assert np.array_equal(c.alpha, alone.alpha)
+            assert np.array_equal(t.objectives, trace.objectives)
+
+    def test_rejects_an_empty_stack(self):
+        with pytest.raises(ContractViolation):
+            solve([], SolverConfig())
+
+    def test_rejects_rows_of_other_shapes(self, ortho):
+        with pytest.raises(ContractViolation):
+            solve([ortho, group_lasso_instance(0)], SolverConfig())
+
+    def test_rejects_starts_that_do_not_match_the_rows(self, ortho):
+        with pytest.raises(ContractViolation):
+            solve([ortho, ortho], SolverConfig(), [None])
+        with pytest.raises(ContractViolation):
+            solve([ortho], SolverConfig(), DualCoefficients.zeros(2, 2))
+
+    def test_divergence_names_the_row(self, ortho):
+        huge = ProblemInstance(
+            dataset=Dataset(ortho.dataset.points, np.array([1e200, 0.0])),
+            gram=ortho.gram,
+            lam=1.0,
+        )
+        cfg = SolverConfig(tau_factor=0.8, max_iters=10)
+        with pytest.raises(DivergenceError, match="stack row 1") as exc:
+            solve([ortho, huge], cfg)
+        assert exc.value.iteration == 1
+
+
 class TestDescentAndKkt:
     @pytest.mark.parametrize("index", [0, 1, 2, 3, 4])
     def test_objective_never_increases(self, index):

@@ -350,6 +350,127 @@ class TestContinuingReference:
             reference_solve(preset_problems[0], SolverConfig(), trace="trace")
 
 
+class TestStackedRows:
+    """A row's results do not depend on the stack it is solved in.
+
+    Group-lasso preset instances 0-7 (master seed 0) are solved alone,
+    in stacks of 3 and in one shuffled stack of 8, and every row is
+    compared bit for bit with the replica. Their exact cycles have
+    periods {0: 4, 1: 2, 2: 2, 3: 1, 4: 1, 5: 9, 6: 1, 7: 1}, so rows
+    leave the stack at different iterations.
+    """
+
+    SHUFFLED = [5, 2, 7, 0, 3, 6, 1, 4]
+    STACKS = [SHUFFLED[:3], SHUFFLED[3:6], SHUFFLED[5:], SHUFFLED]
+
+    @pytest.fixture(scope="class")
+    def problems(self):
+        return [preset_instance(i) for i in range(8)]
+
+    @staticmethod
+    def reference_replica(problem, config):
+        ref_cfg = SolverConfig(
+            tau_factor=config.tau_factor,
+            max_iters=config.max_iters * support_module.REFERENCE_BUDGET_FACTOR,
+            stop_tol=solver_module.REFERENCE_STOP_TOL, record_trace=False,
+        )
+        return replica(problem, ref_cfg)["alpha"]
+
+    def check_stacks(self, problems, config):
+        expected = [replica(p, config) for p in problems]
+        references = [self.reference_replica(p, config) for p in problems]
+        runs = []
+        for i, problem in enumerate(problems):
+            coeffs, trace = solve(problem, config)
+            ref = reference_solve(problem, config, trace)
+            runs.append(([i], (coeffs,), (trace,), (ref,)))
+        for stack in self.STACKS:
+            rows = [problems[i] for i in stack]
+            coeffs, traces = solve(rows, config)
+            refs = reference_solve(rows, config, traces)
+            runs.append((stack, coeffs, traces, refs))
+        for stack, coeffs, traces, refs in runs:
+            assert len(coeffs) == len(traces) == len(refs) == len(stack)
+            for i, c, t, ref in zip(stack, coeffs, traces, refs):
+                assert_matches_replica(c, t, expected[i])
+                assert same_bits(ref.alpha, references[i]), i
+        return [t for _, _, (t,), _ in runs[:len(problems)]]
+
+    def test_full_budget(self, problems):
+        traces = self.check_stacks(problems, SolverConfig(max_iters=5000))
+        assert {t.iters_run for t in traces} == {5000}
+
+    def test_rows_that_stop_early_leave_the_others_running(self, problems):
+        traces = self.check_stacks(
+            problems, SolverConfig(max_iters=5000, stop_tol=1e-9),
+        )
+        stops = [t.iters_run for t in traces]
+        assert max(stops) < 5000 and len(set(stops)) == len(stops)
+
+    def test_settled_references_beside_continued_ones(self, problems):
+        # at 600 iterations instances 1, 4, 5, 6 and 7 have passed a step
+        # of 1e-12, whose iterate is their reference; 0, 2 and 3 continue
+        config = SolverConfig(max_iters=600)
+        traces = self.check_stacks(problems, config)
+        settled = [t._end.settled is not None for t in traces]
+        assert settled == [False, True, False, False, True, True, True, True]
+
+    def test_rows_can_start_anywhere(self, problems):
+        # a zero start, a warm start and a continued trace in one stack
+        config = SolverConfig(max_iters=2000)
+        warm, _ = solve(problems[2], SolverConfig(max_iters=40,
+                                                  record_trace=False))
+        _, first = solve(problems[3], SolverConfig(max_iters=300))
+        coeffs, traces = solve(problems[1:4], config, [None, warm, first])
+        assert_matches_replica(coeffs[0], traces[0],
+                               replica(problems[1], config))
+        assert_matches_replica(coeffs[1], traces[1],
+                               replica(problems[2], config, warm))
+        full = replica(problems[3], config)
+        assert same_bits(coeffs[2].alpha, full["alpha"])
+        tail = full["iterations"] > 300
+        for name in ("iterations", "supports", "objectives", "step_norms"):
+            assert same_bits(getattr(traces[2], name), full[name][tail]), name
+
+    def test_rows_longer_than_one_einsum_pass(self):
+        # G*m = 8400 > solver._EINSUM_BUFSIZE: each row's step norm is
+        # reduced on its own, else stacking would change its bits
+        config = ExperimentConfig.group_lasso_paper(n_instances=3, m=420)
+        problems = [generate_instance(config, i)[0] for i in range(3)]
+        G, m = problems[0].n_groups, problems[0].m
+        assert G * m > solver_module._EINSUM_BUFSIZE
+        solver_cfg = SolverConfig(max_iters=100)
+        coeffs, traces = solve(problems, solver_cfg)
+        for problem, c, t in zip(problems, coeffs, traces):
+            assert_matches_replica(c, t, replica(problem, solver_cfg))
+
+
+class TestStackMemory:
+    def test_a_kept_row_does_not_pin_the_stack(self):
+        config = ExperimentConfig.gaussian_kernel_paper(n_instances=8,
+                                                        master_seed=0)
+        problems = [generate_instance(config, i)[0] for i in range(8)]
+        solver_cfg = SolverConfig(max_iters=300)
+        solve(problems, solver_cfg)
+        tracemalloc.start()
+        try:
+            coeffs, traces = solve(problems, solver_cfg)
+            kept = traces[3]
+            del coeffs, traces
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        records = sum(getattr(kept, name).nbytes for name in
+                      ("iterations", "supports", "objectives", "step_norms"))
+        end = kept._end
+        own = end.AT.nbytes + end.KA.nbytes
+        assert end.AT.shape == end.KA.shape == (20, 50)
+        assert end.AT.base is None and end.KA.base is None
+        # one stacked (8, G, m) array alone would take 4x the row's state
+        stack_array = 8 * end.AT.nbytes
+        assert held < records + own + stack_array // 2
+
+
 def test_batch_outputs_do_not_depend_on_blas_threads(tmp_path):
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     outputs = []
