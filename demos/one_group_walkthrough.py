@@ -24,7 +24,7 @@ from sparsemkl.support import (
 # The operator bound is pinned at exactly 1, the top eigenvalue itself
 # rather than the default with its margin, so a step factor of 0.5 is
 # the step size 0.5.
-gram = GramBlocks(blocks=np.ones((1, 1, 1)), lipschitz=1.0, group_dims=(1,))
+gram = GramBlocks(features=np.ones((1, 1)), group_dims=(1,), lipschitz=1.0)
 problem = ProblemInstance(
     dataset=Dataset(np.ones((1, 1)), np.ones(1)),
     gram=gram,

@@ -1,6 +1,6 @@
 """Sparse multiple kernel learning at desk scale.
 
-A small numpy/scipy library around one algorithm: forward-backward
+A small numpy library around one algorithm: forward-backward
 splitting with per-group kernel thresholding, run entirely in
 representer coordinates. Alongside the solver it ships the support
 machinery that makes identification statements checkable (certificates,

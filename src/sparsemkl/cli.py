@@ -219,7 +219,7 @@ def _paper_1d_problem():
     rather than the default with its margin, so tau_factor is the step
     size; the closed-form iterates are then reproduced digit for digit.
     """
-    gram = GramBlocks(blocks=np.ones((1, 1, 1)), lipschitz=1.0, group_dims=(1,))
+    gram = GramBlocks(features=np.ones((1, 1)), group_dims=(1,), lipschitz=1.0)
     dataset = Dataset(np.ones((1, 1)), np.ones(1))
     problem = ProblemInstance(dataset=dataset, gram=gram, lam=1.0)
     return problem, DualCoefficients(np.ones((1, 1)))

@@ -142,8 +142,7 @@ class GramBlocks:
         nonzero eigenvalues are those of ``sum_g X_g X_g' = X X'``.
     group_dims : tuple of int, optional
         The width of each group's column slice. Required with
-        `features`; with `blocks` it marks blocks built from explicit
-        feature groups and is `None` for implicit kernels.
+        `features`, rejected with `blocks`.
     features : (m, p) array_like, optional
         The design matrix X whose consecutive column groups, of widths
         `group_dims`, give the blocks. Give exactly one of `blocks` and
@@ -156,9 +155,10 @@ class GramBlocks:
         an eigenvalue at or below ``-PSD_TOL * max(trace, 1)`` (tested
         by a Cholesky factorization of the shifted block), if the
         features are not finite or `group_dims` does not split their
-        columns, or if `lipschitz` is not positive or fails to dominate
-        the largest eigenvalue of ``sum_g K_g``. Factored blocks are
-        symmetric positive semi-definite by construction.
+        columns, if `group_dims` comes with `blocks`, or if `lipschitz`
+        is not positive or fails to dominate the largest eigenvalue of
+        ``sum_g K_g``. Factored blocks are symmetric positive
+        semi-definite by construction.
     """
 
     blocks: np.ndarray | None = None
@@ -173,6 +173,8 @@ class GramBlocks:
             raise ContractViolation("give exactly one of blocks and features")
         if self.blocks is None:
             top = self._init_factors()
+        elif self.group_dims is not None:
+            raise ContractViolation("group_dims belongs to features, not blocks")
         else:
             top = self._init_blocks()
 
@@ -225,16 +227,7 @@ class GramBlocks:
                     f"block {g} is not positive semi-definite "
                     f"(eigenvalue {lo:.3e})"
                 ) from None
-
-        dims = self.group_dims
-        if dims is not None:
-            dims = tuple(int(d) for d in dims)
-            if len(dims) != n_groups or any(d < 1 for d in dims):
-                raise ContractViolation(
-                    f"group_dims must list {n_groups} positive widths, got {dims}"
-                )
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "group_dims", dims)
         return float(np.linalg.eigvalsh(blocks.sum(axis=0))[-1])
 
     def _init_factors(self):

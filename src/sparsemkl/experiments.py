@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+# numpy loads numpy.random on first use; here it loads at start-up
+import numpy.random  # noqa: F401
 
 from .core import Dataset, DualCoefficients, ProblemInstance
 from .errors import ContractViolation, DivergenceError
@@ -234,7 +236,12 @@ def generate_instance(config, index):
 
 @dataclass(frozen=True)
 class PerRun:
-    """Per-instance record of a batch."""
+    """Per-instance record of a batch.
+
+    `burn_in` is the trace's last support change, so `sandwich_passed`
+    is reference support <= `support` <= reference esupp, and a failing
+    run's `sandwich_first_violation` is its `burn_in`.
+    """
 
     index: int
     seed: int

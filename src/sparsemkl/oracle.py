@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import DualCoefficients, ProblemInstance, objective
 from .errors import ContractViolation, OracleFailure
@@ -37,6 +36,8 @@ _COLLAPSE = 1e-13
 # without the block reaches the same objective up to O(c^2)
 _DEGENERATE = 1e-8
 _MAX_STALLS = 40
+_ROOT_TOL = 1e-15  # absolute and relative step tolerance of the block root
+_ROOT_MAX_ITERS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,35 +216,49 @@ def _block_minimize(evals, evecs, v, lam):
     """Minimizer of ``lam*||u|| + 0.5*||X u + rho||^2`` given spectra.
 
     `evals`, `evecs` decompose the block's X'X; `v` is X'rho. Inside the
-    lam-ball the zero vector is optimal; outside, the optimality system
-    reduces to a scalar equation for t = ||u||, monotone on (0, inf),
-    bracketed and solved by brentq.
+    lam-ball the zero vector is optimal; outside, t = ||u|| solves the
+    secular equation ``S(t) = sum_i c_i^2 / (e_i t + lam)^2 = 1``, c the
+    rotated v. S is decreasing and convex, so Newton from the left of
+    the root climbs to it; the root is bracketed by doubling, and a step
+    that leaves the bracket (rounding, near the root) bisects it.
     """
-    nv = float(np.linalg.norm(v))
-    if nv <= lam:
-        return np.zeros_like(v)
     cvec = evecs.T @ v
 
-    def excess(t):
-        return float((cvec**2 / (evals * t + lam) ** 2).sum()) - 1.0
+    def secular(t):  # S(t) - 1 and S'(t)
+        d = evals * t + lam
+        w = (cvec / d) ** 2
+        return float(w.sum()) - 1.0, -2.0 * float((w * evals / d).sum())
 
-    if excess(0.0) <= 0.0:
-        # ||v|| barely above lam can land here after the basis rotation
+    # ||v|| barely above lam can fail the second test after the rotation
+    if float(np.linalg.norm(v)) <= lam or secular(0.0)[0] <= 0.0:
         return np.zeros_like(v)
-    hi = 1.0
-    while excess(hi) > 0.0:
-        hi *= 2.0
+    lo, hi = 0.0, 1.0
+    while secular(hi)[0] > 0.0:
+        lo, hi = hi, 2.0 * hi
         if hi > 1e300:
             raise OracleFailure("block subproblem bracket expansion failed")
-    t = brentq(excess, 0.0, hi, xtol=1e-15, rtol=1e-15)
+    t = lo
+    for _ in range(_ROOT_MAX_ITERS):
+        f, df = secular(t)
+        lo, hi = (t, hi) if f > 0.0 else (lo, t)
+        # S' < 0 unless S is numerically flat; a NaN step bisects
+        newton = t - f / df if df < 0.0 else np.nan
+        if abs(newton - t) <= _ROOT_TOL * (1.0 + newton):
+            t = newton
+            break
+        t = newton if lo < newton < hi else 0.5 * (lo + hi)
+        if hi - lo <= _ROOT_TOL * (1.0 + t):
+            break
+    else:
+        raise OracleFailure("block subproblem root search did not converge")
     return -(evecs @ (cvec / (evals + lam / t)))
 
 
 def bcd_solve(problem, tol=1e-10, max_sweeps=10000):
     """Cyclic block-coordinate minimizer in explicit feature coordinates.
 
-    Requires Gram blocks assembled from column groups of the dataset
-    (the blocks are re-derived from the dataset and cross-checked).
+    Requires Gram blocks in factored storage, ``K_g = X_g X_g'``: the
+    oracle works on the column groups X_g of their `features` directly.
     Sweeps all groups, each time exactly minimizing the objective in one
     group's coefficients, until the sweep-to-sweep objective change is
     at most ``tol * max(1, |objective|)``.
@@ -260,30 +275,18 @@ def bcd_solve(problem, tol=1e-10, max_sweeps=10000):
     """
     if not isinstance(problem, ProblemInstance):
         raise ContractViolation("problem must be a ProblemInstance")
+    X = problem.gram.features
+    if X is None:
+        raise ContractViolation("bcd_solve needs Gram blocks built from features")
     dims = problem.gram.group_dims
-    if dims is None:
-        raise ContractViolation(
-            "bcd_solve needs explicit feature groups (group_dims is None)"
-        )
-    X = problem.dataset.points
     y = problem.dataset.responses
     lam = problem.effective_lambda
-    starts = np.concatenate([[0], np.cumsum(dims)])
 
-    K = problem.gram.dense()
-    slices, spectra = [], []
-    for g, d in enumerate(dims):
-        Xg = X[:, starts[g]:starts[g] + d]
-        Kg = Xg @ Xg.T
-        scale = max(float(np.abs(Kg).max()), 1.0)
-        if np.abs(Kg - K[g]).max() > 1e-8 * scale:
-            raise ContractViolation(
-                f"gram block {g} does not match the dataset's column "
-                f"group; bcd_solve only applies to canonical projections"
-            )
+    slices = np.split(X, np.cumsum(dims)[:-1], axis=1)
+    spectra = []
+    for Xg in slices:
         evals, evecs = np.linalg.eigh(Xg.T @ Xg)
         spectra.append((np.maximum(evals, 0.0), evecs))
-        slices.append(Xg)
 
     w = [np.zeros(d) for d in dims]
     rho = -y.copy()

@@ -186,7 +186,9 @@ def sandwich_check(trace, reference_report, burn_in=0):
     burn_in : int
         1-based iteration number before which records are ignored; the
         identification statement only promises the inclusions from some
-        finite iteration onward.
+        finite iteration onward. From ``last_support_change(trace)`` on,
+        as a batch checks, every row is the final support: the verdict is
+        the inclusion at it, and a failure is first seen at `burn_in`.
 
     Returns
     -------
@@ -278,13 +280,11 @@ def reference_solve(problem, config, trace=None):
     if not isinstance(config, SolverConfig):
         raise ContractViolation("config must be a SolverConfig")
     stacked = isinstance(problem, (list, tuple))
-    problems = list(problem) if stacked else [problem]
-    if not stacked:
-        traces = [trace]
-    elif trace is None:
+    problems, traces = (list(problem), trace) if stacked else ([problem], [trace])
+    if traces is None:
         traces = [None] * len(problems)
-    elif isinstance(trace, (list, tuple)) and len(trace) == len(problems):
-        traces = list(trace)
+    elif isinstance(traces, (list, tuple)) and len(traces) == len(problems):
+        traces = list(traces)
     else:
         raise ContractViolation("a stack needs a list or tuple of traces, "
                                 "one per problem")
@@ -311,10 +311,7 @@ def reference_solve(problem, config, trace=None):
         todo.append(i)
         starts.append(start)
     if todo:
-        if stacked:
-            coeffs, _ = solve([problems[i] for i in todo], ref_cfg, starts)
-        else:
-            coeffs = (solve(problems[0], ref_cfg, starts[0])[0],)
+        coeffs, _ = solve([problems[i] for i in todo], ref_cfg, starts)
         for i, c in zip(todo, coeffs):
             refs[i] = c
     return tuple(refs) if stacked else refs[0]

@@ -79,7 +79,7 @@ def one_dim_problem():
     itself, without the default margin, and tau_factor = 0.5 lands on
     tau = 0.5 with no rounding.
     """
-    gram = GramBlocks(blocks=np.ones((1, 1, 1)), lipschitz=1.0, group_dims=(1,))
+    gram = GramBlocks(features=np.ones((1, 1)), group_dims=(1,), lipschitz=1.0)
     return ProblemInstance(
         dataset=Dataset(np.ones((1, 1)), np.ones(1)),
         gram=gram,

@@ -109,8 +109,13 @@ class TestGramBlocks:
         assert gb.lipschitz == pytest.approx(3.0 * LIPSCHITZ_MARGIN, rel=1e-12)
 
     def test_group_dims_length_checked(self):
-        with pytest.raises(ContractViolation):
-            GramBlocks(blocks=self._valid(), lipschitz=3.0, group_dims=(1,))
+        # dense storage takes no group_dims, not even a matching one;
+        # factored storage needs widths that split the columns
+        for dims in ((1,), (1, 1)):
+            with pytest.raises(ContractViolation, match="group_dims"):
+                GramBlocks(blocks=self._valid(), lipschitz=3.0, group_dims=dims)
+        with pytest.raises(ContractViolation, match="group_dims"):
+            GramBlocks(features=np.eye(2), group_dims=(1,))
 
     def test_needs_exactly_one_storage(self):
         with pytest.raises(ContractViolation, match="exactly one"):

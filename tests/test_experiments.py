@@ -11,6 +11,7 @@ from sparsemkl import (
     ContractViolation,
     DivergenceError,
     ExperimentConfig,
+    SolverConfig,
     emit_histogram,
     emit_summary,
     emit_traces,
@@ -18,6 +19,8 @@ from sparsemkl import (
     generate_instance,
     instance_seed,
     load_histogram,
+    qualification_check,
+    reference_solve,
     residual,
     run_batch,
     support_of,
@@ -178,6 +181,34 @@ class TestRunBatch:
         res = run_batch(small_gl_config(n_instances=10), keep_traces=False)
         assert all(r.sandwich_passed for r in res.per_run)
         assert all(r.burn_in >= 1 for r in res.per_run)
+
+    @pytest.mark.parametrize("preset", [
+        ExperimentConfig.group_lasso_paper, ExperimentConfig.gaussian_kernel_paper,
+    ], ids=["group-lasso", "gaussian"])
+    def test_sandwich_verdict_reads_the_final_support(self, preset):
+        # from burn_in = last_support_change on, every traced support is
+        # the final one, so the verdict is the inclusion at the final
+        # support, and a violation is first seen at burn_in. At seed 3
+        # and 1000 iterations the Gaussian runs 0-2 fail, run 3 passes
+        cfg = preset(n_instances=4, master_seed=3, iters=1000)
+        res = run_batch(cfg)
+        problems = [generate_instance(cfg, i)[0] for i in range(4)]
+        refs = reference_solve(problems, SolverConfig(
+            tau_factor=cfg.tau_factor, max_iters=cfg.iters))
+        verdicts = []
+        for run, trace, problem, ref in zip(res.per_run, res.traces,
+                                            problems, refs):
+            final = np.isin(np.arange(cfg.G), sorted(run.support))
+            assert (trace.supports[trace.iterations >= run.burn_in]
+                    == final).all()
+            report = qualification_check(ref, problem)
+            assert run.sandwich_passed == (
+                report.support <= run.support <= report.extended_support)
+            assert run.sandwich_first_violation == (
+                None if run.sandwich_passed else run.burn_in)
+            verdicts.append(run.sandwich_passed)
+        if cfg.family == "gaussian-kernel":
+            assert verdicts == [False, False, False, True]
 
     def test_divergence_aborts_naming_instance(self, monkeypatch):
         # with a certified step bound the iteration cannot actually blow

@@ -63,12 +63,9 @@ class TestLinearAssembly:
         gram = assemble_gram_blocks(
             Dataset(X, np.zeros(4)), LinearGroupProjection((2, 3))
         )
-        rebuilt = GramBlocks(
-            blocks=gram.dense(),
-            lipschitz=gram.lipschitz,
-            group_dims=gram.group_dims,
-        )
+        rebuilt = GramBlocks(blocks=gram.dense(), lipschitz=gram.lipschitz)
         assert rebuilt.n_groups == 2
+        assert rebuilt.group_dims is None
 
     def test_factored_without_dense_blocks(self, rng):
         X = rng.standard_normal((6, 5))

@@ -18,7 +18,7 @@ from sparsemkl import (
     qualification_check,
     solve,
 )
-from sparsemkl.oracle import MAX_ENUM_GROUPS
+from sparsemkl.oracle import MAX_ENUM_GROUPS, _block_minimize
 
 from _fixtures import group_lasso_instance
 
@@ -115,6 +115,71 @@ class TestBcdSolve:
         prob = group_lasso_instance(2)
         with pytest.raises(OracleFailure):
             bcd_solve(prob, tol=1e-15, max_sweeps=1)
+
+
+def secular_residual(evals, evecs, v, lam, u):
+    """|S(t) - 1| at t = ||u||: zero exactly at the block minimizer."""
+    c = evecs.T @ v
+    d = evals * float(np.linalg.norm(u)) + lam
+    return abs(float((c * c / (d * d)).sum()) - 1.0)
+
+
+class TestBlockMinimize:
+    """The exact block step: min_u lam*||u|| + 0.5*||X u + rho||^2."""
+
+    def test_orthonormal_block_closed_form(self, rng):
+        # X'X = I: u = -(||v|| - lam) v / ||v||, so t = ||u|| = ||v|| - lam;
+        # t is found to a few ulp of ||v||, which is how well S(t) = 1
+        # determines it when t is much smaller than lam
+        evecs, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        v = rng.standard_normal(4)
+        nv = float(np.linalg.norm(v))
+        for lam in (0.01 * nv, 0.5 * nv, 0.999 * nv, (1.0 - 1e-9) * nv):
+            u = _block_minimize(np.ones(4), evecs, v, lam)
+            assert np.abs(u + (nv - lam) / nv * v).max() <= 4e-15 * nv
+            assert abs(float(np.linalg.norm(u)) - (nv - lam)) <= 4e-15 * nv
+
+    def test_ill_conditioned_rank_deficient_block(self, rng):
+        # eigenvalues from 0 to 1e4; v's component in the null space
+        # stays inside the lam-ball, so a finite root exists
+        evals = np.array([0.0, 0.0, 1e-8, 1e-4, 1.0, 1e2, 1e4])
+        for _ in range(50):
+            evecs, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+            rest = rng.standard_normal(5) * 10.0 ** rng.uniform(-3, 3, size=5)
+            lam = 10.0 ** rng.uniform(-3, -0.05) * float(np.linalg.norm(rest))
+            null = rng.standard_normal(2)
+            null *= rng.uniform(0.0, 0.9) * lam / float(np.linalg.norm(null))
+            v = evecs @ np.concatenate([null, rest])
+            u = _block_minimize(evals, evecs, v, lam)
+            assert np.linalg.norm(u) > 0.0
+            assert secular_residual(evals, evecs, v, lam, u) <= 1e-13
+
+    @pytest.mark.parametrize("e", [1e-6, 1e-8, 1e-10])
+    def test_root_where_the_secular_function_is_flat(self, e):
+        # S(t) = 0.5 + 0.5 (1 + 1e-6) / (e t + 1)^2 crosses 1 with slope
+        # about e: rounding in S moves a Newton step by about 1e-16 / e,
+        # far above the step tolerance 1e-15 t ~ 5e-22 / e, so only the
+        # bracket ends the search
+        evals, c = np.array([0.0, e]), np.sqrt([0.5, 0.5 * (1.0 + 1e-6)])
+        u = _block_minimize(evals, np.eye(2), c, 1.0)
+        t = (np.sqrt(1.0 + 1e-6) - 1.0) / e
+        assert float(np.linalg.norm(u)) == pytest.approx(t, rel=1e-9)
+        assert secular_residual(evals, np.eye(2), c, 1.0, u) <= 1e-13
+
+    def test_zero_block_inside_the_ball(self, rng):
+        evecs, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        v = rng.standard_normal(3)
+        nv = float(np.linalg.norm(v))
+        for lam in (nv, 2.0 * nv):
+            u = _block_minimize(np.array([0.5, 1.0, 2.0]), evecs, v, lam)
+            assert np.array_equal(u, np.zeros(3))
+
+    def test_no_finite_root_fails(self):
+        # v lies in the null space of X'X and outside the lam-ball: the
+        # objective decreases along v without bound, S(t) stays > 1
+        with pytest.raises(OracleFailure):
+            _block_minimize(np.array([0.0, 1.0]), np.eye(2),
+                            np.array([2.0, 0.0]), 1.0)
 
 
 class TestOracleAgreement:

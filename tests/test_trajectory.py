@@ -276,12 +276,12 @@ class TestContinuation:
 class TestContinuingReference:
     @pytest.fixture
     def solves(self, monkeypatch):
-        """The solver calls reference_solve makes, as (max_iters, alpha0)."""
+        """The stack rows reference_solve solves, as (max_iters, start)."""
         calls = []
 
-        def spy(problem, config, alpha0=None):
-            calls.append((config.max_iters, alpha0))
-            return solve(problem, config, alpha0)
+        def spy(problems, config, starts):
+            calls.extend((config.max_iters, start) for start in starts)
+            return solve(problems, config, starts)
 
         monkeypatch.setattr(support_module, "solve", spy)
         return calls
