@@ -12,13 +12,13 @@ import numpy as np
 
 from sparsemkl.core import Dataset, ProblemInstance
 from sparsemkl.kernels import GaussianFamily, assemble_gram_blocks
-from sparsemkl.solver import SolverConfig, solve
+from sparsemkl.solver import SolverConfig
 from sparsemkl.support import (
     certificate_norms,
     last_support_change,
     qualification_check,
-    reference_solve,
     sandwich_check,
+    solve_with_reference,
 )
 
 rng = np.random.default_rng(21)
@@ -52,11 +52,12 @@ problem = ProblemInstance(dataset=dataset, gram=gram,
 # All six groups light up immediately, then are shed one by one. The
 # last survivors take thousands of iterations: their certificates are
 # only a few percent below the critical level, and the distance to
-# zero shrinks by tau * lambda * (1 - certificate) per step.
+# zero shrinks by tau * lambda * (1 - certificate) per step. The same
+# call runs the trajectory on, untraced, to the reference used below.
 
 config = SolverConfig(tau_factor=0.8, max_iters=30000, stop_tol=0.0,
                       record_trace=True)
-coeffs, trace = solve(problem, config)
+coeffs, trace, reference = solve_with_reference(problem, config)
 
 sizes = trace.support_sizes()
 print("iteration    support size")
@@ -76,7 +77,6 @@ print(f"settled after iteration {last_support_change(trace)}")
 # Groups well below the level 1 die fast; the one nearest to 1 holds
 # on longest. Certificate norms at the reference solution:
 
-reference = reference_solve(problem, config, trace)
 report = qualification_check(reference, problem)
 print()
 print("group  sigma  certificate")

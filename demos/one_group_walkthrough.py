@@ -41,11 +41,11 @@ problem = ProblemInstance(
 # zero.
 
 tau = 0.5
-state = DualCoefficients(np.ones((1, 1)))
+alpha = DualCoefficients(np.ones((1, 1)))
 print("n    iterate        closed form 0.5^n")
 for n in range(1, 9):
-    # each solve continues the previous one's trajectory by one step
-    alpha, state = solve(problem, SolverConfig(tau_factor=tau, max_iters=n), state)
+    # each solve takes one step from the previous iterate
+    alpha, _ = solve(problem, SolverConfig(tau_factor=tau, max_iters=1), alpha)
     print(f"{n}    {alpha.alpha[0, 0]:.9f}    {0.5 ** n:.9f}")
 
 # ------------------------------------------------------------------

@@ -62,8 +62,8 @@ from .support import (
     certificate_norms,
     last_support_change,
     qualification_check,
-    reference_solve,
     sandwich_check,
+    solve_with_reference,
     support_of,
 )
 
@@ -116,7 +116,7 @@ __all__ = [
     "certificate_norms",
     "last_support_change",
     "qualification_check",
-    "reference_solve",
     "sandwich_check",
+    "solve_with_reference",
     "support_of",
 ]

@@ -40,8 +40,8 @@ from .strata import MAX_LATTICE_GROUPS, verify_lattice
 from .support import (
     last_support_change,
     qualification_check,
-    reference_solve,
     sandwich_check,
+    solve_with_reference,
     support_of,
 )
 
@@ -308,6 +308,8 @@ def _cmd_solve(args):
         solver_kw["max_iters"] = args.iters
     if args.tau_factor is not None:
         solver_kw["tau_factor"] = args.tau_factor
+    if not (0.0 <= args.eps_rel < 1.0):
+        raise ConfigError(f"--eps-rel must lie in [0, 1), got {args.eps_rel!r}")
     config = SolverConfig(record_trace=True, **solver_kw)
 
     config_doc = {
@@ -326,9 +328,8 @@ def _cmd_solve(args):
         return 0
 
     t1 = time.perf_counter()
-    coeffs, trace = solve(problem, config, alpha0)
+    coeffs, trace, reference = solve_with_reference(problem, config, alpha0)
     t2 = time.perf_counter()
-    reference = reference_solve(problem, config, trace)
     report = qualification_check(reference, problem, eps_rel=args.eps_rel)
     burn_in = last_support_change(trace)
     verdict = sandwich_check(trace, report, burn_in)

@@ -23,12 +23,12 @@ import numpy.random  # noqa: F401
 from .core import Dataset, DualCoefficients, ProblemInstance
 from .errors import ContractViolation, DivergenceError
 from .kernels import GaussianFamily, LinearGroupProjection, assemble_gram_blocks
-from .solver import SolverConfig, solve
+from .solver import SolverConfig
 from .support import (
     last_support_change,
     qualification_check,
-    reference_solve,
     sandwich_check,
+    solve_with_reference,
     support_of,
 )
 
@@ -283,9 +283,9 @@ def _row_bytes(config):
         gram = 2 * 8 * config.G * config.m * max(config.group_dims)
     else:
         gram = 8 * config.G * config.m * config.m
-    # per iteration: a support row of G bools, an objective, a step
-    # norm and an iteration number
-    return gram + config.iters * (config.G + 24)
+    # per iteration: a support row of G bools, an objective and a step
+    # norm
+    return gram + config.iters * (config.G + 16)
 
 
 def _chunks(config, jobs):
@@ -307,8 +307,7 @@ def _run_chunk(config, indices, keep_traces):
         stop_tol=0.0, record_trace=True,
     )
     try:
-        coeffs, traces = solve(problems, solver_cfg)
-        references = reference_solve(problems, solver_cfg, traces)
+        coeffs, traces, references = solve_with_reference(problems, solver_cfg)
     except DivergenceError as err:
         if len(indices) == 1:
             raise DivergenceError(
@@ -340,10 +339,7 @@ def _run_chunk(config, indices, keep_traces):
             burn_in=burn_in,
             final_step_norm=trace.final_step_norm,
         )
-        # the problem dies with this chunk, so the end state that would
-        # let a solve continue the trace could never be used
-        kept = dataclasses.replace(trace, _end=None) if keep_traces else None
-        outcomes.append((record, kept))
+        outcomes.append((record, trace if keep_traces else None))
     return outcomes
 
 
@@ -351,8 +347,9 @@ def run_batch(config, jobs=1, keep_traces=True):
     """Generate, solve, and certify every instance of a batch.
 
     Instances go in chunks of consecutive indices. Each chunk is
-    generated when it is reached, and its production solves and then
-    its reference solves run as one stack each (see :func:`solve`). A
+    generated when it is reached, and its production solves and their
+    reference runs go through one stacked loop (see
+    :func:`~sparsemkl.support.solve_with_reference`). A
     chunk holds at most `CHUNK_BYTES` of Gram storage and trace buffers
     (at least one instance), so memory does not grow with the batch.
     Each instance's results are bit-identical to solving it alone.
@@ -365,9 +362,7 @@ def run_batch(config, jobs=1, keep_traces=True):
         in index order, so any worker count yields the identical
         BatchResult.
     keep_traces : bool
-        Retain each run's SolveTrace (needed for trace emission); a kept
-        trace holds its records only, not the state a solve could
-        continue from.
+        Retain each run's SolveTrace (needed for trace emission).
 
     Returns
     -------

@@ -15,9 +15,8 @@ match the quantity the convergence statement controls.
 """
 
 import math
-import weakref
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +29,6 @@ __all__ = ["SolverConfig", "SolveTrace", "solve"]
 #: longer than this it splits each row differently from the row alone,
 #: so their step norms are reduced one row at a time to keep the bits.
 _EINSUM_BUFSIZE = 8192
-
-#: Step norm at which a reference solve stops. Every solve remembers the
-#: first iterate whose step reaches it, so a reference can reuse it.
-REFERENCE_STOP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -76,33 +71,11 @@ class SolverConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class _EndState:
-    """Where a trajectory stands after a solve, so that it can go on.
-
-    `problem` is a weak reference, so a kept trace does not keep the
-    Gram blocks alive. `settled` is ``(n, AT)`` for the first iterate
-    whose step norm was at most REFERENCE_STOP_TOL, or None.
-    """
-
-    problem: weakref.ref
-    tau: float
-    from_zero: bool
-    n: int
-    AT: np.ndarray
-    KA: np.ndarray
-    step: float
-    settled: tuple | None
-
-
-@dataclass(frozen=True, eq=False)
 class SolveTrace:
     """Observables recorded while solving.
 
     Attributes
     ----------
-    iterations : (R,) int64 ndarray
-        1-based iteration numbers of the recorded entries; consecutive,
-        as a traced run records every iteration it runs.
     supports : (R, G) bool ndarray
         Support at each recorded iteration: row i, column g is True when
         group g (0-based) is active. Any number of groups can be traced;
@@ -114,57 +87,52 @@ class SolveTrace:
     iters_run : int
         Trajectory index of the returned iterate: the number of
         iterations from the trajectory's start, counting those the
-        exact-cycle exit did not need to compute and, for a run that
-        continues an earlier trace, the earlier run's iterations.
+        exact-cycle exit did not need to compute.
     final_step_norm : float
         Step norm of the last executed iteration; populated even when
         trace recording is off, so budget sufficiency can always be
         judged after the fact.
-
-    The trace also carries its run's exact final state, private and
-    in-process only (it is dropped on pickling), so that
-    :func:`solve` and :func:`~sparsemkl.support.reference_solve` can
-    continue the trajectory instead of replaying it.
     """
 
-    iterations: np.ndarray
     supports: np.ndarray
     objectives: np.ndarray
     step_norms: np.ndarray
     iters_run: int
     final_step_norm: float
-    _end: _EndState | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        it = np.asarray(self.iterations, dtype=np.int64)
         su = np.asarray(self.supports, dtype=bool)
         ob = np.asarray(self.objectives, dtype=np.float64)
         st = np.asarray(self.step_norms, dtype=np.float64)
-        if not (it.shape == ob.shape == st.shape) or it.ndim != 1:
+        if ob.shape != st.shape or ob.ndim != 1:
             raise ContractViolation("trace arrays must share one 1-D shape")
-        if su.ndim != 2 or su.shape[0] != it.shape[0]:
+        if su.ndim != 2 or su.shape[0] != ob.shape[0]:
             raise ContractViolation(
                 "supports must hold one (G,) row per recorded iteration"
             )
         if st.size and st.min() < 0.0:
             raise ContractViolation("step norms must be nonnegative")
-        for arr in (it, su, ob, st):
+        for arr in (su, ob, st):
             arr.setflags(write=False)
-        object.__setattr__(self, "iterations", it)
         object.__setattr__(self, "supports", su)
         object.__setattr__(self, "objectives", ob)
         object.__setattr__(self, "step_norms", st)
         object.__setattr__(self, "iters_run", int(self.iters_run))
         object.__setattr__(self, "final_step_norm", float(self.final_step_norm))
 
-    def __getstate__(self):
-        # a weak reference does not pickle, and the problem it names
-        # would not be the unpickled one anyway
-        return {**self.__dict__, "_end": None}
+    @property
+    def iterations(self):
+        """(R,) int64 ndarray of the records' 1-based iteration numbers.
+
+        A traced run records every iteration it runs, so the records are
+        the last R iterations up to `iters_run`.
+        """
+        return np.arange(self.iters_run - self.n_recorded + 1,
+                         self.iters_run + 1, dtype=np.int64)
 
     @property
     def n_recorded(self):
-        return self.iterations.shape[0]
+        return self.step_norms.shape[0]
 
     @property
     def n_groups(self):
@@ -177,15 +145,6 @@ class SolveTrace:
     def support_sizes(self):
         """Support cardinality per recorded iteration, as an int array."""
         return self.supports.sum(axis=1)
-
-    def _end_state(self, problem, tau_factor):
-        """The final state, if this run solved `problem` at `tau_factor`."""
-        end = self._end
-        if end is None or end.problem() is not problem:
-            return None
-        if end.tau != tau_factor / problem.gram.lipschitz:
-            return None
-        return end
 
 
 def _same_bits(a, b):
@@ -224,13 +183,9 @@ def solve(problem, config, alpha0=None):
     problem : ProblemInstance or list/tuple of ProblemInstance
         The problems of a stack must share G and m.
     config : SolverConfig
-    alpha0 : DualCoefficients or SolveTrace, optional
-        Starting point; defaults to zero. The trace of an earlier run on
-        the same problem at the same `tau_factor` continues that run's
-        trajectory from its exact final state; iteration numbers and
-        `config.max_iters` then count from the trajectory's start. A
-        stack takes a list or tuple of such starts, None for zero, one
-        per problem.
+    alpha0 : DualCoefficients, optional
+        Starting point; defaults to zero. A stack takes a list or tuple
+        of starts, None for zero, one per problem.
 
     Returns
     -------
@@ -248,39 +203,57 @@ def solve(problem, config, alpha0=None):
         under-reports the true operator norm, or data at overflow scale.
         A stack raises for the first row that diverges.
     """
+    stacked, problems, starts = _stack(problem, config, alpha0)
+    coeffs, traces, _ = _solve_stack(problems, config, starts)
+    return (coeffs, traces) if stacked else (coeffs[0], traces[0])
+
+
+def _stack(problem, config, alpha0):
+    """`solve`'s arguments, checked, as (stacked, problems, starts)."""
     if not isinstance(config, SolverConfig):
         raise ContractViolation("config must be a SolverConfig")
     if not isinstance(problem, (list, tuple)):
-        coeffs, traces = _solve_stack([problem], config, [alpha0])
-        return coeffs[0], traces[0]
+        return False, [problem], [alpha0]
     if alpha0 is None:
         alpha0 = [None] * len(problem)
     elif not isinstance(alpha0, (list, tuple)) or len(alpha0) != len(problem):
         raise ContractViolation(
             "a stack's alpha0 must be a list or tuple of one start per problem"
         )
-    return _solve_stack(problem, config, alpha0)
+    return True, problem, alpha0
 
 
 class _Row:
     """One row of a stack: everything but the stacked arrays."""
 
-    __slots__ = ("index", "problem", "apply_each", "lam", "tau", "thr",
-                 "from_zero", "n", "step", "settled", "ck_n", "ck_AT",
-                 "ck_KA", "ck_step", "power", "span", "tile", "keep", "obj",
-                 "steps")
+    __slots__ = ("index", "apply_each", "lam", "tau", "thr", "reference",
+                 "out", "max_iters", "stop", "record", "settle", "n", "step",
+                 "settled", "ck_n", "ck_AT", "ck_KA", "ck_step", "power",
+                 "span", "tile", "keep", "obj", "steps")
 
-    def __init__(self, index, problem, tau, n, step, settled, from_zero):
+    def __init__(self, index, problem, tau, config, reference):
         self.index = index  # place in the stack as given
-        self.problem = problem
         self.apply_each = problem.gram.apply_each
         self.lam = problem.effective_lambda
         self.tau = tau
         self.thr = tau * self.lam
-        self.from_zero = from_zero
-        self.n, self.step, self.settled = n, step, settled
+        # the config the trajectory runs on under once `config` is done
+        self.reference = reference
+        self.out = None  # (coeffs, trace) of the run under `config`
+        self.n, self.step, self.settled = 0, 0.0, None
+        # `settled` keeps the first iterate with a step of at most this;
+        # a step norm is never negative, so a tolerance of -1 never
+        # settles a run, nor stops one
+        self.settle = -1.0 if reference is None else reference.stop_tol
+        self.run(config)
+
+    def run(self, config):
+        """Go on under `config`, with a fresh checkpoint and trace."""
+        self.max_iters = config.max_iters
+        self.stop = config.stop_tol if config.stop_tol > 0.0 else -1.0
+        self.record = config.record_trace
         # Brent's checkpoint; no compare until it first moves
-        self.ck_n, self.ck_AT, self.ck_KA, self.ck_step = n, None, None, None
+        self.ck_n, self.ck_AT, self.ck_KA, self.ck_step = self.n, None, None, None
         self.power = 1
         self.span = self.tile = None
         # one record per iteration; its objective is the penalty plus half
@@ -288,70 +261,77 @@ class _Row:
         self.keep, self.obj, self.steps = bytearray(), array("d"), array("d")
 
 
-def _start(index, problem, config, alpha0):
+def _start(index, problem, config, alpha0, reference):
     """Row `index` of a stack and its starting (AT, KA)."""
     if not isinstance(problem, ProblemInstance):
         raise ContractViolation("problem must be a ProblemInstance")
     gram = problem.gram
     G, m = gram.n_groups, gram.m
-    n, step, settled, from_zero = 0, 0.0, None, alpha0 is None
     if alpha0 is None:
         AT = KA = np.zeros((G, m))
-    elif isinstance(alpha0, SolveTrace):
-        start = alpha0._end_state(problem, config.tau_factor)
-        if start is None:
-            raise ContractViolation(
-                "alpha0 trace does not come from a solve of this problem "
-                "at this tau_factor in this process"
-            )
-        AT, KA = start.AT, start.KA
-        n, step, settled, from_zero = (
-            start.n, start.step, start.settled, start.from_zero
+    elif not isinstance(alpha0, DualCoefficients):
+        raise ContractViolation("alpha0 must be a DualCoefficients")
+    elif alpha0.m != m or alpha0.n_groups != G:
+        raise ContractViolation(
+            f"alpha0 shaped {alpha0.alpha.shape} does not match problem "
+            f"with G={G}, m={m}"
         )
     else:
-        if not isinstance(alpha0, DualCoefficients):
-            raise ContractViolation(
-                "alpha0 must be a DualCoefficients or a SolveTrace"
-            )
-        if alpha0.m != m or alpha0.n_groups != G:
-            raise ContractViolation(
-                f"alpha0 shaped {alpha0.alpha.shape} does not match problem "
-                f"with G={G}, m={m}"
-            )
         AT = np.ascontiguousarray(alpha0.alpha.T)
         KA = gram.apply_each(AT)
+        # only a trajectory from zero goes on into its reference
+        reference = None
     tau = config.tau_factor / gram.lipschitz
-    row = _Row(index, problem, tau, n, step, settled, from_zero)
-    return row, AT, KA
+    return _Row(index, problem, tau, config, reference), AT, KA
 
 
-def _solve_stack(problems, config, starts):
+def _solve_stack(problems, config, starts, reference=None):
+    """Solve a stack; returns (coeffs, traces, references).
+
+    With a `reference` config, a row that starts from zero and has not
+    passed a step norm of `reference.stop_tol` when its run under
+    `config` ends runs on under `reference`, untraced, in the same
+    stack. Its reference is the first iterate with such a step, or the
+    one the reference run ends at. Any other row's reference is None.
+    """
     if not problems:
         raise ContractViolation("a stack needs at least one problem")
-    rows, ATs, KAs = zip(*(_start(i, p, config, a)
+    rows, ATs, KAs = zip(*(_start(i, p, config, a, reference)
                            for i, (p, a) in enumerate(zip(problems, starts))))
     if len({A.shape for A in ATs}) > 1:
         raise ContractViolation("stacked problems must share G and m")
-    record = config.record_trace
-    stop_tol = config.stop_tol
-    max_iters = config.max_iters
     AT, KA = np.stack(ATs), np.stack(KAs)
     Y = np.stack([p.dataset.responses for p in problems])
     one_pass = AT[0].size <= _EINSUM_BUFSIZE
 
     results = [None] * len(rows)
-    done = [j for j, row in enumerate(rows) if row.n >= max_iters]
+    done = []
     Kr = None
     while True:
         if done:
+            gone = []
             for j in done:
-                results[rows[j].index] = _finish(rows[j], AT[j], KA[j], Y[j])
-            sel = [j for j in range(len(rows)) if j not in done]
-            if not sel:
-                break
-            rows = [rows[j] for j in sel]
-            AT, KA, Y = AT[sel], KA[sel], Y[sel]
-            Kr = None
+                row = rows[j]
+                if row.out is not None:  # its reference run ends
+                    ref = AT[j]
+                else:
+                    row.out = _finish(row, AT[j], KA[j], Y[j])
+                    if row.reference is not None and row.settled is None:
+                        row.run(row.reference)
+                        continue
+                    ref = row.settled
+                # DualCoefficients copies: a view would pin the stack
+                results[row.index] = (
+                    *row.out, None if ref is None else DualCoefficients(ref.T)
+                )
+                gone.append(j)
+            if gone:
+                sel = [j for j in range(len(rows)) if j not in gone]
+                if not sel:
+                    break
+                rows = [rows[j] for j in sel]
+                AT, KA, Y = AT[sel], KA[sel], Y[sel]
+                Kr = None
         if Kr is None:  # the stack is new or has shrunk
             Kr = np.empty_like(AT)
             tau = np.array([row.tau for row in rows])[:, None, None]
@@ -395,14 +375,14 @@ def _solve_stack(problems, config, starts):
         done = []
         for j, (row, s) in enumerate(zip(rows, step_sq)):
             row.step = step = math.sqrt(max(s, 0.0))
-            if row.settled is None and step <= REFERENCE_STOP_TOL:
-                row.settled = (row.n, AT[j].copy())
-            if record:
+            if step <= row.settle and row.settled is None:
+                row.settled = AT[j].copy()
+            if row.record:
                 row.keep += keep[j].tobytes()
                 # surviving blocks have kernel norm nu - thr by construction
                 row.obj.append(row.lam * (nu[j][keep[j]] - row.thr).sum())
                 row.steps.append(step)
-            if stop_tol > 0.0 and step <= stop_tol:
+            if step <= row.stop:
                 done.append(j)
                 continue
             if row.span is None:
@@ -411,8 +391,8 @@ def _solve_stack(problems, config, starts):
                     # state n + skip equals state n; the final record and
                     # step come from the last iteration, always computed
                     row.span = span = row.n - row.ck_n
-                    skip = max(0, (max_iters - 1 - row.n) // span) * span
-                    if skip and record:
+                    skip = max(0, (row.max_iters - 1 - row.n) // span) * span
+                    if skip and row.record:
                         row.tile = (len(row.steps), skip // span)
                     row.n += skip
                 elif row.n - row.ck_n == row.power:
@@ -420,14 +400,13 @@ def _solve_stack(problems, config, starts):
                     row.ck_n, row.ck_step = row.n, step
                     row.ck_AT, row.ck_KA = AT[j].copy(), KA[j].copy()
                     row.power *= 2
-            if row.n >= max_iters:
+            if row.n >= row.max_iters:
                 done.append(j)
-    return tuple(c for c, _ in results), tuple(t for _, t in results)
+    return tuple(zip(*results))
 
 
 def _finish(row, AT, KA, y):
-    """One row's result, copied out so that it does not pin the stack."""
-    n = row.n
+    """One row's (coeffs, trace), copied out so as not to pin the stack."""
     if row.obj:
         r = KA.sum(axis=0) - y
         row.obj[-1] += 0.5 * (r @ r)
@@ -441,19 +420,11 @@ def _finish(row, AT, KA, y):
             np.concatenate([a[:k]] + [a[k - span:k]] * reps + [a[k:]])
             for a in (keep_rows, objectives, step_norms)
         )
-    iterations = np.arange(n - len(step_norms) + 1, n + 1)
-    AT, KA = AT.copy(), KA.copy()
     trace = SolveTrace(
-        iterations=iterations,
         supports=keep_rows,
         objectives=objectives,
         step_norms=step_norms,
-        iters_run=n,
+        iters_run=row.n,
         final_step_norm=row.step,
-        _end=_EndState(
-            problem=weakref.ref(row.problem), tau=row.tau,
-            from_zero=row.from_zero, n=n, AT=AT, KA=KA, step=row.step,
-            settled=row.settled,
-        ),
     )
-    return DualCoefficients(np.ascontiguousarray(AT.T)), trace
+    return DualCoefficients(AT.T), trace

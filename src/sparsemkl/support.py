@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import DualCoefficients, residual
 from .errors import ContractViolation
-from .solver import REFERENCE_STOP_TOL, SolverConfig, SolveTrace, solve
+from .solver import SolverConfig, SolveTrace, _solve_stack, _stack, solve
 
 __all__ = [
     "SupportReport",
@@ -26,14 +26,16 @@ __all__ = [
     "qualification_check",
     "sandwich_check",
     "last_support_change",
-    "reference_solve",
+    "solve_with_reference",
 ]
 
 #: Default relative tolerance band around the certificate level 1.
 DEFAULT_EPS_REL = 1e-4
 
-#: A reference solve runs for this many times the production budget.
+#: A reference run goes on for this many times the production budget,
+#: or until its step norm falls to REFERENCE_STOP_TOL.
 REFERENCE_BUDGET_FACTOR = 10
+REFERENCE_STOP_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,77 +243,52 @@ def last_support_change(trace):
     return int(trace.iterations[changed[-1] + 1])
 
 
-def reference_solve(problem, config, trace=None):
-    """Well-converged same-family reference for identification checks.
+def solve_with_reference(problem, config, alpha0=None):
+    """Solve, and take a well-converged reference of the same trajectory.
 
-    The reference is the solver's own trajectory from zero at
-    `config.tau_factor`, run for `REFERENCE_BUDGET_FACTOR` (10) times the
-    configured iteration budget or until the step norm falls to 1e-12
-    (`REFERENCE_STOP_TOL`). This is deliberately a same-algorithm
-    reference; independent ground truth lives in the oracle module.
+    The solve is :func:`~sparsemkl.solver.solve`'s. The reference is the
+    solver's own trajectory from zero at `config.tau_factor`, run for
+    `REFERENCE_BUDGET_FACTOR` (10) times the configured iteration budget
+    or until the step norm falls to `REFERENCE_STOP_TOL` (1e-12). This is
+    deliberately a same-algorithm reference for identification checks;
+    independent ground truth lives in the oracle module.
+
+    A run from zero is not replayed: when it has passed a step norm of at
+    most 1e-12, that iterate is the reference, and otherwise its row runs
+    on, untraced, in the same stacked loop until the reference rule
+    stops it. A warm-started run's reference is a separate solve from
+    zero. Either way the reference is bit-identical to the replay from
+    zero.
 
     Parameters
     ----------
-    problem : ProblemInstance or list/tuple of ProblemInstance
-        A list or tuple is referenced as one stack: the trajectories
-        that must run go through one stacked solve.
-    config : SolverConfig
-    trace : SolveTrace, optional
-        Trace of the production run. If that run started from zero on
-        this problem at this `tau_factor`, its trajectory is not
-        replayed: when it already passed a step norm of at most 1e-12
-        within the reference budget, that iterate is the reference, and
-        otherwise the iteration continues from the run's final state.
-        With no such trace the trajectory is replayed from zero. Either
-        way the result is bit-identical to the replay. A stack takes a
-        list or tuple of traces (or None), one per problem.
+    problem, config, alpha0
+        As for :func:`~sparsemkl.solver.solve`; a list or tuple of
+        problems is solved as one stack.
 
     Returns
     -------
-    DualCoefficients
-        For a stack, a tuple with one per problem.
-
-    Notes
-    -----
-    When the iteration continues, the inner solve's trace reports
-    `iters_run` as the trajectory index of the returned iterate, which
-    counts the production run's iterations too.
+    coeffs : DualCoefficients
+    trace : SolveTrace
+        As :func:`~sparsemkl.solver.solve` returns them.
+    reference : DualCoefficients
+        For a stack, each of the three is a tuple with one entry per
+        problem.
     """
-    if not isinstance(config, SolverConfig):
-        raise ContractViolation("config must be a SolverConfig")
-    stacked = isinstance(problem, (list, tuple))
-    problems, traces = (list(problem), trace) if stacked else ([problem], [trace])
-    if traces is None:
-        traces = [None] * len(problems)
-    elif isinstance(traces, (list, tuple)) and len(traces) == len(problems):
-        traces = list(traces)
-    else:
-        raise ContractViolation("a stack needs a list or tuple of traces, "
-                                "one per problem")
-    if any(t is not None and not isinstance(t, SolveTrace) for t in traces):
-        raise ContractViolation("trace must be a SolveTrace")
+    stacked, problems, starts = _stack(problem, config, alpha0)
     ref_cfg = SolverConfig(
         tau_factor=config.tau_factor,
         max_iters=config.max_iters * REFERENCE_BUDGET_FACTOR,
         stop_tol=REFERENCE_STOP_TOL,
         record_trace=False,
     )
-    refs = [None] * len(problems)
-    todo, starts = [], []
-    for i, (prob, tr) in enumerate(zip(problems, traces)):
-        end = None if tr is None else tr._end_state(prob, config.tau_factor)
-        start = None
-        if end is not None and end.from_zero:
-            # a settled iterate comes no later than the run's final state
-            if end.settled is not None and end.settled[0] <= ref_cfg.max_iters:
-                refs[i] = DualCoefficients(np.ascontiguousarray(end.settled[1].T))
-                continue
-            if end.n <= ref_cfg.max_iters:
-                start = tr
-        todo.append(i)
-        starts.append(start)
+    coeffs, traces, refs = _solve_stack(problems, config, starts, ref_cfg)
+    refs = list(refs)
+    todo = [i for i, ref in enumerate(refs) if ref is None]
     if todo:
-        coeffs, _ = solve([problems[i] for i in todo], ref_cfg, starts)
-        for i, c in zip(todo, coeffs):
-            refs[i] = c
-    return tuple(refs) if stacked else refs[0]
+        replayed, _ = solve([problems[i] for i in todo], ref_cfg)
+        for i, ref in zip(todo, replayed):
+            refs[i] = ref
+    if stacked:
+        return coeffs, traces, tuple(refs)
+    return coeffs[0], traces[0], refs[0]

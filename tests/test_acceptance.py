@@ -24,8 +24,8 @@ from sparsemkl.strata import verify_lattice
 from sparsemkl.support import (
     last_support_change,
     qualification_check,
-    reference_solve,
     sandwich_check,
+    solve_with_reference,
     support_of,
 )
 
@@ -50,8 +50,7 @@ class BatteryRun:
     sandwich: object
 
 
-def _identify(problem, config, trace):
-    reference = reference_solve(problem, config)
+def _identify(problem, trace, reference):
     report = qualification_check(reference, problem)
     burn_in = last_support_change(trace)
     return report, burn_in, sandwich_check(trace, report, burn_in)
@@ -61,8 +60,8 @@ def _identify(problem, config, trace):
 def gl_battery():
     """Solve, enumerate, and identify the 100-instance battery.
 
-    Returns (runs, timings): timings has the solve+oracle phase and the
-    identification phase separately, since criteria 2 and 3 meter them
+    Returns (runs, timings): timings has the solve, reference and oracle
+    phase and the identification phase separately, since criteria 2 and 3 meter them
     against different budgets.
     """
     config = SolverConfig(
@@ -72,12 +71,13 @@ def gl_battery():
     solved = []
     for i in range(N_GROUP_LASSO):
         problem = group_lasso_instance(i)
-        coeffs, trace = solve(problem, config)
-        solved.append((problem, coeffs, trace, enumerate_solve(problem)))
+        coeffs, trace, reference = solve_with_reference(problem, config)
+        solved.append((problem, coeffs, trace, reference,
+                       enumerate_solve(problem)))
     t1 = time.perf_counter()
     runs = []
-    for problem, coeffs, trace, enum in solved:
-        report, burn_in, verdict = _identify(problem, config, trace)
+    for problem, coeffs, trace, reference, enum in solved:
+        report, burn_in, verdict = _identify(problem, trace, reference)
         runs.append(BatteryRun(
             problem, coeffs, trace, enum, report, burn_in, verdict,
         ))
@@ -100,8 +100,8 @@ def gaussian_battery():
     runs = []
     for i in range(N_GAUSSIAN):
         problem = gaussian_sandwich_instance(i)
-        coeffs, trace = solve(problem, config)
-        report, burn_in, verdict = _identify(problem, config, trace)
+        coeffs, trace, reference = solve_with_reference(problem, config)
+        report, burn_in, verdict = _identify(problem, trace, reference)
         runs.append(BatteryRun(
             problem, coeffs, trace, None, report, burn_in, verdict,
         ))
@@ -156,13 +156,13 @@ def test_criterion_1_one_group_example_exact():
     tau = 0.5
     start = DualCoefficients(np.ones((1, 1)))
 
-    state = start
+    alpha = start
     worst = 0.0
+    # the exact bound L = 1 makes tau_factor = tau * L the step size itself
+    step = SolverConfig(tau_factor=tau * problem.gram.lipschitz, max_iters=1)
     for n in range(1, 51):
-        # each solve continues the previous one's trajectory; the exact
-        # bound L = 1 makes tau_factor = tau * L the step size itself
-        step = SolverConfig(tau_factor=tau * problem.gram.lipschitz, max_iters=n)
-        alpha, state = solve(problem, step, state)
+        # each solve takes one step from the previous iterate
+        alpha, _ = solve(problem, step, alpha)
         value = float(alpha.alpha[0, 0])
         exact = (1.0 - tau) ** n
         worst = max(worst, abs(value - exact) / exact)

@@ -201,6 +201,25 @@ def test_solve_rejects_bad_flag_values(tmp_path, capsys):
         assert err.startswith("error:"), extra
 
 
+def test_solve_rejects_bad_eps_rel_before_solving(tmp_path, capsys,
+                                                  monkeypatch):
+    # outside [0, 1) is rejected by a dry run too, and before any solve
+    import sparsemkl.cli as cli
+
+    def no_solve(*args):
+        raise AssertionError("solved before --eps-rel was checked")
+
+    monkeypatch.setattr(cli, "solve_with_reference", no_solve)
+    base = ["solve", "--example", "paper-1d", "--out-dir", str(tmp_path)]
+    for value in ("2", "1", "-0.5", "nan"):
+        for dry in ([], ["--dry-run"]):
+            rc, out, err = run_cli(base + ["--eps-rel", value] + dry, capsys)
+            assert rc == 1, (value, dry)
+            assert "--eps-rel" in err, (value, dry)
+            assert out == "", (value, dry)
+    assert not (tmp_path / "report.txt").exists()
+
+
 def test_unknown_flag_exits_one(tmp_path, capsys):
     # --seed and --jobs are batch flags; verify takes none of the
     # problem flags either
@@ -414,6 +433,29 @@ def test_batch_trace_matches_recorded_output(tmp_path, capsys):
             want["run"], want["iter"], want["support"]
         )
         assert row["objective"] == pytest.approx(want["objective"], rel=1e-12)
+
+
+@pytest.mark.parametrize("argv, golden", [
+    # instances 1 and 4-7 settle within the 600 iterations, 0, 2 and 3
+    # run on into their references
+    (["--preset", "group-lasso-paper", "--instances", "8", "--iters", "600"],
+     "summary_group_lasso_8x600.json"),
+    # every reference runs on past the 300 production iterations
+    (["--preset", "gaussian-kernel-paper", "--instances", "4",
+      "--iters", "300"],
+     "summary_gaussian_4x300.json"),
+], ids=["group-lasso", "gaussian"])
+def test_batch_summary_matches_recorded_output(tmp_path, capsys, argv, golden):
+    # tests/data holds these commands' summary.json, reference-dependent
+    # fields (qc_margin, sandwich_*, burn_in) included
+    data = Path(__file__).parent / "data"
+    out_dir = tmp_path / "out"
+    rc, _, _ = run_cli(
+        ["batch"] + argv + ["--seed", "0", "--out-dir", str(out_dir)], capsys,
+    )
+    assert rc == 0
+    assert ((out_dir / "summary.json").read_bytes()
+            == (data / golden).read_bytes())
 
 
 def test_batch_preset_dry_run(capsys):

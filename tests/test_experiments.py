@@ -20,9 +20,9 @@ from sparsemkl import (
     instance_seed,
     load_histogram,
     qualification_check,
-    reference_solve,
     residual,
     run_batch,
+    solve_with_reference,
     support_of,
 )
 
@@ -193,7 +193,7 @@ class TestRunBatch:
         cfg = preset(n_instances=4, master_seed=3, iters=1000)
         res = run_batch(cfg)
         problems = [generate_instance(cfg, i)[0] for i in range(4)]
-        refs = reference_solve(problems, SolverConfig(
+        _, _, refs = solve_with_reference(problems, SolverConfig(
             tau_factor=cfg.tau_factor, max_iters=cfg.iters))
         verdicts = []
         for run, trace, problem, ref in zip(res.per_run, res.traces,
@@ -219,7 +219,8 @@ class TestRunBatch:
         def exploding_solve(problem, config, alpha0=None):
             raise DivergenceError(3)
 
-        monkeypatch.setattr(experiments, "solve", exploding_solve)
+        monkeypatch.setattr(experiments, "solve_with_reference",
+                            exploding_solve)
         with pytest.raises(DivergenceError, match="instance 0") as exc:
             run_batch(small_gl_config(), keep_traces=False)
         assert exc.value.iteration == 3
@@ -264,14 +265,16 @@ class TestChunkedBatch:
                         <= experiments.CHUNK_BYTES)
 
     def test_trace_buffers_count_toward_the_cap(self):
-        # at the preset's own budget one row's traces exceed the cap
+        # at the preset's own budget one row's traces and Gram stack
+        # exceed the cap, though its Gram stack alone does not
         cfg = gaussian_preset(8, iters=50000)
-        assert 50000 * (cfg.G + 24) > experiments.CHUNK_BYTES
+        assert 8 * cfg.G * cfg.m * cfg.m < experiments.CHUNK_BYTES
+        assert experiments._row_bytes(cfg) > experiments.CHUNK_BYTES
         assert [len(c) for c in experiments._chunks(cfg, 1)] == [1] * 8
         # tiny Grams, long traces: the traces set the chunk size
         cfg = small_gl_config(n_instances=8, iters=20000)
         assert 8 * 8 * cfg.G * cfg.m * 2 < experiments.CHUNK_BYTES
-        assert [len(c) for c in experiments._chunks(cfg, 1)] == [2, 3, 3]
+        assert [len(c) for c in experiments._chunks(cfg, 1)] == [4, 4]
 
     @staticmethod
     def batch_peak(cfg, keep_traces=False):
@@ -299,12 +302,12 @@ class TestChunkedBatch:
     def test_kept_traces_hold_their_records_only(self):
         result, held, _ = self.batch_peak(gaussian_preset(8),
                                           keep_traces=True)
-        assert all(trace._end is None for trace in result.traces)
         records = sum(
             getattr(trace, name).nbytes for trace in result.traces
-            for name in ("iterations", "supports", "objectives", "step_norms")
+            for name in ("supports", "objectives", "step_norms")
         )
-        # an end state would add 16 kB per trace, more than its records
+        # a trace that also held its run's final (G, m) state would add
+        # 16 kB, more than its records
         assert held < 1.5 * records
 
     def test_divergence_names_the_first_instance_whatever_the_chunks(
@@ -312,7 +315,7 @@ class TestChunkedBatch:
         # instances 2 and 4 diverge; chunks of 1, 3 and 6 all name 2
         cfg = small_gl_config()
         bad = {generate_instance(cfg, i)[0].lam: i for i in (2, 4)}
-        real_solve = experiments.solve
+        real_solve = experiments.solve_with_reference
 
         def solve(problem, config, alpha0=None):
             rows = problem if isinstance(problem, list) else [problem]
@@ -321,7 +324,7 @@ class TestChunkedBatch:
                 raise DivergenceError(10 + max(hits))
             return real_solve(problem, config, alpha0)
 
-        monkeypatch.setattr(experiments, "solve", solve)
+        monkeypatch.setattr(experiments, "solve_with_reference", solve)
         per_instance = experiments._row_bytes(cfg)
         for size in (1, 3, 6):
             monkeypatch.setattr(experiments, "CHUNK_BYTES",

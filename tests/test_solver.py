@@ -24,8 +24,8 @@ from sparsemkl.experiments import write_trace_rows
 from sparsemkl.support import (
     last_support_change,
     qualification_check,
-    reference_solve,
     sandwich_check,
+    solve_with_reference,
 )
 
 from _fixtures import coeffs_like, group_lasso_instance, one_dim_problem
@@ -151,10 +151,10 @@ class TestSolveScalarExample:
         assert np.array_equal(trace.iterations, np.arange(1, 21))
 
     def test_iterate_path_matches_closed_form(self, one_d):
-        state = DualCoefficients(np.ones((1, 1)))
+        c = DualCoefficients(np.ones((1, 1)))
         for n in range(1, 51):
-            # each solve continues the previous one's trajectory
-            c, state = solve(one_d, SolverConfig(tau_factor=0.5, max_iters=n), state)
+            # each solve takes one step from the previous iterate
+            c, _ = solve(one_d, SolverConfig(tau_factor=0.5, max_iters=1), c)
             assert c.alpha[0, 0] == pytest.approx(0.5**n, rel=1e-12)
             assert support_of(c) == {0}
 
@@ -327,10 +327,9 @@ class TestRepresenterEquivalence:
         alpha = DualCoefficients(rng.standard_normal((m, G)))
         w = np.concatenate([X[:, sl].T @ alpha.alpha[:, g] for g, sl in enumerate(slices)])
 
-        state = alpha
+        cfg = SolverConfig(tau_factor=0.8, max_iters=1)
         for n in range(1, 51):
-            cfg = SolverConfig(tau_factor=0.8, max_iters=n)
-            alpha, state = solve(prob, cfg, state)
+            alpha, _ = solve(prob, cfg, alpha)
             grad = X.T @ (X @ w - y)
             z = w - tau * grad
             w_next = np.zeros(p)
@@ -386,7 +385,7 @@ class TestTrace:
         prob = ProblemInstance(dataset=dataset, gram=gram,
                                lam=0.5 * float(certs.max()))
         cfg = SolverConfig(tau_factor=0.8, max_iters=400)
-        coeffs, trace = solve(prob, cfg)
+        coeffs, trace, reference = solve_with_reference(prob, cfg)
 
         rows = trace.supports
         assert rows.shape == (400, G) and rows.dtype == bool
@@ -401,7 +400,7 @@ class TestTrace:
         i = int(np.searchsorted(trace.iterations, burn))
         assert (rows[i:] == rows[-1]).all()
         assert burn == 1 or (rows[i - 1] != rows[i]).any()
-        report = qualification_check(reference_solve(prob, cfg, trace), prob)
+        report = qualification_check(reference, prob)
         assert sandwich_check(trace, report, burn).passed
 
         out = io.StringIO()

@@ -13,9 +13,8 @@ from sparsemkl import (
     dual_stratum_of,
     primal_stratum_of,
     qualification_check,
-    reference_solve,
     sandwich_check,
-    solve,
+    solve_with_reference,
     last_support_change,
     stratum_leq,
     transfer_JR,
@@ -190,8 +189,7 @@ class TestIdentificationOnTraces:
         # the set-inclusion sandwich on every recorded iterate
         prob = group_lasso_instance(index)
         cfg = SolverConfig(tau_factor=0.8, max_iters=2500)
-        _, trace = solve(prob, cfg)
-        ref = reference_solve(prob, cfg)
+        _, trace, ref = solve_with_reference(prob, cfg)
         report = qualification_check(ref, prob)
 
         s_bar = PrimalStratum.from_support(report.support, prob.n_groups)

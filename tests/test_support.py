@@ -11,10 +11,10 @@ from sparsemkl import (
     certificate_norms,
     last_support_change,
     qualification_check,
-    reference_solve,
     residual,
     sandwich_check,
     solve,
+    solve_with_reference,
     support_of,
 )
 
@@ -26,9 +26,9 @@ class TestSupportOf:
         assert support_of(DualCoefficients.zeros(4, 3)) == frozenset()
 
     def test_scalar_example_iterates(self, one_d):
-        state = DualCoefficients(np.ones((1, 1)))
+        c = DualCoefficients(np.ones((1, 1)))
         for n in range(1, 31):
-            c, state = solve(one_d, SolverConfig(tau_factor=0.5, max_iters=n), state)
+            c, _ = solve(one_d, SolverConfig(tau_factor=0.5, max_iters=1), c)
             assert support_of(c) == {0}
 
     def test_equals_positive_dual_norm_groups(self):
@@ -164,8 +164,8 @@ class TestSandwichCheck:
     def test_long_reference_sandwich_on_random_instance(self):
         prob = group_lasso_instance(13)
         cfg = SolverConfig(tau_factor=0.8, max_iters=2000)
-        _, trace = solve(prob, cfg)
-        report = qualification_check(reference_solve(prob, cfg), prob)
+        _, trace, ref = solve_with_reference(prob, cfg)
+        report = qualification_check(ref, prob)
         burn = last_support_change(trace)
         assert sandwich_check(trace, report, burn).passed
 
@@ -222,7 +222,7 @@ class TestBurnInAndReference:
     def test_reference_is_converged(self):
         prob = group_lasso_instance(20)
         cfg = SolverConfig(tau_factor=0.8, max_iters=5000)
-        ref = reference_solve(prob, cfg)
+        _, _, ref = solve_with_reference(prob, cfg)
         moved, _ = solve(prob, SolverConfig(tau_factor=0.8, max_iters=1), ref)
         d = moved.alpha - ref.alpha
         h_sq = float(prob.gram.quad(d).sum())

@@ -1,5 +1,5 @@
 """One trajectory per problem: the solver's exact-cycle exit and the
-reference solve that continues the production run.
+reference that the production run goes on into.
 
 Both shortcuts claim bit-identical results, so every comparison here is
 bitwise. The oracle is a plain replica of the solver's arithmetic that
@@ -20,9 +20,11 @@ from sparsemkl import (
     ExperimentConfig,
     SolverConfig,
     generate_instance,
-    reference_solve,
+    run_batch,
     solve,
+    solve_with_reference,
 )
+from sparsemkl.experiments import _chunks
 from sparsemkl import solver as solver_module
 from sparsemkl import support as support_module
 
@@ -243,111 +245,109 @@ class TestTraceMemory:
 
 
 class TestContinuation:
-    def test_continuing_a_trace_gives_the_uninterrupted_run(self,
-                                                            preset_problems):
-        problem = preset_problems[2]
-        _, first = solve(problem, SolverConfig(max_iters=300))
-        config = SolverConfig(max_iters=2000)
-        coeffs, trace = solve(problem, config, alpha0=first)
-        full = replica(problem, config)
-        tail = full["iterations"] > 300
-        assert same_bits(coeffs.alpha, full["alpha"])
-        for name in ("iterations", "supports", "objectives", "step_norms"):
-            assert same_bits(getattr(trace, name), full[name][tail]), name
-        assert trace.iters_run == 2000
-
     def test_trace_of_another_problem_is_rejected(self, preset_problems):
+        # a trace holds records only, so no trace is a start, not even
+        # one of the same problem
         _, trace = solve(preset_problems[0], SolverConfig(max_iters=5))
-        with pytest.raises(ContractViolation):
-            solve(preset_problems[4], SolverConfig(max_iters=10), alpha0=trace)
-        with pytest.raises(ContractViolation):
-            solve(preset_problems[0], SolverConfig(max_iters=10, tau_factor=0.5),
-                  alpha0=trace)
+        for problem in (preset_problems[4], preset_problems[0]):
+            with pytest.raises(ContractViolation):
+                solve(problem, SolverConfig(max_iters=10), alpha0=trace)
+            with pytest.raises(ContractViolation):
+                solve_with_reference(problem, SolverConfig(max_iters=10),
+                                     alpha0=trace)
 
     def test_pickled_trace_keeps_records_but_not_state(self, preset_problems):
         problem = preset_problems[0]
         _, trace = solve(problem, SolverConfig(max_iters=50))
         copy = pickle.loads(pickle.dumps(trace))
-        assert same_bits(copy.objectives, trace.objectives)
-        with pytest.raises(ContractViolation):
-            solve(problem, SolverConfig(max_iters=60), alpha0=copy)
+        for name in ("iterations", "supports", "objectives", "step_norms"):
+            assert same_bits(getattr(copy, name), getattr(trace, name)), name
+        assert set(vars(copy)) == {"supports", "objectives", "step_norms",
+                                   "iters_run", "final_step_norm"}
+
+
+def replay(problem, n, tau_factor=0.8):
+    """The reference rule run from zero: 10x the budget n, stop at 1e-12."""
+    config = SolverConfig(tau_factor=tau_factor, max_iters=10 * n,
+                          stop_tol=1e-12, record_trace=False)
+    return solve(problem, config)[0]
 
 
 class TestContinuingReference:
     @pytest.fixture
-    def solves(self, monkeypatch):
-        """The stack rows reference_solve solves, as (max_iters, start)."""
+    def loops(self, monkeypatch):
+        """The stacks entering the stacked loop, as their row counts."""
         calls = []
+        original = solver_module._solve_stack
 
-        def spy(problems, config, starts):
-            calls.extend((config.max_iters, start) for start in starts)
-            return solve(problems, config, starts)
+        def spy(problems, *args):
+            calls.append(len(problems))
+            return original(problems, *args)
 
-        monkeypatch.setattr(support_module, "solve", spy)
+        monkeypatch.setattr(solver_module, "_solve_stack", spy)
+        monkeypatch.setattr(support_module, "_solve_stack", spy)
         return calls
 
-    @staticmethod
-    def replay(problem, n, tau_factor=0.8):
-        config = SolverConfig(tau_factor=tau_factor, max_iters=10 * n,
-                              stop_tol=1e-12, record_trace=False)
-        return solve(problem, config)[0]
-
-    def test_settled_production_run_is_reused(self, preset_problems, solves):
+    def test_settled_production_run_is_reused(self, preset_problems, loops):
         problem = preset_problems[4]
         config = SolverConfig(max_iters=5000)
-        _, trace = solve(problem, config)
-        ref = reference_solve(problem, config, trace)
-        assert solves == []
-        assert same_bits(ref.alpha, self.replay(problem, 5000).alpha)
+        _, trace, ref = solve_with_reference(problem, config)
+        assert loops == [1]
+        assert trace.iters_run == 5000 and trace.step_norms.min() <= 1e-12
+        assert same_bits(ref.alpha, replay(problem, 5000).alpha)
 
-    def test_unsettled_production_run_is_continued(self, solves):
+    def test_unsettled_production_run_is_continued(self, loops):
         config = ExperimentConfig.gaussian_kernel_paper(
             n_instances=1, master_seed=0, iters=300,
         )
         problem, _ = generate_instance(config, 0)
         solver_cfg = SolverConfig(max_iters=300)
-        _, trace = solve(problem, solver_cfg)
-        ref = reference_solve(problem, solver_cfg, trace)
-        assert solves == [(3000, trace)]
-        assert same_bits(ref.alpha, self.replay(problem, 300).alpha)
+        coeffs, trace, ref = solve_with_reference(problem, solver_cfg)
+        assert loops == [1]
+        assert trace.final_step_norm > 1e-12
+        assert same_bits(ref.alpha, replay(problem, 300).alpha)
+        # the production run is untouched by the reference run after it
+        alone, alone_trace = solve(problem, solver_cfg)
+        assert same_bits(coeffs.alpha, alone.alpha)
+        for name in ("iterations", "supports", "objectives", "step_norms"):
+            assert same_bits(getattr(trace, name),
+                             getattr(alone_trace, name)), name
 
     def test_run_stopped_on_stop_tol_is_continued(self, preset_problems,
-                                                  solves):
+                                                  loops):
         problem = preset_problems[0]
         config = SolverConfig(max_iters=5000, stop_tol=1e-9)
-        _, trace = solve(problem, config)
+        _, trace, ref = solve_with_reference(problem, config)
+        assert loops == [1]
         assert trace.iters_run < 5000 and trace.final_step_norm > 1e-12
-        ref = reference_solve(problem, config, trace)
-        assert solves == [(50000, trace)]
-        assert same_bits(ref.alpha, self.replay(problem, 5000).alpha)
+        assert same_bits(ref.alpha, replay(problem, 5000).alpha)
 
-    def test_warm_started_run_is_replayed(self, preset_problems, solves):
+    def test_warm_started_run_is_replayed(self, preset_problems, loops):
         problem = preset_problems[2]
         warm, _ = solve(problem, SolverConfig(max_iters=40, record_trace=False))
+        loops.clear()
         config = SolverConfig(max_iters=500)
-        _, trace = solve(problem, config, alpha0=warm)
-        ref = reference_solve(problem, config, trace)
-        assert solves == [(5000, None)]
-        assert same_bits(ref.alpha, self.replay(problem, 500).alpha)
+        coeffs, trace, ref = solve_with_reference(problem, config, warm)
+        # the warm-started run, then the reference from zero
+        assert loops == [1, 1]
+        assert_matches_replica(coeffs, trace, replica(problem, config, warm))
+        assert same_bits(ref.alpha, replay(problem, 500).alpha)
 
-    def test_other_tau_factor_is_replayed(self, preset_problems, solves):
-        problem = preset_problems[0]
-        _, trace = solve(problem, SolverConfig(max_iters=500, tau_factor=0.5))
-        config = SolverConfig(max_iters=500)
-        ref = reference_solve(problem, config, trace)
-        assert solves == [(5000, None)]
-        assert same_bits(ref.alpha, self.replay(problem, 500).alpha)
-
-    def test_no_trace_is_replayed(self, preset_problems, solves):
+    def test_reference_runs_at_the_configured_tau_factor(self,
+                                                         preset_problems):
         problem = preset_problems[0]
         config = SolverConfig(max_iters=500, tau_factor=0.5)
-        ref = reference_solve(problem, config)
-        assert solves == [(5000, None)]
-        assert same_bits(ref.alpha, self.replay(problem, 500, 0.5).alpha)
+        _, _, ref = solve_with_reference(problem, config)
+        assert same_bits(ref.alpha, replay(problem, 500, 0.5).alpha)
+        assert not same_bits(ref.alpha, replay(problem, 500).alpha)
 
-    def test_rejects_a_non_trace(self, preset_problems):
-        with pytest.raises(ContractViolation):
-            reference_solve(preset_problems[0], SolverConfig(), trace="trace")
+    def test_one_loop_per_batch_chunk(self, loops):
+        # the Gaussian Gram stacks split 8 instances into two chunks
+        config = ExperimentConfig.gaussian_kernel_paper(
+            n_instances=8, master_seed=0, iters=300,
+        )
+        run_batch(config, keep_traces=False)
+        assert loops == [len(chunk) for chunk in _chunks(config, 1)] == [4, 4]
 
 
 class TestStackedRows:
@@ -372,7 +372,7 @@ class TestStackedRows:
         ref_cfg = SolverConfig(
             tau_factor=config.tau_factor,
             max_iters=config.max_iters * support_module.REFERENCE_BUDGET_FACTOR,
-            stop_tol=solver_module.REFERENCE_STOP_TOL, record_trace=False,
+            stop_tol=support_module.REFERENCE_STOP_TOL, record_trace=False,
         )
         return replica(problem, ref_cfg)["alpha"]
 
@@ -381,19 +381,19 @@ class TestStackedRows:
         references = [self.reference_replica(p, config) for p in problems]
         runs = []
         for i, problem in enumerate(problems):
-            coeffs, trace = solve(problem, config)
-            ref = reference_solve(problem, config, trace)
+            coeffs, trace, ref = solve_with_reference(problem, config)
             runs.append(([i], (coeffs,), (trace,), (ref,)))
         for stack in self.STACKS:
             rows = [problems[i] for i in stack]
-            coeffs, traces = solve(rows, config)
-            refs = reference_solve(rows, config, traces)
-            runs.append((stack, coeffs, traces, refs))
+            runs.append((stack, *solve_with_reference(rows, config)))
+            # without the references' runs in the stack
+            runs.append((stack, *solve(rows, config), None))
         for stack, coeffs, traces, refs in runs:
-            assert len(coeffs) == len(traces) == len(refs) == len(stack)
-            for i, c, t, ref in zip(stack, coeffs, traces, refs):
+            assert len(coeffs) == len(traces) == len(stack)
+            for k, (i, c, t) in enumerate(zip(stack, coeffs, traces)):
                 assert_matches_replica(c, t, expected[i])
-                assert same_bits(ref.alpha, references[i]), i
+                if refs is not None:
+                    assert same_bits(refs[k].alpha, references[i]), i
         return [t for _, _, (t,), _ in runs[:len(problems)]]
 
     def test_full_budget(self, problems):
@@ -412,25 +412,22 @@ class TestStackedRows:
         # of 1e-12, whose iterate is their reference; 0, 2 and 3 continue
         config = SolverConfig(max_iters=600)
         traces = self.check_stacks(problems, config)
-        settled = [t._end.settled is not None for t in traces]
+        settled = [bool((t.step_norms <= 1e-12).any()) for t in traces]
         assert settled == [False, True, False, False, True, True, True, True]
 
     def test_rows_can_start_anywhere(self, problems):
-        # a zero start, a warm start and a continued trace in one stack
+        # zero starts beside a warm start, whose reference is replayed
         config = SolverConfig(max_iters=2000)
         warm, _ = solve(problems[2], SolverConfig(max_iters=40,
                                                   record_trace=False))
-        _, first = solve(problems[3], SolverConfig(max_iters=300))
-        coeffs, traces = solve(problems[1:4], config, [None, warm, first])
-        assert_matches_replica(coeffs[0], traces[0],
-                               replica(problems[1], config))
-        assert_matches_replica(coeffs[1], traces[1],
-                               replica(problems[2], config, warm))
-        full = replica(problems[3], config)
-        assert same_bits(coeffs[2].alpha, full["alpha"])
-        tail = full["iterations"] > 300
-        for name in ("iterations", "supports", "objectives", "step_norms"):
-            assert same_bits(getattr(traces[2], name), full[name][tail]), name
+        starts = [None, warm, None]
+        coeffs, traces, refs = solve_with_reference(problems[1:4], config,
+                                                    starts)
+        for k, (problem, start) in enumerate(zip(problems[1:4], starts)):
+            assert_matches_replica(coeffs[k], traces[k],
+                                   replica(problem, config, start))
+            assert same_bits(refs[k].alpha,
+                             self.reference_replica(problem, config)), k
 
     def test_rows_longer_than_one_einsum_pass(self):
         # G*m = 8400 > solver._EINSUM_BUFSIZE: each row's step norm is
@@ -451,23 +448,22 @@ class TestStackMemory:
                                                         master_seed=0)
         problems = [generate_instance(config, i)[0] for i in range(8)]
         solver_cfg = SolverConfig(max_iters=300)
-        solve(problems, solver_cfg)
+        solve_with_reference(problems, solver_cfg)
         tracemalloc.start()
         try:
-            coeffs, traces = solve(problems, solver_cfg)
-            kept = traces[3]
-            del coeffs, traces
+            coeffs, traces, refs = solve_with_reference(problems, solver_cfg)
+            coeff, trace, ref = coeffs[3], traces[3], refs[3]
+            del coeffs, traces, refs
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        records = sum(getattr(kept, name).nbytes for name in
-                      ("iterations", "supports", "objectives", "step_norms"))
-        end = kept._end
-        own = end.AT.nbytes + end.KA.nbytes
-        assert end.AT.shape == end.KA.shape == (20, 50)
-        assert end.AT.base is None and end.KA.base is None
-        # one stacked (8, G, m) array alone would take 4x the row's state
-        stack_array = 8 * end.AT.nbytes
+        records = sum(getattr(trace, name).nbytes for name in
+                      ("supports", "objectives", "step_norms"))
+        own = coeff.alpha.nbytes + ref.alpha.nbytes
+        for kept in (coeff, ref):
+            assert kept.alpha.shape == (50, 20) and kept.alpha.base is None
+        # one stacked (8, G, m) array alone would take 4x the row's own
+        stack_array = 8 * coeff.alpha.nbytes
         assert held < records + own + stack_array // 2
 
 
