@@ -451,6 +451,14 @@ def _cmd_batch(args):
     config_doc = _config_dict(config)
     if args.jobs < 1:
         raise ConfigError("--jobs must be >= 1")
+    if args.trace_size is not None:
+        if not args.trace:
+            raise ConfigError("--trace-size needs --trace")
+        if not 0 <= args.trace_size <= config.G:
+            raise ConfigError(
+                f"--trace-size must lie in [0, G={config.G}], "
+                f"got {args.trace_size}"
+            )
     if args.dry_run:
         _print_config(config_doc)
         return 0

@@ -24,6 +24,7 @@ from .errors import ContractViolation
 __all__ = [
     "Dataset",
     "GramBlocks",
+    "GramStack",
     "DualCoefficients",
     "ProblemInstance",
     "residual",
@@ -361,6 +362,84 @@ class GramBlocks:
         if v.ndim == 1:
             return np.einsum("i,gij,j->g", v, self.blocks, v)
         return np.einsum("ig,gij,jg->g", v, self.blocks, v)
+
+
+class GramStack:
+    """The Gram operators of a stack of problems, applied together.
+
+    :meth:`apply_each` gives row i of its result the bits of
+    ``grams[i].apply_each(R[i])``. Factored rows that share a factor
+    shape go through one matmul over their stacked ``(N, G, m, d_max)``
+    factors; a shape held by one row uses that gram's own arrays. A
+    dense row is one product of its own, since stacking the ``(G, m, m)``
+    blocks would copy them.
+
+    Parameters
+    ----------
+    grams : sequence of GramBlocks
+        One per row; they must share G and m.
+    """
+
+    def __init__(self, grams):
+        shapes = {}
+        self._dense = []
+        for i, gram in enumerate(grams):
+            if gram.factors is None:
+                self._dense.append((i, gram))
+            else:
+                shapes.setdefault(gram.factors.shape, []).append(i)
+        self._factored = []
+        for rows in shapes.values():
+            if len(rows) == 1:
+                gram = grams[rows[0]]
+                F, FT = gram.factors[None], gram._factors_t[None]
+            else:
+                F = np.stack([grams[i].factors for i in rows])
+                FT = np.stack([grams[i]._factors_t for i in rows])
+            self._factored.append((rows, F, FT))
+
+    def keep(self, sel):
+        """Keep only rows `sel`, given in increasing order, renumbered.
+
+        Stacked factors move up within their own arrays, so dropping
+        rows allocates nothing.
+        """
+        new = {old: i for i, old in enumerate(sel)}
+        self._dense = [(new[i], gram) for i, gram in self._dense if i in new]
+        factored = []
+        for rows, F, FT in self._factored:
+            kept = [k for k, i in enumerate(rows) if i in new]
+            for to, k in enumerate(kept):
+                if to != k:
+                    F[to], FT[to] = F[k], FT[k]
+            if kept:
+                factored.append(([new[rows[k]] for k in kept],
+                                 F[:len(kept)], FT[:len(kept)]))
+        self._factored = factored
+
+    def apply_each(self, R, out):
+        """``K_g R[i]`` for every row i and group g, written into `out`.
+
+        Parameters
+        ----------
+        R : (N, m) ndarray
+            One vector per row, shared by the row's groups.
+        out : (N, G, m) C-contiguous float64 ndarray
+
+        Returns
+        -------
+        out
+        """
+        if not self._dense and len(self._factored) == 1:
+            # one factor shape holds every row, in order
+            _, F, FT = self._factored[0]
+            np.matmul(F, FT @ R[:, None, :, None], out=out[..., None])
+            return out
+        for rows, F, FT in self._factored:
+            out[rows] = (F @ (FT @ R[rows, None, :, None]))[..., 0]
+        for i, gram in self._dense:
+            gram.apply_each(R[i], out=out[i])
+        return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -279,8 +279,9 @@ CHUNK_BYTES = 2 << 20
 def _row_bytes(config):
     """Bytes one instance holds while its chunk is solved."""
     if config.family == "group-lasso":
-        # the (G, m, d_max) factor stack and its transpose
-        gram = 2 * 8 * config.G * config.m * max(config.group_dims)
+        # the (G, m, d_max) factor stack and its transpose, and their
+        # copies in the chunk's stacked Gram product (core.GramStack)
+        gram = 4 * 8 * config.G * config.m * max(config.group_dims)
     else:
         gram = 8 * config.G * config.m * config.m
     # per iteration: a support row of G bools, an objective and a step
@@ -464,12 +465,16 @@ def write_trace_rows(fh, run, trace):
         )
         for key in set(keys)
     }
-    # one dumps call formats every objective as a row's dumps would
-    objectives = json.dumps(trace.objectives.tolist())[1:-1].split(", ")
+    # one dumps call formats each distinct objective as a row's dumps
+    # would; they are told apart by their bits, so -0.0 is not 0.0
+    bits, which = np.unique(trace.objectives.view(np.int64),
+                            return_inverse=True)
+    texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
     fh.write("".join(
         f'{{"run":{int(run)},"iter":{n},"support":{labels[key]},'
-        f'"objective":{obj}}}\n'
-        for n, key, obj in zip(trace.iterations.tolist(), keys, objectives)
+        f'"objective":{texts[i]}}}\n'
+        for n, key, i in zip(trace.iterations.tolist(), keys,
+                             which.tolist())
     ))
 
 

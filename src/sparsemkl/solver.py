@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DualCoefficients, ProblemInstance
+from .core import DualCoefficients, GramStack, ProblemInstance
 from .errors import ContractViolation, DivergenceError
 
 __all__ = ["SolverConfig", "SolveTrace", "solve"]
@@ -29,6 +29,11 @@ __all__ = ["SolverConfig", "SolveTrace", "solve"]
 #: longer than this it splits each row differently from the row alone,
 #: so their step norms are reduced one row at a time to keep the bits.
 _EINSUM_BUFSIZE = 8192
+
+#: Iterations a row compares its state with the second cycle checkpoint,
+#: taken where its step norm stopped decreasing, before letting it go;
+#: longer periods are left to Brent's checkpoint.
+_CYCLE_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -165,11 +170,16 @@ def solve(problem, config, alpha0=None):
     such a repeat with Brent's cycle detection: each state is compared
     with a checkpoint that moves to the current state whenever its
     distance reaches the next power of two, and the full bitwise compare
-    runs only when the step norm equals the checkpoint's. On a repeat
-    it skips whole periods, computes only the iterations left over, and
-    repeats the trace records of the last period over the skipped
-    iterations. Coefficients, trace and `final_step_norm` are exactly
-    those of running every iteration.
+    runs only when the step norm equals the checkpoint's. A second
+    checkpoint catches short cycles soon after they start: the forward-
+    backward map is averaged, so a trajectory still converging has
+    non-increasing step norms, while a cycle holds a step that does not
+    decrease in every period. When the step norm fails to decrease, the
+    state is kept, and the next `_CYCLE_WINDOW` (64) states are compared
+    with it the same way. On a repeat it skips whole periods, computes
+    only the iterations left over, and repeats the trace records of the
+    last period over the skipped iterations. Coefficients, trace and
+    `final_step_norm` are exactly those of running every iteration.
 
     A list or tuple of problems is solved as one stack: one loop steps
     every row together, each row with its own step size, threshold,
@@ -226,21 +236,25 @@ def _stack(problem, config, alpha0):
 class _Row:
     """One row of a stack: everything but the stacked arrays."""
 
-    __slots__ = ("index", "apply_each", "lam", "tau", "thr", "reference",
+    __slots__ = ("index", "gram", "lam", "tau", "thr", "reference",
                  "out", "max_iters", "stop", "record", "settle", "n", "step",
                  "settled", "ck_n", "ck_AT", "ck_KA", "ck_step", "power",
+                 "ar_n", "ar_AT", "ar_KA", "ar_step",
                  "span", "tile", "keep", "obj", "steps")
 
     def __init__(self, index, problem, tau, config, reference):
         self.index = index  # place in the stack as given
-        self.apply_each = problem.gram.apply_each
+        self.gram = problem.gram
         self.lam = problem.effective_lambda
         self.tau = tau
         self.thr = tau * self.lam
         # the config the trajectory runs on under once `config` is done
         self.reference = reference
         self.out = None  # (coeffs, trace) of the run under `config`
-        self.n, self.step, self.settled = 0, 0.0, None
+        # no step yet: the first one is no increase
+        self.n, self.step, self.settled = 0, math.inf, None
+        # the second checkpoint's state, allocated when it first arms
+        self.ar_AT = self.ar_KA = None
         # `settled` keeps the first iterate with a step of at most this;
         # a step norm is never negative, so a tolerance of -1 never
         # settles a run, nor stops one
@@ -255,10 +269,21 @@ class _Row:
         # Brent's checkpoint; no compare until it first moves
         self.ck_n, self.ck_AT, self.ck_KA, self.ck_step = self.n, None, None, None
         self.power = 1
+        # the second checkpoint, not armed
+        self.ar_n = self.ar_step = None
         self.span = self.tile = None
         # one record per iteration; its objective is the penalty plus half
         # the squared residual of the new iterate, the next iteration's r
         self.keep, self.obj, self.steps = bytearray(), array("d"), array("d")
+
+    def arm(self, AT, KA):
+        """Keep the current state as the second checkpoint."""
+        if self.ar_AT is None:
+            self.ar_AT, self.ar_KA = AT.copy(), KA.copy()
+        else:
+            np.copyto(self.ar_AT, AT)
+            np.copyto(self.ar_KA, KA)
+        self.ar_n, self.ar_step = self.n, self.step
 
 
 def _start(index, problem, config, alpha0, reference):
@@ -303,10 +328,12 @@ def _solve_stack(problems, config, starts, reference=None):
     AT, KA = np.stack(ATs), np.stack(KAs)
     Y = np.stack([p.dataset.responses for p in problems])
     one_pass = AT[0].size <= _EINSUM_BUFSIZE
+    grams = GramStack([row.gram for row in rows])
 
     results = [None] * len(rows)
     done = []
     Kr = None
+    recording = config.record_trace
     while True:
         if done:
             gone = []
@@ -331,33 +358,34 @@ def _solve_stack(problems, config, starts, reference=None):
                     break
                 rows = [rows[j] for j in sel]
                 AT, KA, Y = AT[sel], KA[sel], Y[sel]
+                grams.keep(sel)
                 Kr = None
+            recording = any(row.record for row in rows)
         if Kr is None:  # the stack is new or has shrunk
             Kr = np.empty_like(AT)
             tau = np.array([row.tau for row in rows])[:, None, None]
             thr = np.array([row.thr for row in rows])[:, None]
 
         r = KA.sum(axis=1) - Y
-        for j, row in enumerate(rows):
-            row.n += 1
-            if row.obj:
-                row.obj[-1] += 0.5 * (r[j] @ r[j])
-            row.apply_each(r[j], out=Kr[j])
+        grams.apply_each(r, Kr)
         B = AT - tau * r[:, None, :]
-        KB = KA - tau * Kr
+        # Kr is spent once scaled: it takes KB
+        KB = np.subtract(KA, np.multiply(tau, Kr, out=Kr), out=Kr)
         sq = np.einsum("ngi,ngi->ng", B, KB)
         if not np.isfinite(sq).all():
             j = int(np.flatnonzero(~np.isfinite(sq).all(axis=1))[0])
-            raise DivergenceError(rows[j].n, None if len(results) == 1 else (
-                f"non-finite iterate at iteration {rows[j].n} of stack row "
+            n = rows[j].n + 1
+            raise DivergenceError(n, None if len(results) == 1 else (
+                f"non-finite iterate at iteration {n} of stack row "
                 f"{rows[j].index}"
             ))
         nu = np.sqrt(np.maximum(sq, 0.0))
         keep = nu > thr
         # (nu - thr) / nu, not 1 - thr / nu: the explicit difference
         # keeps full relative accuracy when nu sits just above thr
+        excess = nu - thr
         gamma = np.zeros(nu.shape)
-        np.divide(nu - thr, nu, out=gamma, where=keep)
+        np.divide(excess, nu, out=gamma, where=keep)
         gamma = gamma[:, :, None]
         AT_new = gamma * B
         KA_new = gamma * KB
@@ -371,16 +399,25 @@ def _solve_stack(problems, config, starts, reference=None):
                        for a, k in zip(dA, dK)]
         AT = AT_new
         KA = KA_new
+        if recording:
+            # each row's r @ r, with the same bits
+            fit = np.matmul(r[:, None, :], r[:, :, None]).ravel().tolist()
 
         done = []
         for j, (row, s) in enumerate(zip(rows, step_sq)):
-            row.step = step = math.sqrt(max(s, 0.0))
+            row.n += 1
+            if row.obj:
+                # the previous record's objective ends with this r
+                row.obj[-1] += 0.5 * fit[j]
+            step = math.sqrt(max(s, 0.0))
+            rising = step >= row.step
+            row.step = step
             if step <= row.settle and row.settled is None:
                 row.settled = AT[j].copy()
             if row.record:
                 row.keep += keep[j].tobytes()
                 # surviving blocks have kernel norm nu - thr by construction
-                row.obj.append(row.lam * (nu[j][keep[j]] - row.thr).sum())
+                row.obj.append(row.lam * excess[j][keep[j]].sum())
                 row.steps.append(step)
             if step <= row.stop:
                 done.append(j)
@@ -388,18 +425,29 @@ def _solve_stack(problems, config, starts, reference=None):
             if row.span is None:
                 if (step == row.ck_step and _same_bits(AT[j], row.ck_AT)
                         and _same_bits(KA[j], row.ck_KA)):
+                    row.span = row.n - row.ck_n
+                elif (step == row.ar_step and _same_bits(AT[j], row.ar_AT)
+                        and _same_bits(KA[j], row.ar_KA)):
+                    row.span = row.n - row.ar_n
+                else:
+                    if row.n - row.ck_n == row.power:
+                        # copies: a view would keep the whole stack alive
+                        row.ck_n, row.ck_step = row.n, step
+                        row.ck_AT, row.ck_KA = AT[j].copy(), KA[j].copy()
+                        row.power *= 2
+                    if (row.ar_n is not None
+                            and row.n - row.ar_n >= _CYCLE_WINDOW):
+                        row.ar_n = row.ar_step = None
+                    if rising and row.ar_n is None:
+                        row.arm(AT[j], KA[j])
+                if row.span is not None:
                     # state n + skip equals state n; the final record and
                     # step come from the last iteration, always computed
-                    row.span = span = row.n - row.ck_n
+                    span = row.span
                     skip = max(0, (row.max_iters - 1 - row.n) // span) * span
                     if skip and row.record:
                         row.tile = (len(row.steps), skip // span)
                     row.n += skip
-                elif row.n - row.ck_n == row.power:
-                    # copies: a view would keep the whole stack alive
-                    row.ck_n, row.ck_step = row.n, step
-                    row.ck_AT, row.ck_KA = AT[j].copy(), KA[j].copy()
-                    row.power *= 2
             if row.n >= row.max_iters:
                 done.append(j)
     return tuple(zip(*results))

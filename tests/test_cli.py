@@ -4,6 +4,7 @@ Every test drives `main(argv)` in-process and inspects exit codes,
 stdout/stderr, and the files left in a temporary output directory.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -456,6 +457,63 @@ def test_batch_summary_matches_recorded_output(tmp_path, capsys, argv, golden):
     assert rc == 0
     assert ((out_dir / "summary.json").read_bytes()
             == (data / golden).read_bytes())
+
+
+def test_batch_full_budget_trace_matches_recorded_output(tmp_path, capsys):
+    # at the preset's own 5000 iterations instances 0-5 (seed 0) end in
+    # exact cycles of periods 4, 2, 2, 1, 1 and 9, whose records the
+    # solver tiles over the iterations it skips; tests/data holds this
+    # command's histogram.csv and summary.json, and the sha256 of its
+    # 2.4 MB traces.jsonl
+    data = Path(__file__).parent / "data"
+    out_dir = tmp_path / "out"
+    rc, _, _ = run_cli(
+        ["batch", "--preset", "group-lasso-paper", "--trace",
+         "--instances", "6", "--seed", "0", "--out-dir", str(out_dir)],
+        capsys,
+    )
+    assert rc == 0
+    for name, golden in (("histogram.csv", "histogram_group_lasso_6x5000.csv"),
+                         ("summary.json", "summary_group_lasso_6x5000.json")):
+        assert (out_dir / name).read_bytes() == (data / golden).read_bytes()
+    digest, name = (data / "traces_group_lasso_6x5000.sha256").read_text().split()
+    assert name == "traces.jsonl"
+    got = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+    assert got == digest
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--trace-size", "5"], "needs --trace"),
+    (["--trace", "--trace-size", "-3"], "[0, G=20]"),
+    (["--trace", "--trace-size", "21"], "[0, G=20]"),
+], ids=["without-trace", "negative", "above-G"])
+def test_batch_rejects_bad_trace_size(tmp_path, capsys, flags, message):
+    # a dry run rejects what the real run would, before any output
+    out_dir = tmp_path / "out"
+    for dry in ([], ["--dry-run"]):
+        rc, out, err = run_cli(
+            ["batch", "--preset", "group-lasso-paper", "--instances", "1",
+             "--iters", "5", "--out-dir", str(out_dir), *flags, *dry],
+            capsys,
+        )
+        assert rc == 1
+        assert err.startswith("error:") and message in err
+        assert out == ""
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("size", [0, 20])
+def test_batch_accepts_trace_size_bounds(tmp_path, capsys, size):
+    out_dir = tmp_path / "out"
+    rc, _, _ = run_cli(
+        ["batch", "--preset", "group-lasso-paper", "--instances", "1",
+         "--iters", "5", "--trace", "--trace-size", str(size),
+         "--out-dir", str(out_dir)],
+        capsys,
+    )
+    assert rc == 0
+    # no run ends with an empty or a full support here
+    assert (out_dir / "traces.jsonl").read_bytes() == b""
 
 
 def test_batch_preset_dry_run(capsys):

@@ -12,7 +12,7 @@ from sparsemkl import (
     objective,
     residual,
 )
-from sparsemkl.core import LIPSCHITZ_MARGIN, PSD_TOL
+from sparsemkl.core import LIPSCHITZ_MARGIN, PSD_TOL, GramStack
 
 from _fixtures import coeffs_like, group_lasso_instance
 
@@ -190,6 +190,83 @@ class TestFactoredAgreesWithDense:
         assert np.array_equal(blocks, blocks.transpose(0, 2, 1))
         assert rel_err(blocks, dense.blocks) <= 1e-12
         assert dense.dense() is dense.blocks
+
+
+UNEVEN_DIMS = (1, 7, 3, 5, 2, 6, 4, 5, 5, 2, 8, 3, 5, 5, 4, 6, 5, 1, 9, 4)
+
+
+def factored_gram(seed, dims, m=50):
+    X = np.random.default_rng(seed).standard_normal((m, sum(dims)))
+    return GramBlocks(features=X, group_dims=dims)
+
+
+def dense_gram(seed, G=20, m=50):
+    F = np.random.default_rng(seed).standard_normal((G, m, 3))
+    return GramBlocks(blocks=F @ F.transpose(0, 2, 1))
+
+
+def per_row(grams, R):
+    """The stacked product's reference: one `apply_each` per row."""
+    return np.stack([g.apply_each(r) for g, r in zip(grams, R)])
+
+
+class TestGramStack:
+    """The stacked Gram product gives each row its own product's bits."""
+
+    @pytest.mark.parametrize("n_rows", [1, 3, 8])
+    @pytest.mark.parametrize("dims", [(5,) * 20, UNEVEN_DIMS],
+                             ids=["even", "uneven"])
+    def test_factored_rows_keep_their_bits(self, n_rows, dims):
+        grams = [factored_gram(seed, dims) for seed in range(n_rows)]
+        R = np.random.default_rng(99).standard_normal((n_rows, 50))
+        out = np.empty((n_rows, 20, 50))
+        assert GramStack(grams).apply_each(R, out) is out
+        assert out.tobytes() == per_row(grams, R).tobytes()
+
+    def test_mixed_rows_keep_their_bits(self):
+        # dense rows, and factored rows of two factor shapes, interleaved
+        grams = [dense_gram(0), factored_gram(1, UNEVEN_DIMS),
+                 factored_gram(2, (5,) * 20), dense_gram(3),
+                 factored_gram(4, UNEVEN_DIMS), factored_gram(5, (5,) * 20),
+                 factored_gram(6, (5,) * 20)]
+        R = np.random.default_rng(7).standard_normal((len(grams), 50))
+        out = np.empty((len(grams), 20, 50))
+        GramStack(grams).apply_each(R, out)
+        assert out.tobytes() == per_row(grams, R).tobytes()
+
+    def test_dropped_rows_leave_the_rest_their_bits(self):
+        # rows leave in four steps; the stacked factors stay the arrays
+        # built for the first stack
+        grams = [dense_gram(0), factored_gram(1, UNEVEN_DIMS),
+                 factored_gram(2, (5,) * 20), factored_gram(3, (5,) * 20),
+                 factored_gram(4, UNEVEN_DIMS), factored_gram(5, (5,) * 20)]
+        stack = GramStack(grams)
+        built = [a for _, F, FT in stack._factored for a in (F, FT)]
+        rng = np.random.default_rng(8)
+        for sel in ([0, 1, 3, 4, 5], [1, 2, 3], [1, 2], [0]):
+            stack.keep(sel)
+            grams = [grams[i] for i in sel]
+            R = rng.standard_normal((len(grams), 50))
+            out = np.empty((len(grams), 20, 50))
+            stack.apply_each(R, out)
+            assert out.tobytes() == per_row(grams, R).tobytes(), sel
+            for _, F, FT in stack._factored:
+                assert all(any(a.base is b for b in built) for a in (F, FT))
+
+    def test_a_lone_shape_uses_the_grams_own_factors(self):
+        lone = factored_gram(0, UNEVEN_DIMS)
+        pair = [factored_gram(1, (5,) * 20), factored_gram(2, (5,) * 20)]
+        stack = GramStack([lone, *pair])
+        held = [a for _, F, FT in stack._factored for a in (F, FT)]
+        assert any(np.shares_memory(a, lone.factors) for a in held)
+        assert any(np.shares_memory(a, lone._factors_t) for a in held)
+        # a shape shared by two rows is stacked, a copy
+        for g in pair:
+            assert not any(np.shares_memory(a, g.factors) for a in held)
+        alone = GramStack([lone])
+        (_, F, FT), = alone._factored
+        assert np.shares_memory(F, lone.factors)
+        assert np.shares_memory(FT, lone._factors_t)
 
 
 class TestFactoredValidation:

@@ -1,3 +1,4 @@
+import io
 import json
 import pickle
 import tracemalloc
@@ -12,6 +13,7 @@ from sparsemkl import (
     DivergenceError,
     ExperimentConfig,
     SolverConfig,
+    SolveTrace,
     emit_histogram,
     emit_summary,
     emit_traces,
@@ -25,6 +27,7 @@ from sparsemkl import (
     solve_with_reference,
     support_of,
 )
+from sparsemkl.experiments import write_trace_rows
 
 
 def small_gl_config(**overrides):
@@ -356,6 +359,26 @@ class TestEmission:
         path = tmp_path / "hist.csv"
         emit_histogram(res, path)
         assert path.read_bytes() == b"support_size,count\n0,4\n"
+
+    def test_trace_rows_format_each_objective_as_dumps_would(self):
+        # repeated values, both zeros, and values whose repr is long:
+        # each distinct objective is formatted once, by its bits
+        objectives = [1.5, -0.0, 0.0, 1.5, 0.1 + 0.2, -0.0, 1e-300, 0.3,
+                      0.1 + 0.2, 0.0]
+        supports = np.random.default_rng(0).random((len(objectives), 3)) < 0.5
+        trace = SolveTrace(supports=supports, objectives=objectives,
+                           step_norms=np.zeros(len(objectives)),
+                           iters_run=12, final_step_norm=0.0)
+        out = io.StringIO()
+        write_trace_rows(out, 4, trace)
+        want = [
+            json.dumps({"run": 4, "iter": n, "support": [
+                int(g) + 1 for g in np.flatnonzero(row)
+            ], "objective": obj}, separators=(",", ":"))
+            for n, row, obj in zip(range(3, 13), supports, objectives)
+        ]
+        assert out.getvalue().splitlines() == want
+        assert '"objective":-0.0}' in want[1] and '"objective":0.0}' in want[2]
 
     def test_trace_lines_have_one_based_labels(self, tmp_path):
         cfg = small_gl_config(n_instances=2, iters=25)

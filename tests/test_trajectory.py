@@ -25,6 +25,7 @@ from sparsemkl import (
     solve_with_reference,
 )
 from sparsemkl.experiments import _chunks
+from sparsemkl import core as core_module
 from sparsemkl import solver as solver_module
 from sparsemkl import support as support_module
 
@@ -212,6 +213,79 @@ class TestCycleExit:
         coeffs, trace = solve(problem, config, alpha0=warm)
         assert any(repeats)
         assert_matches_replica(coeffs, trace, replica(problem, config, warm))
+
+
+class TestEarlyCycleExit:
+    """The second checkpoint ends a cycling row soon after its cycle starts.
+
+    Each group-lasso preset instance 0-7 (master seed 0) is solved alone
+    at its 5000-iteration budget, and the Gram products its row computes
+    are counted: one per computed iteration.
+    """
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        calls = []
+        original = core_module.GramStack.apply_each
+
+        def spy(self, R, out):
+            calls.append(R.shape[0])
+            return original(self, R, out)
+
+        monkeypatch.setattr(core_module.GramStack, "apply_each", spy)
+        return calls
+
+    @pytest.fixture
+    def arms(self, monkeypatch):
+        """(row index, iteration) of every arming of the second checkpoint."""
+        calls = []
+        original = solver_module._Row.arm
+
+        def spy(row, AT, KA):
+            calls.append((row.index, row.n))
+            return original(row, AT, KA)
+
+        monkeypatch.setattr(solver_module._Row, "arm", spy)
+        return calls
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_exit_follows_the_cycle_start(self, monkeypatch, products,
+                                          index):
+        problem = preset_instance(index)
+        config = SolverConfig(max_iters=5000)
+        start, period = first_repeat(problem, config)
+        coeffs, trace = solve(problem, config)
+        computed = len(products)
+        assert set(products) == {1}
+        assert computed <= start + solver_module._CYCLE_WINDOW + 2 * period
+        # Brent's checkpoint alone: never armed, the second one never
+        # compares
+        monkeypatch.setattr(solver_module._Row, "arm", lambda *args: None)
+        products.clear()
+        brent_coeffs, brent_trace = solve(problem, config)
+        assert computed <= len(products)
+        assert same_bits(coeffs.alpha, brent_coeffs.alpha)
+        for name in ("supports", "objectives", "step_norms"):
+            assert same_bits(getattr(trace, name),
+                             getattr(brent_trace, name)), name
+
+    def test_a_row_that_never_repeats_never_arms(self, arms, products):
+        # the Gaussian preset's step norms still fall at 3000 iterations
+        config = ExperimentConfig.gaussian_kernel_paper(n_instances=8,
+                                                        master_seed=0)
+        problems = [generate_instance(config, i)[0] for i in range(8)]
+        _, traces = solve(problems, SolverConfig(max_iters=3000))
+        assert {t.iters_run for t in traces} == {3000}
+        assert products == [8] * 3000
+        assert arms == []
+
+    def test_an_arming_row_is_one_that_stopped_descending(self, arms):
+        problem = preset_instance(0)
+        _, trace = solve(problem, SolverConfig(max_iters=5000))
+        assert arms
+        steps = trace.step_norms
+        for _, n in arms:
+            assert steps[n - 1] >= steps[n - 2]
 
 
 class TestTraceMemory:
@@ -428,6 +502,21 @@ class TestStackedRows:
                                    replica(problem, config, start))
             assert same_bits(refs[k].alpha,
                              self.reference_replica(problem, config)), k
+
+    def test_dense_and_factored_rows_in_one_stack(self, problems):
+        # Gaussian (dense Gram) rows between group-lasso (factored) ones;
+        # the factored rows stop one by one, the dense ones run on
+        config = ExperimentConfig.gaussian_kernel_paper(n_instances=2,
+                                                        master_seed=0)
+        gauss = [generate_instance(config, i)[0] for i in range(2)]
+        rows = [problems[0], gauss[0], problems[5], problems[1], gauss[1]]
+        solver_cfg = SolverConfig(max_iters=600, stop_tol=1e-8)
+        coeffs, traces = solve(rows, solver_cfg)
+        stops = [t.iters_run for t in traces]
+        assert stops[1] == stops[4] == 600
+        assert len({stops[0], stops[2], stops[3]}) == 3 and max(stops) == 600
+        for problem, c, t in zip(rows, coeffs, traces):
+            assert_matches_replica(c, t, replica(problem, solver_cfg))
 
     def test_rows_longer_than_one_einsum_pass(self):
         # G*m = 8400 > solver._EINSUM_BUFSIZE: each row's step norm is
