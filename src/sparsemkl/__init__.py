@@ -7,7 +7,12 @@ machinery that makes identification statements checkable (certificates,
 extended supports, qualification margins, strata lattices), two
 independent oracle solvers for certifying results on small instances,
 and a reproducible synthetic benchmark harness.
+
+The oracle and strata exports load on first access: a batch or a solve
+runs neither, and importing them costs start-up time.
 """
+
+import importlib
 
 from .core import (
     Dataset,
@@ -41,21 +46,7 @@ from .kernels import (
     LinearGroupProjection,
     assemble_gram_blocks,
 )
-from .oracle import OracleResult, bcd_solve, enumerate_solve
 from .solver import SolveTrace, SolverConfig, solve
-from .strata import (
-    DualMark,
-    DualStratum,
-    LatticeVerdict,
-    PrimalMark,
-    PrimalStratum,
-    dual_stratum_of,
-    primal_stratum_of,
-    stratum_leq,
-    transfer_JR,
-    transfer_JRstar,
-    verify_lattice,
-)
 from .support import (
     SandwichVerdict,
     SupportReport,
@@ -120,3 +111,26 @@ __all__ = [
     "solve_with_reference",
     "support_of",
 ]
+
+# export name -> the submodule that defines it, imported on first access
+_LAZY = {
+    **dict.fromkeys(("OracleResult", "bcd_solve", "enumerate_solve"), "oracle"),
+    **dict.fromkeys((
+        "DualMark", "DualStratum", "LatticeVerdict", "PrimalMark",
+        "PrimalStratum", "dual_stratum_of", "primal_stratum_of",
+        "stratum_leq", "transfer_JR", "transfer_JRstar", "verify_lattice",
+    ), "strata"),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -16,6 +16,9 @@ Exit codes: 0 success, 1 validation failure, 2 solver divergence,
 import argparse
 import configparser
 import json
+# argparse's gettext imports locale as every command builds its parser;
+# here it loads at start-up
+import locale  # noqa: F401
 import os
 import sys
 import time
@@ -34,9 +37,7 @@ from .experiments import (
     write_trace_rows,
 )
 from .kernels import GaussianFamily, LinearGroupProjection, assemble_gram_blocks
-from .oracle import bcd_solve, enumerate_solve
 from .solver import SolverConfig, solve
-from .strata import MAX_LATTICE_GROUPS, verify_lattice
 from .support import (
     last_support_change,
     qualification_check,
@@ -477,6 +478,7 @@ def _cmd_batch(args):
         trace_path = os.path.join(args.out_dir, "traces.jsonl")
         emit_traces(result, trace_path, final_size=args.trace_size)
         outputs.append(trace_path)
+    t3 = time.perf_counter()
 
     n_pass = sum(1 for rec in result.per_run if rec.sandwich_passed)
     print(f"instances={config.n_instances}")
@@ -486,7 +488,8 @@ def _cmd_batch(args):
     print(f"sandwich_pass={n_pass}/{config.n_instances}")
     _write_manifest(
         args.out_dir, "batch", config_doc, config.master_seed, outputs,
-        {"batch_s": t2 - t1, "total_s": time.perf_counter() - t0},
+        {"batch_s": t2 - t1, "emit_s": t3 - t2,
+         "total_s": time.perf_counter() - t0},
     )
     return 0
 
@@ -499,6 +502,7 @@ def _oracle_suite_small():
     Returns a list of (name, passed, detail) rows.
     """
     from .core import objective as objective_of
+    from .oracle import bcd_solve, enumerate_solve
 
     rows = []
     rng = np.random.default_rng(2011)
@@ -535,6 +539,8 @@ def _oracle_suite_small():
 
 
 def _cmd_verify(args):
+    from .strata import MAX_LATTICE_GROUPS, verify_lattice
+
     t0 = time.perf_counter()
     if not 1 <= args.lattice_g <= MAX_LATTICE_GROUPS:
         raise ConfigError(

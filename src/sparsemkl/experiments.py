@@ -14,7 +14,6 @@ per-iteration trace files are emitted as plot-ready CSV/JSON lines.
 import dataclasses
 import json
 from dataclasses import dataclass
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 # numpy loads numpy.random on first use; here it loads at start-up
@@ -384,6 +383,9 @@ def run_batch(config, jobs=1, keep_traces=True):
     if jobs == 1:
         done = [_run_chunk(config, chunk, keep_traces) for chunk in chunks]
     else:
+        # loaded here, not at import: --jobs 1 never builds a pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             done = list(pool.map(
                 _run_chunk, [config] * len(chunks), chunks,

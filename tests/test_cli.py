@@ -358,6 +358,9 @@ def test_batch_tiny_config(tmp_path, capsys):
     assert doc["config"]["n_instances"] == 4
     assert str(out_dir / "histogram.csv") in doc["outputs"]
     assert str(out_dir / "summary.json") in doc["outputs"]
+    timings = doc["timings"]
+    assert set(timings) == {"batch_s", "emit_s", "total_s"}
+    assert 0 <= timings["emit_s"] <= timings["total_s"]
     assert len(summary["per_run"]) == 4
     assert summary["config"]["n_instances"] == 4
 

@@ -1,4 +1,5 @@
-"""numpy is the package's only runtime dependency."""
+"""numpy is the package's only runtime dependency, and start-up loads only
+what every command runs."""
 
 import os
 import subprocess
@@ -8,14 +9,57 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_import_loads_no_scipy(tmp_path):
-    # a fresh interpreter: this one may have loaded scipy for other tests
+def run_fresh(code, cwd):
+    # a fresh interpreter: this one may have loaded scipy, the oracle or
+    # a process pool for other tests
     paths = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    code = "import sys, sparsemkl, sparsemkl.cli; print('scipy' in sys.modules)"
     done = subprocess.run(
-        [sys.executable, "-c", code], cwd=tmp_path, env=env,
+        [sys.executable, "-c", code], cwd=cwd, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout
+
+
+def test_import_loads_no_scipy(tmp_path):
+    code = "import sys, sparsemkl, sparsemkl.cli; print('scipy' in sys.modules)"
+    assert run_fresh(code, tmp_path).strip() == "False"
+
+
+IMPORT_SET = """
+import sys
+import sparsemkl.cli
+
+def loaded(prefix):
+    return sorted(m for m in sys.modules
+                  if m == prefix or m.startswith(prefix + "."))
+
+for prefix in ("concurrent.futures", "multiprocessing", "sparsemkl.oracle",
+               "sparsemkl.strata", "scipy"):
+    assert not loaded(prefix), loaded(prefix)
+
+import sparsemkl
+names = {}
+exec("from sparsemkl import *", names)
+missing = set(sparsemkl.__all__) - set(names)
+assert not missing, missing
+assert set(sparsemkl.__all__) <= set(dir(sparsemkl))
+
+import sparsemkl.oracle, sparsemkl.strata
+assert sparsemkl.verify_lattice is sparsemkl.strata.verify_lattice
+assert sparsemkl.bcd_solve is sparsemkl.oracle.bcd_solve
+try:
+    sparsemkl.no_such_name
+except AttributeError as err:
+    assert "no_such_name" in str(err), err
+else:
+    raise AssertionError("an unknown attribute resolved")
+print("ok")
+"""
+
+
+def test_cli_import_loads_only_what_every_command_runs(tmp_path):
+    # oracle and strata are exported lazily; a process pool is built only
+    # for --jobs > 1
+    assert run_fresh(IMPORT_SET, tmp_path).strip() == "ok"
