@@ -311,7 +311,7 @@ def _cmd_solve(args):
         solver_kw["tau_factor"] = args.tau_factor
     if not (0.0 <= args.eps_rel < 1.0):
         raise ConfigError(f"--eps-rel must lie in [0, 1), got {args.eps_rel!r}")
-    config = SolverConfig(record_trace=True, **solver_kw)
+    config = SolverConfig(record_trace=args.trace, **solver_kw)
 
     config_doc = {
         "preset": preset,
@@ -344,7 +344,7 @@ def _cmd_solve(args):
         f"qc_margin={report.qc_margin!r}",
         "cert_norms=" + ",".join(repr(float(v)) for v in report.certificate_norms),
         f"eps_rel={report.eps_rel!r}",
-        f"objective={float(trace.objectives[-1])!r}",
+        f"objective={trace.objective!r}",
         f"iters_run={trace.iters_run}",
         f"final_step_norm={trace.final_step_norm!r}",
         f"burn_in={burn_in}",

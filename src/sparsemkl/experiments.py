@@ -50,6 +50,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 FAMILIES = ("group-lasso", "gaussian-kernel")
 
+#: Rows `write_trace_rows` formats and writes at once.
+_TRACE_BLOCK = 512
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -215,7 +218,9 @@ def generate_instance(config, index):
         lo, hi = config.sigma_range
         sigmas = np.exp(rng.uniform(np.log(lo), np.log(hi), size=config.G))
         spec = GaussianFamily(tuple(float(s) for s in sigmas))
-    gram = assemble_gram_blocks(Dataset(points, np.zeros(config.m)), spec)
+    # the problem's dataset shares these read-only points with the Gram
+    data = Dataset(points, np.zeros(config.m))
+    gram = assemble_gram_blocks(data, spec)
 
     chosen = np.sort(rng.choice(config.G, size=config.s, replace=False))
     alpha_star = np.zeros((config.m, config.G))
@@ -226,7 +231,7 @@ def generate_instance(config, index):
 
     certs = np.sqrt(np.maximum(gram.quad(y), 0.0))
     problem = ProblemInstance(
-        dataset=Dataset(points, y), gram=gram,
+        dataset=Dataset(data.points, y), gram=gram,
         lam=config.lam * float(certs.max()),
         lam_convention="raw",
     )
@@ -270,32 +275,36 @@ class BatchResult:
 
 
 #: Bytes that the instances stepped together may hold at once: their
-#: Gram storage and the trace buffers of their production solves. It
-#: sets how many instances a batch solves as one stack.
+#: Gram storage, their stack state and, in a traced batch, the trace
+#: buffers of their production solves. It sets how many instances a
+#: batch solves as one stack.
 CHUNK_BYTES = 2 << 20
 
 
-def _row_bytes(config):
-    """Bytes one instance holds while its chunk is solved."""
+def _row_bytes(config, keep_traces=True):
+    """Bytes one instance holds while its chunk is solved.
+
+    Its Gram storage, about ten (G, m) float arrays of stack state (the
+    state, the per-iteration temporaries, the two cycle checkpoints)
+    and, if traced, an objective and a step norm per iteration.
+    """
     if config.family == "group-lasso":
         # the (G, m, d_max) factor stack and its transpose, and their
         # copies in the chunk's stacked Gram product (core.GramStack)
         gram = 4 * 8 * config.G * config.m * max(config.group_dims)
     else:
         gram = 8 * config.G * config.m * config.m
-    # per iteration: a support row of G bools, an objective and a step
-    # norm
-    return gram + config.iters * (config.G + 16)
+    return gram + 80 * config.G * config.m + 16 * config.iters * keep_traces
 
 
-def _chunks(config, jobs):
+def _chunks(config, jobs, keep_traces=True):
     """Consecutive index ranges, each solved as one stack by one worker.
 
     As few chunks as the `CHUNK_BYTES` cap allows, but at least one per
     worker, with sizes that differ by at most one.
     """
     n = config.n_instances
-    size = max(1, CHUNK_BYTES // _row_bytes(config))
+    size = max(1, CHUNK_BYTES // _row_bytes(config, keep_traces))
     k = max(min(jobs, n), -(-n // size))
     return [range(i * n // k, (i + 1) * n // k) for i in range(k)]
 
@@ -304,7 +313,7 @@ def _run_chunk(config, indices, keep_traces):
     problems = [generate_instance(config, i)[0] for i in indices]
     solver_cfg = SolverConfig(
         tau_factor=config.tau_factor, max_iters=config.iters,
-        stop_tol=0.0, record_trace=True,
+        stop_tol=0.0, record_trace=keep_traces,
     )
     try:
         coeffs, traces, references = solve_with_reference(problems, solver_cfg)
@@ -332,7 +341,7 @@ def _run_chunk(config, indices, keep_traces):
             seed=instance_seed(config.master_seed, index),
             support=supp,
             support_size=len(supp),
-            objective=float(trace.objectives[-1]),
+            objective=trace.objective,
             qc_margin=report.qc_margin,
             sandwich_passed=verdict.passed,
             sandwich_first_violation=verdict.first_violation,
@@ -349,10 +358,13 @@ def run_batch(config, jobs=1, keep_traces=True):
     Instances go in chunks of consecutive indices. Each chunk is
     generated when it is reached, and its production solves and their
     reference runs go through one stacked loop (see
-    :func:`~sparsemkl.support.solve_with_reference`). A
-    chunk holds at most `CHUNK_BYTES` of Gram storage and trace buffers
-    (at least one instance), so memory does not grow with the batch.
-    Each instance's results are bit-identical to solving it alone.
+    :func:`~sparsemkl.support.solve_with_reference`). A chunk holds at
+    most `CHUNK_BYTES` of Gram storage, stack state and, when traces are
+    kept, trace buffers (at least one instance), so memory does not grow
+    with the batch. An untraced batch records no per-iteration arrays:
+    its burn-in and sandwich verdict read each run's support change
+    events. Each instance's results are bit-identical to solving it
+    alone.
 
     Parameters
     ----------
@@ -362,7 +374,8 @@ def run_batch(config, jobs=1, keep_traces=True):
         in index order, so any worker count yields the identical
         BatchResult.
     keep_traces : bool
-        Retain each run's SolveTrace (needed for trace emission).
+        Retain each run's SolveTrace, with its per-iteration records
+        (needed for trace emission).
 
     Returns
     -------
@@ -379,7 +392,7 @@ def run_batch(config, jobs=1, keep_traces=True):
     jobs = int(jobs)
     if jobs < 1:
         raise ContractViolation(f"jobs must be >= 1, got {jobs!r}")
-    chunks = _chunks(config, jobs)
+    chunks = _chunks(config, jobs, keep_traces)
     if jobs == 1:
         done = [_run_chunk(config, chunk, keep_traces) for chunk in chunks]
     else:
@@ -455,29 +468,30 @@ def write_trace_rows(fh, run, trace):
 
     Rows read ``{"run": run, "iter": n, "support": [...], "objective": v}``
     with the support as a sorted list of 1-based group labels, formatted
-    as ``json.dumps(row, separators=(",", ":"))`` would.
+    as ``json.dumps(row, separators=(",", ":"))`` would. The support
+    change events are expanded one segment of constant support at a
+    time, and each segment is written in blocks of at most
+    `_TRACE_BLOCK` rows.
     """
-    # each support row's bytes key its label, formatted once per support
-    rows = np.ascontiguousarray(trace.supports)
-    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
-    labels = {
-        key: json.dumps(
-            (np.flatnonzero(np.frombuffer(key, dtype=bool)) + 1).tolist(),
-            separators=(",", ":"),
-        )
-        for key in set(keys)
-    }
     # one dumps call formats each distinct objective as a row's dumps
     # would; they are told apart by their bits, so -0.0 is not 0.0
     bits, which = np.unique(trace.objectives.view(np.int64),
                             return_inverse=True)
     texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
-    fh.write("".join(
-        f'{{"run":{int(run)},"iter":{n},"support":{labels[key]},'
-        f'"objective":{texts[i]}}}\n'
-        for n, key, i in zip(trace.iterations.tolist(), keys,
-                             which.tolist())
-    ))
+    first = trace.iters_run - trace.n_recorded + 1
+    ends = [*trace.change_iters[1:].tolist(), trace.iters_run + 1]
+    head = f'{{"run":{int(run)},"iter":'
+    for start, end, mask in zip(trace.change_iters.tolist(), ends,
+                                trace.change_supports):
+        label = json.dumps((np.flatnonzero(mask) + 1).tolist(),
+                           separators=(",", ":"))
+        tail = f',"support":{label},"objective":'
+        for a in range(max(start, first), end, _TRACE_BLOCK):
+            b = min(a + _TRACE_BLOCK, end)
+            fh.write("".join(
+                f"{head}{n}{tail}{texts[i]}}}\n" for n, i in
+                zip(range(a, b), which[a - first:b - first].tolist())
+            ))
 
 
 def emit_summary(result, path):

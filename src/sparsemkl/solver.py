@@ -79,16 +79,26 @@ class SolverConfig:
 class SolveTrace:
     """Observables recorded while solving.
 
+    Every run keeps its supports as change events, traced or not, which
+    identification keeps few; a traced run also records the objective
+    and step norm of every iteration.
+
     Attributes
     ----------
-    supports : (R, G) bool ndarray
-        Support at each recorded iteration: row i, column g is True when
-        group g (0-based) is active. Any number of groups can be traced;
-        an untraced run has shape ``(0, G)``.
+    change_iters : (K,) int64 ndarray
+        1-based iterations at which the support changed, increasing. The
+        first is the run's first iteration, where its support starts.
+    change_supports : (K, G) bool ndarray
+        Support from each change on: row k, column g is True when group
+        g (0-based) is active from iteration ``change_iters[k]`` until
+        the next change. Any number of groups can be traced.
     objectives : (R,) float64 ndarray
-        Objective value at each recorded iteration.
+        Objective value at each recorded iteration; an untraced run
+        records none.
     step_norms : (R,) float64 ndarray
         Function-space norm of the step taken at each recorded iteration.
+    objective : float
+        Objective value at the returned iterate, traced or not.
     iters_run : int
         Trajectory index of the returned iterate: the number of
         iterations from the trajectory's start, counting those the
@@ -99,30 +109,44 @@ class SolveTrace:
         judged after the fact.
     """
 
-    supports: np.ndarray
+    change_iters: np.ndarray
+    change_supports: np.ndarray
     objectives: np.ndarray
     step_norms: np.ndarray
+    objective: float
     iters_run: int
     final_step_norm: float
 
     def __post_init__(self):
-        su = np.asarray(self.supports, dtype=bool)
+        it = np.asarray(self.change_iters, dtype=np.int64)
+        su = np.asarray(self.change_supports, dtype=bool)
         ob = np.asarray(self.objectives, dtype=np.float64)
         st = np.asarray(self.step_norms, dtype=np.float64)
+        n = int(self.iters_run)
         if ob.shape != st.shape or ob.ndim != 1:
             raise ContractViolation("trace arrays must share one 1-D shape")
-        if su.ndim != 2 or su.shape[0] != ob.shape[0]:
+        if it.ndim != 1 or su.ndim != 2 or su.shape[0] != it.shape[0]:
             raise ContractViolation(
-                "supports must hold one (G,) row per recorded iteration"
+                "change_supports must hold one (G,) row per support change"
+            )
+        # the records are the last R of the n iterations
+        if not (it.size == ob.size == 0 or it.size
+                and 1 <= it[0] <= n - ob.size + 1 and it[-1] <= n
+                and (np.diff(it) > 0).all()):
+            raise ContractViolation(
+                f"support changes must increase within iterations 1..{n} "
+                "and cover the recorded ones"
             )
         if st.size and st.min() < 0.0:
             raise ContractViolation("step norms must be nonnegative")
-        for arr in (su, ob, st):
+        for arr in (it, su, ob, st):
             arr.setflags(write=False)
-        object.__setattr__(self, "supports", su)
+        object.__setattr__(self, "change_iters", it)
+        object.__setattr__(self, "change_supports", su)
         object.__setattr__(self, "objectives", ob)
         object.__setattr__(self, "step_norms", st)
-        object.__setattr__(self, "iters_run", int(self.iters_run))
+        object.__setattr__(self, "objective", float(self.objective))
+        object.__setattr__(self, "iters_run", n)
         object.__setattr__(self, "final_step_norm", float(self.final_step_norm))
 
     @property
@@ -136,12 +160,24 @@ class SolveTrace:
                          self.iters_run + 1, dtype=np.int64)
 
     @property
+    def supports(self):
+        """(R, G) bool ndarray: the support at each recorded iteration.
+
+        Expanded from the change events on each access; an untraced run
+        has shape ``(0, G)``.
+        """
+        at = np.searchsorted(self.change_iters, self.iterations, "right") - 1
+        rows = self.change_supports[at]
+        rows.setflags(write=False)
+        return rows
+
+    @property
     def n_recorded(self):
         return self.step_norms.shape[0]
 
     @property
     def n_groups(self):
-        return self.supports.shape[1]
+        return self.change_supports.shape[1]
 
     def support_set(self, i):
         """Record `i`'s support as a set of 0-based group indices."""
@@ -240,7 +276,7 @@ class _Row:
                  "out", "max_iters", "stop", "record", "settle", "n", "step",
                  "settled", "ck_n", "ck_AT", "ck_KA", "ck_step", "power",
                  "ar_n", "ar_AT", "ar_KA", "ar_step",
-                 "span", "tile", "keep", "obj", "steps")
+                 "span", "tile", "events", "last", "obj", "steps")
 
     def __init__(self, index, problem, tau, config, reference):
         self.index = index  # place in the stack as given
@@ -272,9 +308,12 @@ class _Row:
         # the second checkpoint, not armed
         self.ar_n = self.ar_step = None
         self.span = self.tile = None
+        # (iteration, support bytes) at each support change of the run
+        # under `config`; a reference run, whose trace nobody reads, has none
+        self.events, self.last = ([] if self.out is None else None), None
         # one record per iteration; its objective is the penalty plus half
         # the squared residual of the new iterate, the next iteration's r
-        self.keep, self.obj, self.steps = bytearray(), array("d"), array("d")
+        self.obj, self.steps = array("d"), array("d")
 
     def arm(self, AT, KA):
         """Keep the current state as the second checkpoint."""
@@ -284,6 +323,23 @@ class _Row:
             np.copyto(self.ar_AT, AT)
             np.copyto(self.ar_KA, KA)
         self.ar_n, self.ar_step = self.n, self.step
+
+    def repeat_events(self, span, reps):
+        """Repeat the last `span` iterations' support changes `reps` times.
+
+        The state at `self.n` is the one `span` iterations before, so the
+        supports of those iterations repeat over the skipped periods.
+        """
+        events, first = self.events, self.n - span + 1
+        i = len(events)
+        while events[i - 1][0] > first:
+            i -= 1
+        period = events[i:]
+        if events[i - 1][1] != self.last:
+            # the support at `first` follows the one at `self.n`
+            period.insert(0, (first, events[i - 1][1]))
+        events += [(n + q * span, mask) for q in range(1, reps + 1)
+                   for n, mask in period]
 
 
 def _start(index, problem, config, alpha0, reference):
@@ -329,11 +385,13 @@ def _solve_stack(problems, config, starts, reference=None):
     Y = np.stack([p.dataset.responses for p in problems])
     one_pass = AT[0].size <= _EINSUM_BUFSIZE
     grams = GramStack([row.gram for row in rows])
+    G = AT.shape[1]
 
     results = [None] * len(rows)
     done = []
     Kr = None
     recording = config.record_trace
+    tracking = True
     while True:
         if done:
             gone = []
@@ -342,7 +400,9 @@ def _solve_stack(problems, config, starts, reference=None):
                 if row.out is not None:  # its reference run ends
                     ref = AT[j]
                 else:
-                    row.out = _finish(row, AT[j], KA[j], Y[j])
+                    # excess and keep are still the last iteration's
+                    penalty = row.lam * excess[j][keep[j]].sum()
+                    row.out = _finish(row, AT[j], KA[j], Y[j], penalty)
                     if row.reference is not None and row.settled is None:
                         row.run(row.reference)
                         continue
@@ -361,6 +421,7 @@ def _solve_stack(problems, config, starts, reference=None):
                 grams.keep(sel)
                 Kr = None
             recording = any(row.record for row in rows)
+            tracking = any(row.events is not None for row in rows)
         if Kr is None:  # the stack is new or has shrunk
             Kr = np.empty_like(AT)
             tau = np.array([row.tau for row in rows])[:, None, None]
@@ -402,6 +463,8 @@ def _solve_stack(problems, config, starts, reference=None):
         if recording:
             # each row's r @ r, with the same bits
             fit = np.matmul(r[:, None, :], r[:, :, None]).ravel().tolist()
+        if tracking:
+            masks = keep.tobytes()
 
         done = []
         for j, (row, s) in enumerate(zip(rows, step_sq)):
@@ -414,8 +477,12 @@ def _solve_stack(problems, config, starts, reference=None):
             row.step = step
             if step <= row.settle and row.settled is None:
                 row.settled = AT[j].copy()
+            if row.events is not None:
+                mask = masks[j * G:(j + 1) * G]
+                if mask != row.last:
+                    row.events.append((row.n, mask))
+                    row.last = mask
             if row.record:
-                row.keep += keep[j].tobytes()
                 # surviving blocks have kernel norm nu - thr by construction
                 row.obj.append(row.lam * excess[j][keep[j]].sum())
                 row.steps.append(step)
@@ -447,31 +514,40 @@ def _solve_stack(problems, config, starts, reference=None):
                     skip = max(0, (row.max_iters - 1 - row.n) // span) * span
                     if skip and row.record:
                         row.tile = (len(row.steps), skip // span)
+                    if skip and row.events is not None:
+                        row.repeat_events(span, skip // span)
                     row.n += skip
             if row.n >= row.max_iters:
                 done.append(j)
     return tuple(zip(*results))
 
 
-def _finish(row, AT, KA, y):
-    """One row's (coeffs, trace), copied out so as not to pin the stack."""
+def _finish(row, AT, KA, y, penalty):
+    """One row's (coeffs, trace), copied out so as not to pin the stack.
+
+    `penalty` is the last iteration's, as its record would hold it.
+    """
+    r = KA.sum(axis=0) - y
+    objective = penalty + 0.5 * (r @ r)
     if row.obj:
-        r = KA.sum(axis=0) - y
-        row.obj[-1] += 0.5 * (r @ r)
-    keep_rows = np.frombuffer(row.keep, dtype=bool).reshape(-1, AT.shape[0])
+        row.obj[-1] = objective
     objectives = np.frombuffer(row.obj)
     step_norms = np.frombuffer(row.steps)
     if row.tile is not None:
         # the last span records before the jump repeat over the skip
         (k, reps), span = row.tile, row.span
-        keep_rows, objectives, step_norms = (
-            np.concatenate([a[:k]] + [a[k - span:k]] * reps + [a[k:]])
-            for a in (keep_rows, objectives, step_norms)
+        objectives, step_norms = (
+            np.concatenate([a[:k], np.tile(a[k - span:k], reps), a[k:]])
+            for a in (objectives, step_norms)
         )
+    iters, masks = zip(*row.events)
     trace = SolveTrace(
-        supports=keep_rows,
+        change_iters=iters,
+        change_supports=np.frombuffer(b"".join(masks), dtype=bool).reshape(
+            len(masks), AT.shape[0]),
         objectives=objectives,
         step_norms=step_norms,
+        objective=objective,
         iters_run=row.n,
         final_step_norm=row.step,
     )

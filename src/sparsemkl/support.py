@@ -174,11 +174,14 @@ def qualification_check(coeffs, problem, eps_rel=DEFAULT_EPS_REL):
 
 
 def sandwich_check(trace, reference_report, burn_in=0):
-    """Verify the support sandwich on every recorded iteration.
+    """Verify the support sandwich on every iteration from `burn_in` on.
 
-    Checks that for each recorded iteration n >= `burn_in`,
+    Checks that for each iteration n >= `burn_in` of the run,
 
-        reference support <= trace support at n <= reference esupp.
+        reference support <= trace support at n <= reference esupp,
+
+    reading the trace's support change events, so an untraced run is
+    checked as a traced one is.
 
     Parameters
     ----------
@@ -186,10 +189,10 @@ def sandwich_check(trace, reference_report, burn_in=0):
     reference_report : SupportReport
         Taken at a well-converged reference solution of the same problem.
     burn_in : int
-        1-based iteration number before which records are ignored; the
+        1-based iteration number before which supports are ignored; the
         identification statement only promises the inclusions from some
         finite iteration onward. From ``last_support_change(trace)`` on,
-        as a batch checks, every row is the final support: the verdict is
+        as a batch checks, the support is the final one: the verdict is
         the inclusion at it, and a failure is first seen at `burn_in`.
 
     Returns
@@ -199,12 +202,11 @@ def sandwich_check(trace, reference_report, burn_in=0):
     if not isinstance(trace, SolveTrace):
         raise ContractViolation("trace must be a SolveTrace")
     burn_in = int(burn_in)
-    if trace.n_recorded == 0:
-        raise ContractViolation("trace has no recorded iterations")
-    if burn_in > int(trace.iterations[-1]):
+    if trace.change_iters.size == 0:
+        raise ContractViolation("trace has no support change events")
+    if burn_in > trace.iters_run:
         raise ContractViolation(
-            f"burn_in {burn_in} is beyond the last recorded iteration "
-            f"{int(trace.iterations[-1])}"
+            f"burn_in {burn_in} is beyond the last iteration {trace.iters_run}"
         )
     G = trace.n_groups
     supp = reference_report.support
@@ -215,32 +217,28 @@ def sandwich_check(trace, reference_report, burn_in=0):
         )
     lo = np.isin(np.arange(G), sorted(supp))
     hi = np.isin(np.arange(G), sorted(esupp))
-    sel = trace.iterations >= burn_in
-    rows = trace.supports[sel]
+    # the support in force at burn_in, and every change after it
+    k = max(int(np.searchsorted(trace.change_iters, burn_in, "right")) - 1, 0)
+    rows = trace.change_supports[k:]
     ok = (rows >= lo).all(axis=1) & (rows <= hi).all(axis=1)
     if ok.all():
         return SandwichVerdict(True, None)
-    first = int(trace.iterations[sel][np.flatnonzero(~ok)[0]])
-    return SandwichVerdict(False, first)
+    first = int(trace.change_iters[k + np.flatnonzero(~ok)[0]])
+    return SandwichVerdict(False, max(first, burn_in))
 
 
 def last_support_change(trace):
-    """1-based iteration of the last recorded support change.
+    """1-based iteration of the last support change.
 
-    Returns the first recorded iteration when the support never changes
-    across the trace. Useful as the `burn_in` of
-    :func:`sandwich_check`: from this iteration on, the traced support
-    is constant.
+    Returns the run's first iteration when the support never changes.
+    Useful as the `burn_in` of :func:`sandwich_check`: from this
+    iteration on, the support is constant.
     """
     if not isinstance(trace, SolveTrace):
         raise ContractViolation("trace must be a SolveTrace")
-    if trace.n_recorded == 0:
-        raise ContractViolation("trace has no recorded iterations")
-    rows = trace.supports
-    changed = np.flatnonzero((rows[1:] != rows[:-1]).any(axis=1))
-    if changed.size == 0:
-        return int(trace.iterations[0])
-    return int(trace.iterations[changed[-1] + 1])
+    if trace.change_iters.size == 0:
+        raise ContractViolation("trace has no support change events")
+    return int(trace.change_iters[-1])
 
 
 def solve_with_reference(problem, config, alpha0=None):

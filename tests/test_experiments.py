@@ -1,7 +1,10 @@
+import dataclasses
+import hashlib
 import io
 import json
 import pickle
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +120,12 @@ class TestGenerateInstance:
         assert (prob.gram.n_groups, prob.gram.m) == (20, 50)
         assert prob.gram.factors.shape == (20, 50, 5)
         assert len(support_of(planted)) == 5
+
+    def test_points_are_stored_once(self):
+        # the linear Gram reads the dataset's own read-only points
+        prob, _ = generate_instance(small_gl_config(), 0)
+        assert prob.dataset.points is prob.gram.features
+        assert not prob.dataset.points.flags.writeable
 
     def test_bit_identical_regeneration(self):
         cfg = small_gl_config()
@@ -268,16 +277,31 @@ class TestChunkedBatch:
                         <= experiments.CHUNK_BYTES)
 
     def test_trace_buffers_count_toward_the_cap(self):
-        # at the preset's own budget one row's traces and Gram stack
-        # exceed the cap, though its Gram stack alone does not
+        # at the preset's own budget two traced rows' records and Gram
+        # stacks exceed the cap, though their Gram stacks alone do not;
+        # an untraced row records no per-iteration arrays, so four stack
         cfg = gaussian_preset(8, iters=50000)
-        assert 8 * cfg.G * cfg.m * cfg.m < experiments.CHUNK_BYTES
-        assert experiments._row_bytes(cfg) > experiments.CHUNK_BYTES
-        assert [len(c) for c in experiments._chunks(cfg, 1)] == [1] * 8
-        # tiny Grams, long traces: the traces set the chunk size
+        assert 2 * 8 * cfg.G * cfg.m * cfg.m < experiments.CHUNK_BYTES
+        assert 2 * experiments._row_bytes(cfg, True) > experiments.CHUNK_BYTES
+        assert [len(c) for c in experiments._chunks(cfg, 1, True)] == [1] * 8
+        assert [len(c) for c in experiments._chunks(cfg, 1, False)] == [4, 4]
+        # tiny Grams, long traces: the traces set a traced chunk's size
         cfg = small_gl_config(n_instances=8, iters=20000)
         assert 8 * 8 * cfg.G * cfg.m * 2 < experiments.CHUNK_BYTES
-        assert [len(c) for c in experiments._chunks(cfg, 1)] == [4, 4]
+        assert [len(c) for c in experiments._chunks(cfg, 1, True)] == [4, 4]
+        assert [len(c) for c in experiments._chunks(cfg, 1, False)] == [8]
+
+    @pytest.mark.parametrize("workload, keep_traces, sizes", [
+        (lambda: gaussian_preset(8), False, [4, 4]),
+        (lambda: ExperimentConfig.group_lasso_paper(n_instances=6), True,
+         [6]),
+        (lambda: dataclasses.replace(
+            ExperimentConfig.group_lasso_paper(n_instances=1), m=800,
+            iters=200), False, [1]),
+    ], ids=["gauss-preset", "gl-preset-trace", "large-m-linear"])
+    def test_benchmark_workload_chunks(self, workload, keep_traces, sizes):
+        chunks = experiments._chunks(workload(), 1, keep_traces)
+        assert [len(c) for c in chunks] == sizes
 
     @staticmethod
     def batch_peak(cfg, keep_traces=False):
@@ -295,11 +319,28 @@ class TestChunkedBatch:
         _, _, eight = self.batch_peak(gaussian_preset(8))
         assert eight <= experiments.CHUNK_BYTES + one
 
+    @staticmethod
+    def traced_chunk_peak(cfg):
+        """Largest tracemalloc peak of a traced batch's chunks, each run
+        on its own, its outcomes dropped before the next one runs."""
+        run_batch(cfg, keep_traces=True)
+        peaks = []
+        for chunk in experiments._chunks(cfg, 1, True):
+            tracemalloc.start()
+            try:
+                experiments._run_chunk(cfg, chunk, True)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return max(peaks)
+
     def test_peak_is_bounded_when_traces_dominate(self):
-        _, _, one = self.batch_peak(small_gl_config(n_instances=1,
-                                                    iters=20000))
-        _, _, eight = self.batch_peak(small_gl_config(n_instances=8,
-                                                      iters=20000))
+        # only a traced batch records per-iteration arrays, and it keeps
+        # every trace as its output, so the bound is on each chunk's run
+        one = self.traced_chunk_peak(small_gl_config(n_instances=1,
+                                                     iters=20000))
+        eight = self.traced_chunk_peak(small_gl_config(n_instances=8,
+                                                       iters=20000))
         assert eight <= experiments.CHUNK_BYTES + one
 
     def test_kept_traces_hold_their_records_only(self):
@@ -366,9 +407,16 @@ class TestEmission:
         objectives = [1.5, -0.0, 0.0, 1.5, 0.1 + 0.2, -0.0, 1e-300, 0.3,
                       0.1 + 0.2, 0.0]
         supports = np.random.default_rng(0).random((len(objectives), 3)) < 0.5
-        trace = SolveTrace(supports=supports, objectives=objectives,
-                           step_norms=np.zeros(len(objectives)),
-                           iters_run=12, final_step_norm=0.0)
+        # records of iterations 3-12, with events from iteration 1 on
+        changed = [0] + [i for i in range(1, len(supports))
+                         if (supports[i] != supports[i - 1]).any()]
+        trace = SolveTrace(
+            change_iters=[1] + [3 + i for i in changed[1:]],
+            change_supports=supports[changed],
+            objectives=objectives, step_norms=np.zeros(len(objectives)),
+            objective=objectives[-1], iters_run=12, final_step_norm=0.0,
+        )
+        assert (trace.supports == supports).all()
         out = io.StringIO()
         write_trace_rows(out, 4, trace)
         want = [
@@ -379,6 +427,25 @@ class TestEmission:
         ]
         assert out.getvalue().splitlines() == want
         assert '"objective":-0.0}' in want[1] and '"objective":0.0}' in want[2]
+
+    def test_traces_are_written_in_blocks(self, tmp_path):
+        # 6 x 5000 rows, 2.4 MB of JSON lines: the emitter expands the
+        # support events one segment at a time and writes blocks of rows
+        res = run_batch(ExperimentConfig.group_lasso_paper(n_instances=6,
+                                                           master_seed=0))
+        path = tmp_path / "traces.jsonl"
+        emit_traces(res, path)
+        tracemalloc.start()
+        try:
+            emit_traces(res, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
+        golden = Path(__file__).parent / "data" / "traces_group_lasso_6x5000.sha256"
+        digest, name = golden.read_text().split()
+        assert name == path.name
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_trace_lines_have_one_based_labels(self, tmp_path):
         cfg = small_gl_config(n_instances=2, iters=25)

@@ -13,6 +13,7 @@ from sparsemkl import (
     LinearGroupProjection,
     ProblemInstance,
     SolverConfig,
+    SolveTrace,
     assemble_gram_blocks,
     enumerate_solve,
     objective,
@@ -372,6 +373,33 @@ class TestTrace:
         _, trace = solve(one_d, cfg, alpha0=DualCoefficients(np.ones((1, 1))))
         with pytest.raises(ValueError):
             trace.supports[0] = 0
+
+    @pytest.mark.parametrize("iters, n_records", [
+        ([], 2),          # records without events
+        ([2], 5),         # an event after the first record
+        ([1, 1], 0),      # not increasing
+        ([0], 0),         # before the first iteration
+        ([1, 6], 0),      # after the last
+    ])
+    def test_events_must_cover_the_records(self, iters, n_records):
+        with pytest.raises(ContractViolation):
+            SolveTrace(change_iters=iters,
+                       change_supports=np.zeros((len(iters), 2), dtype=bool),
+                       objectives=np.zeros(n_records),
+                       step_norms=np.zeros(n_records), objective=0.0,
+                       iters_run=5, final_step_norm=0.0)
+
+    def test_untraced_run_keeps_its_events_and_objective(self):
+        prob = group_lasso_instance(4)
+        cfg = SolverConfig(tau_factor=0.8, max_iters=300)
+        _, traced = solve(prob, cfg)
+        _, untraced = solve(prob, SolverConfig(tau_factor=0.8, max_iters=300,
+                                               record_trace=False))
+        assert untraced.n_recorded == 0
+        assert np.array_equal(untraced.change_iters, traced.change_iters)
+        assert np.array_equal(untraced.change_supports,
+                              traced.change_supports)
+        assert untraced.objective == traced.objective == traced.objectives[-1]
 
     def test_wide_trace_at_100_groups(self):
         # one scalar group per feature; no group cap applies to traces

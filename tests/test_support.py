@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from sparsemkl import (
     DualCoefficients,
     ProblemInstance,
     SolverConfig,
+    SolveTrace,
     SupportReport,
     certificate_norms,
     last_support_change,
@@ -194,12 +197,38 @@ class TestSandwichCheck:
         with pytest.raises(ContractViolation):
             sandwich_check(trace, report, 11)
 
-    def test_untraced_run_rejected(self, one_d):
+    def test_untraced_run_checked_on_its_events(self, one_d):
+        # an untraced run keeps its support change events, so every
+        # iteration >= burn_in is checked as on the traced run
         cfg = SolverConfig(tau_factor=0.5, max_iters=10, record_trace=False)
-        _, trace = solve(one_d, cfg, alpha0=DualCoefficients(np.ones((1, 1))))
-        report = qualification_check(DualCoefficients.zeros(1, 1), one_d)
+        start = DualCoefficients(np.ones((1, 1)))
+        _, trace = solve(one_d, cfg, alpha0=start)
+        _, traced = solve(one_d, dataclasses.replace(cfg, record_trace=True),
+                          alpha0=start)
+        assert trace.n_recorded == 0
+        fake = SupportReport(
+            support=frozenset(), extended_support=frozenset(),
+            certificate_norms=np.zeros(1), qc_holds=True, qc_margin=1.0,
+            eps_rel=1e-4,
+        )
+        passing = qualification_check(DualCoefficients.zeros(1, 1), one_d)
+        for burn in (0, 1, 4, 10):
+            for report in (passing, fake):
+                assert (sandwich_check(trace, report, burn)
+                        == sandwich_check(traced, report, burn))
+        assert sandwich_check(trace, fake, 4).first_violation == 4
         with pytest.raises(ContractViolation):
-            sandwich_check(trace, report, 0)
+            sandwich_check(trace, passing, 11)
+        # a trace with no events is still rejected
+        empty = SolveTrace(
+            change_iters=[], change_supports=np.zeros((0, 1), dtype=bool),
+            objectives=[], step_norms=[], objective=0.0, iters_run=10,
+            final_step_norm=0.0,
+        )
+        for check in (lambda t: sandwich_check(t, passing, 0),
+                      last_support_change):
+            with pytest.raises(ContractViolation):
+                check(empty)
 
 
 class TestBurnInAndReference:

@@ -6,6 +6,7 @@ bitwise. The oracle is a plain replica of the solver's arithmetic that
 runs and records every iteration.
 """
 
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -17,10 +18,17 @@ import pytest
 
 from sparsemkl import (
     ContractViolation,
+    Dataset,
     ExperimentConfig,
+    LinearGroupProjection,
+    ProblemInstance,
     SolverConfig,
+    SupportReport,
+    assemble_gram_blocks,
     generate_instance,
+    last_support_change,
     run_batch,
+    sandwich_check,
     solve,
     solve_with_reference,
 )
@@ -215,6 +223,98 @@ class TestCycleExit:
         assert_matches_replica(coeffs, trace, replica(problem, config, warm))
 
 
+def boundary_problem(seed):
+    """A problem whose exact cycle changes support inside its period.
+
+    One scalar group per feature and a weight one ulp below the largest
+    certificate norm of the data: the solution is zero with a group at
+    the boundary of the support, which rounding turns on and off.
+    """
+    rng = np.random.default_rng(seed)
+    m, G = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+    X = rng.standard_normal((m, G))
+    y = rng.standard_normal(m)
+    gram = assemble_gram_blocks(Dataset(X, np.zeros(m)),
+                                LinearGroupProjection((1,) * G))
+    lam = float(np.sqrt(gram.quad(y)).max()) * (1.0 - 2.0**-52)
+    return ProblemInstance(dataset=Dataset(X, y), gram=gram, lam=lam,
+                           lam_convention="raw")
+
+
+def sandwich_of_rows(iterations, rows, report, burn_in):
+    """The sandwich verdict read off every iteration's support row."""
+    G = rows.shape[1]
+    lo = np.isin(np.arange(G), sorted(report.support))
+    hi = np.isin(np.arange(G), sorted(report.extended_support))
+    sel = iterations >= burn_in
+    bad = ~((rows[sel] >= lo).all(axis=1) & (rows[sel] <= hi).all(axis=1))
+    return None if not bad.any() else int(iterations[sel][bad][0])
+
+
+class TestCycleWithSupportChanges:
+    """Exact cycles whose support changes inside the period.
+
+    No preset run has one, so `boundary_problem` builds them. From zero
+    the state after iteration 1 comes back every period, and the
+    supports over a period are, by seed: 2 on, off, on (period 3, the
+    support at its start equals the one at its end); 8 off, on (period
+    2, they differ); 0 {}, {2} over two groups (period 2).
+    """
+
+    CASES = {2: (1.0, 3), 8: (1.0, 2), 0: (1.5, 2)}
+
+    @pytest.mark.parametrize("seed", sorted(CASES))
+    def test_events_match_the_full_budget_replay(self, repeats, seed):
+        tau_factor, period = self.CASES[seed]
+        problem = boundary_problem(seed)
+        G = problem.n_groups
+        assert first_repeat(problem, SolverConfig(tau_factor=tau_factor,
+                                                  max_iters=50)) == (1, period)
+        reports = [
+            SupportReport(support=supp, extended_support=esupp,
+                          certificate_norms=np.zeros(G), qc_holds=True,
+                          qc_margin=1.0, eps_rel=1e-4)
+            for supp, esupp in ((frozenset(), frozenset(range(G))),
+                                (frozenset(), frozenset()),
+                                (frozenset({G - 1}), frozenset(range(G))))
+        ]
+        # every remainder after the last skipped period
+        for max_iters in range(200, 201 + period):
+            config = SolverConfig(tau_factor=tau_factor, max_iters=max_iters)
+            repeats.clear()
+            coeffs, trace = solve(problem, config)
+            assert any(repeats), "the cycle exit did not fire"
+            expected = replica(problem, config)
+            assert_matches_replica(coeffs, trace, expected)
+            rows, its = expected["supports"], expected["iterations"]
+            changes = np.flatnonzero((rows[1:] != rows[:-1]).any(axis=1)) + 2
+            assert same_bits(trace.change_iters,
+                             np.concatenate([[1], changes]))
+            assert last_support_change(trace) == int(changes[-1])
+            _, untraced = solve(problem, dataclasses.replace(
+                config, record_trace=False))
+            assert untraced.n_recorded == 0
+            for name in ("change_iters", "change_supports"):
+                assert same_bits(getattr(untraced, name),
+                                 getattr(trace, name)), name
+            for report in reports:
+                for burn in (0, 1, 2, 100, max_iters):
+                    want = sandwich_of_rows(its, rows, report, burn)
+                    for t in (trace, untraced):
+                        verdict = sandwich_check(t, report, burn)
+                        assert verdict.first_violation == want
+                        assert verdict.passed == (want is None)
+
+    def test_constant_support_periods_add_no_events(self, preset_problems):
+        # the preset cycles keep their support, so a run's events end
+        # before its cycle does, whatever the budget
+        for problem in preset_problems.values():
+            _, short = solve(problem, SolverConfig(max_iters=4999))
+            _, long = solve(problem, SolverConfig(max_iters=50000))
+            assert same_bits(short.change_iters, long.change_iters)
+            assert short.change_iters.size < 30
+
+
 class TestEarlyCycleExit:
     """The second checkpoint ends a cycling row soon after its cycle starts.
 
@@ -308,6 +408,26 @@ class TestTraceMemory:
         assert trace.n_recorded == 5000
         assert peak <= 2.5 * kept
 
+    def test_untraced_run_holds_no_per_iteration_arrays(self,
+                                                         preset_problems):
+        # what a batch instance's untraced solve leaves behind, at two
+        # budgets ten times apart
+        problem = preset_problems[0]
+        G, m = problem.n_groups, problem.m
+        held = []
+        for iters in (300, 3000):
+            config = SolverConfig(max_iters=iters, record_trace=False)
+            solve_with_reference(problem, config)
+            tracemalloc.start()
+            try:
+                out = solve_with_reference(problem, config)
+                held.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+            assert out[1].n_recorded == 0 and out[1].iters_run == iters
+            del out
+        assert abs(held[1] - held[0]) < 8 * G * m
+
     def test_buffers_grow_with_the_iterations_run(self, preset_problems):
         # a full-budget reservation would take tens of megabytes here
         peak, trace = self.traced_peak(
@@ -334,9 +454,11 @@ class TestContinuation:
         problem = preset_problems[0]
         _, trace = solve(problem, SolverConfig(max_iters=50))
         copy = pickle.loads(pickle.dumps(trace))
-        for name in ("iterations", "supports", "objectives", "step_norms"):
+        for name in ("iterations", "supports", "change_iters",
+                     "change_supports", "objectives", "step_norms"):
             assert same_bits(getattr(copy, name), getattr(trace, name)), name
-        assert set(vars(copy)) == {"supports", "objectives", "step_norms",
+        assert set(vars(copy)) == {"change_iters", "change_supports",
+                                   "objectives", "step_norms", "objective",
                                    "iters_run", "final_step_norm"}
 
 
