@@ -30,9 +30,9 @@ __all__ = ["SolverConfig", "SolveTrace", "solve"]
 #: so their step norms are reduced one row at a time to keep the bits.
 _EINSUM_BUFSIZE = 8192
 
-#: Iterations a row compares its state with the second cycle checkpoint,
-#: taken where its step norm stopped decreasing, before letting it go;
-#: longer periods are left to Brent's checkpoint.
+#: Iterations between a row's cycle checkpoints: every state is compared
+#: with the last one taken, so the exit finds periods up to this long;
+#: a longer cycle runs out its budget, still exact.
 _CYCLE_WINDOW = 64
 
 
@@ -203,19 +203,15 @@ def solve(problem, config, alpha0=None):
 
     The iteration is a deterministic map of its state, so once the state
     repeats bit for bit every later iterate is known. The loop looks for
-    such a repeat with Brent's cycle detection: each state is compared
-    with a checkpoint that moves to the current state whenever its
-    distance reaches the next power of two, and the full bitwise compare
-    runs only when the step norm equals the checkpoint's. A second
-    checkpoint catches short cycles soon after they start: the forward-
-    backward map is averaged, so a trajectory still converging has
-    non-increasing step norms, while a cycle holds a step that does not
-    decrease in every period. When the step norm fails to decrease, the
-    state is kept, and the next `_CYCLE_WINDOW` (64) states are compared
-    with it the same way. On a repeat it skips whole periods, computes
-    only the iterations left over, and repeats the trace records of the
-    last period over the skipped iterations. Coefficients, trace and
-    `final_step_norm` are exactly those of running every iteration.
+    such a repeat with one checkpoint, a copy of the state taken every
+    `_CYCLE_WINDOW` (64) iterations: each state is compared with the
+    last copy, bit for bit but only when the step norms are equal. A
+    cycle of period p <= 64 is found within 64 + p iterations of its
+    start; a longer one runs the full budget. On a repeat it skips whole
+    periods, computes only the iterations left over, and repeats the
+    trace records of the last period over the skipped iterations.
+    Coefficients, trace and `final_step_norm` are exactly those of
+    running every iteration.
 
     A list or tuple of problems is solved as one stack: one loop steps
     every row together, each row with its own step size, threshold,
@@ -274,8 +270,7 @@ class _Row:
 
     __slots__ = ("index", "gram", "lam", "tau", "thr", "reference",
                  "out", "max_iters", "stop", "record", "settle", "n", "step",
-                 "settled", "ck_n", "ck_AT", "ck_KA", "ck_step", "power",
-                 "ar_n", "ar_AT", "ar_KA", "ar_step",
+                 "settled", "ck_n", "ck_AT", "ck_KA", "ck_step",
                  "span", "tile", "events", "last", "obj", "steps")
 
     def __init__(self, index, problem, tau, config, reference):
@@ -287,10 +282,10 @@ class _Row:
         # the config the trajectory runs on under once `config` is done
         self.reference = reference
         self.out = None  # (coeffs, trace) of the run under `config`
-        # no step yet: the first one is no increase
-        self.n, self.step, self.settled = 0, math.inf, None
-        # the second checkpoint's state, allocated when it first arms
-        self.ar_AT = self.ar_KA = None
+        self.n, self.step, self.settled = 0, None, None
+        # the cycle checkpoint's state, overwritten in place each time
+        shape = (self.gram.n_groups, self.gram.m)
+        self.ck_AT, self.ck_KA = np.empty(shape), np.empty(shape)
         # `settled` keeps the first iterate with a step of at most this;
         # a step norm is never negative, so a tolerance of -1 never
         # settles a run, nor stops one
@@ -302,11 +297,8 @@ class _Row:
         self.max_iters = config.max_iters
         self.stop = config.stop_tol if config.stop_tol > 0.0 else -1.0
         self.record = config.record_trace
-        # Brent's checkpoint; no compare until it first moves
-        self.ck_n, self.ck_AT, self.ck_KA, self.ck_step = self.n, None, None, None
-        self.power = 1
-        # the second checkpoint, not armed
-        self.ar_n = self.ar_step = None
+        # no compare until the checkpoint is first taken
+        self.ck_n, self.ck_step = self.n, None
         self.span = self.tile = None
         # (iteration, support bytes) at each support change of the run
         # under `config`; a reference run, whose trace nobody reads, has none
@@ -314,15 +306,6 @@ class _Row:
         # one record per iteration; its objective is the penalty plus half
         # the squared residual of the new iterate, the next iteration's r
         self.obj, self.steps = array("d"), array("d")
-
-    def arm(self, AT, KA):
-        """Keep the current state as the second checkpoint."""
-        if self.ar_AT is None:
-            self.ar_AT, self.ar_KA = AT.copy(), KA.copy()
-        else:
-            np.copyto(self.ar_AT, AT)
-            np.copyto(self.ar_KA, KA)
-        self.ar_n, self.ar_step = self.n, self.step
 
     def repeat_events(self, span, reps):
         """Repeat the last `span` iterations' support changes `reps` times.
@@ -472,9 +455,7 @@ def _solve_stack(problems, config, starts, reference=None):
             if row.obj:
                 # the previous record's objective ends with this r
                 row.obj[-1] += 0.5 * fit[j]
-            step = math.sqrt(max(s, 0.0))
-            rising = step >= row.step
-            row.step = step
+            step = row.step = math.sqrt(max(s, 0.0))
             if step <= row.settle and row.settled is None:
                 row.settled = AT[j].copy()
             if row.events is not None:
@@ -492,31 +473,19 @@ def _solve_stack(problems, config, starts, reference=None):
             if row.span is None:
                 if (step == row.ck_step and _same_bits(AT[j], row.ck_AT)
                         and _same_bits(KA[j], row.ck_KA)):
-                    row.span = row.n - row.ck_n
-                elif (step == row.ar_step and _same_bits(AT[j], row.ar_AT)
-                        and _same_bits(KA[j], row.ar_KA)):
-                    row.span = row.n - row.ar_n
-                else:
-                    if row.n - row.ck_n == row.power:
-                        # copies: a view would keep the whole stack alive
-                        row.ck_n, row.ck_step = row.n, step
-                        row.ck_AT, row.ck_KA = AT[j].copy(), KA[j].copy()
-                        row.power *= 2
-                    if (row.ar_n is not None
-                            and row.n - row.ar_n >= _CYCLE_WINDOW):
-                        row.ar_n = row.ar_step = None
-                    if rising and row.ar_n is None:
-                        row.arm(AT[j], KA[j])
-                if row.span is not None:
                     # state n + skip equals state n; the final record and
                     # step come from the last iteration, always computed
-                    span = row.span
+                    span = row.span = row.n - row.ck_n
                     skip = max(0, (row.max_iters - 1 - row.n) // span) * span
                     if skip and row.record:
                         row.tile = (len(row.steps), skip // span)
                     if skip and row.events is not None:
                         row.repeat_events(span, skip // span)
                     row.n += skip
+                elif row.n - row.ck_n == _CYCLE_WINDOW:
+                    np.copyto(row.ck_AT, AT[j])
+                    np.copyto(row.ck_KA, KA[j])
+                    row.ck_n, row.ck_step = row.n, step
             if row.n >= row.max_iters:
                 done.append(j)
     return tuple(zip(*results))

@@ -316,7 +316,7 @@ class TestCycleWithSupportChanges:
 
 
 class TestEarlyCycleExit:
-    """The second checkpoint ends a cycling row soon after its cycle starts.
+    """The cycle checkpoint ends a cycling row soon after its cycle starts.
 
     Each group-lasso preset instance 0-7 (master seed 0) is solved alone
     at its 5000-iteration budget, and the Gram products its row computes
@@ -335,41 +335,17 @@ class TestEarlyCycleExit:
         monkeypatch.setattr(core_module.GramStack, "apply_each", spy)
         return calls
 
-    @pytest.fixture
-    def arms(self, monkeypatch):
-        """(row index, iteration) of every arming of the second checkpoint."""
-        calls = []
-        original = solver_module._Row.arm
-
-        def spy(row, AT, KA):
-            calls.append((row.index, row.n))
-            return original(row, AT, KA)
-
-        monkeypatch.setattr(solver_module._Row, "arm", spy)
-        return calls
-
     @pytest.mark.parametrize("index", range(8))
-    def test_exit_follows_the_cycle_start(self, monkeypatch, products,
-                                          index):
+    def test_exit_follows_the_cycle_start(self, products, index):
         problem = preset_instance(index)
         config = SolverConfig(max_iters=5000)
         start, period = first_repeat(problem, config)
         coeffs, trace = solve(problem, config)
-        computed = len(products)
         assert set(products) == {1}
-        assert computed <= start + solver_module._CYCLE_WINDOW + 2 * period
-        # Brent's checkpoint alone: never armed, the second one never
-        # compares
-        monkeypatch.setattr(solver_module._Row, "arm", lambda *args: None)
-        products.clear()
-        brent_coeffs, brent_trace = solve(problem, config)
-        assert computed <= len(products)
-        assert same_bits(coeffs.alpha, brent_coeffs.alpha)
-        for name in ("supports", "objectives", "step_norms"):
-            assert same_bits(getattr(trace, name),
-                             getattr(brent_trace, name)), name
+        assert len(products) <= start + solver_module._CYCLE_WINDOW + 2 * period
+        assert_matches_replica(coeffs, trace, replica(problem, config))
 
-    def test_a_row_that_never_repeats_never_arms(self, arms, products):
+    def test_a_row_that_never_repeats_never_arms(self, products):
         # the Gaussian preset's step norms still fall at 3000 iterations
         config = ExperimentConfig.gaussian_kernel_paper(n_instances=8,
                                                         master_seed=0)
@@ -377,15 +353,24 @@ class TestEarlyCycleExit:
         _, traces = solve(problems, SolverConfig(max_iters=3000))
         assert {t.iters_run for t in traces} == {3000}
         assert products == [8] * 3000
-        assert arms == []
 
-    def test_an_arming_row_is_one_that_stopped_descending(self, arms):
-        problem = preset_instance(0)
-        _, trace = solve(problem, SolverConfig(max_iters=5000))
-        assert arms
-        steps = trace.step_norms
-        for _, n in arms:
-            assert steps[n - 1] >= steps[n - 2]
+    def test_the_window_bounds_the_periods_found(self, monkeypatch, products,
+                                                 repeats):
+        # a period-3 cycle from iteration 1: checkpoints 2 iterations
+        # apart never see it repeat, 64 apart they do
+        tau_factor, period = TestCycleWithSupportChanges.CASES[2]
+        assert 2 < period <= solver_module._CYCLE_WINDOW
+        problem = boundary_problem(2)
+        config = SolverConfig(tau_factor=tau_factor, max_iters=200)
+        expected = replica(problem, config)
+        for window, found in ((2, False), (solver_module._CYCLE_WINDOW, True)):
+            monkeypatch.setattr(solver_module, "_CYCLE_WINDOW", window)
+            products.clear()
+            repeats.clear()
+            coeffs, trace = solve(problem, config)
+            assert any(repeats) == found
+            assert (len(products) < 200) == found
+            assert_matches_replica(coeffs, trace, expected)
 
 
 class TestTraceMemory:
@@ -678,7 +663,13 @@ class TestStackMemory:
         assert held < records + own + stack_array // 2
 
 
-def test_batch_outputs_do_not_depend_on_blas_threads(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["--preset", "group-lasso-paper", "--instances", "3", "--iters", "2000",
+     "--trace"],
+    # dense Gram blocks, whose product the group-lasso stack never runs
+    ["--preset", "gaussian-kernel-paper", "--instances", "4", "--iters", "300"],
+], ids=["group-lasso", "gaussian"])
+def test_batch_outputs_do_not_depend_on_blas_threads(tmp_path, argv):
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     outputs = []
     for threads in ("1", "2"):
@@ -690,12 +681,12 @@ def test_batch_outputs_do_not_depend_on_blas_threads(tmp_path):
         subprocess.run(
             [sys.executable, "-c",
              "import sys; from sparsemkl.cli import main; sys.exit(main())",
-             "batch", "--preset", "group-lasso-paper", "--instances", "3",
-             "--iters", "2000", "--trace", "--out-dir", str(out_dir)],
+             "batch", *argv, "--out-dir", str(out_dir)],
             env=env, check=True, capture_output=True,
         )
         outputs.append(out_dir)
-    for name in ("histogram.csv", "summary.json", "traces.jsonl"):
+    for name in ["histogram.csv", "summary.json"] + ["traces.jsonl"] * (
+            "--trace" in argv):
         first = (outputs[0] / name).read_bytes()
         assert first, name
         assert first == (outputs[1] / name).read_bytes(), name
