@@ -48,7 +48,10 @@ from .support import (
 
 __all__ = ["main"]
 
-_BATCH_PRESETS = ("group-lasso-paper", "gaussian-kernel-paper")
+_BATCH_PRESETS = {
+    "group-lasso-paper": ExperimentConfig.group_lasso_paper,
+    "gaussian-kernel-paper": ExperimentConfig.gaussian_kernel_paper,
+}
 _SOLVE_PRESETS = ("paper-1d",)
 
 
@@ -146,31 +149,48 @@ def _read_ini(path):
     return ini
 
 
-def _section(ini, name):
+def _read_section(ini, name, keys, defaults):
+    """Section `name` of `ini`, read through `keys`: key -> converter.
+
+    A key of `defaults` may be left out, and so may the whole section
+    when every key may. A key that `keys` does not list is an error.
+    """
     if not ini.has_section(name):
+        if set(keys) <= set(defaults):
+            return dict(defaults)
         raise ConfigError(f"missing section [{name}]")
-    return ini[name]
-
-
-def _get(section, sec_name, key, conv, required=True, default=None):
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing key '{key}' in section [{sec_name}]")
-        return default
-    raw = section[key]
-    try:
-        return conv(raw)
-    except (ValueError, TypeError) as err:
-        raise ConfigError(
-            f"bad value for '{key}' in section [{sec_name}]: {raw!r}"
-        ) from err
-
-
-def _reject_unknown_keys(section, sec_name, known):
-    known = {section.parser.optionxform(key) for key in known}
-    for key in section:
+    sec = ini[name]
+    values = {}
+    for key, conv in keys.items():
+        if key not in sec:
+            if key not in defaults:
+                raise ConfigError(f"missing key '{key}' in section [{name}]")
+            values[key] = defaults[key]
+            continue
+        try:
+            values[key] = conv(sec[key])
+        except (ValueError, TypeError) as err:
+            raise ConfigError(
+                f"bad value for '{key}' in section [{name}]: {sec[key]!r}"
+            ) from err
+    known = {ini.optionxform(key) for key in keys}
+    for key in sec:
         if key not in known:
-            raise ConfigError(f"unknown key '{key}' in section [{sec_name}]")
+            raise ConfigError(f"unknown key '{key}' in section [{name}]")
+    return values
+
+
+def _family_keys(ini, name, table):
+    """The keys, and their defaults, of the family that `name` names.
+
+    A missing or unknown family reads every family's keys as optional,
+    so that the error names the family, not a key of another family.
+    """
+    family = ini[name].get("family") if ini.has_section(name) else None
+    if family in table:
+        return table[family], {}
+    keys = {key: conv for fam in table.values() for key, conv in fam.items()}
+    return keys, dict.fromkeys(keys)
 
 
 def _int_tuple(raw):
@@ -179,6 +199,20 @@ def _int_tuple(raw):
 
 def _float_tuple(raw):
     return tuple(float(tok) for tok in raw.replace(" ", "").split(",") if tok)
+
+
+_PROBLEM_KEYS = {"data": str, "family": str, "lambda": float,
+                 "lambda_convention": str}
+_PROBLEM_FAMILY_KEYS = {"group-lasso": {"group_dims": _int_tuple},
+                        "gaussian-kernel": {"sigmas": _float_tuple}}
+_SOLVER_KEYS = {"tau_factor": float, "iters": int, "stop_tol": float}
+_EXPERIMENT_KEYS = {
+    "family": str, "m": int, "G": int, "s": int, "lambda": float, "p": int,
+    "noise_std": float, "n_instances": int, "iters": int,
+    "tau_factor": float, "master_seed": int,
+}
+_EXPERIMENT_FAMILY_KEYS = {"group-lasso": {"group_dims": _int_tuple},
+                           "gaussian-kernel": {"sigma_range": _float_tuple}}
 
 
 def _fmt_group_set(groups):
@@ -247,41 +281,26 @@ def _load_dataset(path):
 
 def _solve_from_config(args):
     ini = _read_ini(args.config)
-    prob_sec = _section(ini, "problem")
-    dataset = _load_dataset(_get(prob_sec, "problem", "data", str))
-    family = _get(prob_sec, "problem", "family", str)
-    if family == "group-lasso":
-        dims = _get(prob_sec, "problem", "group_dims", _int_tuple)
-        spec = LinearGroupProjection(dims)
-    elif family == "gaussian-kernel":
-        sigmas = _get(prob_sec, "problem", "sigmas", _float_tuple)
-        spec = GaussianFamily(sigmas)
+    keys, defaults = _family_keys(ini, "problem", _PROBLEM_FAMILY_KEYS)
+    kw = _read_section(ini, "problem", {**_PROBLEM_KEYS, **keys},
+                       {"lambda_convention": "raw", **defaults})
+    if kw["family"] == "group-lasso":
+        spec = LinearGroupProjection(kw["group_dims"])
+    elif kw["family"] == "gaussian-kernel":
+        spec = GaussianFamily(kw["sigmas"])
     else:
         raise ConfigError(
-            f"bad value for 'family' in section [problem]: {family!r}"
+            f"bad value for 'family' in section [problem]: {kw['family']!r}"
         )
-    _reject_unknown_keys(prob_sec, "problem", (
-        "data", "family", "lambda", "lambda_convention",
-        "group_dims" if family == "group-lasso" else "sigmas",
-    ))
-    lam = _get(prob_sec, "problem", "lambda", float)
-    convention = _get(prob_sec, "problem", "lambda_convention", str,
-                      required=False, default="raw")
+    dataset = _load_dataset(kw["data"])
     gram = assemble_gram_blocks(dataset, spec)
-    problem = ProblemInstance(dataset=dataset, gram=gram, lam=lam,
-                              lam_convention=convention)
+    problem = ProblemInstance(dataset=dataset, gram=gram, lam=kw["lambda"],
+                              lam_convention=kw["lambda_convention"])
 
-    solver_kw = {}
-    if ini.has_section("solver"):
-        sec = ini["solver"]
-        keys = (("tau_factor", float), ("iters", int), ("stop_tol", float))
-        _reject_unknown_keys(sec, "solver", [key for key, _ in keys])
-        for key, conv in keys:
-            val = _get(sec, "solver", key, conv, required=False)
-            if val is not None:
-                solver_kw["max_iters" if key == "iters" else key] = val
-    solver_kw.setdefault("max_iters", 1000)
-    return problem, solver_kw
+    solver = _read_section(ini, "solver", _SOLVER_KEYS,
+                           dict.fromkeys(_SOLVER_KEYS))
+    solver["max_iters"] = solver.pop("iters")
+    return problem, {k: v for k, v in solver.items() if v is not None}
 
 
 def _cmd_solve(args):
@@ -373,50 +392,24 @@ def _cmd_solve(args):
 # ------------------------------------------------------------------ batch
 
 def _batch_config(args):
-    preset = args.preset
-    if preset is not None:
-        if preset == "group-lasso-paper":
-            config = ExperimentConfig.group_lasso_paper()
-        elif preset == "gaussian-kernel-paper":
-            config = ExperimentConfig.gaussian_kernel_paper()
-        else:
+    if args.preset is not None:
+        if args.preset not in _BATCH_PRESETS:
             raise ConfigError(
-                f"unknown batch preset {preset!r}; "
+                f"unknown batch preset {args.preset!r}; "
                 f"choose from {', '.join(_BATCH_PRESETS)}"
             )
+        config = _BATCH_PRESETS[args.preset]()
     else:
         ini = _read_ini(args.config)
-        sec = _section(ini, "experiment")
-        family = _get(sec, "experiment", "family", str)
-        kw = {
-            "family": family,
-            "m": _get(sec, "experiment", "m", int),
-            "G": _get(sec, "experiment", "G", int),
-            "s": _get(sec, "experiment", "s", int),
-            "lam": _get(sec, "experiment", "lambda", float),
-            "p": _get(sec, "experiment", "p", int),
-            "noise_std": _get(sec, "experiment", "noise_std", float),
-            "n_instances": _get(sec, "experiment", "n_instances", int),
-            "iters": _get(sec, "experiment", "iters", int),
-            "tau_factor": _get(sec, "experiment", "tau_factor", float,
-                               required=False, default=0.8),
-            "master_seed": _get(sec, "experiment", "master_seed", int,
-                                required=False, default=0),
-        }
-        if family == "group-lasso":
-            kw["group_dims"] = _get(sec, "experiment", "group_dims", _int_tuple)
-        elif family == "gaussian-kernel":
-            kw["sigma_range"] = _get(sec, "experiment", "sigma_range",
-                                     _float_tuple)
+        keys, defaults = _family_keys(ini, "experiment",
+                                      _EXPERIMENT_FAMILY_KEYS)
+        kw = _read_section(ini, "experiment", {**_EXPERIMENT_KEYS, **keys},
+                           {"tau_factor": 0.8, "master_seed": 0, **defaults})
+        kw["lam"] = kw.pop("lambda")
         try:
             config = ExperimentConfig(**kw)
         except ContractViolation as err:
             raise ConfigError(f"invalid [experiment] config: {err}") from err
-        _reject_unknown_keys(sec, "experiment", (
-            "family", "m", "G", "s", "lambda", "p", "noise_std",
-            "n_instances", "iters", "tau_factor", "master_seed",
-            "group_dims" if family == "group-lasso" else "sigma_range",
-        ))
 
     overrides = {}
     if args.seed is not None:

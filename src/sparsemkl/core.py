@@ -368,11 +368,11 @@ class GramStack:
     """The Gram operators of a stack of problems, applied together.
 
     :meth:`apply_each` gives row i of its result the bits of
-    ``grams[i].apply_each(R[i])``. Factored rows that share a factor
-    shape go through one matmul over their stacked ``(N, G, m, d_max)``
-    factors; a shape held by one row uses that gram's own arrays. A
-    dense row is one product of its own, since stacking the ``(G, m, m)``
-    blocks would copy them.
+    ``grams[i].apply_each(R[i])``. Two or more factored rows that share
+    one factor shape go through one matmul over their stacked
+    ``(N, G, m, d_max)`` factors. Any other stack (dense rows, whose
+    ``(G, m, m)`` blocks a stack would copy, a lone row, or mixed
+    storages and shapes) applies each row's own Gram.
 
     Parameters
     ----------
@@ -381,22 +381,13 @@ class GramStack:
     """
 
     def __init__(self, grams):
-        shapes = {}
-        self._dense = []
-        for i, gram in enumerate(grams):
-            if gram.factors is None:
-                self._dense.append((i, gram))
-            else:
-                shapes.setdefault(gram.factors.shape, []).append(i)
-        self._factored = []
-        for rows in shapes.values():
-            if len(rows) == 1:
-                gram = grams[rows[0]]
-                F, FT = gram.factors[None], gram._factors_t[None]
-            else:
-                F = np.stack([grams[i].factors for i in rows])
-                FT = np.stack([grams[i]._factors_t for i in rows])
-            self._factored.append((rows, F, FT))
+        self._grams = list(grams)
+        self._F = self._FT = None
+        shapes = {None if g.factors is None else g.factors.shape
+                  for g in self._grams}
+        if len(self._grams) > 1 and len(shapes) == 1 and None not in shapes:
+            self._F = np.stack([g.factors for g in self._grams])
+            self._FT = np.stack([g._factors_t for g in self._grams])
 
     def keep(self, sel):
         """Keep only rows `sel`, given in increasing order, renumbered.
@@ -404,18 +395,12 @@ class GramStack:
         Stacked factors move up within their own arrays, so dropping
         rows allocates nothing.
         """
-        new = {old: i for i, old in enumerate(sel)}
-        self._dense = [(new[i], gram) for i, gram in self._dense if i in new]
-        factored = []
-        for rows, F, FT in self._factored:
-            kept = [k for k, i in enumerate(rows) if i in new]
-            for to, k in enumerate(kept):
-                if to != k:
-                    F[to], FT[to] = F[k], FT[k]
-            if kept:
-                factored.append(([new[rows[k]] for k in kept],
-                                 F[:len(kept)], FT[:len(kept)]))
-        self._factored = factored
+        self._grams = [self._grams[i] for i in sel]
+        if self._F is not None:
+            for to, i in enumerate(sel):
+                if to != i:
+                    self._F[to], self._FT[to] = self._F[i], self._FT[i]
+            self._F, self._FT = self._F[:len(sel)], self._FT[:len(sel)]
 
     def apply_each(self, R, out):
         """``K_g R[i]`` for every row i and group g, written into `out`.
@@ -430,15 +415,12 @@ class GramStack:
         -------
         out
         """
-        if not self._dense and len(self._factored) == 1:
-            # one factor shape holds every row, in order
-            _, F, FT = self._factored[0]
-            np.matmul(F, FT @ R[:, None, :, None], out=out[..., None])
-            return out
-        for rows, F, FT in self._factored:
-            out[rows] = (F @ (FT @ R[rows, None, :, None]))[..., 0]
-        for i, gram in self._dense:
-            gram.apply_each(R[i], out=out[i])
+        if self._F is not None:
+            np.matmul(self._F, self._FT @ R[:, None, :, None],
+                      out=out[..., None])
+        else:
+            for i, gram in enumerate(self._grams):
+                gram.apply_each(R[i], out=out[i])
         return out
 
 

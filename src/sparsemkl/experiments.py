@@ -292,7 +292,8 @@ def _row_bytes(config, keep_traces=True):
     """
     if config.family == "group-lasso":
         # the (G, m, d_max) factor stack and its transpose, and their
-        # copies in the chunk's stacked Gram product (core.GramStack)
+        # copies in the chunk's stacked Gram product when its rows are
+        # two or more (core.GramStack)
         gram = 4 * 8 * config.G * config.m * max(config.group_dims)
     else:
         gram = 8 * config.G * config.m * config.m
@@ -501,20 +502,9 @@ def emit_summary(result, path):
 
     Group labels are 1-based in the file, matching the trace format.
     """
-    per_run = []
-    for rec in result.per_run:
-        per_run.append({
-            "index": rec.index,
-            "seed": rec.seed,
-            "support": sorted(g + 1 for g in rec.support),
-            "support_size": rec.support_size,
-            "objective": rec.objective,
-            "qc_margin": rec.qc_margin,
-            "sandwich_passed": rec.sandwich_passed,
-            "sandwich_first_violation": rec.sandwich_first_violation,
-            "burn_in": rec.burn_in,
-            "final_step_norm": rec.final_step_norm,
-        })
+    per_run = [{**dataclasses.asdict(rec),
+                "support": sorted(g + 1 for g in rec.support)}
+               for rec in result.per_run]
     doc = {
         "config": _config_dict(result.config),
         "histogram": {str(k): int(v) for k, v in sorted(result.histogram.items())},

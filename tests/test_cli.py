@@ -270,7 +270,61 @@ def test_readme_solve_config_parses(tmp_path, monkeypatch, capsys):
     rc, out, err = run_cli(["solve", "--config", "run.ini", "--dry-run"],
                            capsys)
     assert (rc, err) == (0, "")
-    assert "G=3" in out.splitlines()
+    assert out.splitlines() == [
+        "G=3",
+        "eps_rel=0.0001",
+        "iters=10000",
+        "lambda=1.0",
+        "lambda_convention=raw",
+        "m=4",
+        "preset=None",
+        "stop_tol=1e-12",
+        "tau_factor=0.8",
+    ]
+
+
+# one error each; the whole message is pinned
+SOLVE_INI_ERRORS = {
+    "no-section": ("", "missing section [problem]"),
+    "no-data": ("family = group-lasso\ngroup_dims = 1,1\nlambda = 1.0\n",
+                "missing key 'data' in section [problem]"),
+    "no-family": ("data = {data}\ngroup_dims = 1,1\nlambda = 1.0\n",
+                  "missing key 'family' in section [problem]"),
+    "bad-family": ("data = {data}\nfamily = lasso\ngroup_dims = 1,1\n"
+                   "lambda = 1.0\n",
+                   "bad value for 'family' in section [problem]: 'lasso'"),
+    "no-group-dims": ("data = {data}\nfamily = group-lasso\nlambda = 1.0\n",
+                      "missing key 'group_dims' in section [problem]"),
+    "bad-sigmas": ("data = {data}\nfamily = gaussian-kernel\nsigmas = 1,x\n"
+                   "lambda = 1.0\n",
+                   "bad value for 'sigmas' in section [problem]: '1,x'"),
+    "other-family-key": ("data = {data}\nfamily = gaussian-kernel\n"
+                         "sigmas = 1,2\ngroup_dims = 1,1\nlambda = 1.0\n",
+                         "unknown key 'group_dims' in section [problem]"),
+    "no-lambda": ("data = {data}\nfamily = group-lasso\ngroup_dims = 1,1\n",
+                  "missing key 'lambda' in section [problem]"),
+    "bad-solver-iters": ("data = {data}\nfamily = group-lasso\n"
+                         "group_dims = 1,1\nlambda = 1.0\n[solver]\n"
+                         "iters = many\n",
+                         "bad value for 'iters' in section [solver]: 'many'"),
+    "unknown-solver-key": ("data = {data}\nfamily = group-lasso\n"
+                           "group_dims = 1,1\nlambda = 1.0\n[solver]\n"
+                           "tol = 1\n",
+                           "unknown key 'tol' in section [solver]"),
+}
+
+
+@pytest.mark.parametrize("case", SOLVE_INI_ERRORS)
+def test_solve_ini_error_messages(tmp_path, capsys, case):
+    body, message = SOLVE_INI_ERRORS[case]
+    data = tmp_path / "data.csv"
+    data.write_text("1,0,3.0\n0,1,0.5\n", encoding="utf-8")
+    cfg = tmp_path / "run.ini"
+    section = "[problem]\n" if body else ""
+    cfg.write_text(section + body.format(data=data), encoding="utf-8")
+    rc, out, err = run_cli(["solve", "--config", str(cfg), "--dry-run"],
+                           capsys)
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_missing_dataset_file_named_in_error(tmp_path, capsys):
@@ -568,6 +622,79 @@ def test_batch_missing_key_named_in_error(tmp_path, capsys):
     rc, _, err = run_cli(["batch", "--config", str(cfg)], capsys)
     assert rc == 1
     assert "[experiment]" in err
+
+
+# each preset's fields, spelled out as an [experiment] section
+PRESET_INIS = {
+    "group-lasso-paper": {
+        "family": "group-lasso", "m": 50, "G": 20, "s": 5, "lambda": 0.2,
+        "p": 100, "noise_std": 0.01, "n_instances": 200, "iters": 5000,
+        "tau_factor": 0.8, "master_seed": 0, "group_dims": ",".join("5" * 20),
+    },
+    "gaussian-kernel-paper": {
+        "family": "gaussian-kernel", "m": 50, "G": 20, "s": 5, "lambda": 0.2,
+        "p": 2, "noise_std": 0.01, "n_instances": 200, "iters": 50000,
+        "tau_factor": 0.8, "master_seed": 0, "sigma_range": "0.1, 10",
+    },
+}
+
+
+@pytest.mark.parametrize("preset", PRESET_INIS)
+def test_batch_ini_spelling_out_a_preset_is_that_preset(tmp_path, capsys,
+                                                         preset):
+    cfg = tmp_path / "batch.ini"
+    cfg.write_text("[experiment]\n" + "".join(
+        f"{k} = {v}\n" for k, v in PRESET_INIS[preset].items()
+    ), encoding="utf-8")
+    flags = ["--dry-run", "--instances", "3", "--seed", "7"]
+    from_ini = run_cli(["batch", "--config", str(cfg)] + flags, capsys)
+    from_preset = run_cli(["batch", "--preset", preset] + flags, capsys)
+    assert from_ini[0] == 0 and from_ini[2] == ""
+    assert from_ini == from_preset
+
+
+# one error each (write_batch_ini's fields, edited); the whole message is
+# pinned
+BATCH_INI_ERRORS = {
+    "no-family": ({"family": None},
+                  "missing key 'family' in section [experiment]"),
+    "bad-family": ({"family": "lasso"},
+                   "invalid [experiment] config: family must be one of "
+                   "('group-lasso', 'gaussian-kernel'), got 'lasso'"),
+    "no-iters": ({"iters": None},
+                 "missing key 'iters' in section [experiment]"),
+    "bad-m": ({"m": "eight"},
+              "bad value for 'm' in section [experiment]: 'eight'"),
+    "no-group-dims": ({"group_dims": None},
+                      "missing key 'group_dims' in section [experiment]"),
+    "other-family-key": ({"family": "gaussian-kernel", "p": 2,
+                          "sigma_range": "0.5,2"},
+                         "unknown key 'group_dims' in section [experiment]"),
+    "group-dims-sum": ({"group_dims": "2,2,2,1"},
+                       "invalid [experiment] config: group_dims sums to 7 "
+                       "but p=8"),
+    "bad-tau-factor": ({"tau_factor": 2.5},
+                       "invalid [experiment] config: tau_factor must lie "
+                       "in (0, 2), got 2.5"),
+}
+
+
+@pytest.mark.parametrize("case", BATCH_INI_ERRORS)
+def test_batch_ini_error_messages(tmp_path, capsys, case):
+    edits, message = BATCH_INI_ERRORS[case]
+    cfg = write_batch_ini(tmp_path, **edits)
+    cfg.write_text("".join(line for line in cfg.read_text().splitlines(True)
+                           if not line.endswith("= None\n")))
+    rc, out, err = run_cli(["batch", "--config", str(cfg), "--dry-run"],
+                           capsys)
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_batch_ini_without_its_section(tmp_path, capsys):
+    cfg = tmp_path / "batch.ini"
+    cfg.write_text("[solver]\niters = 5\n", encoding="utf-8")
+    rc, out, err = run_cli(["batch", "--config", str(cfg)], capsys)
+    assert (rc, out, err) == (1, "", "error: missing section [experiment]\n")
 
 
 # --------------------------------------------------------------- verify

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -235,38 +237,60 @@ class TestGramStack:
         assert out.tobytes() == per_row(grams, R).tobytes()
 
     def test_dropped_rows_leave_the_rest_their_bits(self):
-        # rows leave in four steps; the stacked factors stay the arrays
-        # built for the first stack
-        grams = [dense_gram(0), factored_gram(1, UNEVEN_DIMS),
-                 factored_gram(2, (5,) * 20), factored_gram(3, (5,) * 20),
-                 factored_gram(4, UNEVEN_DIMS), factored_gram(5, (5,) * 20)]
-        stack = GramStack(grams)
-        built = [a for _, F, FT in stack._factored for a in (F, FT)]
+        # rows leave in four steps, from a same-shape factored stack and
+        # from a mixed one
+        stacks = (
+            [factored_gram(seed, (5,) * 20) for seed in range(6)],
+            [dense_gram(0), factored_gram(1, UNEVEN_DIMS),
+             factored_gram(2, (5,) * 20), factored_gram(3, (5,) * 20),
+             factored_gram(4, UNEVEN_DIMS), factored_gram(5, (5,) * 20)],
+        )
         rng = np.random.default_rng(8)
-        for sel in ([0, 1, 3, 4, 5], [1, 2, 3], [1, 2], [0]):
-            stack.keep(sel)
-            grams = [grams[i] for i in sel]
-            R = rng.standard_normal((len(grams), 50))
-            out = np.empty((len(grams), 20, 50))
-            stack.apply_each(R, out)
-            assert out.tobytes() == per_row(grams, R).tobytes(), sel
-            for _, F, FT in stack._factored:
-                assert all(any(a.base is b for b in built) for a in (F, FT))
+        for grams in stacks:
+            stack = GramStack(grams)
+            for sel in ([0, 1, 3, 4, 5], [1, 2, 3], [1, 2], [0]):
+                stack.keep(sel)
+                grams = [grams[i] for i in sel]
+                R = rng.standard_normal((len(grams), 50))
+                out = np.empty((len(grams), 20, 50))
+                stack.apply_each(R, out)
+                assert out.tobytes() == per_row(grams, R).tobytes(), sel
+
+    def test_a_same_shape_stack_holds_one_stacked_copy(self):
+        grams = [factored_gram(seed, (5,) * 20) for seed in range(6)]
+        # the (6, G, m, d_max) factors and their transposes
+        copy = 2 * 6 * grams[0].factors.nbytes
+        stack, peak = traced(lambda: GramStack(grams))
+        assert copy <= peak < copy + 4096
+        # rows that leave move the rest up within that copy
+        for sel in ([0, 2, 3, 5], [1, 3], [1]):
+            _, peak = traced(lambda: stack.keep(sel))
+            assert peak < 4096, sel
 
     def test_a_lone_shape_uses_the_grams_own_factors(self):
         lone = factored_gram(0, UNEVEN_DIMS)
         pair = [factored_gram(1, (5,) * 20), factored_gram(2, (5,) * 20)]
-        stack = GramStack([lone, *pair])
-        held = [a for _, F, FT in stack._factored for a in (F, FT)]
-        assert any(np.shares_memory(a, lone.factors) for a in held)
-        assert any(np.shares_memory(a, lone._factors_t) for a in held)
-        # a shape shared by two rows is stacked, a copy
-        for g in pair:
-            assert not any(np.shares_memory(a, g.factors) for a in held)
-        alone = GramStack([lone])
-        (_, F, FT), = alone._factored
-        assert np.shares_memory(F, lone.factors)
-        assert np.shares_memory(FT, lone._factors_t)
+        # a lone row, and a lone shape beside another one
+        for grams in ([lone], [lone, *pair]):
+            _, peak = traced(lambda: GramStack(grams))
+            assert peak < 4096, len(grams)
+
+    def test_dense_rows_are_not_stacked(self):
+        for grams in ([dense_gram(seed) for seed in range(4)],
+                      [dense_gram(0), factored_gram(1, (5,) * 20),
+                       factored_gram(2, (5,) * 20)]):
+            _, peak = traced(lambda: GramStack(grams))
+            assert peak < 4096, len(grams)
+
+
+def traced(fn):
+    """``fn()`` and the peak bytes that `tracemalloc` saw it allocate."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestFactoredValidation:
