@@ -16,6 +16,7 @@ be shared freely across threads and processes.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -328,18 +329,29 @@ class GramBlocks:
         (G, m) ndarray
             Row g is ``K_g`` applied to the vector of group g.
         """
+        if out is None:
+            out = np.empty((self.n_groups, self.m))
+        self.bind_each(v, out)()
+        return out
+
+    def bind_each(self, v, out):
+        """``apply_each(v, out)`` as a callable that takes no argument.
+
+        Its reshapes, views and projection buffer are made here once;
+        each call reads `v` as it is then and overwrites `out`, so a
+        loop that rewrites `v` in place pays only for the products.
+        """
         if self.factors is not None:
-            if out is None:
-                return (self.factors @ self._project(v))[..., 0]
-            np.matmul(self.factors, self._project(v), out=out[..., None])
-            return out
+            return _factored_product(self.factors, self._factors_t,
+                                     v[..., None], out[..., None])
         if v.ndim == 1:
             G, m, _ = self.blocks.shape
-            if out is None:
-                return (self.blocks.reshape(G * m, m) @ v).reshape(G, m)
-            np.matmul(self.blocks.reshape(G * m, m), v, out=out.reshape(G * m))
-            return out
-        return np.einsum("gij,gj->gi", self.blocks, v, out=out)
+            if not out.flags.c_contiguous:
+                # its flat reshape would be a copy, and the product lost
+                raise ContractViolation("out must be C-contiguous")
+            return partial(np.matmul, self.blocks.reshape(G * m, m), v,
+                           out=out.reshape(G * m))
+        return partial(np.einsum, "gij,gj->gi", self.blocks, v, out=out)
 
     def quad(self, v):
         """Group quadratic forms ``v_g' K_g v_g``, one per group.
@@ -364,15 +376,27 @@ class GramBlocks:
         return np.einsum("ig,gij,jg->g", v, self.blocks, v)
 
 
+def _factored_product(F, FT, v, out):
+    """``F @ (FT @ v)`` into `out`, as a callable; the projection
+    buffer is made once, and the two matmuls always run in order."""
+    proj = np.empty(FT.shape[:-1] + (1,))
+
+    def product():
+        np.matmul(FT, v, out=proj)
+        np.matmul(F, proj, out=out)
+    return product
+
+
 class GramStack:
     """The Gram operators of a stack of problems, applied together.
 
-    :meth:`apply_each` gives row i of its result the bits of
-    ``grams[i].apply_each(R[i])``. Two or more factored rows that share
-    one factor shape go through one matmul over their stacked
+    :meth:`bind` returns the stack's product, whose row i has the bits
+    of ``grams[i].apply_each(R[i])``. Two or more factored rows that
+    share one factor shape go through one matmul over their stacked
     ``(N, G, m, d_max)`` factors. Any other stack (dense rows, whose
     ``(G, m, m)`` blocks a stack would copy, a lone row, or mixed
-    storages and shapes) applies each row's own Gram.
+    storages and shapes) applies each row's own bound product
+    (:meth:`GramBlocks.bind_each`).
 
     Parameters
     ----------
@@ -393,7 +417,7 @@ class GramStack:
         """Keep only rows `sel`, given in increasing order, renumbered.
 
         Stacked factors move up within their own arrays, so dropping
-        rows allocates nothing.
+        rows allocates nothing. A product bound before is stale.
         """
         self._grams = [self._grams[i] for i in sel]
         if self._F is not None:
@@ -402,26 +426,28 @@ class GramStack:
                     self._F[to], self._FT[to] = self._F[i], self._FT[i]
             self._F, self._FT = self._F[:len(sel)], self._FT[:len(sel)]
 
-    def apply_each(self, R, out):
-        """``K_g R[i]`` for every row i and group g, written into `out`.
+    def bind(self, R, out):
+        """``K_g R[i]`` into ``out[i, g]``, as a callable without argument.
 
-        Parameters
-        ----------
-        R : (N, m) ndarray
-            One vector per row, shared by the row's groups.
-        out : (N, G, m) C-contiguous float64 ndarray
-
-        Returns
-        -------
-        out
+        `R` is ``(N, m)``, one vector per row shared by its groups, and
+        `out` a C-contiguous ``(N, G, m)`` array. Views and buffers are
+        made here once; each call reads `R` as it is then. Rows' own
+        products run in reverse order on every other call, so the dense
+        blocks read last are read first again, while still in cache;
+        each runs whole, a factored row's two matmuls in order.
         """
         if self._F is not None:
-            np.matmul(self._F, self._FT @ R[:, None, :, None],
-                      out=out[..., None])
-        else:
-            for i, gram in enumerate(self._grams):
-                gram.apply_each(R[i], out=out[i])
-        return out
+            return _factored_product(self._F, self._FT, R[:, None, :, None],
+                                     out[..., None])
+        rows = [g.bind_each(R[i], out[i]) for i, g in enumerate(self._grams)]
+        if len(rows) == 1:
+            return rows[0]
+
+        def product():
+            for row in rows:
+                row()
+            rows.reverse()
+        return product
 
 
 @dataclass(frozen=True, eq=False)

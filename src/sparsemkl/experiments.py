@@ -284,11 +284,11 @@ CHUNK_BYTES = 2 << 20
 def _row_bytes(config, keep_traces=True):
     """Bytes one instance holds while its chunk is solved.
 
-    Its Gram storage, ten (G, m) float arrays of stack state (the state,
-    the per-iteration temporaries, the cycle checkpoint) and, if traced,
-    an objective and a step norm per iteration. The loop keeps eight
-    such arrays: the term still counts the two of a second checkpoint it
-    no longer has, so that chunk sizes did not move (ROADMAP item 6).
+    Its Gram storage, ten (G, m) float arrays of stack state and, if
+    traced, an objective and a step norm per iteration. The loop keeps
+    eight such arrays (AT, KA, their next values, B, Kr and the cycle
+    checkpoint pair); the 80 * G * m term stays, so that the benchmark
+    workloads' chunk sizes stay [4, 4], [6] and [1] (ROADMAP item 6).
     """
     if config.family == "group-lasso":
         # the (G, m, d_max) factor stack and its transpose, and their

@@ -368,11 +368,11 @@ def _solve_stack(problems, config, starts, reference=None):
     Y = np.stack([p.dataset.responses for p in problems])
     one_pass = AT[0].size <= _EINSUM_BUFSIZE
     grams = GramStack([row.gram for row in rows])
-    G = AT.shape[1]
+    _, G, m = AT.shape
 
     results = [None] * len(rows)
     done = []
-    Kr = None
+    product = None
     recording = config.record_trace
     tracking = True
     while True:
@@ -384,7 +384,7 @@ def _solve_stack(problems, config, starts, reference=None):
                     ref = AT[j]
                 else:
                     # excess and keep are still the last iteration's
-                    penalty = row.lam * excess[j][keep[j]].sum()
+                    penalty = row.lam * np.add.reduce(excess[j][keep[j]])
                     row.out = _finish(row, AT[j], KA[j], Y[j], penalty)
                     if row.reference is not None and row.settled is None:
                         row.run(row.reference)
@@ -402,59 +402,67 @@ def _solve_stack(problems, config, starts, reference=None):
                 rows = [rows[j] for j in sel]
                 AT, KA, Y = AT[sel], KA[sel], Y[sel]
                 grams.keep(sel)
-                Kr = None
+                product = None
             recording = any(row.record for row in rows)
             tracking = any(row.events is not None for row in rows)
-        if Kr is None:  # the stack is new or has shrunk
-            Kr = np.empty_like(AT)
+        if product is None:  # the stack is new or has shrunk
+            # the step's buffers, each overwritten in place every
+            # iteration; AT and KA swap with their next values. No view
+            # of one outlives its iteration: rows that keep a value copy it
+            N = len(rows)
+            AT_next, KA_next, B, Kr = (np.empty_like(AT) for _ in range(4))
+            r, tau_r = np.empty((N, m)), np.empty((N, 1, m))
+            nu, excess, gamma = (np.empty((N, G)) for _ in range(3))
+            keep, finite = np.empty((N, G), bool), np.empty((N, G), bool)
             tau = np.array([row.tau for row in rows])[:, None, None]
             thr = np.array([row.thr for row in rows])[:, None]
+            r_row, gamma_col = r[:, None, :], gamma[:, :, None]
+            product = grams.bind(r, Kr)
 
-        r = KA.sum(axis=1) - Y
-        grams.apply_each(r, Kr)
-        B = AT - tau * r[:, None, :]
+        np.subtract(np.add.reduce(KA, axis=1, out=r), Y, out=r)
+        product()
+        np.subtract(AT, np.multiply(tau, r_row, out=tau_r), out=B)
         # Kr is spent once scaled: it takes KB
-        KB = np.subtract(KA, np.multiply(tau, Kr, out=Kr), out=Kr)
-        sq = np.einsum("ngi,ngi->ng", B, KB)
-        if not np.isfinite(sq).all():
-            j = int(np.flatnonzero(~np.isfinite(sq).all(axis=1))[0])
+        np.subtract(KA, np.multiply(tau, Kr, out=Kr), out=Kr)
+        # nu holds the squared kernel norms until it is rooted
+        np.einsum("ngi,ngi->ng", B, Kr, out=nu)
+        if not np.logical_and.reduce(np.isfinite(nu, out=finite), axis=None):
+            j = int(np.flatnonzero(~np.logical_and.reduce(finite, axis=1))[0])
             n = rows[j].n + 1
             raise DivergenceError(n, None if len(results) == 1 else (
                 f"non-finite iterate at iteration {n} of stack row "
                 f"{rows[j].index}"
             ))
-        nu = np.sqrt(np.maximum(sq, 0.0))
-        keep = nu > thr
+        np.sqrt(np.maximum(nu, 0.0, out=nu), out=nu)
+        np.greater(nu, thr, out=keep)
         # (nu - thr) / nu, not 1 - thr / nu: the explicit difference
         # keeps full relative accuracy when nu sits just above thr
-        excess = nu - thr
-        gamma = np.zeros(nu.shape)
+        np.subtract(nu, thr, out=excess)
+        gamma.fill(0.0)
         np.divide(excess, nu, out=gamma, where=keep)
-        gamma = gamma[:, :, None]
-        AT_new = gamma * B
-        KA_new = gamma * KB
-        # B and KB are spent: they take the step's differences
-        dA = np.subtract(AT_new, AT, out=B)
-        dK = np.subtract(KA_new, KA, out=KB)
-        if one_pass or len(rows) == 1:
-            step_sq = np.einsum("ngi,ngi->n", dA, dK).tolist()
+        np.multiply(gamma_col, B, out=AT_next)
+        np.multiply(gamma_col, Kr, out=KA_next)
+        # B and KB (in Kr) are spent: they take the step's differences
+        np.subtract(AT_next, AT, out=B)
+        np.subtract(KA_next, KA, out=Kr)
+        if one_pass or N == 1:
+            steps = np.einsum("ngi,ngi->n", B, Kr).tolist()
         else:
-            step_sq = [float(np.einsum("gi,gi->", a, k))
-                       for a, k in zip(dA, dK)]
-        AT = AT_new
-        KA = KA_new
+            steps = [float(np.einsum("gi,gi->", a, k)) for a, k in zip(B, Kr)]
+        AT, AT_next = AT_next, AT
+        KA, KA_next = KA_next, KA
         if recording:
             # each row's r @ r, with the same bits
-            fit = np.matmul(r[:, None, :], r[:, :, None]).ravel().tolist()
+            fits = np.matmul(r_row, r[:, :, None]).ravel().tolist()
         if tracking:
             masks = keep.tobytes()
 
         done = []
-        for j, (row, s) in enumerate(zip(rows, step_sq)):
+        for j, (row, s) in enumerate(zip(rows, steps)):
             row.n += 1
             if row.obj:
                 # the previous record's objective ends with this r
-                row.obj[-1] += 0.5 * fit[j]
+                row.obj[-1] += 0.5 * fits[j]
             step = row.step = math.sqrt(max(s, 0.0))
             if step <= row.settle and row.settled is None:
                 row.settled = AT[j].copy()
@@ -465,7 +473,7 @@ def _solve_stack(problems, config, starts, reference=None):
                     row.last = mask
             if row.record:
                 # surviving blocks have kernel norm nu - thr by construction
-                row.obj.append(row.lam * excess[j][keep[j]].sum())
+                row.obj.append(row.lam * np.add.reduce(excess[j][keep[j]]))
                 row.steps.append(step)
             if step <= row.stop:
                 done.append(j)

@@ -171,6 +171,12 @@ class TestFactoredAgreesWithDense:
                 gram.apply_each(arg, out=out[1])
                 assert out[1].tobytes() == gram.apply_each(arg).tobytes()
 
+    def test_dense_shared_vector_rejects_a_strided_out(self, dims):
+        _, dense = factored_and_dense(dims)
+        v = np.random.default_rng(2).standard_normal(9)
+        with pytest.raises(ContractViolation, match="C-contiguous"):
+            dense.apply_each(v, out=np.empty((9, len(dims))).T)
+
     def test_quad_shared_vector(self, dims):
         factored, dense = factored_and_dense(dims)
         v = np.random.default_rng(4).standard_normal(9)
@@ -222,7 +228,7 @@ class TestGramStack:
         grams = [factored_gram(seed, dims) for seed in range(n_rows)]
         R = np.random.default_rng(99).standard_normal((n_rows, 50))
         out = np.empty((n_rows, 20, 50))
-        assert GramStack(grams).apply_each(R, out) is out
+        GramStack(grams).bind(R, out)()
         assert out.tobytes() == per_row(grams, R).tobytes()
 
     def test_mixed_rows_keep_their_bits(self):
@@ -233,7 +239,7 @@ class TestGramStack:
                  factored_gram(6, (5,) * 20)]
         R = np.random.default_rng(7).standard_normal((len(grams), 50))
         out = np.empty((len(grams), 20, 50))
-        GramStack(grams).apply_each(R, out)
+        GramStack(grams).bind(R, out)()
         assert out.tobytes() == per_row(grams, R).tobytes()
 
     def test_dropped_rows_leave_the_rest_their_bits(self):
@@ -253,7 +259,7 @@ class TestGramStack:
                 grams = [grams[i] for i in sel]
                 R = rng.standard_normal((len(grams), 50))
                 out = np.empty((len(grams), 20, 50))
-                stack.apply_each(R, out)
+                stack.bind(R, out)()
                 assert out.tobytes() == per_row(grams, R).tobytes(), sel
 
     def test_a_same_shape_stack_holds_one_stacked_copy(self):
@@ -281,6 +287,59 @@ class TestGramStack:
                        factored_gram(2, (5,) * 20)]):
             _, peak = traced(lambda: GramStack(grams))
             assert peak < 4096, len(grams)
+
+
+#: Stacks of each kind `GramStack.bind` can return: same-shape factored,
+#: dense, a lone factored row, and mixed, with a lone factored row
+#: between dense rows.
+BOUND_STACKS = {
+    "same-shape": lambda: [factored_gram(s, (5,) * 20) for s in range(4)],
+    "dense": lambda: [dense_gram(s) for s in range(3)],
+    "lone": lambda: [factored_gram(0, UNEVEN_DIMS)],
+    "mixed": lambda: [dense_gram(0), factored_gram(1, UNEVEN_DIMS),
+                      dense_gram(2), factored_gram(3, (5,) * 20),
+                      factored_gram(4, (5,) * 20)],
+}
+
+
+@pytest.mark.parametrize("kind", BOUND_STACKS)
+class TestBoundGramStack:
+    """A bound product repeats: each call reads R anew into `out`."""
+
+    @staticmethod
+    def assert_calls_keep_the_bits(product, grams, R, out, rng):
+        # new values in R before each call, so a row whose second matmul
+        # ran before its first would read the last call's projection
+        for _ in range(2):
+            R[...] = rng.standard_normal(R.shape)
+            product()
+            assert out.tobytes() == per_row(grams, R).tobytes()
+
+    def test_consecutive_calls_keep_the_bits(self, kind):
+        grams = BOUND_STACKS[kind]()
+        rng = np.random.default_rng(11)
+        R, out = np.empty((len(grams), 50)), np.empty((len(grams), 20, 50))
+        stack = GramStack(grams)
+        self.assert_calls_keep_the_bits(stack.bind(R, out), grams, R, out,
+                                        rng)
+        if len(grams) > 1:
+            # a row leaves, the rows after it move up, and the rest are
+            # bound again; the mixed stack keeps its lone factored row
+            # between dense rows
+            sel = [i for i in range(len(grams)) if i != len(grams) - 2]
+            stack.keep(sel)
+            grams = [grams[i] for i in sel]
+            R, out = R[sel], out[sel]
+            self.assert_calls_keep_the_bits(stack.bind(R, out), grams, R,
+                                            out, rng)
+
+    def test_a_call_allocates_nothing(self, kind):
+        grams = BOUND_STACKS[kind]()
+        R = np.random.default_rng(12).standard_normal((len(grams), 50))
+        product = GramStack(grams).bind(R, np.empty((len(grams), 20, 50)))
+        product()
+        _, peak = traced(product)
+        assert peak < 1024
 
 
 def traced(fn):

@@ -325,14 +325,19 @@ class TestEarlyCycleExit:
 
     @pytest.fixture
     def products(self, monkeypatch):
+        # the stack's row count at each call of a bound Gram product
         calls = []
-        original = core_module.GramStack.apply_each
+        original = core_module.GramStack.bind
 
         def spy(self, R, out):
-            calls.append(R.shape[0])
-            return original(self, R, out)
+            product = original(self, R, out)
 
-        monkeypatch.setattr(core_module.GramStack, "apply_each", spy)
+            def counted():
+                calls.append(R.shape[0])
+                return product()
+            return counted
+
+        monkeypatch.setattr(core_module.GramStack, "bind", spy)
         return calls
 
     @pytest.mark.parametrize("index", range(8))
@@ -353,6 +358,21 @@ class TestEarlyCycleExit:
         _, traces = solve(problems, SolverConfig(max_iters=3000))
         assert {t.iters_run for t in traces} == {3000}
         assert products == [8] * 3000
+
+    def test_a_stack_binds_once_and_again_as_rows_leave(self, monkeypatch):
+        # instances 0-5 leave the stack at six different iterations: one
+        # bind for the stack, then one each time rows leave and some remain
+        binds = []
+        original = core_module.GramStack.bind
+
+        def spy(self, R, out):
+            binds.append(R.shape[0])
+            return original(self, R, out)
+
+        monkeypatch.setattr(core_module.GramStack, "bind", spy)
+        solve([preset_instance(i) for i in range(6)],
+              SolverConfig(max_iters=5000))
+        assert binds == [6, 5, 4, 3, 2, 1]
 
     def test_the_window_bounds_the_periods_found(self, monkeypatch, products,
                                                  repeats):
