@@ -288,7 +288,7 @@ def _row_bytes(config, keep_traces=True):
     traced, an objective and a step norm per iteration. The loop keeps
     eight such arrays (AT, KA, their next values, B, Kr and the cycle
     checkpoint pair); the 80 * G * m term stays, so that the benchmark
-    workloads' chunk sizes stay [4, 4], [6] and [1] (ROADMAP item 6).
+    workloads' chunk sizes stay [4, 4], [6] and [1] (ROADMAP item 8).
     """
     if config.family == "group-lasso":
         # the (G, m, d_max) factor stack and its transpose, and their

@@ -179,10 +179,6 @@ class SolveTrace:
     def n_groups(self):
         return self.change_supports.shape[1]
 
-    def support_set(self, i):
-        """Record `i`'s support as a set of 0-based group indices."""
-        return frozenset(int(g) for g in np.flatnonzero(self.supports[i]))
-
     def support_sizes(self):
         """Support cardinality per recorded iteration, as an int array."""
         return self.supports.sum(axis=1)
@@ -268,64 +264,72 @@ def _stack(problem, config, alpha0):
 class _Row:
     """One row of a stack: everything but the stacked arrays."""
 
-    __slots__ = ("index", "gram", "lam", "tau", "thr", "reference",
-                 "out", "max_iters", "stop", "record", "settle", "n", "step",
-                 "settled", "ck_n", "ck_AT", "ck_KA", "ck_step",
-                 "span", "tile", "events", "last", "obj", "steps")
+    __slots__ = ("index", "gram", "lam", "tau", "thr", "rules", "stop",
+                 "budget", "record", "n", "step", "ck_n", "ck_AT", "ck_KA",
+                 "ck_step", "span", "tile", "events", "last", "obj", "steps")
 
-    def __init__(self, index, problem, tau, config, reference):
+    def __init__(self, index, problem, tau, rules, record):
         self.index = index  # place in the stack as given
         self.gram = problem.gram
         self.lam = problem.effective_lambda
         self.tau = tau
         self.thr = tau * self.lam
-        # the config the trajectory runs on under once `config` is done
-        self.reference = reference
-        self.out = None  # (coeffs, trace) of the run under `config`
-        self.n, self.step, self.settled = 0, None, None
-        # the cycle checkpoint's state, overwritten in place each time
+        # the results still to take, as {name: (stop, budget)} from their
+        # configs: "out" is the run under the stack's config, "ref" its
+        # reference. A result nobody asked for is never in it. A step norm
+        # is never negative, so the stop -1 of a stop_tol of 0 never fires
+        self.rules = {name: (c.stop_tol if c.stop_tol > 0.0 else -1.0,
+                             c.max_iters) for name, c in rules.items()}
+        self.aim()
+        self.n, self.step = 0, None
+        # the cycle checkpoint's state, overwritten in place each time;
+        # no compare until it is first taken
         shape = (self.gram.n_groups, self.gram.m)
         self.ck_AT, self.ck_KA = np.empty(shape), np.empty(shape)
-        # `settled` keeps the first iterate with a step of at most this;
-        # a step norm is never negative, so a tolerance of -1 never
-        # settles a run, nor stops one
-        self.settle = -1.0 if reference is None else reference.stop_tol
-        self.run(config)
-
-    def run(self, config):
-        """Go on under `config`, with a fresh checkpoint and trace."""
-        self.max_iters = config.max_iters
-        self.stop = config.stop_tol if config.stop_tol > 0.0 else -1.0
-        self.record = config.record_trace
-        # no compare until the checkpoint is first taken
-        self.ck_n, self.ck_step = self.n, None
+        self.ck_n, self.ck_step = 0, None
         self.span = self.tile = None
-        # (iteration, support bytes) at each support change of the run
-        # under `config`; a reference run, whose trace nobody reads, has none
-        self.events, self.last = ([] if self.out is None else None), None
-        # one record per iteration; its objective is the penalty plus half
-        # the squared residual of the new iterate, the next iteration's r
+        # "out"'s trace: (iteration, support bytes) at each support change
+        # and, if recorded, one record per iteration; its objective is the
+        # penalty plus half the squared residual of the new iterate, the
+        # next iteration's r
+        self.record = record and "out" in rules
+        self.events, self.last = ([] if "out" in rules else None), None
         self.obj, self.steps = array("d"), array("d")
 
-    def repeat_events(self, span, reps):
-        """Repeat the last `span` iterations' support changes `reps` times.
+    def aim(self):
+        """Point the row's one stop test at its pending rules."""
+        self.stop = max(stop for stop, _ in self.rules.values())
+        self.budget = min(budget for _, budget in self.rules.values())
+
+    def jump(self):
+        """Skip whole periods of the found cycle, up to the next budget.
 
         The state at `self.n` is the one `span` iterations before, so the
-        supports of those iterations repeat over the skipped periods.
+        records and support changes of those iterations repeat over the
+        skipped periods. No pending stop fires in them: each was tested
+        on every step of the cycle. The iteration at the budget is always
+        computed, so the result taken there has its own record and step.
+        A traced row jumps once, as its reference's budget is the later.
         """
-        events, first = self.events, self.n - span + 1
-        i = len(events)
-        while events[i - 1][0] > first:
-            i -= 1
-        period = events[i:]
-        if events[i - 1][1] != self.last:
-            # the support at `first` follows the one at `self.n`
-            period.insert(0, (first, events[i - 1][1]))
-        events += [(n + q * span, mask) for q in range(1, reps + 1)
-                   for n, mask in period]
+        span = self.span
+        reps = max(0, (self.budget - 1 - self.n) // span)
+        if reps and self.record:
+            self.tile = (len(self.steps), reps)
+        if reps and self.events is not None:
+            events, first = self.events, self.n - span + 1
+            i = len(events)
+            while events[i - 1][0] > first:
+                i -= 1
+            period = events[i:]
+            if events[i - 1][1] != self.last:
+                # the support at `first` follows the one at `self.n`
+                period.insert(0, (first, events[i - 1][1]))
+            events += [(n + q * span, mask) for q in range(1, reps + 1)
+                       for n, mask in period]
+        self.n += reps * span
 
 
-def _start(index, problem, config, alpha0, reference):
+def _start(index, problem, alpha0, rules, config):
     """Row `index` of a stack and its starting (AT, KA)."""
     if not isinstance(problem, ProblemInstance):
         raise ContractViolation("problem must be a ProblemInstance")
@@ -343,62 +347,52 @@ def _start(index, problem, config, alpha0, reference):
     else:
         AT = np.ascontiguousarray(alpha0.alpha.T)
         KA = gram.apply_each(AT)
-        # only a trajectory from zero goes on into its reference
-        reference = None
     tau = config.tau_factor / gram.lipschitz
-    return _Row(index, problem, tau, config, reference), AT, KA
+    row = _Row(index, problem, tau, rules, config.record_trace)
+    return row, AT, KA, problem.dataset.responses
 
 
 def _solve_stack(problems, config, starts, reference=None):
     """Solve a stack; returns (coeffs, traces, references).
 
-    With a `reference` config, a row that starts from zero and has not
-    passed a step norm of `reference.stop_tol` when its run under
-    `config` ends runs on under `reference`, untraced, in the same
-    stack. Its reference is the first iterate with such a step, or the
-    one the reference run ends at. Any other row's reference is None.
+    Each row runs one trajectory and takes each of its results where
+    that result's rule first stops it: the traced result at the first
+    step norm of at most `config.stop_tol` or at `config.max_iters`, and
+    the untraced reference likewise under the `reference` config's
+    stop_tol and max_iters. A row leaves the stack once it holds both. A
+    problem with a start of its own gets its reference from an extra,
+    reference-only row from zero. Without `reference` every reference
+    is None.
     """
     if not problems:
         raise ContractViolation("a stack needs at least one problem")
-    rows, ATs, KAs = zip(*(_start(i, p, config, a, reference)
-                           for i, (p, a) in enumerate(zip(problems, starts))))
+    jobs = [(i, p, a, {"out": config})
+            for i, (p, a) in enumerate(zip(problems, starts))]
+    if reference is not None:
+        # a row from zero goes on into its reference; a problem with a
+        # start of its own gets a reference-only row from zero
+        for i, p, a, rules in jobs[:]:
+            if a is None:
+                rules["ref"] = reference
+            else:
+                jobs.append((i, p, None, {"ref": reference}))
+    rows, ATs, KAs, Ys = zip(*(_start(*job, config) for job in jobs))
     if len({A.shape for A in ATs}) > 1:
         raise ContractViolation("stacked problems must share G and m")
-    AT, KA = np.stack(ATs), np.stack(KAs)
-    Y = np.stack([p.dataset.responses for p in problems])
+    AT, KA, Y = np.stack(ATs), np.stack(KAs), np.stack(Ys)
     one_pass = AT[0].size <= _EINSUM_BUFSIZE
     grams = GramStack([row.gram for row in rows])
     _, G, m = AT.shape
 
-    results = [None] * len(rows)
-    done = []
+    outs, refs = [None] * len(problems), [None] * len(problems)
+    taken = True  # a row took a result in the last iteration
     product = None
-    recording = config.record_trace
-    tracking = True
     while True:
-        if done:
-            gone = []
-            for j in done:
-                row = rows[j]
-                if row.out is not None:  # its reference run ends
-                    ref = AT[j]
-                else:
-                    # excess and keep are still the last iteration's
-                    penalty = row.lam * np.add.reduce(excess[j][keep[j]])
-                    row.out = _finish(row, AT[j], KA[j], Y[j], penalty)
-                    if row.reference is not None and row.settled is None:
-                        row.run(row.reference)
-                        continue
-                    ref = row.settled
-                # DualCoefficients copies: a view would pin the stack
-                results[row.index] = (
-                    *row.out, None if ref is None else DualCoefficients(ref.T)
-                )
-                gone.append(j)
-            if gone:
-                sel = [j for j in range(len(rows)) if j not in gone]
-                if not sel:
-                    break
+        if taken:
+            sel = [j for j, row in enumerate(rows) if row.rules]
+            if not sel:
+                break
+            if len(sel) < len(rows):
                 rows = [rows[j] for j in sel]
                 AT, KA, Y = AT[sel], KA[sel], Y[sel]
                 grams.keep(sel)
@@ -429,7 +423,7 @@ def _solve_stack(problems, config, starts, reference=None):
         if not np.logical_and.reduce(np.isfinite(nu, out=finite), axis=None):
             j = int(np.flatnonzero(~np.logical_and.reduce(finite, axis=1))[0])
             n = rows[j].n + 1
-            raise DivergenceError(n, None if len(results) == 1 else (
+            raise DivergenceError(n, None if len(outs) == 1 else (
                 f"non-finite iterate at iteration {n} of stack row "
                 f"{rows[j].index}"
             ))
@@ -457,15 +451,13 @@ def _solve_stack(problems, config, starts, reference=None):
         if tracking:
             masks = keep.tobytes()
 
-        done = []
+        taken = False
         for j, (row, s) in enumerate(zip(rows, steps)):
             row.n += 1
             if row.obj:
                 # the previous record's objective ends with this r
                 row.obj[-1] += 0.5 * fits[j]
             step = row.step = math.sqrt(max(s, 0.0))
-            if step <= row.settle and row.settled is None:
-                row.settled = AT[j].copy()
             if row.events is not None:
                 mask = masks[j * G:(j + 1) * G]
                 if mask != row.last:
@@ -475,28 +467,36 @@ def _solve_stack(problems, config, starts, reference=None):
                 # surviving blocks have kernel norm nu - thr by construction
                 row.obj.append(row.lam * np.add.reduce(excess[j][keep[j]]))
                 row.steps.append(step)
-            if step <= row.stop:
-                done.append(j)
-                continue
+            if step <= row.stop or row.n >= row.budget:
+                taken = True
+                for name, (stop, budget) in list(row.rules.items()):
+                    if step > stop and row.n < budget:
+                        continue
+                    del row.rules[name]
+                    if name == "ref":
+                        # DualCoefficients copies: a view would pin the stack
+                        refs[row.index] = DualCoefficients(AT[j].T)
+                    else:
+                        penalty = row.lam * np.add.reduce(excess[j][keep[j]])
+                        outs[row.index] = _finish(row, AT[j], KA[j], Y[j],
+                                                  penalty)
+                if not row.rules:
+                    continue
+                row.aim()
+                if row.span is not None:
+                    row.jump()
             if row.span is None:
                 if (step == row.ck_step and _same_bits(AT[j], row.ck_AT)
                         and _same_bits(KA[j], row.ck_KA)):
-                    # state n + skip equals state n; the final record and
-                    # step come from the last iteration, always computed
-                    span = row.span = row.n - row.ck_n
-                    skip = max(0, (row.max_iters - 1 - row.n) // span) * span
-                    if skip and row.record:
-                        row.tile = (len(row.steps), skip // span)
-                    if skip and row.events is not None:
-                        row.repeat_events(span, skip // span)
-                    row.n += skip
+                    # state n equals state ck_n
+                    row.span = row.n - row.ck_n
+                    row.jump()
                 elif row.n - row.ck_n == _CYCLE_WINDOW:
                     np.copyto(row.ck_AT, AT[j])
                     np.copyto(row.ck_KA, KA[j])
                     row.ck_n, row.ck_step = row.n, step
-            if row.n >= row.max_iters:
-                done.append(j)
-    return tuple(zip(*results))
+    coeffs, traces = zip(*outs)
+    return coeffs, traces, tuple(refs)
 
 
 def _finish(row, AT, KA, y, penalty):
@@ -528,4 +528,6 @@ def _finish(row, AT, KA, y, penalty):
         iters_run=row.n,
         final_step_norm=row.step,
     )
+    # a row that runs on into its reference runs untraced
+    row.record, row.events, row.obj = False, None, None
     return DualCoefficients(AT.T), trace

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import DualCoefficients, residual
 from .errors import ContractViolation
-from .solver import SolverConfig, SolveTrace, _solve_stack, _stack, solve
+from .solver import SolverConfig, SolveTrace, _solve_stack, _stack
 
 __all__ = [
     "SupportReport",
@@ -251,12 +251,13 @@ def solve_with_reference(problem, config, alpha0=None):
     deliberately a same-algorithm reference for identification checks;
     independent ground truth lives in the oracle module.
 
-    A run from zero is not replayed: when it has passed a step norm of at
-    most 1e-12, that iterate is the reference, and otherwise its row runs
-    on, untraced, in the same stacked loop until the reference rule
-    stops it. A warm-started run's reference is a separate solve from
-    zero. Either way the reference is bit-identical to the replay from
-    zero.
+    Both come from one call of the stacked loop. A run from zero is not
+    replayed: its row takes the solve's result and the reference as two
+    results of its one trajectory, each where its own rule first stops
+    it, and runs on, untraced, after the solve's result if the reference
+    is still to take. A warm-started problem gets its reference from an
+    extra, reference-only row from zero in the same stack. Either way the
+    reference is bit-identical to a replay from zero.
 
     Parameters
     ----------
@@ -281,12 +282,6 @@ def solve_with_reference(problem, config, alpha0=None):
         record_trace=False,
     )
     coeffs, traces, refs = _solve_stack(problems, config, starts, ref_cfg)
-    refs = list(refs)
-    todo = [i for i, ref in enumerate(refs) if ref is None]
-    if todo:
-        replayed, _ = solve([problems[i] for i in todo], ref_cfg)
-        for i, ref in zip(todo, replayed):
-            refs[i] = ref
     if stacked:
-        return coeffs, traces, tuple(refs)
+        return coeffs, traces, refs
     return coeffs[0], traces[0], refs[0]

@@ -173,7 +173,7 @@ def test_criterion_1_one_group_example_exact():
         tau_factor=0.5, max_iters=50, stop_tol=0.0, record_trace=True,
     )
     _, trace = solve(problem, config, start)
-    assert all(trace.support_set(i) == {0} for i in range(trace.n_recorded))
+    assert all(set(np.flatnonzero(row)) == {0} for row in trace.supports)
 
     enum = enumerate_solve(problem)
     assert enum.support == frozenset()

@@ -364,7 +364,7 @@ class TestTrace:
     def test_support_helpers_decode_masks(self, one_d):
         cfg = SolverConfig(tau_factor=0.5, max_iters=5)
         _, trace = solve(one_d, cfg, alpha0=DualCoefficients(np.ones((1, 1))))
-        assert trace.support_set(0) == frozenset({0})
+        assert set(np.flatnonzero(trace.supports[0])) == {0}
         assert np.array_equal(trace.support_sizes(), np.ones(5, dtype=np.int64))
         assert trace.n_groups == 1
 
@@ -420,9 +420,13 @@ class TestTrace:
         assert trace.n_groups == G
         assert rows[:, 64:].any()
         for i in (0, 1, trace.n_recorded - 1):
-            assert trace.support_set(i) == frozenset(np.flatnonzero(rows[i]))
+            # the record's support is the change event in force at it
+            n = trace.iterations[i]
+            k = np.searchsorted(trace.change_iters, n, "right") - 1
+            assert set(np.flatnonzero(rows[i])) == set(
+                np.flatnonzero(trace.change_supports[k]))
         assert np.array_equal(trace.support_sizes(), rows.sum(axis=1))
-        assert trace.support_set(-1) == frozenset(support_of(coeffs))
+        assert set(np.flatnonzero(rows[-1])) == support_of(coeffs)
 
         burn = last_support_change(trace)
         i = int(np.searchsorted(trace.iterations, burn))

@@ -138,6 +138,20 @@ def preset_problems():
 
 
 @pytest.fixture
+def binds(monkeypatch):
+    """The row count of each stack a Gram product is bound for."""
+    calls = []
+    original = core_module.GramStack.bind
+
+    def spy(self, R, out):
+        calls.append(R.shape[0])
+        return original(self, R, out)
+
+    monkeypatch.setattr(core_module.GramStack, "bind", spy)
+    return calls
+
+
+@pytest.fixture
 def repeats(monkeypatch):
     """Count the bitwise state compares that found a repeat."""
     hits = []
@@ -359,17 +373,9 @@ class TestEarlyCycleExit:
         assert {t.iters_run for t in traces} == {3000}
         assert products == [8] * 3000
 
-    def test_a_stack_binds_once_and_again_as_rows_leave(self, monkeypatch):
+    def test_a_stack_binds_once_and_again_as_rows_leave(self, binds):
         # instances 0-5 leave the stack at six different iterations: one
         # bind for the stack, then one each time rows leave and some remain
-        binds = []
-        original = core_module.GramStack.bind
-
-        def spy(self, R, out):
-            binds.append(R.shape[0])
-            return original(self, R, out)
-
-        monkeypatch.setattr(core_module.GramStack, "bind", spy)
         solve([preset_instance(i) for i in range(6)],
               SolverConfig(max_iters=5000))
         assert binds == [6, 5, 4, 3, 2, 1]
@@ -391,6 +397,27 @@ class TestEarlyCycleExit:
             assert any(repeats) == found
             assert (len(products) < 200) == found
             assert_matches_replica(coeffs, trace, expected)
+
+    def test_a_found_cycle_carries_into_the_reference(self, monkeypatch,
+                                                      products):
+        # with no reference stop, instance 0's reference is the iterate at
+        # its 50000-iteration budget. Its row finds its period-4 cycle
+        # before the production budget and jumps on it again towards the
+        # reference budget: at most one period's leftover iterations, not
+        # a second search for the cycle
+        monkeypatch.setattr(support_module, "REFERENCE_STOP_TOL", 0.0)
+        problem, period = preset_instance(0), PRESET_PERIODS[0]
+        config = SolverConfig(max_iters=5000)
+        _, trace = solve(problem, config)
+        alone = len(products)
+        # found before the budget, and no step in the cycle is 0
+        assert alone < 5000 and (trace.step_norms[-period:] > 0.0).all()
+        products.clear()
+        _, _, ref = solve_with_reference(problem, config)
+        assert set(products) == {1} and len(products) - alone <= period
+        full, _ = solve(problem, SolverConfig(max_iters=50000,
+                                              record_trace=False))
+        assert same_bits(ref.alpha, full.alpha)
 
 
 class TestTraceMemory:
@@ -523,14 +550,17 @@ class TestContinuingReference:
         assert trace.iters_run < 5000 and trace.final_step_norm > 1e-12
         assert same_bits(ref.alpha, replay(problem, 5000).alpha)
 
-    def test_warm_started_run_is_replayed(self, preset_problems, loops):
+    def test_warm_started_run_is_replayed(self, preset_problems, loops,
+                                          binds):
         problem = preset_problems[2]
         warm, _ = solve(problem, SolverConfig(max_iters=40, record_trace=False))
         loops.clear()
+        binds.clear()
         config = SolverConfig(max_iters=500)
         coeffs, trace, ref = solve_with_reference(problem, config, warm)
-        # the warm-started run, then the reference from zero
-        assert loops == [1, 1]
+        # one loop of two rows: the warm-started run, and a reference-only
+        # row from zero whose reference is the replay's
+        assert loops == [1] and binds[0] == 2
         assert_matches_replica(coeffs, trace, replica(problem, config, warm))
         assert same_bits(ref.alpha, replay(problem, 500).alpha)
 
@@ -617,7 +647,8 @@ class TestStackedRows:
         assert settled == [False, True, False, False, True, True, True, True]
 
     def test_rows_can_start_anywhere(self, problems):
-        # zero starts beside a warm start, whose reference is replayed
+        # zero starts beside a warm start, whose reference comes from a
+        # reference-only row from zero in the same stack
         config = SolverConfig(max_iters=2000)
         warm, _ = solve(problems[2], SolverConfig(max_iters=40,
                                                   record_trace=False))
