@@ -106,6 +106,11 @@ class ExperimentConfig:
         if not np.isfinite(noise) or noise < 0.0:
             raise ContractViolation(f"noise_std must be >= 0, got {noise!r}")
         object.__setattr__(self, "noise_std", noise)
+        if s == 0 and noise == 0.0:
+            raise ContractViolation(
+                "s = 0 with noise_std = 0 makes every response zero, which "
+                "leaves the relative lam nothing to scale"
+            )
         if not (0.0 < float(self.tau_factor) < 2.0):
             raise ContractViolation(
                 f"tau_factor must lie in (0, 2), got {self.tau_factor!r}"

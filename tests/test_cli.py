@@ -676,6 +676,10 @@ BATCH_INI_ERRORS = {
     "bad-tau-factor": ({"tau_factor": 2.5},
                        "invalid [experiment] config: tau_factor must lie "
                        "in (0, 2), got 2.5"),
+    "zero-response": ({"s": 0, "noise_std": 0},
+                      "invalid [experiment] config: s = 0 with noise_std = 0 "
+                      "makes every response zero, which leaves the relative "
+                      "lam nothing to scale"),
 }
 
 
@@ -688,6 +692,17 @@ def test_batch_ini_error_messages(tmp_path, capsys, case):
     rc, out, err = run_cli(["batch", "--config", str(cfg), "--dry-run"],
                            capsys)
     assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_batch_zero_response_fails_before_any_instance(tmp_path, capsys):
+    cfg = write_batch_ini(tmp_path, s=0, noise_std=0)
+    out_dir = tmp_path / "out"
+    rc, out, err = run_cli(
+        ["batch", "--config", str(cfg), "--out-dir", str(out_dir)], capsys,
+    )
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: invalid [experiment] config: s = 0 with ")
+    assert not out_dir.exists()
 
 
 def test_batch_ini_without_its_section(tmp_path, capsys):

@@ -2,7 +2,11 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import pickle
+import platform
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -56,6 +60,13 @@ class TestExperimentConfig:
     def test_planted_size_bounded_by_group_count(self):
         with pytest.raises(ContractViolation):
             small_gl_config(s=5)
+
+    def test_zero_response_rejected(self):
+        # no planted group and no noise: every response is zero
+        with pytest.raises(ContractViolation, match="s = 0 with noise_std"):
+            small_gl_config(s=0, noise_std=0.0)
+        assert small_gl_config(s=0).noise_std > 0.0
+        assert small_gl_config(noise_std=0.0).s > 0
 
     def test_group_dims_must_sum_to_p(self):
         with pytest.raises(ContractViolation):
@@ -236,6 +247,50 @@ class TestRunBatch:
         with pytest.raises(DivergenceError, match="instance 0") as exc:
             run_batch(small_gl_config(), keep_traces=False)
         assert exc.value.iteration == 3
+
+
+# the supports and everything read from them are claimed portable across
+# x86-64 BLAS kernels; the objective and margin only to their last digits
+# (README, "Across hosts"). final_step_norm is not: a different kernel
+# can reach a different cycle or fixed point
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+@pytest.mark.parametrize("argv", [
+    ["--preset", "group-lasso-paper", "--instances", "8", "--iters", "600"],
+    ["--preset", "gaussian-kernel-paper", "--instances", "4",
+     "--iters", "300"],
+], ids=["group-lasso", "gaussian"])
+def test_portable_outputs_do_not_depend_on_the_blas_kernel(tmp_path, argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    base["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    )
+    outputs = []
+    for name, extra in (("host", {}),
+                        ("haswell", {"OPENBLAS_CORETYPE": "Haswell"})):
+        out_dir = tmp_path / name
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from sparsemkl.cli import main; sys.exit(main())",
+             "batch", *argv, "--seed", "0", "--out-dir", str(out_dir)],
+            env={**base, **extra}, check=True, capture_output=True,
+        )
+        outputs.append((
+            (out_dir / "histogram.csv").read_bytes(),
+            json.loads((out_dir / "summary.json").read_text())["per_run"],
+        ))
+    (hist_a, runs_a), (hist_b, runs_b) = outputs
+    assert hist_a == hist_b
+    assert len(runs_a) == len(runs_b) > 0
+    for a, b in zip(runs_a, runs_b):
+        for key in ("support", "support_size", "burn_in", "sandwich_passed",
+                    "sandwich_first_violation"):
+            assert a[key] == b[key], (a["index"], key)
+        assert a["objective"] == pytest.approx(b["objective"], rel=1e-12,
+                                               abs=0.0)
+        assert a["qc_margin"] == pytest.approx(b["qc_margin"], rel=0.0,
+                                               abs=1e-12)
 
 
 def gaussian_preset(n_instances, iters=300):
