@@ -22,6 +22,7 @@ import locale  # noqa: F401
 import os
 import sys
 import time
+import zipfile
 
 import numpy as np
 
@@ -143,8 +144,8 @@ def _read_ini(path):
         raise ConfigError(f"config file not found: {path}")
     ini = configparser.ConfigParser()
     try:
-        ini.read(path)
-    except configparser.Error as err:
+        ini.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot parse {path}: {err}") from err
     return ini
 
@@ -264,12 +265,25 @@ def _load_dataset(path):
     if not os.path.isfile(path):
         raise ConfigError(f"dataset file not found: {path}")
     if path.endswith(".npz"):
+        with open(path, "rb") as f:  # an unreadable file is an I/O failure
+            # an empty, text, pickled or .npy file, or a truncated archive
+            if not zipfile.is_zipfile(f):
+                raise ConfigError(f"cannot parse .npz dataset {path}: "
+                                  "not a zip archive")
         with np.load(path) as data:
             if "points" not in data or "responses" not in data:
                 raise ConfigError(
                     f"{path} must contain arrays 'points' and 'responses'"
                 )
-            return Dataset(data["points"], data["responses"])
+            try:
+                # object arrays do not load, strings do not convert, and a
+                # damaged member fails its CRC
+                points, responses = (np.asarray(data[key], dtype=np.float64)
+                                     for key in ("points", "responses"))
+            except (ValueError, zipfile.BadZipFile) as err:
+                raise ConfigError(
+                    f"cannot parse .npz dataset {path}: {err}") from err
+        return Dataset(points, responses)
     try:
         table = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as err:

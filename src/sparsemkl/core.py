@@ -25,7 +25,7 @@ from .errors import ContractViolation
 __all__ = [
     "Dataset",
     "GramBlocks",
-    "GramStack",
+    "bind_stack",
     "DualCoefficients",
     "ProblemInstance",
     "residual",
@@ -387,67 +387,34 @@ def _factored_product(F, FT, v, out):
     return product
 
 
-class GramStack:
-    """The Gram operators of a stack of problems, applied together.
+def bind_stack(grams, R, out):
+    """``K_g R[i]`` into ``out[i, g]`` for a stack of problems, as a
+    callable that takes no argument.
 
-    :meth:`bind` returns the stack's product, whose row i has the bits
-    of ``grams[i].apply_each(R[i])``. Two or more factored rows that
-    share one factor shape go through one matmul over their stacked
-    ``(N, G, m, d_max)`` factors. Any other stack (dense rows, whose
-    ``(G, m, m)`` blocks a stack would copy, a lone row, or mixed
-    storages and shapes) applies each row's own bound product
-    (:meth:`GramBlocks.bind_each`).
-
-    Parameters
-    ----------
-    grams : sequence of GramBlocks
-        One per row; they must share G and m.
+    `grams` holds one GramBlocks per row, sharing G and m; `R` is
+    ``(N, m)`` and `out` a C-contiguous ``(N, G, m)`` array. Row i gets
+    the bits of ``grams[i].apply_each(R[i])``; each call reads `R` as it
+    is then. Two or more factored rows that share one factor shape are
+    one matmul over their factors, stacked here. Any other stack (dense
+    rows, whose blocks a stack would copy, a lone row, or mixed storages
+    and shapes) runs each row's own :meth:`GramBlocks.bind_each` product,
+    in reverse order on every other call, so the dense blocks read last
+    are read first again, while still in cache.
     """
+    shapes = {None if g.factors is None else g.factors.shape for g in grams}
+    if len(grams) > 1 and len(shapes) == 1 and None not in shapes:
+        return _factored_product(np.stack([g.factors for g in grams]),
+                                 np.stack([g._factors_t for g in grams]),
+                                 R[:, None, :, None], out[..., None])
+    rows = [g.bind_each(R[i], out[i]) for i, g in enumerate(grams)]
+    if len(rows) == 1:
+        return rows[0]
 
-    def __init__(self, grams):
-        self._grams = list(grams)
-        self._F = self._FT = None
-        shapes = {None if g.factors is None else g.factors.shape
-                  for g in self._grams}
-        if len(self._grams) > 1 and len(shapes) == 1 and None not in shapes:
-            self._F = np.stack([g.factors for g in self._grams])
-            self._FT = np.stack([g._factors_t for g in self._grams])
-
-    def keep(self, sel):
-        """Keep only rows `sel`, given in increasing order, renumbered.
-
-        Stacked factors move up within their own arrays, so dropping
-        rows allocates nothing. A product bound before is stale.
-        """
-        self._grams = [self._grams[i] for i in sel]
-        if self._F is not None:
-            for to, i in enumerate(sel):
-                if to != i:
-                    self._F[to], self._FT[to] = self._F[i], self._FT[i]
-            self._F, self._FT = self._F[:len(sel)], self._FT[:len(sel)]
-
-    def bind(self, R, out):
-        """``K_g R[i]`` into ``out[i, g]``, as a callable without argument.
-
-        `R` is ``(N, m)``, one vector per row shared by its groups, and
-        `out` a C-contiguous ``(N, G, m)`` array. Views and buffers are
-        made here once; each call reads `R` as it is then. Rows' own
-        products run in reverse order on every other call, so the dense
-        blocks read last are read first again, while still in cache;
-        each runs whole, a factored row's two matmuls in order.
-        """
-        if self._F is not None:
-            return _factored_product(self._F, self._FT, R[:, None, :, None],
-                                     out[..., None])
-        rows = [g.bind_each(R[i], out[i]) for i, g in enumerate(self._grams)]
-        if len(rows) == 1:
-            return rows[0]
-
-        def product():
-            for row in rows:
-                row()
-            rows.reverse()
-        return product
+    def product():
+        for row in rows:
+            row()
+        rows.reverse()
+    return product
 
 
 @dataclass(frozen=True, eq=False)

@@ -292,13 +292,13 @@ def _row_bytes(config, keep_traces=True):
     Its Gram storage, ten (G, m) float arrays of stack state and, if
     traced, an objective and a step norm per iteration. The loop keeps
     eight such arrays (AT, KA, their next values, B, Kr and the cycle
-    checkpoint pair); the 80 * G * m term stays, so that the benchmark
-    workloads' chunk sizes stay [4, 4], [6] and [1] (ROADMAP item 8).
+    checkpoint pair); two more are headroom for the reference copies
+    and the generated instances, which it leaves out (ROADMAP item 8).
     """
     if config.family == "group-lasso":
         # the (G, m, d_max) factor stack and its transpose, and their
         # copies in the chunk's stacked Gram product when its rows are
-        # two or more (core.GramStack)
+        # two or more (core.bind_stack)
         gram = 4 * 8 * config.G * config.m * max(config.group_dims)
     else:
         gram = 8 * config.G * config.m * config.m
@@ -407,7 +407,8 @@ def run_batch(config, jobs=1, keep_traces=True):
         # loaded here, not at import: --jobs 1 never builds a pool
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
             done = list(pool.map(
                 _run_chunk, [config] * len(chunks), chunks,
                 [keep_traces] * len(chunks),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DualCoefficients, GramStack, ProblemInstance
+from .core import DualCoefficients, ProblemInstance, bind_stack
 from .errors import ContractViolation, DivergenceError
 
 __all__ = ["SolverConfig", "SolveTrace", "solve"]
@@ -381,7 +381,6 @@ def _solve_stack(problems, config, starts, reference=None):
         raise ContractViolation("stacked problems must share G and m")
     AT, KA, Y = np.stack(ATs), np.stack(KAs), np.stack(Ys)
     one_pass = AT[0].size <= _EINSUM_BUFSIZE
-    grams = GramStack([row.gram for row in rows])
     _, G, m = AT.shape
 
     outs, refs = [None] * len(problems), [None] * len(problems)
@@ -395,7 +394,6 @@ def _solve_stack(problems, config, starts, reference=None):
             if len(sel) < len(rows):
                 rows = [rows[j] for j in sel]
                 AT, KA, Y = AT[sel], KA[sel], Y[sel]
-                grams.keep(sel)
                 product = None
             recording = any(row.record for row in rows)
             tracking = any(row.events is not None for row in rows)
@@ -411,7 +409,7 @@ def _solve_stack(problems, config, starts, reference=None):
             tau = np.array([row.tau for row in rows])[:, None, None]
             thr = np.array([row.thr for row in rows])[:, None]
             r_row, gamma_col = r[:, None, :], gamma[:, :, None]
-            product = grams.bind(r, Kr)
+            product = bind_stack([row.gram for row in rows], r, Kr)
 
         np.subtract(np.add.reduce(KA, axis=1, out=r), Y, out=r)
         product()

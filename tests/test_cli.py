@@ -6,6 +6,7 @@ stdout/stderr, and the files left in a temporary output directory.
 
 import hashlib
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -325,6 +326,67 @@ def test_solve_ini_error_messages(tmp_path, capsys, case):
     rc, out, err = run_cli(["solve", "--config", str(cfg), "--dry-run"],
                            capsys)
     assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "batch"])
+def test_non_utf8_config_message(tmp_path, capsys, command):
+    cfg = tmp_path / "run.ini"
+    cfg.write_bytes("[problem]\n# caf\u00e9\n".encode("latin-1"))
+    rc, out, err = run_cli([command, "--config", str(cfg), "--dry-run"],
+                           capsys)
+    assert (rc, out, err) == (
+        1, "", f"error: cannot parse {cfg}: 'utf-8' codec can't decode byte "
+        "0xe9 in position 15: invalid continuation byte\n")
+
+
+def _truncated_npz(path):
+    np.savez(path, points=np.ones((2, 2)), responses=np.ones(2))
+    path.write_bytes(path.read_bytes()[:100])
+
+
+def _damaged_npz(path):
+    # one flipped byte in the first float of the first member
+    np.savez(path, points=np.ones((2, 2)), responses=np.ones(2))
+    data = bytearray(path.read_bytes())
+    data[data.index(np.float64(1.0).tobytes())] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def _npy_as_npz(path):
+    with open(path, "wb") as f:
+        np.save(f, np.ones((2, 2)))
+
+
+# .npz datasets that do not load; the whole message is pinned
+BAD_NPZ_DATASETS = {
+    "pickle": (lambda path: path.write_bytes(pickle.dumps({"points": 1})),
+               "not a zip archive"),
+    "truncated": (_truncated_npz, "not a zip archive"),
+    "npy": (_npy_as_npz, "not a zip archive"),
+    "object-arrays": (
+        lambda path: np.savez(path, points=np.array([[1, None]] * 2),
+                              responses=np.ones(2)),
+        "Object arrays cannot be loaded when allow_pickle=False"),
+    "string-arrays": (
+        lambda path: np.savez(path, points=np.array([["a", "b"]] * 2),
+                              responses=np.ones(2)),
+        f"could not convert string to float: {np.str_('a')!r}"),
+    "bad-crc": (_damaged_npz, "Bad CRC-32 for file 'points.npy'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NPZ_DATASETS)
+def test_bad_npz_dataset_messages(tmp_path, capsys, case):
+    write, reason = BAD_NPZ_DATASETS[case]
+    data = tmp_path / "data.npz"
+    write(data)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[problem]\ndata = {data}\nfamily = group-lasso\n"
+                   "group_dims = 1,1\nlambda = 1.0\n", encoding="utf-8")
+    rc, out, err = run_cli(["solve", "--config", str(cfg), "--dry-run"],
+                           capsys)
+    assert (rc, out, err) == (
+        1, "", f"error: cannot parse .npz dataset {data}: {reason}\n")
 
 
 def test_missing_dataset_file_named_in_error(tmp_path, capsys):

@@ -14,7 +14,7 @@ from sparsemkl import (
     objective,
     residual,
 )
-from sparsemkl.core import LIPSCHITZ_MARGIN, PSD_TOL, GramStack
+from sparsemkl.core import LIPSCHITZ_MARGIN, PSD_TOL, bind_stack
 
 from _fixtures import coeffs_like, group_lasso_instance
 
@@ -218,6 +218,14 @@ def per_row(grams, R):
     return np.stack([g.apply_each(r) for g, r in zip(grams, R)])
 
 
+def bound(grams, R=None):
+    """`bind_stack` over `grams`, with the (R, out) it reads and writes."""
+    if R is None:
+        R = np.empty((len(grams), 50))
+    out = np.empty((len(grams), 20, 50))
+    return bind_stack(grams, R, out), R, out
+
+
 class TestGramStack:
     """The stacked Gram product gives each row its own product's bits."""
 
@@ -227,8 +235,8 @@ class TestGramStack:
     def test_factored_rows_keep_their_bits(self, n_rows, dims):
         grams = [factored_gram(seed, dims) for seed in range(n_rows)]
         R = np.random.default_rng(99).standard_normal((n_rows, 50))
-        out = np.empty((n_rows, 20, 50))
-        GramStack(grams).bind(R, out)()
+        product, _, out = bound(grams, R)
+        product()
         assert out.tobytes() == per_row(grams, R).tobytes()
 
     def test_mixed_rows_keep_their_bits(self):
@@ -238,13 +246,13 @@ class TestGramStack:
                  factored_gram(4, UNEVEN_DIMS), factored_gram(5, (5,) * 20),
                  factored_gram(6, (5,) * 20)]
         R = np.random.default_rng(7).standard_normal((len(grams), 50))
-        out = np.empty((len(grams), 20, 50))
-        GramStack(grams).bind(R, out)()
+        product, _, out = bound(grams, R)
+        product()
         assert out.tobytes() == per_row(grams, R).tobytes()
 
     def test_dropped_rows_leave_the_rest_their_bits(self):
         # rows leave in four steps, from a same-shape factored stack and
-        # from a mixed one
+        # from a mixed one, and the rest are bound again
         stacks = (
             [factored_gram(seed, (5,) * 20) for seed in range(6)],
             [dense_gram(0), factored_gram(1, UNEVEN_DIMS),
@@ -253,43 +261,49 @@ class TestGramStack:
         )
         rng = np.random.default_rng(8)
         for grams in stacks:
-            stack = GramStack(grams)
             for sel in ([0, 1, 3, 4, 5], [1, 2, 3], [1, 2], [0]):
-                stack.keep(sel)
                 grams = [grams[i] for i in sel]
                 R = rng.standard_normal((len(grams), 50))
-                out = np.empty((len(grams), 20, 50))
-                stack.bind(R, out)()
+                product, _, out = bound(grams, R)
+                product()
                 assert out.tobytes() == per_row(grams, R).tobytes(), sel
 
     def test_a_same_shape_stack_holds_one_stacked_copy(self):
-        grams = [factored_gram(seed, (5,) * 20) for seed in range(6)]
-        # the (6, G, m, d_max) factors and their transposes
-        copy = 2 * 6 * grams[0].factors.nbytes
-        stack, peak = traced(lambda: GramStack(grams))
-        assert copy <= peak < copy + 4096
-        # rows that leave move the rest up within that copy
-        for sel in ([0, 2, 3, 5], [1, 3], [1]):
-            _, peak = traced(lambda: stack.keep(sel))
-            assert peak < 4096, sel
+        for n_rows in (2, 6):
+            grams = [factored_gram(seed, (5,) * 20) for seed in range(n_rows)]
+            # the (N, G, m, d_max) factors and their transposes
+            copy = 2 * n_rows * grams[0].factors.nbytes
+            peak = bind_peak(grams) - projections(grams)
+            assert copy <= peak < copy + 4096, n_rows
 
     def test_a_lone_shape_uses_the_grams_own_factors(self):
         lone = factored_gram(0, UNEVEN_DIMS)
         pair = [factored_gram(1, (5,) * 20), factored_gram(2, (5,) * 20)]
         # a lone row, and a lone shape beside another one
         for grams in ([lone], [lone, *pair]):
-            _, peak = traced(lambda: GramStack(grams))
-            assert peak < 4096, len(grams)
+            assert bind_peak(grams) - projections(grams) < 4096, len(grams)
 
     def test_dense_rows_are_not_stacked(self):
         for grams in ([dense_gram(seed) for seed in range(4)],
                       [dense_gram(0), factored_gram(1, (5,) * 20),
                        factored_gram(2, (5,) * 20)]):
-            _, peak = traced(lambda: GramStack(grams))
-            assert peak < 4096, len(grams)
+            assert bind_peak(grams) - projections(grams) < 4096, len(grams)
 
 
-#: Stacks of each kind `GramStack.bind` can return: same-shape factored,
+def bind_peak(grams):
+    """The peak bytes that `tracemalloc` sees `bind_stack` allocate."""
+    R, out = np.empty((len(grams), 50)), np.empty((len(grams), 20, 50))
+    return traced(lambda: bind_stack(grams, R, out))[1]
+
+
+def projections(grams):
+    """Bytes of the (G, d_max, 1) projection buffers that a bind makes,
+    one per factored row, stacked or not."""
+    return sum(8 * g.n_groups * g.factors.shape[-1]
+               for g in grams if g.factors is not None)
+
+
+#: Stacks of each kind `bind_stack` can return: same-shape factored,
 #: dense, a lone factored row, and mixed, with a lone factored row
 #: between dense rows.
 BOUND_STACKS = {
@@ -306,37 +320,20 @@ BOUND_STACKS = {
 class TestBoundGramStack:
     """A bound product repeats: each call reads R anew into `out`."""
 
-    @staticmethod
-    def assert_calls_keep_the_bits(product, grams, R, out, rng):
+    def test_consecutive_calls_keep_the_bits(self, kind):
+        grams = BOUND_STACKS[kind]()
+        rng = np.random.default_rng(11)
+        product, R, out = bound(grams)
         # new values in R before each call, so a row whose second matmul
         # ran before its first would read the last call's projection
-        for _ in range(2):
+        for _ in range(3):
             R[...] = rng.standard_normal(R.shape)
             product()
             assert out.tobytes() == per_row(grams, R).tobytes()
 
-    def test_consecutive_calls_keep_the_bits(self, kind):
-        grams = BOUND_STACKS[kind]()
-        rng = np.random.default_rng(11)
-        R, out = np.empty((len(grams), 50)), np.empty((len(grams), 20, 50))
-        stack = GramStack(grams)
-        self.assert_calls_keep_the_bits(stack.bind(R, out), grams, R, out,
-                                        rng)
-        if len(grams) > 1:
-            # a row leaves, the rows after it move up, and the rest are
-            # bound again; the mixed stack keeps its lone factored row
-            # between dense rows
-            sel = [i for i in range(len(grams)) if i != len(grams) - 2]
-            stack.keep(sel)
-            grams = [grams[i] for i in sel]
-            R, out = R[sel], out[sel]
-            self.assert_calls_keep_the_bits(stack.bind(R, out), grams, R,
-                                            out, rng)
-
     def test_a_call_allocates_nothing(self, kind):
-        grams = BOUND_STACKS[kind]()
-        R = np.random.default_rng(12).standard_normal((len(grams), 50))
-        product = GramStack(grams).bind(R, np.empty((len(grams), 20, 50)))
+        product, R, _ = bound(BOUND_STACKS[kind]())
+        R[...] = np.random.default_rng(12).standard_normal(R.shape)
         product()
         _, peak = traced(product)
         assert peak < 1024

@@ -398,6 +398,61 @@ class TestChunkedBatch:
                                                        iters=20000))
         assert eight <= experiments.CHUNK_BYTES + one
 
+    # tracemalloc peaks of one `_run_chunk` per shape (master seed 0),
+    # recorded while a stack kept its first rows' stacked factors and
+    # compacted them in place as rows left (Python 3.11, numpy 2.4);
+    # binding each product from the rows it holds must not exceed them.
+    # The slack covers the few hundred bytes of Python objects by which
+    # repeated runs of one chunk differ.
+    @pytest.mark.parametrize("cfg, keep_traces, recorded", [
+        (ExperimentConfig.group_lasso_paper(n_instances=6, master_seed=0),
+         True, 1_999_519),
+        (ExperimentConfig.group_lasso_paper(n_instances=8, master_seed=0),
+         False, 2_464_816),
+        (gaussian_preset(4), False, 1_991_811),
+    ], ids=["group-lasso-traced-6x5000", "group-lasso-8x5000",
+            "gaussian-4x300"])
+    def test_chunk_peak_does_not_grow(self, cfg, keep_traces, recorded):
+        [chunk] = experiments._chunks(cfg, 1, keep_traces)
+        experiments._run_chunk(cfg, chunk, keep_traces)
+        tracemalloc.start()
+        try:
+            experiments._run_chunk(cfg, chunk, keep_traces)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= recorded + 4096
+
+    def test_a_pool_starts_no_more_workers_than_chunks(self, monkeypatch):
+        # a fake pool that records its size and maps in this process, so
+        # that no worker starts
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *args):
+                return map(fn, *args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
+        expected = run_batch(small_gl_config(n_instances=2), jobs=1)
+        for jobs, n_chunks in ((4, 2), (64, 2)):
+            cfg = small_gl_config(n_instances=2)
+            assert len(experiments._chunks(cfg, jobs)) == n_chunks
+            result = run_batch(cfg, jobs=jobs)
+            assert result.per_run == expected.per_run
+            assert sizes[-1] == n_chunks, jobs
+
     def test_kept_traces_hold_their_records_only(self):
         result, held, _ = self.batch_peak(gaussian_preset(8),
                                           keep_traces=True)

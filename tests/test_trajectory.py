@@ -33,7 +33,6 @@ from sparsemkl import (
     solve_with_reference,
 )
 from sparsemkl.experiments import _chunks
-from sparsemkl import core as core_module
 from sparsemkl import solver as solver_module
 from sparsemkl import support as support_module
 
@@ -141,13 +140,13 @@ def preset_problems():
 def binds(monkeypatch):
     """The row count of each stack a Gram product is bound for."""
     calls = []
-    original = core_module.GramStack.bind
+    original = solver_module.bind_stack
 
-    def spy(self, R, out):
+    def spy(grams, R, out):
         calls.append(R.shape[0])
-        return original(self, R, out)
+        return original(grams, R, out)
 
-    monkeypatch.setattr(core_module.GramStack, "bind", spy)
+    monkeypatch.setattr(solver_module, "bind_stack", spy)
     return calls
 
 
@@ -341,17 +340,17 @@ class TestEarlyCycleExit:
     def products(self, monkeypatch):
         # the stack's row count at each call of a bound Gram product
         calls = []
-        original = core_module.GramStack.bind
+        original = solver_module.bind_stack
 
-        def spy(self, R, out):
-            product = original(self, R, out)
+        def spy(grams, R, out):
+            product = original(grams, R, out)
 
             def counted():
                 calls.append(R.shape[0])
                 return product()
             return counted
 
-        monkeypatch.setattr(core_module.GramStack, "bind", spy)
+        monkeypatch.setattr(solver_module, "bind_stack", spy)
         return calls
 
     @pytest.mark.parametrize("index", range(8))
