@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 validation failure, 2 solver divergence,
 
 import argparse
 import configparser
+import dataclasses
 import json
 # argparse's gettext imports locale as every command builds its parser;
 # here it loads at start-up
@@ -31,6 +32,7 @@ from .core import Dataset, DualCoefficients, GramBlocks, ProblemInstance
 from .errors import ConfigError, ContractViolation, DivergenceError
 from .experiments import (
     ExperimentConfig,
+    _config_dict,
     emit_histogram,
     emit_summary,
     emit_traces,
@@ -40,6 +42,7 @@ from .experiments import (
 from .kernels import GaussianFamily, LinearGroupProjection, assemble_gram_blocks
 from .solver import SolverConfig, solve
 from .support import (
+    DEFAULT_EPS_REL,
     last_support_change,
     qualification_check,
     sandwich_check,
@@ -69,13 +72,16 @@ def _add_shared(sub):
                      help="print the resolved configuration and exit")
 
 
-def _add_problem(sub):
-    sub.add_argument("--config", help="INI config file")
+def _add_problem(sub, presets, *preset_aliases):
+    # one source of the configuration: a file or a built-in
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="INI config file")
+    source.add_argument("--preset", *preset_aliases, choices=presets,
+                        help="built-in configuration name")
     sub.add_argument("--iters", type=int, help="override iteration budget")
     sub.add_argument("--lambda", dest="lam", type=float,
                      help="override regularization weight")
     sub.add_argument("--tau-factor", type=float, help="override step factor")
-    sub.add_argument("--preset", help="built-in configuration name")
 
 
 def _build_parser():
@@ -85,17 +91,15 @@ def _build_parser():
 
     p_solve = subs.add_parser("solve", help="solve one problem instance")
     _add_shared(p_solve)
-    _add_problem(p_solve)
-    p_solve.add_argument("--example", help="alias of --preset",
-                         choices=_SOLVE_PRESETS)
+    _add_problem(p_solve, _SOLVE_PRESETS, "--example")
     p_solve.add_argument("--trace", action="store_true",
                          help="write per-iteration trace.jsonl")
-    p_solve.add_argument("--eps-rel", type=float, default=1e-4,
+    p_solve.add_argument("--eps-rel", type=float, default=DEFAULT_EPS_REL,
                          help="certificate tolerance for the report")
 
     p_batch = subs.add_parser("batch", help="run a synthetic batch")
     _add_shared(p_batch)
-    _add_problem(p_batch)
+    _add_problem(p_batch, _BATCH_PRESETS)
     p_batch.add_argument("--seed", type=int, help="override master_seed")
     p_batch.add_argument("--jobs", type=int, default=1, help="worker processes")
     p_batch.add_argument("--instances", type=int,
@@ -138,8 +142,6 @@ def main(argv=None):
 # ---------------------------------------------------------------- helpers
 
 def _read_ini(path):
-    if path is None:
-        raise ConfigError("missing --config (or use --preset/--example)")
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     ini = configparser.ConfigParser()
@@ -150,23 +152,24 @@ def _read_ini(path):
     return ini
 
 
-def _read_section(ini, name, keys, defaults):
-    """Section `name` of `ini`, read through `keys`: key -> converter.
+def _read_section(ini, name, keys, optional=()):
+    """The keys that section `name` of `ini` gives, read through `keys`.
 
-    A key of `defaults` may be left out, and so may the whole section
-    when every key may. A key that `keys` does not list is an error.
+    `keys` maps key -> converter. A key of `optional` may be left out, to
+    take the default of the config type it feeds, and so may the whole
+    section when every key may. A key that `keys` does not list is an
+    error.
     """
     if not ini.has_section(name):
-        if set(keys) <= set(defaults):
-            return dict(defaults)
+        if set(keys) <= set(optional):
+            return {}
         raise ConfigError(f"missing section [{name}]")
     sec = ini[name]
     values = {}
     for key, conv in keys.items():
         if key not in sec:
-            if key not in defaults:
+            if key not in optional:
                 raise ConfigError(f"missing key '{key}' in section [{name}]")
-            values[key] = defaults[key]
             continue
         try:
             values[key] = conv(sec[key])
@@ -182,16 +185,33 @@ def _read_section(ini, name, keys, defaults):
 
 
 def _family_keys(ini, name, table):
-    """The keys, and their defaults, of the family that `name` names.
+    """The keys of the family that `name` names, and the optional ones.
 
     A missing or unknown family reads every family's keys as optional,
     so that the error names the family, not a key of another family.
     """
     family = ini[name].get("family") if ini.has_section(name) else None
     if family in table:
-        return table[family], {}
+        return table[family], ()
     keys = {key: conv for fam in table.values() for key, conv in fam.items()}
-    return keys, dict.fromkeys(keys)
+    return keys, keys
+
+
+def _fields(values):
+    """`values` keyed by config field: files spell `lam` as `lambda`."""
+    return {key.replace("lambda", "lam"): value for key, value in values.items()}
+
+
+def _given(**overrides):
+    """The overrides whose flags were given."""
+    return {key: value for key, value in overrides.items() if value is not None}
+
+
+def _check_problem_flags(args):
+    if args.iters is not None and args.iters < 1:
+        raise ConfigError("--iters must be >= 1")
+    if args.lam is not None and args.lam <= 0:
+        raise ConfigError("--lambda must be positive")
 
 
 def _int_tuple(raw):
@@ -293,61 +313,50 @@ def _load_dataset(path):
     return Dataset(table[:, :-1], table[:, -1])
 
 
-def _solve_from_config(args):
-    ini = _read_ini(args.config)
-    keys, defaults = _family_keys(ini, "problem", _PROBLEM_FAMILY_KEYS)
+def _solve_from_config(path):
+    ini = _read_ini(path)
+    keys, optional = _family_keys(ini, "problem", _PROBLEM_FAMILY_KEYS)
     kw = _read_section(ini, "problem", {**_PROBLEM_KEYS, **keys},
-                       {"lambda_convention": "raw", **defaults})
-    if kw["family"] == "group-lasso":
-        spec = LinearGroupProjection(kw["group_dims"])
-    elif kw["family"] == "gaussian-kernel":
-        spec = GaussianFamily(kw["sigmas"])
+                       ("lambda_convention", *optional))
+    family = kw.pop("family")
+    if family == "group-lasso":
+        spec = LinearGroupProjection(kw.pop("group_dims"))
+    elif family == "gaussian-kernel":
+        spec = GaussianFamily(kw.pop("sigmas"))
     else:
         raise ConfigError(
-            f"bad value for 'family' in section [problem]: {kw['family']!r}"
+            f"bad value for 'family' in section [problem]: {family!r}"
         )
-    dataset = _load_dataset(kw["data"])
+    dataset = _load_dataset(kw.pop("data"))
     gram = assemble_gram_blocks(dataset, spec)
-    problem = ProblemInstance(dataset=dataset, gram=gram, lam=kw["lambda"],
-                              lam_convention=kw["lambda_convention"])
+    problem = ProblemInstance(dataset=dataset, gram=gram, **_fields(kw))
 
-    solver = _read_section(ini, "solver", _SOLVER_KEYS,
-                           dict.fromkeys(_SOLVER_KEYS))
-    solver["max_iters"] = solver.pop("iters")
-    return problem, {k: v for k, v in solver.items() if v is not None}
+    solver = _read_section(ini, "solver", _SOLVER_KEYS, _SOLVER_KEYS)
+    if "iters" in solver:
+        solver["max_iters"] = solver.pop("iters")
+    return problem, solver
 
 
 def _cmd_solve(args):
     t0 = time.perf_counter()
-    preset = args.example or args.preset
-    if preset is not None:
-        if preset not in _SOLVE_PRESETS:
-            raise ConfigError(f"unknown solve preset {preset!r}")
+    if args.preset is not None:
         problem, alpha0 = _paper_1d_problem()
         solver_kw = {"tau_factor": 0.5, "max_iters": 50}
     else:
-        problem, solver_kw = _solve_from_config(args)
+        problem, solver_kw = _solve_from_config(args.config)
         alpha0 = None
 
+    _check_problem_flags(args)
     if args.lam is not None:
-        if args.lam <= 0:
-            raise ConfigError("--lambda must be positive")
-        problem = ProblemInstance(
-            dataset=problem.dataset, gram=problem.gram, lam=args.lam,
-            lam_convention=problem.lam_convention,
-        )
-    if args.iters is not None:
-        if args.iters < 1:
-            raise ConfigError("--iters must be >= 1")
-        solver_kw["max_iters"] = args.iters
-    if args.tau_factor is not None:
-        solver_kw["tau_factor"] = args.tau_factor
+        problem = dataclasses.replace(problem, lam=args.lam)
     if not (0.0 <= args.eps_rel < 1.0):
         raise ConfigError(f"--eps-rel must lie in [0, 1), got {args.eps_rel!r}")
-    config = SolverConfig(record_trace=args.trace, **solver_kw)
+    # a flag overrides the file before the config is checked
+    config = SolverConfig(record_trace=args.trace, **solver_kw | _given(
+        max_iters=args.iters, tau_factor=args.tau_factor))
 
     config_doc = {
-        "preset": preset,
+        "preset": args.preset,
         "lambda": problem.lam,
         "lambda_convention": problem.lam_convention,
         "m": problem.m,
@@ -407,53 +416,28 @@ def _cmd_solve(args):
 
 def _batch_config(args):
     if args.preset is not None:
-        if args.preset not in _BATCH_PRESETS:
-            raise ConfigError(
-                f"unknown batch preset {args.preset!r}; "
-                f"choose from {', '.join(_BATCH_PRESETS)}"
-            )
         config = _BATCH_PRESETS[args.preset]()
     else:
         ini = _read_ini(args.config)
-        keys, defaults = _family_keys(ini, "experiment",
+        keys, optional = _family_keys(ini, "experiment",
                                       _EXPERIMENT_FAMILY_KEYS)
         kw = _read_section(ini, "experiment", {**_EXPERIMENT_KEYS, **keys},
-                           {"tau_factor": 0.8, "master_seed": 0, **defaults})
-        kw["lam"] = kw.pop("lambda")
+                           ("tau_factor", "master_seed", *optional))
         try:
-            config = ExperimentConfig(**kw)
+            config = ExperimentConfig(**_fields(kw))
         except ContractViolation as err:
             raise ConfigError(f"invalid [experiment] config: {err}") from err
 
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.instances is not None:
-        if args.instances < 1:
-            raise ConfigError("--instances must be >= 1")
-        overrides["n_instances"] = args.instances
-    if args.iters is not None:
-        if args.iters < 1:
-            raise ConfigError("--iters must be >= 1")
-        overrides["iters"] = args.iters
-    if args.lam is not None:
-        if args.lam <= 0:
-            raise ConfigError("--lambda must be positive")
-        overrides["lam"] = args.lam
-    if args.tau_factor is not None:
-        overrides["tau_factor"] = args.tau_factor
-    if overrides:
-        import dataclasses
-        try:
-            config = dataclasses.replace(config, **overrides)
-        except ContractViolation as err:
-            raise ConfigError(str(err)) from err
-    return config
+    if args.instances is not None and args.instances < 1:
+        raise ConfigError("--instances must be >= 1")
+    _check_problem_flags(args)
+    return dataclasses.replace(config, **_given(
+        master_seed=args.seed, n_instances=args.instances, iters=args.iters,
+        lam=args.lam, tau_factor=args.tau_factor,
+    ))
 
 
 def _cmd_batch(args):
-    from .experiments import _config_dict
-
     t0 = time.perf_counter()
     config = _batch_config(args)
     config_doc = _config_dict(config)

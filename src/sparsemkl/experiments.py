@@ -60,7 +60,8 @@ class ExperimentConfig:
 
     Defaults (via the two classmethods) mirror the reference benchmark:
     m=50 samples, G=20 groups, s=5 planted groups, lam=0.2, noise
-    standard deviation 1e-2, tau_factor 0.8; the group-lasso family uses
+    standard deviation 1e-2, tau_factor 0.8 (a default of the field
+    itself, as is master_seed 0); the group-lasso family uses
     p=100 features in groups of 5 and 5000 iterations, the
     Gaussian-kernel family uses points in the plane, bandwidths drawn
     log-uniformly from [0.1, 10], and 50000 iterations.
@@ -80,8 +81,8 @@ class ExperimentConfig:
     noise_std: float
     n_instances: int
     iters: int
-    tau_factor: float
-    master_seed: int
+    tau_factor: float = 0.8
+    master_seed: int = 0
     group_dims: tuple | None = None
     sigma_range: tuple | None = None
 
@@ -401,14 +402,15 @@ def run_batch(config, jobs=1, keep_traces=True):
     if jobs < 1:
         raise ContractViolation(f"jobs must be >= 1, got {jobs!r}")
     chunks = _chunks(config, jobs, keep_traces)
-    if jobs == 1:
+    # a pool starts all its workers at the first submit
+    workers = min(jobs, len(chunks))
+    if workers == 1:
         done = [_run_chunk(config, chunk, keep_traces) for chunk in chunks]
     else:
-        # loaded here, not at import: --jobs 1 never builds a pool
+        # loaded here, not at import: one worker never builds a pool
         from concurrent.futures import ProcessPoolExecutor
 
-        # a pool starts all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(
                 _run_chunk, [config] * len(chunks), chunks,
                 [keep_traces] * len(chunks),

@@ -103,8 +103,8 @@ def assemble_gram_blocks(dataset, spec):
 
     X = dataset.points
     diff = X[:, None, :] - X[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)  # zero diagonal by construction
-    sq = 0.5 * (sq + sq.T)
+    # symmetric to the bit: diff is antisymmetric and sums in one order
+    sq = np.einsum("ijk,ijk->ij", diff, diff)
     blocks = np.empty((spec.n_groups, dataset.m, dataset.m))
     for g, sigma in enumerate(spec.sigmas):
         blocks[g] = np.exp(-sq / (2.0 * sigma * sigma))

@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ContractViolation, DualInfeasible
-from .support import support_of
+from .support import DEFAULT_EPS_REL, support_of
 
 __all__ = [
     "PrimalMark",
@@ -126,7 +126,7 @@ def primal_stratum_of(coeffs):
     return PrimalStratum.from_support(support_of(coeffs), coeffs.n_groups)
 
 
-def dual_stratum_of(norms, eps_rel=1e-4):
+def dual_stratum_of(norms, eps_rel=DEFAULT_EPS_REL):
     """Stratum of a scaled certificate-norm vector.
 
     Parameters

@@ -243,6 +243,61 @@ def test_unknown_flag_exits_one(tmp_path, capsys):
         assert err.startswith("error:"), argv
 
 
+def test_preset_and_example_are_one_option(tmp_path, capsys):
+    runs = {}
+    for flag in ("--preset", "--example"):
+        out_dir = tmp_path / flag.strip("-")
+        argv = ["solve", flag, "paper-1d", "--out-dir", str(out_dir)]
+        dry = run_cli(argv + ["--dry-run"], capsys)
+        assert run_cli(argv, capsys)[0] == 0
+        runs[flag] = dry, (out_dir / "report.txt").read_bytes()
+    assert runs["--preset"] == runs["--example"]
+    assert runs["--preset"][0][0] == 0
+
+
+# each names its two sources
+CONFLICTING_SOURCES = {
+    "example-and-preset": (["solve", "--example", "paper-1d", "--preset",
+                            "nonsense"], ("--example", "--preset")),
+    "example-and-config": (["solve", "--example", "paper-1d", "--config",
+                            "{ini}"], ("--example", "--config")),
+    "preset-and-config": (["batch", "--preset", "group-lasso-paper",
+                           "--config", "{ini}"], ("--preset", "--config")),
+}
+
+
+@pytest.mark.parametrize("case", CONFLICTING_SOURCES)
+def test_conflicting_sources_exit_one(tmp_path, capsys, case):
+    argv, flags = CONFLICTING_SOURCES[case]
+    ini = write_batch_ini(tmp_path)
+    out_dir = tmp_path / "out"
+    rc, out, err = run_cli(
+        [arg.format(ini=ini) for arg in argv] + ["--out-dir", str(out_dir)],
+        capsys,
+    )
+    assert (rc, out) == (1, "")
+    assert err.startswith("error:")
+    assert all(flag in err for flag in flags)
+    assert not out_dir.exists()
+
+
+def test_solve_ini_keys_left_out_take_the_library_defaults(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("1,0,3.0\n0,1,0.5\n", encoding="utf-8")
+    problem = (f"[problem]\ndata = {data}\nfamily = group-lasso\n"
+               "group_dims = 1,1\nlambda = 1.0\n")
+    bare = tmp_path / "bare.ini"
+    bare.write_text(problem, encoding="utf-8")
+    spelled = tmp_path / "spelled.ini"
+    spelled.write_text(problem + "lambda_convention = raw\n[solver]\n"
+                       "tau_factor = 0.8\niters = 1000\nstop_tol = 0\n",
+                       encoding="utf-8")
+    dry = [run_cli(["solve", "--config", str(cfg), "--dry-run"], capsys)
+           for cfg in (bare, spelled)]
+    assert dry[0] == dry[1]
+    assert dry[0][0] == 0 and dry[0][2] == ""
+
+
 def test_unknown_ini_key_named_in_error(tmp_path, capsys):
     cfg = write_two_group_inputs(tmp_path)
     text = cfg.read_text(encoding="utf-8")

@@ -453,6 +453,20 @@ class TestChunkedBatch:
             assert result.per_run == expected.per_run
             assert sizes[-1] == n_chunks, jobs
 
+    def test_a_one_chunk_batch_builds_no_pool(self, monkeypatch):
+        import concurrent.futures
+
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a one-chunk batch built a pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+        cfg = ExperimentConfig.group_lasso_paper(n_instances=1, iters=50)
+        expected = run_batch(cfg, jobs=1)
+        result = run_batch(cfg, jobs=2)
+        assert result.per_run == expected.per_run
+        assert result.histogram == expected.histogram
+
     def test_kept_traces_hold_their_records_only(self):
         result, held, _ = self.batch_peak(gaussian_preset(8),
                                           keep_traces=True)
