@@ -38,7 +38,6 @@ from .experiments import (
     emit_traces,
     generate_instance,
     instance_seed,
-    load_histogram,
     run_batch,
 )
 from .kernels import (
@@ -80,7 +79,6 @@ __all__ = [
     "emit_traces",
     "generate_instance",
     "instance_seed",
-    "load_histogram",
     "run_batch",
     "GaussianFamily",
     "LinearGroupProjection",

@@ -339,6 +339,10 @@ def _solve_from_config(path):
 
 def _cmd_solve(args):
     t0 = time.perf_counter()
+    # the flags first: a bad one fails before any file is read
+    _check_problem_flags(args)
+    if not (0.0 <= args.eps_rel < 1.0):
+        raise ConfigError(f"--eps-rel must lie in [0, 1), got {args.eps_rel!r}")
     if args.preset is not None:
         problem, alpha0 = _paper_1d_problem()
         solver_kw = {"tau_factor": 0.5, "max_iters": 50}
@@ -346,11 +350,8 @@ def _cmd_solve(args):
         problem, solver_kw = _solve_from_config(args.config)
         alpha0 = None
 
-    _check_problem_flags(args)
     if args.lam is not None:
         problem = dataclasses.replace(problem, lam=args.lam)
-    if not (0.0 <= args.eps_rel < 1.0):
-        raise ConfigError(f"--eps-rel must lie in [0, 1), got {args.eps_rel!r}")
     # a flag overrides the file before the config is checked
     config = SolverConfig(record_trace=args.trace, **solver_kw | _given(
         max_iters=args.iters, tau_factor=args.tau_factor))

@@ -313,29 +313,25 @@ class GramBlocks:
             return np.einsum("gij,jg->i", self.blocks, alpha)
         return (self.factors @ self._project(alpha.T)).sum(axis=0)[:, 0]
 
-    def apply_each(self, v, out=None):
+    def apply_each(self, v):
         """Every block applied on its own, ``K_g v_g`` for each g.
 
         Parameters
         ----------
         v : (m,) or (G, m) ndarray
             One vector shared by all groups, or one row per group.
-        out : (G, m) C-contiguous float64 ndarray, optional
-            Where to write the result; the bits are those of a call
-            without it.
 
         Returns
         -------
         (G, m) ndarray
             Row g is ``K_g`` applied to the vector of group g.
         """
-        if out is None:
-            out = np.empty((self.n_groups, self.m))
-        self.bind_each(v, out)()
+        out = np.empty((self.n_groups, self.m))
+        self._bind_each(v, out)()
         return out
 
-    def bind_each(self, v, out):
-        """``apply_each(v, out)`` as a callable that takes no argument.
+    def _bind_each(self, v, out):
+        """``K_g v_g`` into ``out[g]``, as a callable that takes no argument.
 
         Its reshapes, views and projection buffer are made here once;
         each call reads `v` as it is then and overwrites `out`, so a
@@ -397,16 +393,16 @@ def bind_stack(grams, R, out):
     is then. Two or more factored rows that share one factor shape are
     one matmul over their factors, stacked here. Any other stack (dense
     rows, whose blocks a stack would copy, a lone row, or mixed storages
-    and shapes) runs each row's own :meth:`GramBlocks.bind_each` product,
-    in reverse order on every other call, so the dense blocks read last
-    are read first again, while still in cache.
+    and shapes) runs each row's own `apply_each` product, in reverse
+    order on every other call, so the dense blocks read last are read
+    first again, while still in cache.
     """
     shapes = {None if g.factors is None else g.factors.shape for g in grams}
     if len(grams) > 1 and len(shapes) == 1 and None not in shapes:
         return _factored_product(np.stack([g.factors for g in grams]),
                                  np.stack([g._factors_t for g in grams]),
                                  R[:, None, :, None], out[..., None])
-    rows = [g.bind_each(R[i], out[i]) for i, g in enumerate(grams)]
+    rows = [g._bind_each(R[i], out[i]) for i, g in enumerate(grams)]
     if len(rows) == 1:
         return rows[0]
 

@@ -39,7 +39,6 @@ __all__ = [
     "generate_instance",
     "run_batch",
     "emit_histogram",
-    "load_histogram",
     "emit_traces",
     "write_trace_rows",
     "emit_summary",
@@ -437,22 +436,6 @@ def emit_histogram(result, path):
         lines.append(f"{int(size)},{int(result.histogram[size])}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_histogram(path):
-    """Parse a histogram CSV back into a {size: count} dict."""
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "support_size,count":
-            raise ContractViolation(f"unexpected histogram header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            size_s, count_s = line.split(",")
-            out[int(size_s)] = int(count_s)
-    return out
 
 
 def emit_traces(result, path, final_size=None):

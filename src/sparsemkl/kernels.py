@@ -43,10 +43,6 @@ class LinearGroupProjection:
             raise ContractViolation(f"group_dims must be positive, got {dims}")
         object.__setattr__(self, "group_dims", dims)
 
-    @property
-    def n_groups(self):
-        return len(self.group_dims)
-
 
 @dataclass(frozen=True)
 class GaussianFamily:
@@ -66,10 +62,6 @@ class GaussianFamily:
         if len(sig) < 1 or any(not np.isfinite(s) or s <= 0.0 for s in sig):
             raise ContractViolation(f"sigmas must be positive finite, got {sig}")
         object.__setattr__(self, "sigmas", sig)
-
-    @property
-    def n_groups(self):
-        return len(self.sigmas)
 
 
 def assemble_gram_blocks(dataset, spec):
@@ -105,7 +97,7 @@ def assemble_gram_blocks(dataset, spec):
     diff = X[:, None, :] - X[None, :, :]
     # symmetric to the bit: diff is antisymmetric and sums in one order
     sq = np.einsum("ijk,ijk->ij", diff, diff)
-    blocks = np.empty((spec.n_groups, dataset.m, dataset.m))
+    blocks = np.empty((len(spec.sigmas), dataset.m, dataset.m))
     for g, sigma in enumerate(spec.sigmas):
         blocks[g] = np.exp(-sq / (2.0 * sigma * sigma))
     # frozen here, the stack becomes the GramBlocks' own without a copy

@@ -275,11 +275,12 @@ class _Row:
         self.tau = tau
         self.thr = tau * self.lam
         # the results still to take, as {name: (stop, budget)} from their
-        # configs: "out" is the run under the stack's config, "ref" its
-        # reference. A result nobody asked for is never in it. A step norm
-        # is never negative, so the stop -1 of a stop_tol of 0 never fires
-        self.rules = {name: (c.stop_tol if c.stop_tol > 0.0 else -1.0,
-                             c.max_iters) for name, c in rules.items()}
+        # (stop_tol, max_iters) rules: "out" is the run under the stack's
+        # config, "ref" its reference. A result nobody asked for is never
+        # in it. A step norm is never negative, so the stop -1 of a
+        # stop_tol of 0 never fires
+        self.rules = {name: (tol if tol > 0.0 else -1.0, iters)
+                      for name, (tol, iters) in rules.items()}
         self.aim()
         self.n, self.step = 0, None
         # the cycle checkpoint's state, overwritten in place each time;
@@ -358,15 +359,15 @@ def _solve_stack(problems, config, starts, reference=None):
     Each row runs one trajectory and takes each of its results where
     that result's rule first stops it: the traced result at the first
     step norm of at most `config.stop_tol` or at `config.max_iters`, and
-    the untraced reference likewise under the `reference` config's
-    stop_tol and max_iters. A row leaves the stack once it holds both. A
-    problem with a start of its own gets its reference from an extra,
-    reference-only row from zero. Without `reference` every reference
-    is None.
+    the untraced reference likewise under `reference`, a
+    ``(stop_tol, max_iters)`` pair. A row leaves the stack once it holds
+    both. A problem with a start of its own gets its reference from an
+    extra, reference-only row from zero. Without `reference` every
+    reference is None.
     """
     if not problems:
         raise ContractViolation("a stack needs at least one problem")
-    jobs = [(i, p, a, {"out": config})
+    jobs = [(i, p, a, {"out": (config.stop_tol, config.max_iters)})
             for i, (p, a) in enumerate(zip(problems, starts))]
     if reference is not None:
         # a row from zero goes on into its reference; a problem with a

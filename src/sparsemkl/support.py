@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import DualCoefficients, residual
 from .errors import ContractViolation
-from .solver import SolverConfig, SolveTrace, _solve_stack, _stack
+from .solver import SolveTrace, _solve_stack, _stack
 
 __all__ = [
     "SupportReport",
@@ -275,13 +275,8 @@ def solve_with_reference(problem, config, alpha0=None):
         problem.
     """
     stacked, problems, starts = _stack(problem, config, alpha0)
-    ref_cfg = SolverConfig(
-        tau_factor=config.tau_factor,
-        max_iters=config.max_iters * REFERENCE_BUDGET_FACTOR,
-        stop_tol=REFERENCE_STOP_TOL,
-        record_trace=False,
-    )
-    coeffs, traces, refs = _solve_stack(problems, config, starts, ref_cfg)
+    reference = (REFERENCE_STOP_TOL, config.max_iters * REFERENCE_BUDGET_FACTOR)
+    coeffs, traces, refs = _solve_stack(problems, config, starts, reference)
     if stacked:
         return coeffs, traces, refs
     return coeffs[0], traces[0], refs[0]

@@ -222,6 +222,29 @@ def test_solve_rejects_bad_eps_rel_before_solving(tmp_path, capsys,
     assert not (tmp_path / "report.txt").exists()
 
 
+def test_solve_checks_its_flags_before_reading_files(tmp_path, capsys,
+                                                     monkeypatch):
+    # a bad flag fails before the dataset is loaded or its Gram assembled
+    import sparsemkl.cli as cli
+
+    def no_read(*args):
+        raise AssertionError("read a file before the flags were checked")
+
+    monkeypatch.setattr(cli, "_load_dataset", no_read)
+    monkeypatch.setattr(cli, "assemble_gram_blocks", no_read)
+    cfg = write_two_group_inputs(tmp_path)
+    for flag, value, message in (
+        ("--iters", "0", "--iters must be >= 1"),
+        ("--lambda", "-1", "--lambda must be positive"),
+        ("--eps-rel", "1.5", "--eps-rel must lie in [0, 1)"),
+    ):
+        rc, out, err = run_cli(["solve", "--config", str(cfg), flag, value,
+                                "--dry-run"], capsys)
+        assert rc == 1, flag
+        assert err.startswith("error:") and message in err, flag
+        assert out == "", flag
+
+
 def test_unknown_flag_exits_one(tmp_path, capsys):
     # --seed and --jobs are batch flags; verify takes none of the
     # problem flags either
@@ -444,6 +467,30 @@ def test_bad_npz_dataset_messages(tmp_path, capsys, case):
         1, "", f"error: cannot parse .npz dataset {data}: {reason}\n")
 
 
+def test_solve_gaussian_kernel_from_npz(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    data = tmp_path / "data.npz"
+    np.savez(data, points=rng.standard_normal((6, 2)),
+             responses=rng.standard_normal(6))
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[problem]\ndata = {data}\nfamily = gaussian-kernel\n"
+                   "sigmas = 0.5, 2.0\nlambda = 0.1\n[solver]\niters = 200\n",
+                   encoding="utf-8")
+    out_dir = tmp_path / "out"
+    rc, out, err = run_cli(
+        ["solve", "--config", str(cfg), "--out-dir", str(out_dir)], capsys,
+    )
+    assert (rc, err) == (0, "")
+    report = (out_dir / "report.txt").read_text(encoding="utf-8")
+    assert report == out
+    assert [line.split("=", 1)[0] for line in report.splitlines()] == [
+        line.split("=", 1)[0] for line in EXPECTED_1D_LINES
+    ]
+    doc = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert doc["config"]["G"] == 2 and doc["config"]["m"] == 6
+    assert doc["outputs"] == [str(out_dir / "report.txt")]
+
+
 def test_missing_dataset_file_named_in_error(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text(
@@ -660,7 +707,8 @@ def test_batch_full_budget_trace_matches_recorded_output(tmp_path, capsys):
     (["--trace-size", "5"], "needs --trace"),
     (["--trace", "--trace-size", "-3"], "[0, G=20]"),
     (["--trace", "--trace-size", "21"], "[0, G=20]"),
-], ids=["without-trace", "negative", "above-G"])
+    (["--instances", "0"], "--instances must be >= 1"),
+], ids=["without-trace", "negative", "above-G", "no-instances"])
 def test_batch_rejects_bad_trace_size(tmp_path, capsys, flags, message):
     # a dry run rejects what the real run would, before any output
     out_dir = tmp_path / "out"
@@ -859,6 +907,15 @@ def test_verify_oracle_suite(tmp_path, capsys):
     assert len(suite) == 12
     assert all(": pass [" in line for line in suite)
     assert suite[0].startswith("oracle case 0 solver-vs-enumeration")
+
+
+def test_verify_dry_run_prints_config_and_writes_nothing(tmp_path, capsys):
+    rc, out, _ = run_cli(
+        ["verify", "--dry-run", "--out-dir", str(tmp_path)], capsys,
+    )
+    assert rc == 0
+    assert out.splitlines() == ["lattice_G=8", "oracle_suite=None"]
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_verify_lattice_bound_enforced(capsys):

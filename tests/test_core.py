@@ -162,20 +162,13 @@ class TestFactoredAgreesWithDense:
         V = np.random.default_rng(3).standard_normal((len(dims), 9))
         assert rel_err(factored.apply_each(V), dense.apply_each(V)) <= 1e-12
 
-    def test_apply_each_into_out_keeps_the_bits(self, dims):
-        v = np.random.default_rng(2).standard_normal(9)
-        V = np.random.default_rng(3).standard_normal((len(dims), 9))
-        for gram in factored_and_dense(dims):
-            for arg in (v, V):
-                out = np.empty((2, len(dims), 9))
-                gram.apply_each(arg, out=out[1])
-                assert out[1].tobytes() == gram.apply_each(arg).tobytes()
-
     def test_dense_shared_vector_rejects_a_strided_out(self, dims):
         _, dense = factored_and_dense(dims)
-        v = np.random.default_rng(2).standard_normal(9)
+        R = np.random.default_rng(2).standard_normal((2, 9))
+        # each row's (G, m) slice of it is strided
+        out = np.empty((2, 9, len(dims))).transpose(0, 2, 1)
         with pytest.raises(ContractViolation, match="C-contiguous"):
-            dense.apply_each(v, out=np.empty((9, len(dims))).T)
+            bind_stack([dense, dense], R, out)
 
     def test_quad_shared_vector(self, dims):
         factored, dense = factored_and_dense(dims)

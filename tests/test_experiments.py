@@ -27,7 +27,6 @@ from sparsemkl import (
     enumerate_solve,
     generate_instance,
     instance_seed,
-    load_histogram,
     qualification_check,
     residual,
     run_batch,
@@ -516,7 +515,10 @@ class TestEmission:
         res = run_batch(small_gl_config(), keep_traces=False)
         path = tmp_path / "hist.csv"
         emit_histogram(res, path)
-        assert load_histogram(path) == res.histogram
+        # the file holds the histogram, sizes ascending, under its header
+        rows = "".join(f"{size},{count}\n"
+                       for size, count in sorted(res.histogram.items()))
+        assert path.read_text(encoding="utf-8") == "support_size,count\n" + rows
 
     def test_histogram_format(self, tmp_path):
         cfg = small_gl_config(lam=1.5, n_instances=4)
