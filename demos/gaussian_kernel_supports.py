@@ -57,7 +57,8 @@ problem = ProblemInstance(dataset=dataset, gram=gram,
 
 config = SolverConfig(tau_factor=0.8, max_iters=30000, stop_tol=0.0,
                       record_trace=True)
-coeffs, trace, reference = solve_with_reference(problem, config)
+result = solve_with_reference(problem, config)
+trace = result.trace
 
 sizes = trace.support_sizes()
 print("iteration    support size")
@@ -77,7 +78,7 @@ print(f"settled after iteration {last_support_change(trace)}")
 # Groups well below the level 1 die fast; the one nearest to 1 holds
 # on longest. Certificate norms at the reference solution:
 
-report = qualification_check(reference, problem)
+report = qualification_check(result.reference, problem)
 print()
 print("group  sigma  certificate")
 for g, sigma in enumerate(sigmas):
@@ -93,7 +94,7 @@ print(f"qc holds: {report.qc_holds} (margin {report.qc_margin:.4f})")
 # Certificates at the final traced iterate are already close to these;
 # the support sandwich against the reference holds once the trace
 # settles.
-final_certs = certificate_norms(coeffs, problem)
+final_certs = certificate_norms(result.coeffs, problem)
 verdict = sandwich_check(trace, report, last_support_change(trace))
 print(f"max certificate drift vs reference: "
       f"{np.abs(final_certs - report.certificate_norms).max():.2e}")

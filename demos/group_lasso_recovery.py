@@ -44,7 +44,8 @@ print(f"weight             {lam:.3f}")
 
 config = SolverConfig(tau_factor=0.8, max_iters=20000, stop_tol=1e-12,
                       record_trace=True)
-coeffs, trace, reference = solve_with_reference(problem, config)
+result = solve_with_reference(problem, config)
+coeffs, trace = result.coeffs, result.trace
 print()
 print(f"planted blocks     [1, 3]")
 print(f"recovered support  {sorted(support_of(coeffs))}")
@@ -56,7 +57,7 @@ print(f"final step norm    {trace.final_step_norm:.2e}")
 # every off-support certificate is strictly below the level 1, so the
 # recovered support is exact after finitely many iterations, not just
 # in the limit.
-report = qualification_check(reference, problem)
+report = qualification_check(result.reference, problem)
 print()
 print(f"extended support   {sorted(report.extended_support)}")
 print(f"qc margin          {report.qc_margin:.4f}")

@@ -372,24 +372,24 @@ def _cmd_solve(args):
         return 0
 
     t1 = time.perf_counter()
-    coeffs, trace, reference = solve_with_reference(problem, config, alpha0)
+    result = solve_with_reference(problem, config, alpha0)
     t2 = time.perf_counter()
-    report = qualification_check(reference, problem, eps_rel=args.eps_rel)
-    burn_in = last_support_change(trace)
-    verdict = sandwich_check(trace, report, burn_in)
+    report = qualification_check(result.reference, problem, args.eps_rel)
+    burn_in = last_support_change(result.trace)
+    verdict = sandwich_check(result.trace, report, burn_in)
     t3 = time.perf_counter()
 
     lines = [
-        f"supp={_fmt_group_set(support_of(coeffs))}",
+        f"supp={_fmt_group_set(support_of(result.coeffs))}",
         f"esupp={_fmt_group_set(report.extended_support)}",
         f"ref_supp={_fmt_group_set(report.support)}",
         f"qc_holds={str(report.qc_holds).lower()}",
         f"qc_margin={report.qc_margin!r}",
         "cert_norms=" + ",".join(repr(float(v)) for v in report.certificate_norms),
         f"eps_rel={report.eps_rel!r}",
-        f"objective={trace.objective!r}",
-        f"iters_run={trace.iters_run}",
-        f"final_step_norm={trace.final_step_norm!r}",
+        f"objective={result.trace.objective!r}",
+        f"iters_run={result.trace.iters_run}",
+        f"final_step_norm={result.trace.final_step_norm!r}",
         f"burn_in={burn_in}",
         "sandwich=" + ("pass" if verdict.passed
                        else f"fail@{verdict.first_violation}"),
@@ -403,7 +403,7 @@ def _cmd_solve(args):
     if args.trace:
         trace_path = os.path.join(args.out_dir, "trace.jsonl")
         with open(trace_path, "w", encoding="utf-8", newline="\n") as fh:
-            write_trace_rows(fh, 0, trace)
+            write_trace_rows(fh, 0, result.trace)
         outputs.append(trace_path)
     _write_manifest(
         args.out_dir, "solve", config_doc, None, outputs,

@@ -279,10 +279,11 @@ class BatchResult:
     traces: tuple | None
 
 
-#: Bytes that the instances stepped together may hold at once: their
-#: Gram storage, their stack state and, in a traced batch, the trace
-#: buffers of their production solves. It sets how many instances a
-#: batch solves as one stack.
+#: How many instances a batch steps together, as one stack: as many as
+#: fit in this many bytes by `_row_bytes`' model of their Gram storage,
+#: stack state and, if traced, trace buffers. A model, not a bound: it
+#: leaves out the generated instances, the result and reference copies
+#: and Gaussian assembly's (m, m, p) tensor (ROADMAP item 8).
 CHUNK_BYTES = 2 << 20
 
 
@@ -324,7 +325,7 @@ def _run_chunk(config, indices, keep_traces):
         stop_tol=0.0, record_trace=keep_traces,
     )
     try:
-        coeffs, traces, references = solve_with_reference(problems, solver_cfg)
+        results = solve_with_reference(problems, solver_cfg)
     except DivergenceError as err:
         if len(indices) == 1:
             raise DivergenceError(
@@ -338,25 +339,24 @@ def _run_chunk(config, indices, keep_traces):
             _run_chunk(config, [i], keep_traces)
         raise
     outcomes = []
-    for index, problem, coeff, trace, reference in zip(
-            indices, problems, coeffs, traces, references):
-        report = qualification_check(reference, problem)
-        burn_in = last_support_change(trace)
-        verdict = sandwich_check(trace, report, burn_in)
-        supp = frozenset(support_of(coeff))
+    for index, problem, result in zip(indices, problems, results):
+        report = qualification_check(result.reference, problem)
+        burn_in = last_support_change(result.trace)
+        verdict = sandwich_check(result.trace, report, burn_in)
+        supp = frozenset(support_of(result.coeffs))
         record = PerRun(
             index=index,
             seed=instance_seed(config.master_seed, index),
             support=supp,
             support_size=len(supp),
-            objective=trace.objective,
+            objective=result.trace.objective,
             qc_margin=report.qc_margin,
             sandwich_passed=verdict.passed,
             sandwich_first_violation=verdict.first_violation,
             burn_in=burn_in,
-            final_step_norm=trace.final_step_norm,
+            final_step_norm=result.trace.final_step_norm,
         )
-        outcomes.append((record, trace if keep_traces else None))
+        outcomes.append((record, result.trace if keep_traces else None))
     return outcomes
 
 
@@ -366,13 +366,14 @@ def run_batch(config, jobs=1, keep_traces=True):
     Instances go in chunks of consecutive indices. Each chunk is
     generated when it is reached, and its production solves and their
     reference runs go through one stacked loop (see
-    :func:`~sparsemkl.support.solve_with_reference`). A chunk holds at
-    most `CHUNK_BYTES` of Gram storage, stack state and, when traces are
-    kept, trace buffers (at least one instance), so memory does not grow
-    with the batch. An untraced batch records no per-iteration arrays:
-    its burn-in and sandwich verdict read each run's support change
-    events. Each instance's results are bit-identical to solving it
-    alone.
+    :func:`~sparsemkl.support.solve_with_reference`). A chunk is as
+    many instances (at least one) as fit in `CHUNK_BYTES` by a model of
+    their Gram storage, stack state and, when traces are kept, trace
+    buffers, so memory does not grow with the batch; the model leaves
+    some arrays out (see `CHUNK_BYTES`). An untraced batch records no
+    per-iteration arrays: its burn-in and sandwich verdict read each
+    run's support change events. Each instance's results are
+    bit-identical to solving it alone.
 
     Parameters
     ----------

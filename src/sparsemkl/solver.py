@@ -23,7 +23,7 @@ import numpy as np
 from .core import DualCoefficients, ProblemInstance, bind_stack
 from .errors import ContractViolation, DivergenceError
 
-__all__ = ["SolverConfig", "SolveTrace", "solve"]
+__all__ = ["SolverConfig", "SolveTrace", "SolveResult", "solve"]
 
 #: Elements einsum reduces in one buffered pass. In a stack of rows
 #: longer than this it splits each row differently from the row alone,
@@ -184,6 +184,16 @@ class SolveTrace:
         return self.supports.sum(axis=1)
 
 
+@dataclass(frozen=True, eq=False)
+class SolveResult:
+    """One problem's results from the stacked loop (`solve_with_reference`)."""
+
+    coeffs: DualCoefficients
+    trace: SolveTrace
+    reference: DualCoefficients | None
+    stepped: int
+
+
 def _same_bits(a, b):
     # bitwise rather than ==, which equates -0.0 with 0.0
     return np.array_equal(a.view(np.int64), b.view(np.int64))
@@ -242,8 +252,8 @@ def solve(problem, config, alpha0=None):
         A stack raises for the first row that diverges.
     """
     stacked, problems, starts = _stack(problem, config, alpha0)
-    coeffs, traces, _ = _solve_stack(problems, config, starts)
-    return (coeffs, traces) if stacked else (coeffs[0], traces[0])
+    pairs = [(r.coeffs, r.trace) for r in _solve_stack(problems, config, starts)]
+    return tuple(zip(*pairs)) if stacked else pairs[0]
 
 
 def _stack(problem, config, alpha0):
@@ -265,8 +275,9 @@ class _Row:
     """One row of a stack: everything but the stacked arrays."""
 
     __slots__ = ("index", "gram", "lam", "tau", "thr", "rules", "stop",
-                 "budget", "record", "n", "step", "ck_n", "ck_AT", "ck_KA",
-                 "ck_step", "span", "tile", "events", "last", "obj", "steps")
+                 "budget", "record", "n", "skipped", "step", "ck_n", "ck_AT",
+                 "ck_KA", "ck_step", "span", "tile", "events", "last", "obj",
+                 "steps")
 
     def __init__(self, index, problem, tau, rules, record):
         self.index = index  # place in the stack as given
@@ -274,27 +285,27 @@ class _Row:
         self.lam = problem.effective_lambda
         self.tau = tau
         self.thr = tau * self.lam
-        # the results still to take, as {name: (stop, budget)} from their
-        # (stop_tol, max_iters) rules: "out" is the run under the stack's
-        # config, "ref" its reference. A result nobody asked for is never
-        # in it. A step norm is never negative, so the stop -1 of a
-        # stop_tol of 0 never fires
+        # the results still to take, as {field: (stop, budget)} from their
+        # (stop_tol, max_iters) rules: "coeffs" (and its trace) is the run
+        # under the stack's config, "reference" its reference. A result
+        # nobody asked for is never in it. A step norm is never negative,
+        # so the stop -1 of a stop_tol of 0 never fires
         self.rules = {name: (tol if tol > 0.0 else -1.0, iters)
                       for name, (tol, iters) in rules.items()}
         self.aim()
-        self.n, self.step = 0, None
+        self.n, self.skipped, self.step = 0, 0, None
         # the cycle checkpoint's state, overwritten in place each time;
         # no compare until it is first taken
         shape = (self.gram.n_groups, self.gram.m)
         self.ck_AT, self.ck_KA = np.empty(shape), np.empty(shape)
         self.ck_n, self.ck_step = 0, None
         self.span = self.tile = None
-        # "out"'s trace: (iteration, support bytes) at each support change
-        # and, if recorded, one record per iteration; its objective is the
-        # penalty plus half the squared residual of the new iterate, the
-        # next iteration's r
-        self.record = record and "out" in rules
-        self.events, self.last = ([] if "out" in rules else None), None
+        # the trace of "coeffs": (iteration, support bytes) at each support
+        # change and, if recorded, one record per iteration; its objective
+        # is the penalty plus half the squared residual of the new iterate,
+        # the next iteration's r
+        self.record = record and "coeffs" in rules
+        self.events, self.last = ([] if "coeffs" in rules else None), None
         self.obj, self.steps = array("d"), array("d")
 
     def aim(self):
@@ -328,6 +339,7 @@ class _Row:
             events += [(n + q * span, mask) for q in range(1, reps + 1)
                        for n, mask in period]
         self.n += reps * span
+        self.skipped += reps * span
 
 
 def _start(index, problem, alpha0, rules, config):
@@ -354,7 +366,7 @@ def _start(index, problem, alpha0, rules, config):
 
 
 def _solve_stack(problems, config, starts, reference=None):
-    """Solve a stack; returns (coeffs, traces, references).
+    """Solve a stack; returns a SolveResult per problem, in order.
 
     Each row runs one trajectory and takes each of its results where
     that result's rule first stops it: the traced result at the first
@@ -362,21 +374,21 @@ def _solve_stack(problems, config, starts, reference=None):
     the untraced reference likewise under `reference`, a
     ``(stop_tol, max_iters)`` pair. A row leaves the stack once it holds
     both. A problem with a start of its own gets its reference from an
-    extra, reference-only row from zero. Without `reference` every
-    reference is None.
+    extra, reference-only row from zero, whose iterations its `stepped`
+    counts too. Without `reference` every reference is None.
     """
     if not problems:
         raise ContractViolation("a stack needs at least one problem")
-    jobs = [(i, p, a, {"out": (config.stop_tol, config.max_iters)})
+    jobs = [(i, p, a, {"coeffs": (config.stop_tol, config.max_iters)})
             for i, (p, a) in enumerate(zip(problems, starts))]
     if reference is not None:
         # a row from zero goes on into its reference; a problem with a
         # start of its own gets a reference-only row from zero
         for i, p, a, rules in jobs[:]:
             if a is None:
-                rules["ref"] = reference
+                rules["reference"] = reference
             else:
-                jobs.append((i, p, None, {"ref": reference}))
+                jobs.append((i, p, None, {"reference": reference}))
     rows, ATs, KAs, Ys = zip(*(_start(*job, config) for job in jobs))
     if len({A.shape for A in ATs}) > 1:
         raise ContractViolation("stacked problems must share G and m")
@@ -384,7 +396,7 @@ def _solve_stack(problems, config, starts, reference=None):
     one_pass = AT[0].size <= _EINSUM_BUFSIZE
     _, G, m = AT.shape
 
-    outs, refs = [None] * len(problems), [None] * len(problems)
+    results = [{"reference": None, "stepped": 0} for _ in problems]
     taken = True  # a row took a result in the last iteration
     product = None
     while True:
@@ -422,7 +434,7 @@ def _solve_stack(problems, config, starts, reference=None):
         if not np.logical_and.reduce(np.isfinite(nu, out=finite), axis=None):
             j = int(np.flatnonzero(~np.logical_and.reduce(finite, axis=1))[0])
             n = rows[j].n + 1
-            raise DivergenceError(n, None if len(outs) == 1 else (
+            raise DivergenceError(n, None if len(results) == 1 else (
                 f"non-finite iterate at iteration {n} of stack row "
                 f"{rows[j].index}"
             ))
@@ -467,19 +479,18 @@ def _solve_stack(problems, config, starts, reference=None):
                 row.obj.append(row.lam * np.add.reduce(excess[j][keep[j]]))
                 row.steps.append(step)
             if step <= row.stop or row.n >= row.budget:
-                taken = True
+                taken, res = True, results[row.index]
                 for name, (stop, budget) in list(row.rules.items()):
                     if step > stop and row.n < budget:
                         continue
                     del row.rules[name]
-                    if name == "ref":
-                        # DualCoefficients copies: a view would pin the stack
-                        refs[row.index] = DualCoefficients(AT[j].T)
-                    else:
+                    # DualCoefficients copies: a view would pin the stack
+                    res[name] = DualCoefficients(AT[j].T)
+                    if name == "coeffs":
                         penalty = row.lam * np.add.reduce(excess[j][keep[j]])
-                        outs[row.index] = _finish(row, AT[j], KA[j], Y[j],
-                                                  penalty)
+                        res["trace"] = _finish(row, KA[j], Y[j], penalty)
                 if not row.rules:
+                    res["stepped"] += row.n - row.skipped
                     continue
                 row.aim()
                 if row.span is not None:
@@ -494,12 +505,11 @@ def _solve_stack(problems, config, starts, reference=None):
                     np.copyto(row.ck_AT, AT[j])
                     np.copyto(row.ck_KA, KA[j])
                     row.ck_n, row.ck_step = row.n, step
-    coeffs, traces = zip(*outs)
-    return coeffs, traces, tuple(refs)
+    return tuple(SolveResult(**res) for res in results)
 
 
-def _finish(row, AT, KA, y, penalty):
-    """One row's (coeffs, trace), copied out so as not to pin the stack.
+def _finish(row, KA, y, penalty):
+    """One row's trace, copied out so as not to pin the stack.
 
     `penalty` is the last iteration's, as its record would hold it.
     """
@@ -520,7 +530,7 @@ def _finish(row, AT, KA, y, penalty):
     trace = SolveTrace(
         change_iters=iters,
         change_supports=np.frombuffer(b"".join(masks), dtype=bool).reshape(
-            len(masks), AT.shape[0]),
+            len(masks), row.gram.n_groups),
         objectives=objectives,
         step_norms=step_norms,
         objective=objective,
@@ -529,4 +539,4 @@ def _finish(row, AT, KA, y, penalty):
     )
     # a row that runs on into its reference runs untraced
     row.record, row.events, row.obj = False, None, None
-    return DualCoefficients(AT.T), trace
+    return trace

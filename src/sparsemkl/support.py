@@ -267,16 +267,14 @@ def solve_with_reference(problem, config, alpha0=None):
 
     Returns
     -------
-    coeffs : DualCoefficients
-    trace : SolveTrace
-        As :func:`~sparsemkl.solver.solve` returns them.
-    reference : DualCoefficients
-        For a stack, each of the three is a tuple with one entry per
-        problem.
+    SolveResult
+        `coeffs` and `trace` as :func:`~sparsemkl.solver.solve` returns
+        them, `reference`, and `stepped`: the row-iterations the loop
+        computed for the problem, a warm start's reference-only row
+        included and the periods a cycle exit skipped not. A stack gets a
+        tuple of them, one per problem in the order given.
     """
     stacked, problems, starts = _stack(problem, config, alpha0)
     reference = (REFERENCE_STOP_TOL, config.max_iters * REFERENCE_BUDGET_FACTOR)
-    coeffs, traces, refs = _solve_stack(problems, config, starts, reference)
-    if stacked:
-        return coeffs, traces, refs
-    return coeffs[0], traces[0], refs[0]
+    results = _solve_stack(problems, config, starts, reference)
+    return results if stacked else results[0]

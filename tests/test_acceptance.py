@@ -71,9 +71,9 @@ def gl_battery():
     solved = []
     for i in range(N_GROUP_LASSO):
         problem = group_lasso_instance(i)
-        coeffs, trace, reference = solve_with_reference(problem, config)
-        solved.append((problem, coeffs, trace, reference,
-                       enumerate_solve(problem)))
+        result = solve_with_reference(problem, config)
+        solved.append((problem, result.coeffs, result.trace,
+                       result.reference, enumerate_solve(problem)))
     t1 = time.perf_counter()
     runs = []
     for problem, coeffs, trace, reference, enum in solved:
@@ -100,10 +100,12 @@ def gaussian_battery():
     runs = []
     for i in range(N_GAUSSIAN):
         problem = gaussian_sandwich_instance(i)
-        coeffs, trace, reference = solve_with_reference(problem, config)
-        report, burn_in, verdict = _identify(problem, trace, reference)
+        result = solve_with_reference(problem, config)
+        report, burn_in, verdict = _identify(problem, result.trace,
+                                             result.reference)
         runs.append(BatteryRun(
-            problem, coeffs, trace, None, report, burn_in, verdict,
+            problem, result.coeffs, result.trace, None, report, burn_in,
+            verdict,
         ))
     return runs, time.perf_counter() - t0
 

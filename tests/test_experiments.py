@@ -215,15 +215,15 @@ class TestRunBatch:
         cfg = preset(n_instances=4, master_seed=3, iters=1000)
         res = run_batch(cfg)
         problems = [generate_instance(cfg, i)[0] for i in range(4)]
-        _, _, refs = solve_with_reference(problems, SolverConfig(
+        results = solve_with_reference(problems, SolverConfig(
             tau_factor=cfg.tau_factor, max_iters=cfg.iters))
         verdicts = []
-        for run, trace, problem, ref in zip(res.per_run, res.traces,
-                                            problems, refs):
+        for run, trace, problem, result in zip(res.per_run, res.traces,
+                                               problems, results):
             final = np.isin(np.arange(cfg.G), sorted(run.support))
             assert (trace.supports[trace.iterations >= run.burn_in]
                     == final).all()
-            report = qualification_check(ref, problem)
+            report = qualification_check(result.reference, problem)
             assert run.sandwich_passed == (
                 report.support <= run.support <= report.extended_support)
             assert run.sandwich_first_violation == (

@@ -413,7 +413,8 @@ class TestTrace:
         prob = ProblemInstance(dataset=dataset, gram=gram,
                                lam=0.5 * float(certs.max()))
         cfg = SolverConfig(tau_factor=0.8, max_iters=400)
-        coeffs, trace, reference = solve_with_reference(prob, cfg)
+        result = solve_with_reference(prob, cfg)
+        trace = result.trace
 
         rows = trace.supports
         assert rows.shape == (400, G) and rows.dtype == bool
@@ -426,13 +427,13 @@ class TestTrace:
             assert set(np.flatnonzero(rows[i])) == set(
                 np.flatnonzero(trace.change_supports[k]))
         assert np.array_equal(trace.support_sizes(), rows.sum(axis=1))
-        assert set(np.flatnonzero(rows[-1])) == support_of(coeffs)
+        assert set(np.flatnonzero(rows[-1])) == support_of(result.coeffs)
 
         burn = last_support_change(trace)
         i = int(np.searchsorted(trace.iterations, burn))
         assert (rows[i:] == rows[-1]).all()
         assert burn == 1 or (rows[i - 1] != rows[i]).any()
-        report = qualification_check(reference, prob)
+        report = qualification_check(result.reference, prob)
         assert sandwich_check(trace, report, burn).passed
 
         out = io.StringIO()

@@ -189,8 +189,9 @@ class TestIdentificationOnTraces:
         # the set-inclusion sandwich on every recorded iterate
         prob = group_lasso_instance(index)
         cfg = SolverConfig(tau_factor=0.8, max_iters=2500)
-        _, trace, ref = solve_with_reference(prob, cfg)
-        report = qualification_check(ref, prob)
+        result = solve_with_reference(prob, cfg)
+        trace = result.trace
+        report = qualification_check(result.reference, prob)
 
         s_bar = PrimalStratum.from_support(report.support, prob.n_groups)
         d_bar = dual_stratum_of(report.certificate_norms, report.eps_rel)

@@ -167,8 +167,9 @@ class TestSandwichCheck:
     def test_long_reference_sandwich_on_random_instance(self):
         prob = group_lasso_instance(13)
         cfg = SolverConfig(tau_factor=0.8, max_iters=2000)
-        _, trace, ref = solve_with_reference(prob, cfg)
-        report = qualification_check(ref, prob)
+        result = solve_with_reference(prob, cfg)
+        trace = result.trace
+        report = qualification_check(result.reference, prob)
         burn = last_support_change(trace)
         assert sandwich_check(trace, report, burn).passed
 
@@ -251,7 +252,7 @@ class TestBurnInAndReference:
     def test_reference_is_converged(self):
         prob = group_lasso_instance(20)
         cfg = SolverConfig(tau_factor=0.8, max_iters=5000)
-        _, _, ref = solve_with_reference(prob, cfg)
+        ref = solve_with_reference(prob, cfg).reference
         moved, _ = solve(prob, SolverConfig(tau_factor=0.8, max_iters=1), ref)
         d = moved.alpha - ref.alpha
         h_sq = float(prob.gram.quad(d).sum())

@@ -151,6 +151,25 @@ def binds(monkeypatch):
 
 
 @pytest.fixture
+def products(monkeypatch):
+    """The stack's row count at each call of a bound Gram product: the
+    rows the loop steps in that iteration."""
+    calls = []
+    original = solver_module.bind_stack
+
+    def spy(grams, R, out):
+        product = original(grams, R, out)
+
+        def counted():
+            calls.append(R.shape[0])
+            return product()
+        return counted
+
+    monkeypatch.setattr(solver_module, "bind_stack", spy)
+    return calls
+
+
+@pytest.fixture
 def repeats(monkeypatch):
     """Count the bitwise state compares that found a repeat."""
     hits = []
@@ -336,23 +355,6 @@ class TestEarlyCycleExit:
     are counted: one per computed iteration.
     """
 
-    @pytest.fixture
-    def products(self, monkeypatch):
-        # the stack's row count at each call of a bound Gram product
-        calls = []
-        original = solver_module.bind_stack
-
-        def spy(grams, R, out):
-            product = original(grams, R, out)
-
-            def counted():
-                calls.append(R.shape[0])
-                return product()
-            return counted
-
-        monkeypatch.setattr(solver_module, "bind_stack", spy)
-        return calls
-
     @pytest.mark.parametrize("index", range(8))
     def test_exit_follows_the_cycle_start(self, products, index):
         problem = preset_instance(index)
@@ -412,7 +414,7 @@ class TestEarlyCycleExit:
         # found before the budget, and no step in the cycle is 0
         assert alone < 5000 and (trace.step_norms[-period:] > 0.0).all()
         products.clear()
-        _, _, ref = solve_with_reference(problem, config)
+        ref = solve_with_reference(problem, config).reference
         assert set(products) == {1} and len(products) - alone <= period
         full, _ = solve(problem, SolverConfig(max_iters=50000,
                                               record_trace=False))
@@ -455,7 +457,7 @@ class TestTraceMemory:
                 held.append(tracemalloc.get_traced_memory()[0])
             finally:
                 tracemalloc.stop()
-            assert out[1].n_recorded == 0 and out[1].iters_run == iters
+            assert out.trace.n_recorded == 0 and out.trace.iters_run == iters
             del out
         assert abs(held[1] - held[0]) < 8 * G * m
 
@@ -518,10 +520,11 @@ class TestContinuingReference:
     def test_settled_production_run_is_reused(self, preset_problems, loops):
         problem = preset_problems[4]
         config = SolverConfig(max_iters=5000)
-        _, trace, ref = solve_with_reference(problem, config)
+        result = solve_with_reference(problem, config)
+        trace = result.trace
         assert loops == [1]
         assert trace.iters_run == 5000 and trace.step_norms.min() <= 1e-12
-        assert same_bits(ref.alpha, replay(problem, 5000).alpha)
+        assert same_bits(result.reference.alpha, replay(problem, 5000).alpha)
 
     def test_unsettled_production_run_is_continued(self, loops):
         config = ExperimentConfig.gaussian_kernel_paper(
@@ -529,25 +532,26 @@ class TestContinuingReference:
         )
         problem, _ = generate_instance(config, 0)
         solver_cfg = SolverConfig(max_iters=300)
-        coeffs, trace, ref = solve_with_reference(problem, solver_cfg)
+        result = solve_with_reference(problem, solver_cfg)
         assert loops == [1]
-        assert trace.final_step_norm > 1e-12
-        assert same_bits(ref.alpha, replay(problem, 300).alpha)
+        assert result.trace.final_step_norm > 1e-12
+        assert same_bits(result.reference.alpha, replay(problem, 300).alpha)
         # the production run is untouched by the reference run after it
         alone, alone_trace = solve(problem, solver_cfg)
-        assert same_bits(coeffs.alpha, alone.alpha)
+        assert same_bits(result.coeffs.alpha, alone.alpha)
         for name in ("iterations", "supports", "objectives", "step_norms"):
-            assert same_bits(getattr(trace, name),
+            assert same_bits(getattr(result.trace, name),
                              getattr(alone_trace, name)), name
 
     def test_run_stopped_on_stop_tol_is_continued(self, preset_problems,
                                                   loops):
         problem = preset_problems[0]
         config = SolverConfig(max_iters=5000, stop_tol=1e-9)
-        _, trace, ref = solve_with_reference(problem, config)
+        result = solve_with_reference(problem, config)
+        trace = result.trace
         assert loops == [1]
         assert trace.iters_run < 5000 and trace.final_step_norm > 1e-12
-        assert same_bits(ref.alpha, replay(problem, 5000).alpha)
+        assert same_bits(result.reference.alpha, replay(problem, 5000).alpha)
 
     def test_warm_started_run_is_replayed(self, preset_problems, loops,
                                           binds):
@@ -556,18 +560,19 @@ class TestContinuingReference:
         loops.clear()
         binds.clear()
         config = SolverConfig(max_iters=500)
-        coeffs, trace, ref = solve_with_reference(problem, config, warm)
+        result = solve_with_reference(problem, config, warm)
         # one loop of two rows: the warm-started run, and a reference-only
         # row from zero whose reference is the replay's
         assert loops == [1] and binds[0] == 2
-        assert_matches_replica(coeffs, trace, replica(problem, config, warm))
-        assert same_bits(ref.alpha, replay(problem, 500).alpha)
+        assert_matches_replica(result.coeffs, result.trace,
+                               replica(problem, config, warm))
+        assert same_bits(result.reference.alpha, replay(problem, 500).alpha)
 
     def test_reference_runs_at_the_configured_tau_factor(self,
                                                          preset_problems):
         problem = preset_problems[0]
         config = SolverConfig(max_iters=500, tau_factor=0.5)
-        _, _, ref = solve_with_reference(problem, config)
+        ref = solve_with_reference(problem, config).reference
         assert same_bits(ref.alpha, replay(problem, 500, 0.5).alpha)
         assert not same_bits(ref.alpha, replay(problem, 500).alpha)
 
@@ -611,20 +616,23 @@ class TestStackedRows:
         references = [self.reference_replica(p, config) for p in problems]
         runs = []
         for i, problem in enumerate(problems):
-            coeffs, trace, ref = solve_with_reference(problem, config)
-            runs.append(([i], (coeffs,), (trace,), (ref,)))
+            result = solve_with_reference(problem, config)
+            runs.append(([i], [(result.coeffs, result.trace)],
+                         [result.reference]))
         for stack in self.STACKS:
             rows = [problems[i] for i in stack]
-            runs.append((stack, *solve_with_reference(rows, config)))
+            results = solve_with_reference(rows, config)
+            runs.append((stack, [(r.coeffs, r.trace) for r in results],
+                         [r.reference for r in results]))
             # without the references' runs in the stack
-            runs.append((stack, *solve(rows, config), None))
-        for stack, coeffs, traces, refs in runs:
-            assert len(coeffs) == len(traces) == len(stack)
-            for k, (i, c, t) in enumerate(zip(stack, coeffs, traces)):
+            runs.append((stack, list(zip(*solve(rows, config))), None))
+        for stack, outs, refs in runs:
+            assert len(outs) == len(stack)
+            for k, (i, (c, t)) in enumerate(zip(stack, outs)):
                 assert_matches_replica(c, t, expected[i])
                 if refs is not None:
                     assert same_bits(refs[k].alpha, references[i]), i
-        return [t for _, _, (t,), _ in runs[:len(problems)]]
+        return [t for _, [(_, t)], _ in runs[:len(problems)]]
 
     def test_full_budget(self, problems):
         traces = self.check_stacks(problems, SolverConfig(max_iters=5000))
@@ -652,13 +660,12 @@ class TestStackedRows:
         warm, _ = solve(problems[2], SolverConfig(max_iters=40,
                                                   record_trace=False))
         starts = [None, warm, None]
-        coeffs, traces, refs = solve_with_reference(problems[1:4], config,
-                                                    starts)
-        for k, (problem, start) in enumerate(zip(problems[1:4], starts)):
-            assert_matches_replica(coeffs[k], traces[k],
+        results = solve_with_reference(problems[1:4], config, starts)
+        for problem, start, result in zip(problems[1:4], starts, results):
+            assert_matches_replica(result.coeffs, result.trace,
                                    replica(problem, config, start))
-            assert same_bits(refs[k].alpha,
-                             self.reference_replica(problem, config)), k
+            assert same_bits(result.reference.alpha,
+                             self.reference_replica(problem, config))
 
     def test_dense_and_factored_rows_in_one_stack(self, problems):
         # Gaussian (dense Gram) rows between group-lasso (factored) ones;
@@ -688,6 +695,34 @@ class TestStackedRows:
             assert_matches_replica(c, t, replica(problem, solver_cfg))
 
 
+class TestSteppedCount:
+    """A result's `stepped` against the Gram products the loop ran."""
+
+    def test_stepped_sums_to_the_rows_stepped(self, products):
+        # instances 0-5 end in exact cycles, and their references jump
+        # on the same cycles towards the 50000-iteration budget
+        problems = [preset_instance(i) for i in range(6)]
+        results = solve_with_reference(problems, SolverConfig(max_iters=5000))
+        assert sum(r.stepped for r in results) == sum(products)
+        for result in results:
+            assert result.reference is not None
+            assert result.stepped < result.trace.iters_run == 5000
+
+    def test_a_warm_start_counts_its_reference_only_row(self,
+                                                         preset_problems,
+                                                         products):
+        problem = preset_problems[2]
+        warm, _ = solve(problem, SolverConfig(max_iters=40, record_trace=False))
+        config = SolverConfig(max_iters=500)
+        products.clear()
+        result = solve_with_reference(problem, config, warm)
+        # the warm-started row and the reference-only row from zero
+        assert products[0] == 2 and result.stepped == sum(products)
+        products.clear()
+        solve(problem, config, warm)
+        assert 0 < sum(products) < result.stepped
+
+
 class TestStackMemory:
     def test_a_kept_row_does_not_pin_the_stack(self):
         config = ExperimentConfig.gaussian_kernel_paper(n_instances=8,
@@ -697,12 +732,12 @@ class TestStackMemory:
         solve_with_reference(problems, solver_cfg)
         tracemalloc.start()
         try:
-            coeffs, traces, refs = solve_with_reference(problems, solver_cfg)
-            coeff, trace, ref = coeffs[3], traces[3], refs[3]
-            del coeffs, traces, refs
+            # the other rows' records go with the tuple
+            row = solve_with_reference(problems, solver_cfg)[3]
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
+        coeff, trace, ref = row.coeffs, row.trace, row.reference
         records = sum(getattr(trace, name).nbytes for name in
                       ("supports", "objectives", "step_norms"))
         own = coeff.alpha.nbytes + ref.alpha.nbytes
