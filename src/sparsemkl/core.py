@@ -118,7 +118,8 @@ class GramBlocks:
     The package applies the Gram operator through three methods:
     :meth:`apply` for :math:`\\sum_g K_g \\alpha_g`, :meth:`apply_each`
     for :math:`K_g v` per group, and :meth:`quad` for the group
-    quadratic forms. They work on one of two storages:
+    quadratic forms; :meth:`resolvent` solves with
+    :math:`I + \\sum_g c_g K_g`. They work on one of two storages:
 
     * dense, from `blocks`: the ``(G, m, m)`` stack itself, for implicit
       kernels such as the Gaussian family;
@@ -370,6 +371,72 @@ class GramBlocks:
         if v.ndim == 1:
             return np.einsum("i,gij,j->g", v, self.blocks, v)
         return np.einsum("ig,gij,jg->g", v, self.blocks, v)
+
+    def resolvent(self, weights):
+        """``(I + sum_g weights[g] K_g)^-1`` as a callable on (m,) or
+        (m, k) arrays, for weights >= 0.
+
+        Dense storage factors the ``(m, m)`` sum; factored storage uses
+        Woodbury's identity in the factor space, with ``Z = [sqrt(w_g)
+        X_g]``: ``(I + Z Z')^-1 b = b - Z (I + Z'Z)^-1 Z' b``, whose
+        ``(G d_max, G d_max)`` system is the only square matrix formed.
+        Either one is factored by Cholesky and its triangular factor
+        inverted once (see `_lower_inverse`), so a call costs matrix
+        products only. OpenBLAS splits Cholesky over threads from 128
+        rows on; below that, as on both presets (m = 50 dense, and
+        G d_max = 100 factored), the bits do not depend on the thread
+        count.
+
+        Raises
+        ------
+        numpy.linalg.LinAlgError
+            If the matrix to factor is not numerically positive definite.
+        """
+        w = np.asarray(weights, dtype=np.float64)
+        if self.factors is None:
+            # einsum's own loop, not BLAS, whose threaded products change
+            # their low bits with the thread count
+            A = np.einsum("g,gij->ij", w, self.blocks)
+        else:
+            F, FT = self.factors, self._factors_t
+            G, _, d = F.shape
+            root = np.repeat(np.sqrt(w), d)
+            # the (G, G, d, d) blocks X_g' X_h as one (G d, G d) matrix,
+            # scaled to Z'Z
+            A = (FT[:, None] @ F[None]).transpose(0, 2, 1, 3).reshape(G * d,
+                                                                     G * d)
+            A *= np.multiply.outer(root, root)
+        A.flat[::A.shape[0] + 1] += 1.0
+        # rebound to its factor, so the matrix is freed before the inverse
+        A = np.linalg.cholesky(A)
+        Li = _lower_inverse(A)
+        if self.factors is None:
+            return lambda b: Li.T @ (Li @ b)
+
+        def solve(b):
+            cols = b.reshape(b.shape[0], -1)
+            u = root[:, None] * (FT @ cols).reshape(G * d, -1)
+            u = (root[:, None] * (Li.T @ (Li @ u))).reshape(G, d, -1)
+            return (cols - np.add.reduce(F @ u, axis=0)).reshape(b.shape)
+        return solve
+
+
+def _lower_inverse(L):
+    """The inverse of a lower-triangular L, by halves down to 64 rows.
+
+    A block of under 64 rows goes to LAPACK's LU inverse, which OpenBLAS
+    runs on one thread below 100 rows; larger ones are joined by matrix
+    products, ``[[A, 0], [C, B]]^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]]``.
+    """
+    n = L.shape[0]
+    if n < 64:
+        return np.linalg.inv(L)
+    h = n // 2
+    top, bottom = _lower_inverse(L[:h, :h]), _lower_inverse(L[h:, h:])
+    out = np.zeros_like(L)
+    out[:h, :h], out[h:, h:] = top, bottom
+    out[h:, :h] = -(bottom @ L[h:, :h]) @ top
+    return out
 
 
 def _factored_product(F, FT, v, out):

@@ -6,7 +6,7 @@ index, so batches are reproducible bit for bit regardless of execution
 order or worker count. Two families are built in: linear kernels on
 disjoint coordinate groups, and banks of Gaussian kernels with random
 bandwidths. Batch runs record, per instance, the final support, the
-objective, the qualification margin of a long reference run, and the
+objective, the qualification margin of the trajectory's limit, and the
 support-sandwich verdict; histograms of final support sizes and
 per-iteration trace files are emitted as plot-ready CSV/JSON lines.
 """

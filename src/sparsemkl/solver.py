@@ -86,8 +86,9 @@ class SolveTrace:
     Attributes
     ----------
     change_iters : (K,) int64 ndarray
-        1-based iterations at which the support changed, increasing. The
-        first is the run's first iteration, where its support starts.
+        1-based iterations at which the support changed, increasing, at
+        least one. The first is the run's first iteration, where its
+        support starts.
     change_supports : (K, G) bool ndarray
         Support from each change on: row k, column g is True when group
         g (0-based) is active from iteration ``change_iters[k]`` until
@@ -129,13 +130,13 @@ class SolveTrace:
             raise ContractViolation(
                 "change_supports must hold one (G,) row per support change"
             )
-        # the records are the last R of the n iterations
-        if not (it.size == ob.size == 0 or it.size
-                and 1 <= it[0] <= n - ob.size + 1 and it[-1] <= n
+        # at least one event, as every run starts with one; the records
+        # are the last R of the n iterations
+        if not (it.size and 1 <= it[0] <= n - ob.size + 1 and it[-1] <= n
                 and (np.diff(it) > 0).all()):
             raise ContractViolation(
-                f"support changes must increase within iterations 1..{n} "
-                "and cover the recorded ones"
+                f"support changes must be at least one, increase within "
+                f"iterations 1..{n} and cover the recorded ones"
             )
         if st.size and st.min() < 0.0:
             raise ContractViolation("step norms must be nonnegative")
@@ -287,8 +288,9 @@ class _Row:
         self.thr = tau * self.lam
         # the results still to take, as {field: (stop, budget)} from their
         # (stop_tol, max_iters) rules: "coeffs" (and its trace) is the run
-        # under the stack's config, "reference" its reference. A result
-        # nobody asked for is never in it. A step norm is never negative,
+        # under the stack's config, "reference" its reference, and
+        # "polish" where the polish is tried. A result nobody asked for
+        # is never in it. A step norm is never negative,
         # so the stop -1 of a stop_tol of 0 never fires
         self.rules = {name: (tol if tol > 0.0 else -1.0, iters)
                       for name, (tol, iters) in rules.items()}
@@ -372,27 +374,41 @@ def _solve_stack(problems, config, starts, reference=None):
     that result's rule first stops it: the traced result at the first
     step norm of at most `config.stop_tol` or at `config.max_iters`, and
     the untraced reference likewise under `reference`, a
-    ``(stop_tol, max_iters)`` pair. A row leaves the stack once it holds
-    both. A problem with a start of its own gets its reference from an
-    extra, reference-only row from zero, whose iterations its `stepped`
-    counts too. Without `reference` every reference is None.
+    ``(stop_tol, max_iters, polish)`` rule. A row leaves the stack once
+    it holds both. A problem with a start of its own gets its reference
+    from an extra, reference-only row from zero, whose iterations its
+    `stepped` counts too. Without `reference` every reference is None.
+
+    `polish`, a callable ``(problem, coeffs)`` that returns a reference
+    or None, is tried once per row whose reference is still to take
+    where the row takes its traced result (a reference-only row: at
+    `config.max_iters`), on the iterate there. A reference it returns is
+    taken, and the row leaves the stack; on None the row runs on as
+    without it.
     """
     if not problems:
         raise ContractViolation("a stack needs at least one problem")
-    jobs = [(i, p, a, {"coeffs": (config.stop_tol, config.max_iters)})
+    production = (config.stop_tol, config.max_iters)
+    jobs = [(i, p, a, {"coeffs": production})
             for i, (p, a) in enumerate(zip(problems, starts))]
     if reference is not None:
         # a row from zero goes on into its reference; a problem with a
-        # start of its own gets a reference-only row from zero
+        # start of its own gets a reference-only row from zero. A polish
+        # rule comes after the reference's, so a reference that stops
+        # the row in the same iteration is taken first
+        stop_tol, max_iters, polish = reference
         for i, p, a, rules in jobs[:]:
-            if a is None:
-                rules["reference"] = reference
-            else:
-                jobs.append((i, p, None, {"reference": reference}))
+            if a is not None:
+                rules = {}
+                jobs.append((i, p, None, rules))
+            rules["reference"] = (stop_tol, max_iters)
+            rules["polish"] = production if a is None else (
+                0.0, config.max_iters)
     rows, ATs, KAs, Ys = zip(*(_start(*job, config) for job in jobs))
     if len({A.shape for A in ATs}) > 1:
         raise ContractViolation("stacked problems must share G and m")
     AT, KA, Y = np.stack(ATs), np.stack(KAs), np.stack(Ys)
+    del ATs, KAs  # the starts live on in the stack
     one_pass = AT[0].size <= _EINSUM_BUFSIZE
     _, G, m = AT.shape
 
@@ -484,6 +500,17 @@ def _solve_stack(problems, config, starts, reference=None):
                     if step > stop and row.n < budget:
                         continue
                     del row.rules[name]
+                    if name == "polish":
+                        if "reference" in row.rules:
+                            # the step's buffers are spent: the polish
+                            # gets their memory, and the next step new ones
+                            AT_next = KA_next = B = Kr = product = None
+                            polished = polish(problems[row.index],
+                                              DualCoefficients(AT[j].T))
+                            if polished is not None:
+                                res["reference"] = polished
+                                del row.rules["reference"]
+                        continue
                     # DualCoefficients copies: a view would pin the stack
                     res[name] = DualCoefficients(AT[j].T)
                     if name == "coeffs":

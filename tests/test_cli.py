@@ -658,11 +658,11 @@ def test_batch_trace_matches_recorded_output(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, golden", [
-    # instances 1 and 4-7 settle within the 600 iterations, 0, 2 and 3
-    # run on into their references
+    # instances 1 and 4-7 settle within the 600 iterations; the
+    # references of 0, 2 and 3 are polished at 600
     (["--preset", "group-lasso-paper", "--instances", "8", "--iters", "600"],
      "summary_group_lasso_8x600.json"),
-    # every reference runs on past the 300 production iterations
+    # every reference is polished at the 300 production iterations
     (["--preset", "gaussian-kernel-paper", "--instances", "4",
       "--iters", "300"],
      "summary_gaussian_4x300.json"),

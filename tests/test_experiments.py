@@ -210,9 +210,10 @@ class TestRunBatch:
     def test_sandwich_verdict_reads_the_final_support(self, preset):
         # from burn_in = last_support_change on, every traced support is
         # the final one, so the verdict is the inclusion at the final
-        # support, and a violation is first seen at burn_in. At seed 3
-        # and 1000 iterations the Gaussian runs 0-2 fail, run 3 passes
-        cfg = preset(n_instances=4, master_seed=3, iters=1000)
+        # support, and a violation is first seen at burn_in. At seed 6
+        # and 1000 iterations the Gaussian runs 0, 1 and 3 fail, and run
+        # 2 passes
+        cfg = preset(n_instances=4, master_seed=6, iters=1000)
         res = run_batch(cfg)
         problems = [generate_instance(cfg, i)[0] for i in range(4)]
         results = solve_with_reference(problems, SolverConfig(
@@ -230,7 +231,7 @@ class TestRunBatch:
                 None if run.sandwich_passed else run.burn_in)
             verdicts.append(run.sandwich_passed)
         if cfg.family == "gaussian-kernel":
-            assert verdicts == [False, False, False, True]
+            assert verdicts == [False, False, True, False]
 
     def test_divergence_aborts_naming_instance(self, monkeypatch):
         # with a certified step bound the iteration cannot actually blow
@@ -400,8 +401,10 @@ class TestChunkedBatch:
     # tracemalloc peaks of one `_run_chunk` per shape (master seed 0),
     # recorded while a stack kept its first rows' stacked factors and
     # compacted them in place as rows left (Python 3.11, numpy 2.4);
-    # binding each product from the rows it holds must not exceed them.
-    # The slack covers the few hundred bytes of Python objects by which
+    # binding each product from the rows it holds must not exceed them,
+    # nor must the Gaussian chunk's reference polish, whose (m, m)
+    # factors take the memory of the stack's spent step buffers. The
+    # slack covers the few hundred bytes of Python objects by which
     # repeated runs of one chunk differ.
     @pytest.mark.parametrize("cfg, keep_traces, recorded", [
         (ExperimentConfig.group_lasso_paper(n_instances=6, master_seed=0),

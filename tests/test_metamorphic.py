@@ -13,8 +13,14 @@ below holds bit for bit, whichever CPU kernels numpy and BLAS pick:
 * A group whose kernel is zero, appended last with the same step bound,
   is never active and changes no other bit.
 
-The references are left out: their stop is an absolute step norm, which
-does not scale with the data (ROADMAP items 3 and 9).
+The same holds for a reference certified by `support.polish_reference`,
+whose every threshold is relative: (y, lambda) -> 2^k (y, lambda) scales
+it by 2^k, K -> 4^k K with lambda -> 2^k lambda (factored and dense
+storage) by 4^-k, and its support, extended support and qc margin are
+the same.
+A reference from the forward-backward tail is left out: its stop is an
+absolute step norm, which does not scale with the data, and at k = -40
+it fires before the production run ends (ROADMAP items 3 and 9).
 """
 
 import numpy as np
@@ -27,8 +33,11 @@ from sparsemkl import (
     ProblemInstance,
     SolverConfig,
     generate_instance,
+    qualification_check,
     solve,
+    solve_with_reference,
 )
+from sparsemkl import support as support_module
 
 # preset (master seed 0) instances and the budget each family runs
 FAMILIES = {
@@ -89,6 +98,72 @@ def test_scaling_data_and_lambda_scales_the_run(solved, case, k):
     assert same_bits(scaled_trace.objectives / (c * c), trace.objectives)
     assert scaled_trace.objective / (c * c) == trace.objective
     assert scaled_trace.final_step_norm / c == trace.final_step_norm
+
+
+@pytest.fixture
+def polished(monkeypatch):
+    """Whether each call of the reference polish certified its result."""
+    polish = support_module.polish_reference
+    calls = []
+
+    def spy(problem, coeffs):
+        ref = polish(problem, coeffs)
+        calls.append(ref is not None)
+        return ref
+
+    monkeypatch.setattr(support_module, "polish_reference", spy)
+    return calls
+
+
+def assert_same_identification(reference, problem, base, base_problem):
+    report = qualification_check(base, base_problem)
+    scaled_report = qualification_check(reference, problem)
+    assert scaled_report.support == report.support
+    assert scaled_report.extended_support == report.extended_support
+    assert same_bits(scaled_report.qc_margin, report.qc_margin)
+
+
+@pytest.mark.parametrize("k", [-20, 20])
+@pytest.mark.parametrize("index", [0, 1])
+def test_scaling_data_and_lambda_scales_the_polished_reference(polished,
+                                                               index, k):
+    problem, config = preset("gaussian", index)
+    c = 2.0 ** k
+    scaled_problem = rescaled(problem, y_scale=c, lam_scale=c)
+    base = solve_with_reference(problem, config).reference
+    scaled = solve_with_reference(scaled_problem, config).reference
+    # both references come from the polish, not from the tail
+    assert polished == [True, True]
+    assert same_bits(scaled.alpha / c, base.alpha)
+    assert_same_identification(scaled, scaled_problem, base, problem)
+
+
+@pytest.mark.parametrize("k", [-10, 1])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_scaling_the_kernels_and_lambda_scales_the_polished_reference(
+        polished, family, k):
+    # K -> 4^k K with lambda -> 2^k lambda. At 600 iterations instance
+    # 0's reference is still to take in both families, so the polish
+    # makes it; its weights are in units of 1/lipschitz, which scales
+    # by 4^-k with them. The step norms scale by 2^-k, so at k = 10 the
+    # group-lasso run passes the absolute reference stop of 1e-12 (from
+    # 2e-11 at iteration 600) and its reference is not polished
+    problem, _ = preset(family, 0)
+    config = SolverConfig(max_iters=600)
+    gram, c = problem.gram, 2.0 ** k
+    if gram.features is None:
+        scaled_gram = GramBlocks(blocks=c * c * gram.blocks,
+                                 lipschitz=c * c * gram.lipschitz)
+    else:
+        scaled_gram = GramBlocks(features=c * gram.features,
+                                 group_dims=gram.group_dims)
+    assert scaled_gram.lipschitz == c * c * gram.lipschitz
+    scaled_problem = rescaled(problem, scaled_gram, lam_scale=c)
+    base = solve_with_reference(problem, config).reference
+    scaled = solve_with_reference(scaled_problem, config).reference
+    assert polished == [True, True]
+    assert same_bits(c * c * scaled.alpha, base.alpha)
+    assert_same_identification(scaled, scaled_problem, base, problem)
 
 
 @pytest.mark.parametrize("index", [0, 1])

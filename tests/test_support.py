@@ -7,12 +7,16 @@ from sparsemkl import (
     ContractViolation,
     Dataset,
     DualCoefficients,
+    ExperimentConfig,
+    GramBlocks,
     ProblemInstance,
     SolverConfig,
     SolveTrace,
     SupportReport,
     certificate_norms,
+    generate_instance,
     last_support_change,
+    objective,
     qualification_check,
     residual,
     sandwich_check,
@@ -20,6 +24,9 @@ from sparsemkl import (
     solve_with_reference,
     support_of,
 )
+from sparsemkl import support as support_module
+from sparsemkl.oracle import enumerate_solve
+from sparsemkl.support import polish_reference
 
 from _fixtures import coeffs_like, group_lasso_instance
 
@@ -220,16 +227,14 @@ class TestSandwichCheck:
         assert sandwich_check(trace, fake, 4).first_violation == 4
         with pytest.raises(ContractViolation):
             sandwich_check(trace, passing, 11)
-        # a trace with no events is still rejected
-        empty = SolveTrace(
-            change_iters=[], change_supports=np.zeros((0, 1), dtype=bool),
-            objectives=[], step_norms=[], objective=0.0, iters_run=10,
-            final_step_norm=0.0,
-        )
-        for check in (lambda t: sandwich_check(t, passing, 0),
-                      last_support_change):
-            with pytest.raises(ContractViolation):
-                check(empty)
+        # a trace with no events cannot be built, so neither check
+        # meets one
+        with pytest.raises(ContractViolation):
+            SolveTrace(
+                change_iters=[], change_supports=np.zeros((0, 1), dtype=bool),
+                objectives=[], step_norms=[], objective=0.0, iters_run=10,
+                final_step_norm=0.0,
+            )
 
 
 class TestBurnInAndReference:
@@ -257,3 +262,137 @@ class TestBurnInAndReference:
         d = moved.alpha - ref.alpha
         h_sq = float(prob.gram.quad(d).sum())
         assert np.sqrt(max(h_sq, 0.0)) <= 1e-11
+
+
+def gaussian_preset(index):
+    """Gaussian-kernel preset instance `index` (master seed 0)."""
+    config = ExperimentConfig.gaussian_kernel_paper(n_instances=8,
+                                                    master_seed=0)
+    return generate_instance(config, index)[0]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_certified(problem, ref):
+    """`polish_reference`'s conditions (i)-(iv), read off `ref` alone."""
+    gram, y = problem.gram, problem.dataset.responses
+    S = sorted(support_of(ref))
+    r = residual(ref, gram, y)
+    # (i) each active block is -c_g r with a weight c_g > 0
+    for g in S:
+        c = -(ref.alpha[:, g] @ r) / (r @ r)
+        assert c > 0.0
+        assert np.linalg.norm(ref.alpha[:, g] + c * r) <= 1e-9 * abs(c) * (
+            np.linalg.norm(r))
+    # (ii) every certificate norm off S below 1
+    certs = certificate_norms(ref, problem)
+    assert (np.delete(certs, S) < 1.0).all()
+    # (iii) [K_g r]_{g in S} has full column rank
+    assert np.linalg.matrix_rank(gram.apply_each(r)[S].T) == len(S)
+    # (iv) the relative duality gap, at -r scaled into the certificate ball
+    primal = objective(ref, problem)
+    scale = max(1.0, float(certs.max()))
+    dual = -(y @ r) / scale - 0.5 * (r @ r) / scale ** 2
+    assert primal - dual <= 1e-12 * primal
+
+
+class TestPolish:
+    """References certified by the kernel-weight Newton polish."""
+
+    # Gaussian preset instances (master seed 0) at 300 iterations: the
+    # supports and qc margins of their trajectories' limits, which a
+    # forward-backward run reaches at a step of 1e-12 in 9544-15725
+    # iterations
+    LIMITS = {0: ({18}, 0.003439), 1: ({16}, 0.005016),
+              2: ({16}, 0.00293), 4: ({12}, 0.003965)}
+
+    @pytest.mark.parametrize("index", sorted(LIMITS))
+    def test_agrees_with_a_converged_trajectory(self, index):
+        problem = gaussian_preset(index)
+        result = solve_with_reference(problem, SolverConfig(max_iters=300))
+        ref = result.reference
+        assert_certified(problem, ref)
+        limit, trace = solve(problem, SolverConfig(
+            max_iters=20000, stop_tol=1e-12, record_trace=False))
+        assert trace.iters_run < 20000
+        polished = qualification_check(ref, problem)
+        converged = qualification_check(limit, problem)
+        support, margin = self.LIMITS[index]
+        assert polished.support == converged.support == support
+        assert polished.extended_support == converged.extended_support
+        assert abs(polished.qc_margin - converged.qc_margin) <= 1e-9
+        assert polished.qc_margin == pytest.approx(margin, abs=1e-6)
+        # the production run has not identified its limit yet
+        assert support_of(result.coeffs) > support
+
+    def test_matches_the_enumeration_oracle(self):
+        # small group-lasso instances, polished from 30 iterations, the
+        # zero solutions among them (instances 7 and 24) included
+        for i in range(30):
+            problem = group_lasso_instance(i)
+            coeffs, _ = solve(problem, SolverConfig(max_iters=30,
+                                                    record_trace=False))
+            ref = polish_reference(problem, coeffs)
+            assert ref is not None, i
+            assert_certified(problem, ref)
+            enum = enumerate_solve(problem)
+            assert support_of(ref) == enum.support, i
+            assert objective(ref, problem) == pytest.approx(enum.objective,
+                                                            rel=1e-10), i
+
+    def test_refuses_where_qc_fails(self, one_d):
+        # the scalar example's minimizer is 0 with certificate exactly 1
+        # (qc_margin 0): its weight's slack and the weight both go to 0
+        for value in (0.0, 0.5 ** 50, 0.5, 1.0):
+            start = DualCoefficients(np.full((1, 1), value))
+            assert polish_reference(one_d, start) is None
+
+    def test_a_refused_row_keeps_the_forward_backward_reference(self):
+        # a duplicated block splits the limit's weight over two equal
+        # columns K_g r: rank 1, so the weights are not unique
+        base = gaussian_preset(0)
+        blocks = np.concatenate([base.gram.blocks, base.gram.blocks[18:19]])
+        problem = ProblemInstance(base.dataset, GramBlocks(blocks=blocks),
+                                  base.lam)
+        config = SolverConfig(max_iters=300)
+        coeffs, _ = solve(problem, config)
+        assert polish_reference(problem, coeffs) is None
+        result = solve_with_reference(problem, config)
+        tail, trace = solve(problem, SolverConfig(
+            max_iters=3000, stop_tol=1e-12, record_trace=False))
+        assert trace.iters_run == 3000
+        assert same_bits(result.reference.alpha, tail.alpha)
+        assert result.stepped == 3000
+
+    def test_a_polished_row_leaves_at_its_production_result(self):
+        problems = [gaussian_preset(i) for i in range(4)]
+        config = SolverConfig(max_iters=300, record_trace=False)
+        results = solve_with_reference(problems, config)
+        for problem, result in zip(problems, results):
+            assert result.stepped == result.trace.iters_run == 300
+            # the same bits alone as in the stack
+            alone = solve_with_reference(problem, config)
+            assert same_bits(alone.reference.alpha, result.reference.alpha)
+
+    def test_a_warm_start_is_polished_at_the_budget(self, monkeypatch):
+        # the reference-only row from zero is polished where a row from
+        # zero takes its result, so both get the same reference
+        problem = gaussian_preset(1)
+        config = SolverConfig(max_iters=300, record_trace=False)
+        warm, _ = solve(problem, SolverConfig(max_iters=40,
+                                              record_trace=False))
+        calls = []
+
+        def spy(problem, coeffs):
+            calls.append(coeffs)
+            return polish_reference(problem, coeffs)
+
+        monkeypatch.setattr(support_module, "polish_reference", spy)
+        result = solve_with_reference(problem, config, warm)
+        cold = solve_with_reference(problem, config)
+        assert len(calls) == 2 and same_bits(calls[0].alpha, calls[1].alpha)
+        assert same_bits(result.reference.alpha, cold.reference.alpha)
+        # the warm row's 300 iterations and the reference-only row's 300
+        assert result.stepped == 600

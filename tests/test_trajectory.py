@@ -170,6 +170,14 @@ def products(monkeypatch):
 
 
 @pytest.fixture
+def unpolished(monkeypatch):
+    """References from the forward-backward tail alone: the polish
+    refuses every row, so the tail's rule decides what is taken."""
+    monkeypatch.setattr(support_module, "polish_reference",
+                        lambda problem, coeffs: None)
+
+
+@pytest.fixture
 def repeats(monkeypatch):
     """Count the bitwise state compares that found a repeat."""
     hits = []
@@ -400,7 +408,7 @@ class TestEarlyCycleExit:
             assert_matches_replica(coeffs, trace, expected)
 
     def test_a_found_cycle_carries_into_the_reference(self, monkeypatch,
-                                                      products):
+                                                      products, unpolished):
         # with no reference stop, instance 0's reference is the iterate at
         # its 50000-iteration budget. Its row finds its period-4 cycle
         # before the production budget and jumps on it again towards the
@@ -502,6 +510,7 @@ def replay(problem, n, tau_factor=0.8):
     return solve(problem, config)[0]
 
 
+@pytest.mark.usefixtures("unpolished")
 class TestContinuingReference:
     @pytest.fixture
     def loops(self, monkeypatch):
@@ -585,6 +594,7 @@ class TestContinuingReference:
         assert loops == [len(chunk) for chunk in _chunks(config, 1)] == [4, 4]
 
 
+@pytest.mark.usefixtures("unpolished")
 class TestStackedRows:
     """A row's results do not depend on the stack it is solved in.
 
@@ -592,7 +602,10 @@ class TestStackedRows:
     in stacks of 3 and in one shuffled stack of 8, and every row is
     compared bit for bit with the replica. Their exact cycles have
     periods {0: 4, 1: 2, 2: 2, 3: 1, 4: 1, 5: 9, 6: 1, 7: 1}, so rows
-    leave the stack at different iterations.
+    leave the stack at different iterations. The polish refuses, so that
+    every reference is the forward-backward tail's and its replica
+    checks the stack's bits; `tests/test_support.py` stacks polished
+    rows.
     """
 
     SHUFFLED = [5, 2, 7, 0, 3, 6, 1, 4]
