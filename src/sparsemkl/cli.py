@@ -9,8 +9,8 @@ the library's config dataclasses; command-line flags override file
 values. Every successful command ends by atomically writing a
 `manifest.json` from which the run can be reproduced.
 
-Exit codes: 0 success, 1 validation failure, 2 solver divergence,
-3 I/O failure.
+Exit codes: 0 success, 1 validation failure or out of memory, 2 solver
+divergence, 3 I/O failure.
 """
 
 import argparse
@@ -130,6 +130,10 @@ def main(argv=None):
         return _cmd_verify(args)
     except (ConfigError, ContractViolation) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        print(f"error: out of memory: {str(err) or 'allocation failed'}",
+              file=sys.stderr)
         return 1
     except DivergenceError as err:
         print(f"error: solver diverged: {err}", file=sys.stderr)
@@ -372,24 +376,27 @@ def _cmd_solve(args):
         return 0
 
     t1 = time.perf_counter()
-    result = solve_with_reference(problem, config, alpha0)
+    # the reference is from zero; a warm start's run is a second solve
+    result = solve_with_reference(problem, config)
+    coeffs, trace = (solve(problem, config, alpha0) if alpha0 is not None
+                     else (result.coeffs, result.trace))
     t2 = time.perf_counter()
     report = qualification_check(result.reference, problem, args.eps_rel)
-    burn_in = last_support_change(result.trace)
-    verdict = sandwich_check(result.trace, report, burn_in)
+    burn_in = last_support_change(trace)
+    verdict = sandwich_check(trace, report, burn_in)
     t3 = time.perf_counter()
 
     lines = [
-        f"supp={_fmt_group_set(support_of(result.coeffs))}",
+        f"supp={_fmt_group_set(support_of(coeffs))}",
         f"esupp={_fmt_group_set(report.extended_support)}",
         f"ref_supp={_fmt_group_set(report.support)}",
         f"qc_holds={str(report.qc_holds).lower()}",
         f"qc_margin={report.qc_margin!r}",
         "cert_norms=" + ",".join(repr(float(v)) for v in report.certificate_norms),
         f"eps_rel={report.eps_rel!r}",
-        f"objective={result.trace.objective!r}",
-        f"iters_run={result.trace.iters_run}",
-        f"final_step_norm={result.trace.final_step_norm!r}",
+        f"objective={trace.objective!r}",
+        f"iters_run={trace.iters_run}",
+        f"final_step_norm={trace.final_step_norm!r}",
         f"burn_in={burn_in}",
         "sandwich=" + ("pass" if verdict.passed
                        else f"fail@{verdict.first_violation}"),
@@ -403,7 +410,7 @@ def _cmd_solve(args):
     if args.trace:
         trace_path = os.path.join(args.out_dir, "trace.jsonl")
         with open(trace_path, "w", encoding="utf-8", newline="\n") as fh:
-            write_trace_rows(fh, 0, result.trace)
+            write_trace_rows(fh, 0, trace)
         outputs.append(trace_path)
     _write_manifest(
         args.out_dir, "solve", config_doc, None, outputs,

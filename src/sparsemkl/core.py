@@ -32,7 +32,8 @@ __all__ = [
     "objective",
 ]
 
-#: Absolute tolerance on per-block symmetry defects.
+#: Tolerance on per-block symmetry defects, relative to the block's
+#: largest entry.
 SYMMETRY_TOL = 1e-12
 
 #: Relative (to the trace) tolerance on negative eigenvalues of a block.
@@ -154,9 +155,10 @@ class GramBlocks:
     Raises
     ------
     ContractViolation
-        If a dense block is asymmetric beyond ``SYMMETRY_TOL`` or has
-        an eigenvalue at or below ``-PSD_TOL * max(trace, 1)`` (tested
-        by a Cholesky factorization of the shifted block), if the
+        If a dense block is asymmetric beyond ``SYMMETRY_TOL`` times
+        its largest entry or has an eigenvalue at or below
+        ``-PSD_TOL * trace`` (tested by a Cholesky factorization of the
+        shifted block; an all-zero block passes), if the
         features are not finite or `group_dims` does not split their
         columns, if `group_dims` comes with `blocks`, or if `lipschitz`
         is not positive or fails to dominate the largest eigenvalue of
@@ -212,16 +214,18 @@ class GramBlocks:
             raise ContractViolation("Gram blocks contain non-finite entries")
 
         for g, K in enumerate(blocks):
+            top = np.abs(K).max()
             asym = np.abs(K - K.T).max()
-            if asym > SYMMETRY_TOL:
+            if asym > SYMMETRY_TOL * top:
                 raise ContractViolation(
                     f"block {g} is asymmetric: max defect {asym:.3e}"
                 )
+            if not top:
+                continue  # an all-zero block is PSD
             # K + tol*I has a Cholesky factor iff every eigenvalue of K
             # exceeds -tol; eigvalsh only runs to name one in the error
-            scale = max(np.trace(K), 1.0)
             shifted = K.copy()
-            shifted.flat[::m + 1] += PSD_TOL * scale
+            shifted.flat[::m + 1] += PSD_TOL * np.trace(K)
             try:
                 np.linalg.cholesky(shifted)
             except np.linalg.LinAlgError:

@@ -221,11 +221,12 @@ def solve(problem, config, alpha0=None):
     running every iteration.
 
     A list or tuple of problems is solved as one stack: one loop steps
-    every row together, each row with its own step size, threshold,
-    cycle exit, stop rule and trace. A row that finishes is copied out
-    of the stack and dropped from it. Each row's result is bit-identical
-    to solving its problem alone, whatever else is in the stack; a
-    single problem is solved as a stack of one.
+    every row together, each from its own start, with its own step size,
+    threshold, cycle exit, stop rule and trace. A row that finishes is
+    copied out of the stack and dropped from it. Each row's result is
+    bit-identical to solving its problem alone, whatever else is in the
+    stack; a single problem is solved as a stack of one, and
+    `support.solve_with_reference` runs the same loop from zero.
 
     Parameters
     ----------
@@ -288,10 +289,9 @@ class _Row:
         self.thr = tau * self.lam
         # the results still to take, as {field: (stop, budget)} from their
         # (stop_tol, max_iters) rules: "coeffs" (and its trace) is the run
-        # under the stack's config, "reference" its reference, and
-        # "polish" where the polish is tried. A result nobody asked for
-        # is never in it. A step norm is never negative,
-        # so the stop -1 of a stop_tol of 0 never fires
+        # under the stack's config, "reference" its reference, if asked
+        # for. A step norm is never negative, so the stop -1 of a
+        # stop_tol of 0 never fires
         self.rules = {name: (tol if tol > 0.0 else -1.0, iters)
                       for name, (tol, iters) in rules.items()}
         self.aim()
@@ -306,8 +306,8 @@ class _Row:
         # change and, if recorded, one record per iteration; its objective
         # is the penalty plus half the squared residual of the new iterate,
         # the next iteration's r
-        self.record = record and "coeffs" in rules
-        self.events, self.last = ([] if "coeffs" in rules else None), None
+        self.record = record
+        self.events, self.last = [], None
         self.obj, self.steps = array("d"), array("d")
 
     def aim(self):
@@ -370,41 +370,28 @@ def _start(index, problem, alpha0, rules, config):
 def _solve_stack(problems, config, starts, reference=None):
     """Solve a stack; returns a SolveResult per problem, in order.
 
-    Each row runs one trajectory and takes each of its results where
-    that result's rule first stops it: the traced result at the first
-    step norm of at most `config.stop_tol` or at `config.max_iters`, and
-    the untraced reference likewise under `reference`, a
-    ``(stop_tol, max_iters, polish)`` rule. A row leaves the stack once
-    it holds both. A problem with a start of its own gets its reference
-    from an extra, reference-only row from zero, whose iterations its
-    `stepped` counts too. Without `reference` every reference is None.
+    Each row runs one trajectory from its start and takes each of its
+    results where that result's rule first stops it: the traced result
+    at the first step norm of at most `config.stop_tol` or at
+    `config.max_iters`, and the untraced reference likewise under
+    `reference`, a ``(stop_tol, max_iters, polish)`` rule. A row leaves
+    the stack once it holds both. Without `reference` every reference
+    is None.
 
     `polish`, a callable ``(problem, coeffs)`` that returns a reference
-    or None, is tried once per row whose reference is still to take
-    where the row takes its traced result (a reference-only row: at
-    `config.max_iters`), on the iterate there. A reference it returns is
-    taken, and the row leaves the stack; on None the row runs on as
+    or None, is tried on the traced result of each row whose reference
+    is still to take once that result is taken. A reference it returns
+    is taken, and the row leaves the stack; on None the row runs on as
     without it.
     """
     if not problems:
         raise ContractViolation("a stack needs at least one problem")
-    production = (config.stop_tol, config.max_iters)
-    jobs = [(i, p, a, {"coeffs": production})
-            for i, (p, a) in enumerate(zip(problems, starts))]
+    rules = {"coeffs": (config.stop_tol, config.max_iters)}
     if reference is not None:
-        # a row from zero goes on into its reference; a problem with a
-        # start of its own gets a reference-only row from zero. A polish
-        # rule comes after the reference's, so a reference that stops
-        # the row in the same iteration is taken first
         stop_tol, max_iters, polish = reference
-        for i, p, a, rules in jobs[:]:
-            if a is not None:
-                rules = {}
-                jobs.append((i, p, None, rules))
-            rules["reference"] = (stop_tol, max_iters)
-            rules["polish"] = production if a is None else (
-                0.0, config.max_iters)
-    rows, ATs, KAs, Ys = zip(*(_start(*job, config) for job in jobs))
+        rules["reference"] = (stop_tol, max_iters)
+    rows, ATs, KAs, Ys = zip(*(_start(i, p, a, rules, config) for i, (p, a)
+                               in enumerate(zip(problems, starts))))
     if len({A.shape for A in ATs}) > 1:
         raise ContractViolation("stacked problems must share G and m")
     AT, KA, Y = np.stack(ATs), np.stack(KAs), np.stack(Ys)
@@ -412,7 +399,7 @@ def _solve_stack(problems, config, starts, reference=None):
     one_pass = AT[0].size <= _EINSUM_BUFSIZE
     _, G, m = AT.shape
 
-    results = [{"reference": None, "stepped": 0} for _ in problems]
+    results = [{"reference": None} for _ in problems]
     taken = True  # a row took a result in the last iteration
     product = None
     while True:
@@ -500,24 +487,22 @@ def _solve_stack(problems, config, starts, reference=None):
                     if step > stop and row.n < budget:
                         continue
                     del row.rules[name]
-                    if name == "polish":
-                        if "reference" in row.rules:
-                            # the step's buffers are spent: the polish
-                            # gets their memory, and the next step new ones
-                            AT_next = KA_next = B = Kr = product = None
-                            polished = polish(problems[row.index],
-                                              DualCoefficients(AT[j].T))
-                            if polished is not None:
-                                res["reference"] = polished
-                                del row.rules["reference"]
-                        continue
                     # DualCoefficients copies: a view would pin the stack
                     res[name] = DualCoefficients(AT[j].T)
                     if name == "coeffs":
                         penalty = row.lam * np.add.reduce(excess[j][keep[j]])
                         res["trace"] = _finish(row, KA[j], Y[j], penalty)
+                if "reference" in row.rules:
+                    # the traced result is taken and the reference is
+                    # not. The step's buffers are spent: the polish gets
+                    # their memory, and the next step new ones
+                    AT_next = KA_next = B = Kr = product = None
+                    polished = polish(problems[row.index], res["coeffs"])
+                    if polished is not None:
+                        res["reference"] = polished
+                        del row.rules["reference"]
                 if not row.rules:
-                    res["stepped"] += row.n - row.skipped
+                    res["stepped"] = row.n - row.skipped
                     continue
                 row.aim()
                 if row.span is not None:

@@ -410,34 +410,31 @@ def _to_boundary(x, dx):
     return min(1.0, float((-x[shrink] / dx[shrink]).min()))
 
 
-def solve_with_reference(problem, config, alpha0=None):
-    """Solve, and take the limit of the same trajectory as a reference.
+def solve_with_reference(problem, config):
+    """Solve from zero, and take the trajectory's limit as a reference.
 
-    The solve is :func:`~sparsemkl.solver.solve`'s. The reference is the
-    limit of the solver's own trajectory from zero at
-    `config.tau_factor`, for identification checks; independent ground
-    truth lives in the oracle module. Where the trajectory has passed a
-    step norm of at most `REFERENCE_STOP_TOL` (1e-12) by the end of the
-    solve, the iterate there is the reference. Otherwise
-    :func:`polish_reference` is tried once, on the iterate where the
-    solve's result is taken, and the certified limit it returns is the
-    reference. Where it refuses, the reference is the trajectory's
-    forward-backward tail: run on for `REFERENCE_BUDGET_FACTOR` (10)
-    times the configured iteration budget or until the step norm falls
-    to 1e-12, and returned uncertified.
+    The solve is :func:`~sparsemkl.solver.solve`'s from zero. The
+    reference is the limit of its trajectory, for identification checks;
+    independent ground truth lives in the oracle module. Where the
+    trajectory has passed a step norm of at most `REFERENCE_STOP_TOL`
+    (1e-12) by the end of the solve, the iterate there is the reference.
+    Otherwise :func:`polish_reference` is tried once, on the solve's
+    result, and the certified limit it returns is the reference. Where
+    it refuses, the reference is the trajectory's forward-backward tail:
+    run on for `REFERENCE_BUDGET_FACTOR` (10) times the configured
+    iteration budget or until the step norm falls to 1e-12, and returned
+    uncertified.
 
-    Both come from one call of the stacked loop. A run from zero is not
-    replayed: its row takes the solve's result and the reference as two
-    results of its one trajectory, each where its own rule first stops
-    it, and runs on, untraced, after the solve's result if the reference
-    is still to take. A warm-started problem gets its reference from an
-    extra, reference-only row from zero in the same stack, polished at
-    `config.max_iters`. Either way an unpolished reference is
-    bit-identical to a replay from zero.
+    Both come from one call of the stacked loop, which runs the
+    trajectory once: its row takes the solve's result and the reference
+    as two results of one run, each where its own rule first stops it,
+    and runs on, untraced, after the solve's result if the reference is
+    still to take. An unpolished reference is bit-identical to a replay
+    from zero. A warm-started run is a separate `solve`.
 
     Parameters
     ----------
-    problem, config, alpha0
+    problem, config
         As for :func:`~sparsemkl.solver.solve`; a list or tuple of
         problems is solved as one stack.
 
@@ -446,11 +443,11 @@ def solve_with_reference(problem, config, alpha0=None):
     SolveResult
         `coeffs` and `trace` as :func:`~sparsemkl.solver.solve` returns
         them, `reference`, and `stepped`: the row-iterations the loop
-        computed for the problem, a warm start's reference-only row
-        included and the periods a cycle exit skipped not. A stack gets a
-        tuple of them, one per problem in the order given.
+        computed for the problem, its reference tail included and the
+        periods a cycle exit skipped not. A stack gets a tuple of them,
+        one per problem in the order given.
     """
-    stacked, problems, starts = _stack(problem, config, alpha0)
+    stacked, problems, starts = _stack(problem, config, None)
     reference = (REFERENCE_STOP_TOL,
                  config.max_iters * REFERENCE_BUDGET_FACTOR, polish_reference)
     results = _solve_stack(problems, config, starts, reference)

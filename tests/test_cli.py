@@ -107,6 +107,21 @@ def test_builtin_example_trace_file(tmp_path, capsys):
     assert str(tmp_path / "trace.jsonl") in doc["outputs"]
 
 
+def test_builtin_example_report_does_not_depend_on_the_trace(tmp_path,
+                                                            capsys):
+    # the warm-started run and the reference from zero are two solves;
+    # tracing either changes no reported value
+    reports = []
+    for flags in ([], ["--trace"]):
+        out_dir = tmp_path / ("traced" if flags else "untraced")
+        rc, _, _ = run_cli(["solve", "--example", "paper-1d", *flags,
+                            "--out-dir", str(out_dir)], capsys)
+        assert rc == 0
+        reports.append((out_dir / "report.txt").read_bytes())
+    assert reports[0] == reports[1]
+    assert reports[0].decode().splitlines() == EXPECTED_1D_LINES
+
+
 def test_solve_dry_run_prints_config_and_writes_nothing(tmp_path, capsys):
     out_dir = tmp_path / "never"
     rc, out, _ = run_cli(
@@ -524,6 +539,30 @@ def test_unwritable_out_dir_exits_three(tmp_path, capsys):
     )
     assert rc == 3
     assert err.startswith("error: I/O failure:")
+
+
+def out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 8.00 EiB for an array")
+
+
+def test_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
+    # injected where each command allocates its problems: Gram assembly
+    # for `solve --config`, instance generation for `batch`
+    import sparsemkl.cli as cli
+    import sparsemkl.experiments as experiments
+
+    monkeypatch.setattr(cli, "assemble_gram_blocks", out_of_memory)
+    monkeypatch.setattr(experiments, "generate_instance", out_of_memory)
+    cfg = write_two_group_inputs(tmp_path)
+    for argv in (["solve", "--config", str(cfg)],
+                 ["batch", "--preset", "group-lasso-paper",
+                  "--instances", "2", "--iters", "10"]):
+        out_dir = tmp_path / argv[0]
+        rc, out, err = run_cli(argv + ["--out-dir", str(out_dir)], capsys)
+        assert rc == 1, argv
+        assert err == ("error: out of memory: Unable to allocate 8.00 EiB "
+                       "for an array\n"), argv
+        assert out == "" and not out_dir.exists(), argv
 
 
 # ---------------------------------------------------------------- batch

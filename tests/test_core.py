@@ -61,12 +61,18 @@ class TestGramBlocks:
         assert gb.m == 2
         assert gb.group_dims is None
 
+    # powers of two far from 1: the checks are relative to the blocks
+    # powers of two far from 1: the checks are relative to the blocks
+    SCALES = (1.0, 2.0 ** 40, 2.0 ** -40)
+
     def test_rejects_asymmetric_block(self):
         for g in (0, 1):
-            blocks = self._valid()
-            blocks[g, 0, 1] = 0.5
-            with pytest.raises(ContractViolation, match=f"block {g} is asymmetric"):
-                GramBlocks(blocks=blocks, lipschitz=4.0)
+            for scale in self.SCALES:
+                blocks = self._valid() * scale
+                blocks[g, 0, 1] = 0.5 * scale
+                with pytest.raises(ContractViolation,
+                                   match=f"block {g} is asymmetric"):
+                    GramBlocks(blocks=blocks, lipschitz=4.0 * scale)
 
     def test_rejects_indefinite_block(self):
         blocks = np.stack([np.diag([1.0, -1.0])])
@@ -84,13 +90,14 @@ class TestGramBlocks:
         assert np.linalg.eigvalsh(K)[0] == pytest.approx(
             -depth * PSD_TOL * np.trace(K), rel=1e-3
         )
-        blocks = np.stack([np.eye(4), K])
-        if accepted:
-            GramBlocks(blocks=blocks)
-        else:
-            with pytest.raises(ContractViolation,
-                               match="block 1 is not positive semi-definite"):
+        for scale in self.SCALES:
+            blocks = np.stack([np.eye(4), K]) * scale
+            if accepted:
                 GramBlocks(blocks=blocks)
+            else:
+                with pytest.raises(ContractViolation,
+                                   match="block 1 is not positive semi-definite"):
+                    GramBlocks(blocks=blocks)
 
     def test_writable_input_is_copied(self):
         blocks = self._valid()

@@ -239,7 +239,7 @@ class TestRunBatch:
         # the solve call itself
         import sparsemkl.experiments as experiments
 
-        def exploding_solve(problem, config, alpha0=None):
+        def exploding_solve(problem, config):
             raise DivergenceError(3)
 
         monkeypatch.setattr(experiments, "solve_with_reference",
@@ -487,12 +487,12 @@ class TestChunkedBatch:
         bad = {generate_instance(cfg, i)[0].lam: i for i in (2, 4)}
         real_solve = experiments.solve_with_reference
 
-        def solve(problem, config, alpha0=None):
+        def solve(problem, config):
             rows = problem if isinstance(problem, list) else [problem]
             hits = [bad[p.lam] for p in rows if p.lam in bad]
             if hits:
                 raise DivergenceError(10 + max(hits))
-            return real_solve(problem, config, alpha0)
+            return real_solve(problem, config)
 
         monkeypatch.setattr(experiments, "solve_with_reference", solve)
         per_instance = experiments._row_bytes(cfg)

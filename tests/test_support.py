@@ -376,13 +376,10 @@ class TestPolish:
             alone = solve_with_reference(problem, config)
             assert same_bits(alone.reference.alpha, result.reference.alpha)
 
-    def test_a_warm_start_is_polished_at_the_budget(self, monkeypatch):
-        # the reference-only row from zero is polished where a row from
-        # zero takes its result, so both get the same reference
+    def test_the_polish_is_tried_once_on_the_production_result(
+            self, monkeypatch):
         problem = gaussian_preset(1)
         config = SolverConfig(max_iters=300, record_trace=False)
-        warm, _ = solve(problem, SolverConfig(max_iters=40,
-                                              record_trace=False))
         calls = []
 
         def spy(problem, coeffs):
@@ -390,9 +387,8 @@ class TestPolish:
             return polish_reference(problem, coeffs)
 
         monkeypatch.setattr(support_module, "polish_reference", spy)
-        result = solve_with_reference(problem, config, warm)
-        cold = solve_with_reference(problem, config)
-        assert len(calls) == 2 and same_bits(calls[0].alpha, calls[1].alpha)
-        assert same_bits(result.reference.alpha, cold.reference.alpha)
-        # the warm row's 300 iterations and the reference-only row's 300
-        assert result.stepped == 600
+        result = solve_with_reference(problem, config)
+        assert len(calls) == 1
+        assert same_bits(calls[0].alpha, result.coeffs.alpha)
+        assert same_bits(result.reference.alpha,
+                         polish_reference(problem, result.coeffs).alpha)
