@@ -12,13 +12,12 @@ import numpy as np
 
 from sparsemkl.core import Dataset, ProblemInstance
 from sparsemkl.kernels import GaussianFamily, assemble_gram_blocks
-from sparsemkl.solver import SolverConfig
+from sparsemkl.solver import SolverConfig, solve_with_reference
 from sparsemkl.support import (
     certificate_norms,
     last_support_change,
     qualification_check,
     sandwich_check,
-    solve_with_reference,
 )
 
 rng = np.random.default_rng(21)

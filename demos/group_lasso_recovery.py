@@ -13,8 +13,8 @@ import numpy as np
 from sparsemkl.core import Dataset, ProblemInstance, objective
 from sparsemkl.kernels import LinearGroupProjection, assemble_gram_blocks
 from sparsemkl.oracle import enumerate_solve
-from sparsemkl.solver import SolverConfig, solve
-from sparsemkl.support import qualification_check, solve_with_reference, support_of
+from sparsemkl.solver import SolverConfig, solve, solve_with_reference
+from sparsemkl.support import qualification_check, support_of
 
 rng = np.random.default_rng(7)
 

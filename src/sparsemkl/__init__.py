@@ -45,7 +45,7 @@ from .kernels import (
     LinearGroupProjection,
     assemble_gram_blocks,
 )
-from .solver import SolveTrace, SolverConfig, solve
+from .solver import SolveTrace, SolverConfig, solve, solve_with_reference
 from .support import (
     SandwichVerdict,
     SupportReport,
@@ -53,7 +53,6 @@ from .support import (
     last_support_change,
     qualification_check,
     sandwich_check,
-    solve_with_reference,
     support_of,
 )
 

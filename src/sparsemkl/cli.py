@@ -32,7 +32,6 @@ from .core import Dataset, DualCoefficients, GramBlocks, ProblemInstance
 from .errors import ConfigError, ContractViolation, DivergenceError
 from .experiments import (
     ExperimentConfig,
-    _config_dict,
     emit_histogram,
     emit_summary,
     emit_traces,
@@ -40,13 +39,12 @@ from .experiments import (
     write_trace_rows,
 )
 from .kernels import GaussianFamily, LinearGroupProjection, assemble_gram_blocks
-from .solver import SolverConfig, solve
+from .solver import SolverConfig, solve, solve_with_reference
 from .support import (
     DEFAULT_EPS_REL,
     last_support_change,
     qualification_check,
     sandwich_check,
-    solve_with_reference,
     support_of,
 )
 
@@ -216,6 +214,9 @@ def _check_problem_flags(args):
         raise ConfigError("--iters must be >= 1")
     if args.lam is not None and args.lam <= 0:
         raise ConfigError("--lambda must be positive")
+    # written so that NaN fails too
+    if args.tau_factor is not None and not 0.0 < args.tau_factor < 2.0:
+        raise ConfigError("--tau-factor must lie in (0, 2)")
 
 
 def _int_tuple(raw):
@@ -448,7 +449,7 @@ def _batch_config(args):
 def _cmd_batch(args):
     t0 = time.perf_counter()
     config = _batch_config(args)
-    config_doc = _config_dict(config)
+    config_doc = config.as_dict()
     if args.jobs < 1:
         raise ConfigError("--jobs must be >= 1")
     if args.trace_size is not None:

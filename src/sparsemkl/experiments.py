@@ -22,12 +22,11 @@ import numpy.random  # noqa: F401
 from .core import Dataset, DualCoefficients, ProblemInstance
 from .errors import ContractViolation, DivergenceError
 from .kernels import GaussianFamily, LinearGroupProjection, assemble_gram_blocks
-from .solver import SolverConfig
+from .solver import SolverConfig, solve_with_reference
 from .support import (
     last_support_change,
     qualification_check,
     sandwich_check,
-    solve_with_reference,
     support_of,
 )
 
@@ -164,6 +163,14 @@ class ExperimentConfig:
             sigma_range=(0.1, 10.0),
         )
         return dataclasses.replace(cfg, **overrides) if overrides else cfg
+
+    def as_dict(self):
+        """The fields as a dict, the tuple fields as lists or None."""
+        doc = dataclasses.asdict(self)
+        for name in ("group_dims", "sigma_range"):
+            value = getattr(self, name)
+            doc[name] = list(value) if value is not None else None
+        return doc
 
 
 def _mix64(z):
@@ -366,7 +373,7 @@ def run_batch(config, jobs=1, keep_traces=True):
     Instances go in chunks of consecutive indices. Each chunk is
     generated when it is reached, and its production solves and their
     reference runs go through one stacked loop (see
-    :func:`~sparsemkl.support.solve_with_reference`). A chunk is as
+    :func:`~sparsemkl.solver.solve_with_reference`). A chunk is as
     many instances (at least one) as fit in `CHUNK_BYTES` by a model of
     their Gram storage, stack state and, when traces are kept, trace
     buffers, so memory does not grow with the batch; the model leaves
@@ -498,21 +505,10 @@ def emit_summary(result, path):
                 "support": sorted(g + 1 for g in rec.support)}
                for rec in result.per_run]
     doc = {
-        "config": _config_dict(result.config),
+        "config": result.config.as_dict(),
         "histogram": {str(k): int(v) for k, v in sorted(result.histogram.items())},
         "per_run": per_run,
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _config_dict(config):
-    doc = dataclasses.asdict(config)
-    doc["group_dims"] = (
-        list(config.group_dims) if config.group_dims is not None else None
-    )
-    doc["sigma_range"] = (
-        list(config.sigma_range) if config.sigma_range is not None else None
-    )
-    return doc

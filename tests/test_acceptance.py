@@ -19,13 +19,12 @@ import pytest
 from sparsemkl.cli import main as cli_main
 from sparsemkl.core import DualCoefficients, objective
 from sparsemkl.oracle import enumerate_solve
-from sparsemkl.solver import SolverConfig, solve
+from sparsemkl.solver import SolverConfig, solve, solve_with_reference
 from sparsemkl.strata import verify_lattice
 from sparsemkl.support import (
     last_support_change,
     qualification_check,
     sandwich_check,
-    solve_with_reference,
     support_of,
 )
 

@@ -252,12 +252,15 @@ def test_solve_checks_its_flags_before_reading_files(tmp_path, capsys,
         ("--iters", "0", "--iters must be >= 1"),
         ("--lambda", "-1", "--lambda must be positive"),
         ("--eps-rel", "1.5", "--eps-rel must lie in [0, 1)"),
+        ("--tau-factor", "2.5", "--tau-factor must lie in (0, 2)"),
+        ("--tau-factor", "0", "--tau-factor must lie in (0, 2)"),
+        ("--tau-factor", "nan", "--tau-factor must lie in (0, 2)"),
     ):
         rc, out, err = run_cli(["solve", "--config", str(cfg), flag, value,
                                 "--dry-run"], capsys)
-        assert rc == 1, flag
-        assert err.startswith("error:") and message in err, flag
-        assert out == "", flag
+        assert rc == 1, (flag, value)
+        assert err.startswith("error:") and message in err, (flag, value)
+        assert out == "", (flag, value)
 
 
 def test_unknown_flag_exits_one(tmp_path, capsys):

@@ -1,6 +1,8 @@
-"""numpy is the package's only runtime dependency, and start-up loads only
-what every command runs."""
+"""numpy is the package's only runtime dependency, start-up loads only
+what every command runs, and the package's modules import one another's
+public names only."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -63,3 +65,33 @@ def test_cli_import_loads_only_what_every_command_runs(tmp_path):
     # oracle and strata are exported lazily; a process pool is built only
     # for --jobs > 1
     assert run_fresh(IMPORT_SET, tmp_path).strip() == "ok"
+
+
+def package_imports():
+    """Each relative import in the package's modules, as (importer,
+    imported module, name); the imported module is '' for ``from .``."""
+    found = []
+    for path in sorted((ROOT / "src" / "sparsemkl").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found += [(path.stem, node.module or "", alias.name)
+                          for alias in node.names]
+    return found
+
+
+def test_modules_meet_through_public_names():
+    imports = package_imports()
+    assert imports
+    private = [(importer, module, name) for importer, module, name in imports
+               if name.startswith("_") and not name.endswith("__")]
+    assert not private, private
+
+
+def test_solver_and_support_import_nothing_from_each_other():
+    crossing = [
+        (importer, module, name)
+        for importer, module, name in package_imports()
+        if {importer, module or name} == {"solver", "support"}
+    ]
+    assert not crossing, crossing

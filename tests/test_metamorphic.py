@@ -13,7 +13,7 @@ below holds bit for bit, whichever CPU kernels numpy and BLAS pick:
 * A group whose kernel is zero, appended last with the same step bound,
   is never active and changes no other bit.
 
-The same holds for a reference certified by `support.polish_reference`,
+The same holds for a reference certified by `solver.polish_reference`,
 whose every threshold is relative: (y, lambda) -> 2^k (y, lambda) scales
 it by 2^k, K -> 4^k K with lambda -> 2^k lambda (factored and dense
 storage) by 4^-k, and its support, extended support and qc margin are
@@ -21,6 +21,11 @@ the same.
 A reference from the forward-backward tail is left out: its stop is an
 absolute step norm, which does not scale with the data, and at k = -40
 it fires before the production run ends (ROADMAP items 3 and 9).
+
+Permuting the groups is not exact: the loop sums them in another order.
+So a permuted reference, polished or taken at a step of 1e-12, is
+checked on its identification instead: its support, extended support
+and qualification permute exactly, and its qc margin agrees to 1e-12.
 """
 
 import numpy as np
@@ -37,7 +42,7 @@ from sparsemkl import (
     solve,
     solve_with_reference,
 )
-from sparsemkl import support as support_module
+from sparsemkl import solver as solver_module
 
 # preset (master seed 0) instances and the budget each family runs
 FAMILIES = {
@@ -103,7 +108,7 @@ def test_scaling_data_and_lambda_scales_the_run(solved, case, k):
 @pytest.fixture
 def polished(monkeypatch):
     """Whether each call of the reference polish certified its result."""
-    polish = support_module.polish_reference
+    polish = solver_module.polish_reference
     calls = []
 
     def spy(problem, coeffs):
@@ -111,7 +116,7 @@ def polished(monkeypatch):
         calls.append(ref is not None)
         return ref
 
-    monkeypatch.setattr(support_module, "polish_reference", spy)
+    monkeypatch.setattr(solver_module, "polish_reference", spy)
     return calls
 
 
@@ -164,6 +169,48 @@ def test_scaling_the_kernels_and_lambda_scales_the_polished_reference(
     assert polished == [True, True]
     assert same_bits(c * c * scaled.alpha, base.alpha)
     assert_same_identification(scaled, scaled_problem, base, problem)
+
+
+def permuted(gram, perm):
+    """`gram` with its groups in the order `perm`, at the same step bound."""
+    if gram.features is None:
+        return GramBlocks(blocks=gram.blocks[perm], lipschitz=gram.lipschitz)
+    ends = np.cumsum(gram.group_dims)
+    columns = [np.arange(end - d, end) for end, d in zip(ends, gram.group_dims)]
+    return GramBlocks(features=gram.features[:, np.concatenate(
+        [columns[g] for g in perm])],
+        group_dims=tuple(gram.group_dims[g] for g in perm),
+        lipschitz=gram.lipschitz)
+
+
+# per case, whether each of its two references (base, permuted) is
+# polished; the empty list: both are taken at a step of 1e-12, on the way
+PERMUTED = {("gaussian", 0, 300): [True, True],
+            ("gaussian", 1, 300): [True, True],
+            ("group-lasso", 0, 600): [True, True],
+            ("group-lasso", 1, 600): []}
+
+
+@pytest.mark.parametrize("case", PERMUTED,
+                         ids=[f"{f}-{i}" for f, i, _ in PERMUTED])
+def test_permuting_the_groups_permutes_the_reference(polished, case):
+    # the permuted run sums its groups in another order, so its bits
+    # differ; its reference's identification is the same, groups renamed
+    family, index, iters = case
+    problem, _ = preset(family, index)
+    config = SolverConfig(max_iters=iters)
+    perm = np.random.default_rng(index).permutation(problem.n_groups)
+    moved = rescaled(problem, permuted(problem.gram, perm))
+    base = solve_with_reference(problem, config).reference
+    reference = solve_with_reference(moved, config).reference
+    assert polished == PERMUTED[case]
+    report = qualification_check(base, problem)
+    moved_report = qualification_check(reference, moved)
+    assert {int(perm[k]) for k in moved_report.support} == report.support
+    assert ({int(perm[k]) for k in moved_report.extended_support}
+            == report.extended_support)
+    assert moved_report.qc_holds == report.qc_holds
+    assert abs(moved_report.qc_margin - report.qc_margin) <= 1e-12
 
 
 @pytest.mark.parametrize("index", [0, 1])

@@ -22,11 +22,11 @@ from sparsemkl import (
     support_of,
 )
 from sparsemkl.experiments import write_trace_rows
+from sparsemkl.solver import solve_with_reference
 from sparsemkl.support import (
     last_support_change,
     qualification_check,
     sandwich_check,
-    solve_with_reference,
 )
 
 from _fixtures import coeffs_like, group_lasso_instance, one_dim_problem

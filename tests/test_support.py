@@ -24,9 +24,9 @@ from sparsemkl import (
     solve_with_reference,
     support_of,
 )
-from sparsemkl import support as support_module
+from sparsemkl import solver as solver_module
 from sparsemkl.oracle import enumerate_solve
-from sparsemkl.support import polish_reference
+from sparsemkl.solver import polish_reference
 
 from _fixtures import coeffs_like, group_lasso_instance
 
@@ -350,21 +350,32 @@ class TestPolish:
             assert polish_reference(one_d, start) is None
 
     def test_a_refused_row_keeps_the_forward_backward_reference(self):
-        # a duplicated block splits the limit's weight over two equal
-        # columns K_g r: rank 1, so the weights are not unique
+        # a duplicated group splits the limit's weight over two equal
+        # columns K_g r: rank 1, so the weights are not unique. On dense
+        # storage (the Gaussian preset's group 18) the tail runs out its
+        # budget; on factored storage (the group-lasso preset's group 0)
+        # it reaches a step of 1e-12
         base = gaussian_preset(0)
         blocks = np.concatenate([base.gram.blocks, base.gram.blocks[18:19]])
-        problem = ProblemInstance(base.dataset, GramBlocks(blocks=blocks),
-                                  base.lam)
-        config = SolverConfig(max_iters=300)
-        coeffs, _ = solve(problem, config)
-        assert polish_reference(problem, coeffs) is None
-        result = solve_with_reference(problem, config)
-        tail, trace = solve(problem, SolverConfig(
-            max_iters=3000, stop_tol=1e-12, record_trace=False))
-        assert trace.iters_run == 3000
-        assert same_bits(result.reference.alpha, tail.alpha)
-        assert result.stepped == 3000
+        dense = ProblemInstance(base.dataset, GramBlocks(blocks=blocks),
+                                base.lam)
+        base = generate_instance(ExperimentConfig.group_lasso_paper(
+            n_instances=1, master_seed=0), 0)[0]
+        X = base.gram.features
+        factored = ProblemInstance(base.dataset, GramBlocks(
+            features=np.hstack([X, X[:, :5]]),
+            group_dims=base.gram.group_dims + (5,)), base.lam)
+        for problem, iters, stepped in ((dense, 300, 3000),
+                                        (factored, 600, 746)):
+            config = SolverConfig(max_iters=iters)
+            coeffs, _ = solve(problem, config)
+            assert polish_reference(problem, coeffs) is None
+            result = solve_with_reference(problem, config)
+            tail, trace = solve(problem, SolverConfig(
+                max_iters=10 * iters, stop_tol=1e-12, record_trace=False))
+            assert trace.iters_run == stepped
+            assert same_bits(result.reference.alpha, tail.alpha)
+            assert result.stepped == stepped
 
     def test_a_polished_row_leaves_at_its_production_result(self):
         problems = [gaussian_preset(i) for i in range(4)]
@@ -386,7 +397,7 @@ class TestPolish:
             calls.append(coeffs)
             return polish_reference(problem, coeffs)
 
-        monkeypatch.setattr(support_module, "polish_reference", spy)
+        monkeypatch.setattr(solver_module, "polish_reference", spy)
         result = solve_with_reference(problem, config)
         assert len(calls) == 1
         assert same_bits(calls[0].alpha, result.coeffs.alpha)

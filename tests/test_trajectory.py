@@ -34,7 +34,6 @@ from sparsemkl import (
 )
 from sparsemkl.experiments import _chunks
 from sparsemkl import solver as solver_module
-from sparsemkl import support as support_module
 
 # periods of the exact cycles the group-lasso preset (master seed 0)
 # falls into within its 5000-iteration budget, by instance; they move
@@ -173,7 +172,7 @@ def products(monkeypatch):
 def unpolished(monkeypatch):
     """References from the forward-backward tail alone: the polish
     refuses every row, so the tail's rule decides what is taken."""
-    monkeypatch.setattr(support_module, "polish_reference",
+    monkeypatch.setattr(solver_module, "polish_reference",
                         lambda problem, coeffs: None)
 
 
@@ -414,7 +413,7 @@ class TestEarlyCycleExit:
         # before the production budget and jumps on it again towards the
         # reference budget: at most one period's leftover iterations, not
         # a second search for the cycle
-        monkeypatch.setattr(support_module, "REFERENCE_STOP_TOL", 0.0)
+        monkeypatch.setattr(solver_module, "REFERENCE_STOP_TOL", 0.0)
         problem, period = preset_instance(0), PRESET_PERIODS[0]
         config = SolverConfig(max_iters=5000)
         _, trace = solve(problem, config)
@@ -515,12 +514,11 @@ class TestContinuingReference:
         calls = []
         original = solver_module._solve_stack
 
-        def spy(problems, *args):
+        def spy(problems, *args, **kwargs):
             calls.append(len(problems))
-            return original(problems, *args)
+            return original(problems, *args, **kwargs)
 
         monkeypatch.setattr(solver_module, "_solve_stack", spy)
-        monkeypatch.setattr(support_module, "_solve_stack", spy)
         return calls
 
     def test_settled_production_run_is_reused(self, preset_problems, loops):
@@ -601,8 +599,8 @@ class TestStackedRows:
     def reference_replica(problem, config):
         ref_cfg = SolverConfig(
             tau_factor=config.tau_factor,
-            max_iters=config.max_iters * support_module.REFERENCE_BUDGET_FACTOR,
-            stop_tol=support_module.REFERENCE_STOP_TOL, record_trace=False,
+            max_iters=config.max_iters * solver_module.REFERENCE_BUDGET_FACTOR,
+            stop_tol=solver_module.REFERENCE_STOP_TOL, record_trace=False,
         )
         return replica(problem, ref_cfg)["alpha"]
 
