@@ -212,9 +212,9 @@ def _given(**overrides):
 def _check_problem_flags(args):
     if args.iters is not None and args.iters < 1:
         raise ConfigError("--iters must be >= 1")
-    if args.lam is not None and args.lam <= 0:
-        raise ConfigError("--lambda must be positive")
     # written so that NaN fails too
+    if args.lam is not None and not 0.0 < args.lam < np.inf:
+        raise ConfigError("--lambda must be positive and finite")
     if args.tau_factor is not None and not 0.0 < args.tau_factor < 2.0:
         raise ConfigError("--tau-factor must lie in (0, 2)")
 

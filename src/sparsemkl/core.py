@@ -120,7 +120,8 @@ class GramBlocks:
     :meth:`apply` for :math:`\\sum_g K_g \\alpha_g`, :meth:`apply_each`
     for :math:`K_g v` per group, and :meth:`quad` for the group
     quadratic forms; :meth:`resolvent` solves with
-    :math:`I + \\sum_g c_g K_g`. They work on one of two storages:
+    :math:`I + \\sum_g c_g K_g`, and the solver steps in the
+    coordinates of :meth:`image`. They work on one of two storages:
 
     * dense, from `blocks`: the ``(G, m, m)`` stack itself, for implicit
       kernels such as the Gaussian family;
@@ -172,6 +173,7 @@ class GramBlocks:
     features: np.ndarray | None = None
     factors: np.ndarray | None = field(init=False, default=None, repr=False)
     _factors_t: np.ndarray | None = field(init=False, default=None, repr=False)
+    _padded: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if (self.blocks is None) == (self.features is None):
@@ -255,20 +257,24 @@ class GramBlocks:
                 f"p={X.shape[1]}, got {dims}"
             )
 
-        # F_g holds X_g zero-padded to d_max columns; the zeros add
-        # nothing to F_g' v or to F_g u. F' is kept contiguous for matmul
+        # F_g holds X_g zero-padded to d_max columns, and P the F_g side
+        # by side, which is X itself when the widths are equal; the zeros
+        # add nothing to F_g' v, F_g u or P w. F' is kept contiguous for
+        # matmul
         F = np.zeros((len(dims), X.shape[0], max(dims)))
         start = 0
         for g, d in enumerate(dims):
             F[g, :, :d] = X[:, start:start + d]
             start += d
+        P = X if len(set(dims)) == 1 else np.hstack(F)
         FT = np.ascontiguousarray(F.transpose(0, 2, 1))
-        F.setflags(write=False)
-        FT.setflags(write=False)
+        for a in (F, FT, P):
+            a.setflags(write=False)
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "group_dims", dims)
         object.__setattr__(self, "factors", F)
         object.__setattr__(self, "_factors_t", FT)
+        object.__setattr__(self, "_padded", P)
         # X'X by einsum's own loop, not BLAS, whose threaded products
         # change their low bits with the thread count
         return float(np.linalg.eigvalsh(np.einsum("ij,ik->jk", X, X))[-1])
@@ -331,20 +337,20 @@ class GramBlocks:
         (G, m) ndarray
             Row g is ``K_g`` applied to the vector of group g.
         """
+        if self.factors is not None:
+            return (self.factors @ self._project(v))[..., 0]
         out = np.empty((self.n_groups, self.m))
         self._bind_each(v, out)()
         return out
 
     def _bind_each(self, v, out):
-        """``K_g v_g`` into ``out[g]``, as a callable that takes no argument.
+        """``K_g v_g`` into ``out[g]`` on dense storage, as a callable that
+        takes no argument.
 
-        Its reshapes, views and projection buffer are made here once;
-        each call reads `v` as it is then and overwrites `out`, so a
-        loop that rewrites `v` in place pays only for the products.
+        Its reshapes and views are made here once; each call reads `v` as
+        it is then and overwrites `out`, so a loop that rewrites `v` in
+        place pays only for the product.
         """
-        if self.factors is not None:
-            return _factored_product(self.factors, self._factors_t,
-                                     v[..., None], out[..., None])
         if v.ndim == 1:
             G, m, _ = self.blocks.shape
             if not out.flags.c_contiguous:
@@ -353,6 +359,29 @@ class GramBlocks:
             return partial(np.matmul, self.blocks.reshape(G * m, m), v,
                            out=out.reshape(G * m))
         return partial(np.einsum, "gij,gj->gi", self.blocks, v, out=out)
+
+    def image(self, v):
+        """Each group's image of its vector, in the solver's coordinates.
+
+        `v` is as for :meth:`apply_each`. The image is ``K_g v_g`` on
+        dense storage, a ``(G, m)`` array, and ``X_g' v_g`` on factored
+        storage, a ``(G, d_max)`` array whose padding columns are zero.
+        The kernel norm of ``v_g`` is ``sqrt(v_g' image_g)`` on the one
+        and ``||image_g||`` on the other, and :meth:`from_images` sums
+        the images to ``sum_g K_g v_g``.
+        """
+        if self.factors is None:
+            return self.apply_each(v)
+        return self._project(v)[..., 0]
+
+    def from_images(self, images):
+        """``sum_g K_g v_g`` from the :meth:`image` of v, as an (m,) array:
+        the images summed on dense storage, one product with the
+        zero-padded ``(m, G d_max)`` feature matrix on factored storage.
+        """
+        if self.factors is None:
+            return np.add.reduce(images, axis=0)
+        return self._padded @ images.reshape(-1)
 
     def quad(self, v):
         """Group quadratic forms ``v_g' K_g v_g``, one per group.
@@ -443,45 +472,57 @@ def _lower_inverse(L):
     return out
 
 
-def _factored_product(F, FT, v, out):
-    """``F @ (FT @ v)`` into `out`, as a callable; the projection
-    buffer is made once, and the two matmuls always run in order."""
-    proj = np.empty(FT.shape[:-1] + (1,))
+def bind_stack(grams, Y, R, out):
+    """A stack's residuals and their images, as a callable on the stack's
+    images.
 
-    def product():
-        np.matmul(FT, v, out=proj)
-        np.matmul(F, proj, out=out)
-    return product
+    `grams` holds one GramBlocks per row, all dense or all factored with
+    one factor shape; `Y` and `R` are ``(N, m)`` and `out` a
+    C-contiguous ``(N, G, w)`` array, w the width of an
+    :meth:`GramBlocks.image`. Called on the rows' ``(N, G, w)`` images
+    of their coefficients, it writes into ``R[i]`` the residual
+    ``grams[i].from_images(images[i]) - Y[i]`` and into ``out[i]`` its
+    ``grams[i].image``, each with the bits of the row alone; `Y` is read
+    on every call. Dense rows sum their images in one reduction and
+    apply their own blocks, in reverse order on every other call, so the
+    blocks read last are read first again, while still in cache.
+    Factored rows take one matmul over their padded feature matrices and
+    one over their transposed factors, which two or more rows stack here
+    and a lone row reads from its gram.
 
-
-def bind_stack(grams, R, out):
-    """``K_g R[i]`` into ``out[i, g]`` for a stack of problems, as a
-    callable that takes no argument.
-
-    `grams` holds one GramBlocks per row, sharing G and m; `R` is
-    ``(N, m)`` and `out` a C-contiguous ``(N, G, m)`` array. Row i gets
-    the bits of ``grams[i].apply_each(R[i])``; each call reads `R` as it
-    is then. Two or more factored rows that share one factor shape are
-    one matmul over their factors, stacked here. Any other stack (dense
-    rows, whose blocks a stack would copy, a lone row, or mixed storages
-    and shapes) runs each row's own `apply_each` product, in reverse
-    order on every other call, so the dense blocks read last are read
-    first again, while still in cache.
+    Raises
+    ------
+    ContractViolation
+        If the rows mix storages or factor shapes.
     """
     shapes = {None if g.factors is None else g.factors.shape for g in grams}
-    if len(grams) > 1 and len(shapes) == 1 and None not in shapes:
-        return _factored_product(np.stack([g.factors for g in grams]),
-                                 np.stack([g._factors_t for g in grams]),
-                                 R[:, None, :, None], out[..., None])
-    rows = [g._bind_each(R[i], out[i]) for i, g in enumerate(grams)]
-    if len(rows) == 1:
-        return rows[0]
+    if len(shapes) > 1:
+        raise ContractViolation(
+            "a bound stack takes rows of one storage and factor shape"
+        )
+    if None in shapes:
+        rows = [g._bind_each(R[i], out[i]) for i, g in enumerate(grams)]
 
-    def product():
-        for row in rows:
-            row()
-        rows.reverse()
-    return product
+        def step(images):
+            np.subtract(np.add.reduce(images, axis=1, out=R), Y, out=R)
+            for row in rows:
+                row()
+            rows.reverse()
+        return step
+
+    if len(grams) == 1:
+        P, FT = grams[0]._padded[None], grams[0]._factors_t[None]
+    else:
+        P = np.stack([g._padded for g in grams])
+        FT = np.stack([g._factors_t for g in grams])
+    flat, r_col, out_col = (len(grams), -1, 1), R[..., None], out[..., None]
+    r_mat = R[:, None, :, None]
+
+    def step(images):
+        np.matmul(P, images.reshape(flat), out=r_col)
+        np.subtract(R, Y, out=R)
+        np.matmul(FT, r_mat, out=out_col)
+    return step
 
 
 @dataclass(frozen=True, eq=False)

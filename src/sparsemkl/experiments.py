@@ -298,15 +298,18 @@ def _row_bytes(config, keep_traces=True):
     """Bytes one instance holds while its chunk is solved.
 
     Its Gram storage, ten (G, m) float arrays of stack state and, if
-    traced, an objective and a step norm per iteration. The loop keeps
-    eight such arrays (AT, KA, their next values, B, Kr and the cycle
-    checkpoint pair); two more are headroom for the reference copies
-    and the generated instances, which it leaves out (ROADMAP item 8).
+    traced, an objective and a step norm per iteration. A dense row
+    keeps eight such arrays (AT, its images KA, their next values, B,
+    the images' buffer V and the cycle checkpoint pair); a factored row
+    keeps four (AT, its next value, B and the checkpoint's AT) and four
+    (G, d_max) images in place of the rest. The spare arrays are
+    headroom for the reference copies and the generated instances,
+    which it leaves out (ROADMAP item 8).
     """
     if config.family == "group-lasso":
-        # the (G, m, d_max) factor stack and its transpose, and their
-        # copies in the chunk's stacked Gram product when its rows are
-        # two or more (core.bind_stack)
+        # the (G, m, d_max) factor stack and its transpose, and the
+        # padded features and transposed factors that the chunk's bound
+        # step stacks when its rows are two or more (core.bind_stack)
         gram = 4 * 8 * config.G * config.m * max(config.group_dims)
     else:
         gram = 8 * config.G * config.m * config.m

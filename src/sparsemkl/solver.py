@@ -13,6 +13,13 @@ the iterates converge to a minimizer of the objective in
 space (not the Euclidean norm of the coefficients) so stopping decisions
 match the quantity the convergence statement controls.
 
+Beside the coefficients the loop carries their images
+(:meth:`~sparsemkl.core.GramBlocks.image`): :math:`K_g \\alpha_g` on
+dense storage and :math:`X_g^T \\alpha_g` on factored storage, which
+is :math:`d_{\\max}` wide instead of m. The residual, the kernel norms
+and the step norm are read off them, so a factored row never forms
+:math:`K_g \\alpha_g`.
+
 The limit of the trajectory is the reference that the identification
 checks compare against: :func:`solve_with_reference` takes it from the
 same run, certified by :func:`polish_reference` where the polish can.
@@ -339,10 +346,10 @@ class _Row:
 
     __slots__ = ("index", "gram", "lam", "tau", "thr", "rules", "stop",
                  "budget", "record", "n", "skipped", "step", "ck_n", "ck_AT",
-                 "ck_KA", "ck_step", "span", "tile", "events", "last", "obj",
+                 "ck_IM", "ck_step", "span", "tile", "events", "last", "obj",
                  "steps")
 
-    def __init__(self, index, problem, tau, rules, record):
+    def __init__(self, index, problem, tau, rules, record, image_shape):
         self.index = index  # place in the stack as given
         self.gram = problem.gram
         self.lam = problem.effective_lambda
@@ -359,8 +366,8 @@ class _Row:
         self.n, self.skipped, self.step = 0, 0, None
         # the cycle checkpoint's state, overwritten in place each time;
         # no compare until it is first taken
-        shape = (self.gram.n_groups, self.gram.m)
-        self.ck_AT, self.ck_KA = np.empty(shape), np.empty(shape)
+        self.ck_AT = np.empty((self.gram.n_groups, self.gram.m))
+        self.ck_IM = np.empty(image_shape)
         self.ck_n, self.ck_step = 0, None
         self.span = self.tile = None
         # the trace of "coeffs": (iteration, support bytes) at each support
@@ -406,13 +413,15 @@ class _Row:
 
 
 def _start(index, problem, alpha0, rules, config):
-    """Row `index` of a stack and its starting (AT, KA)."""
+    """Row `index` of a stack and its start: (row, AT, IM, y), with AT
+    the coefficients' transpose and IM their `GramBlocks.image`."""
     if not isinstance(problem, ProblemInstance):
         raise ContractViolation("problem must be a ProblemInstance")
     gram = problem.gram
     G, m = gram.n_groups, gram.m
     if alpha0 is None:
-        AT = KA = np.zeros((G, m))
+        AT = np.zeros((G, m))
+        IM = np.zeros_like(gram.image(AT))
     elif not isinstance(alpha0, DualCoefficients):
         raise ContractViolation("alpha0 must be a DualCoefficients")
     elif alpha0.m != m or alpha0.n_groups != G:
@@ -422,10 +431,10 @@ def _start(index, problem, alpha0, rules, config):
         )
     else:
         AT = np.ascontiguousarray(alpha0.alpha.T)
-        KA = gram.apply_each(AT)
+        IM = gram.image(AT)
     tau = config.tau_factor / gram.lipschitz
-    row = _Row(index, problem, tau, rules, config.record_trace)
-    return row, AT, KA, problem.dataset.responses
+    row = _Row(index, problem, tau, rules, config.record_trace, IM.shape)
+    return row, AT, IM, problem.dataset.responses
 
 
 def _solve_stack(problems, config, starts, reference=False):
@@ -443,6 +452,9 @@ def _solve_stack(problems, config, starts, reference=False):
     whose reference is still to take once that result is taken. A
     reference it returns is taken, and the row leaves the stack; on None
     the row runs on as without it.
+
+    The rows of one storage and image width step together (see
+    `_step_rows`); a stack that mixes them steps each kind in turn.
     """
     if not problems:
         raise ContractViolation("a stack needs at least one problem")
@@ -450,16 +462,38 @@ def _solve_stack(problems, config, starts, reference=False):
     if reference:
         rules["reference"] = (REFERENCE_STOP_TOL,
                               config.max_iters * REFERENCE_BUDGET_FACTOR)
-    rows, ATs, KAs, Ys = zip(*(_start(i, p, a, rules, config) for i, (p, a)
-                               in enumerate(zip(problems, starts))))
-    if len({A.shape for A in ATs}) > 1:
+    kinds = {}
+    for i, (problem, alpha0) in enumerate(zip(problems, starts)):
+        start = _start(i, problem, alpha0, rules, config)
+        kind = (start[0].gram.factors is None, start[2].shape)
+        kinds.setdefault(kind, []).append(start)
+    if len({start[1].shape for kind in kinds.values() for start in kind}) > 1:
         raise ContractViolation("stacked problems must share G and m")
-    AT, KA, Y = np.stack(ATs), np.stack(KAs), np.stack(Ys)
-    del ATs, KAs  # the starts live on in the stack
+    del start  # the starts live on in their kind's stack
+    results = [{"reference": None} for _ in problems]
+    for kind in kinds.values():
+        _step_rows(kind, problems, results)
+    return tuple(SolveResult(**res) for res in results)
+
+
+def _step_rows(starts, problems, results):
+    """Step the rows of `starts` to their results, into `results`.
+
+    The rows share one storage and image width. A step forms the
+    residual r from the images IM, its images V, B = AT - tau r and B's
+    images IM - tau V; a kernel norm pairs B's images with B on dense
+    storage and with themselves on factored storage, and the step norm
+    pairs the change of IM likewise. `starts` is emptied, so that the
+    stack holds the only copy of each start.
+    """
+    rows, ATs, IMs, Ys = zip(*starts)
+    starts.clear()
+    AT, IM, Y = np.stack(ATs), np.stack(IMs), np.stack(Ys)
+    del ATs, IMs
+    factored = rows[0].gram.factors is not None
     one_pass = AT[0].size <= _EINSUM_BUFSIZE
     _, G, m = AT.shape
 
-    results = [{"reference": None} for _ in problems]
     taken = True  # a row took a result in the last iteration
     product = None
     while True:
@@ -469,31 +503,31 @@ def _solve_stack(problems, config, starts, reference=False):
                 break
             if len(sel) < len(rows):
                 rows = [rows[j] for j in sel]
-                AT, KA, Y = AT[sel], KA[sel], Y[sel]
+                AT, IM, Y = AT[sel], IM[sel], Y[sel]
                 product = None
             recording = any(row.record for row in rows)
             tracking = any(row.events is not None for row in rows)
         if product is None:  # the stack is new or has shrunk
             # the step's buffers, each overwritten in place every
-            # iteration; AT and KA swap with their next values. No view
+            # iteration; AT and IM swap with their next values. No view
             # of one outlives its iteration: rows that keep a value copy it
             N = len(rows)
-            AT_next, KA_next, B, Kr = (np.empty_like(AT) for _ in range(4))
+            AT_next, B = np.empty_like(AT), np.empty_like(AT)
+            IM_next, V = np.empty_like(IM), np.empty_like(IM)
             r, tau_r = np.empty((N, m)), np.empty((N, 1, m))
             nu, excess, gamma = (np.empty((N, G)) for _ in range(3))
             keep, finite = np.empty((N, G), bool), np.empty((N, G), bool)
             tau = np.array([row.tau for row in rows])[:, None, None]
             thr = np.array([row.thr for row in rows])[:, None]
             r_row, gamma_col = r[:, None, :], gamma[:, :, None]
-            product = bind_stack([row.gram for row in rows], r, Kr)
+            product = bind_stack([row.gram for row in rows], Y, r, V)
 
-        np.subtract(np.add.reduce(KA, axis=1, out=r), Y, out=r)
-        product()
+        product(IM)
         np.subtract(AT, np.multiply(tau, r_row, out=tau_r), out=B)
-        # Kr is spent once scaled: it takes KB
-        np.subtract(KA, np.multiply(tau, Kr, out=Kr), out=Kr)
+        # V is spent once scaled: it takes B's images
+        np.subtract(IM, np.multiply(tau, V, out=V), out=V)
         # nu holds the squared kernel norms until it is rooted
-        np.einsum("ngi,ngi->ng", B, Kr, out=nu)
+        np.einsum("ngi,ngi->ng", V if factored else B, V, out=nu)
         if not np.logical_and.reduce(np.isfinite(nu, out=finite), axis=None):
             j = int(np.flatnonzero(~np.logical_and.reduce(finite, axis=1))[0])
             n = rows[j].n + 1
@@ -509,16 +543,24 @@ def _solve_stack(problems, config, starts, reference=False):
         gamma.fill(0.0)
         np.divide(excess, nu, out=gamma, where=keep)
         np.multiply(gamma_col, B, out=AT_next)
-        np.multiply(gamma_col, Kr, out=KA_next)
-        # B and KB (in Kr) are spent: they take the step's differences
-        np.subtract(AT_next, AT, out=B)
-        np.subtract(KA_next, KA, out=Kr)
-        if one_pass or N == 1:
-            steps = np.einsum("ngi,ngi->n", B, Kr).tolist()
+        np.multiply(gamma_col, V, out=IM_next)
+        # V is spent: it takes the step's images
+        np.subtract(IM_next, IM, out=V)
+        if factored:
+            # per group, then over the groups, so that a zero group
+            # appended last adds an exact 0 to the sum
+            steps = np.add.reduce(np.einsum("ngi,ngi->ng", V, V, out=nu),
+                                  axis=1).tolist()
         else:
-            steps = [float(np.einsum("gi,gi->", a, k)) for a, k in zip(B, Kr)]
+            # B is spent: it takes the step
+            np.subtract(AT_next, AT, out=B)
+            if one_pass or N == 1:
+                steps = np.einsum("ngi,ngi->n", B, V).tolist()
+            else:
+                steps = [float(np.einsum("gi,gi->", b, v))
+                         for b, v in zip(B, V)]
         AT, AT_next = AT_next, AT
-        KA, KA_next = KA_next, KA
+        IM, IM_next = IM_next, IM
         if recording:
             # each row's r @ r, with the same bits
             fits = np.matmul(r_row, r[:, :, None]).ravel().tolist()
@@ -551,12 +593,12 @@ def _solve_stack(problems, config, starts, reference=False):
                     res[name] = DualCoefficients(AT[j].T)
                     if name == "coeffs":
                         penalty = row.lam * np.add.reduce(excess[j][keep[j]])
-                        res["trace"] = _finish(row, KA[j], Y[j], penalty)
+                        res["trace"] = _finish(row, IM[j], Y[j], penalty)
                 if "reference" in row.rules:
                     # the traced result is taken and the reference is
                     # not. The step's buffers are spent: the polish gets
                     # their memory, and the next step new ones
-                    AT_next = KA_next = B = Kr = product = None
+                    AT_next = IM_next = B = V = product = None
                     polished = polish_reference(problems[row.index],
                                                 res["coeffs"])
                     if polished is not None:
@@ -570,23 +612,23 @@ def _solve_stack(problems, config, starts, reference=False):
                     row.jump()
             if row.span is None:
                 if (step == row.ck_step and _same_bits(AT[j], row.ck_AT)
-                        and _same_bits(KA[j], row.ck_KA)):
+                        and _same_bits(IM[j], row.ck_IM)):
                     # state n equals state ck_n
                     row.span = row.n - row.ck_n
                     row.jump()
                 elif row.n - row.ck_n == _CYCLE_WINDOW:
                     np.copyto(row.ck_AT, AT[j])
-                    np.copyto(row.ck_KA, KA[j])
+                    np.copyto(row.ck_IM, IM[j])
                     row.ck_n, row.ck_step = row.n, step
-    return tuple(SolveResult(**res) for res in results)
 
 
-def _finish(row, KA, y, penalty):
+def _finish(row, IM, y, penalty):
     """One row's trace, copied out so as not to pin the stack.
 
-    `penalty` is the last iteration's, as its record would hold it.
+    `IM` holds the images of the row's coefficients; `penalty` is the
+    last iteration's, as its record would hold it.
     """
-    r = KA.sum(axis=0) - y
+    r = row.gram.from_images(IM) - y
     objective = penalty + 0.5 * (r @ r)
     if row.obj:
         row.obj[-1] = objective

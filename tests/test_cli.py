@@ -250,7 +250,9 @@ def test_solve_checks_its_flags_before_reading_files(tmp_path, capsys,
     cfg = write_two_group_inputs(tmp_path)
     for flag, value, message in (
         ("--iters", "0", "--iters must be >= 1"),
-        ("--lambda", "-1", "--lambda must be positive"),
+        ("--lambda", "-1", "--lambda must be positive and finite"),
+        ("--lambda", "nan", "--lambda must be positive and finite"),
+        ("--lambda", "inf", "--lambda must be positive and finite"),
         ("--eps-rel", "1.5", "--eps-rel must lie in [0, 1)"),
         ("--tau-factor", "2.5", "--tau-factor must lie in (0, 2)"),
         ("--tau-factor", "0", "--tau-factor must lie in (0, 2)"),
@@ -899,6 +901,16 @@ def test_batch_ini_error_messages(tmp_path, capsys, case):
     rc, out, err = run_cli(["batch", "--config", str(cfg), "--dry-run"],
                            capsys)
     assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_batch_lambda_flag_is_named_in_its_error(tmp_path, capsys):
+    # NaN is not positive: the flag fails, not the config field it sets
+    cfg = write_batch_ini(tmp_path)
+    for value in ("nan", "inf", "0"):
+        rc, out, err = run_cli(["batch", "--config", str(cfg), "--lambda",
+                                value, "--dry-run"], capsys)
+        assert (rc, out, err) == (
+            1, "", "error: --lambda must be positive and finite\n"), value
 
 
 def test_batch_zero_response_fails_before_any_instance(tmp_path, capsys):

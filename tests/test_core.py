@@ -175,7 +175,19 @@ class TestFactoredAgreesWithDense:
         # each row's (G, m) slice of it is strided
         out = np.empty((2, 9, len(dims))).transpose(0, 2, 1)
         with pytest.raises(ContractViolation, match="C-contiguous"):
-            bind_stack([dense, dense], R, out)
+            bind_stack([dense, dense], R, R, out)
+
+    def test_images(self, dims):
+        # the kernel norms and the sum that the solver reads off them
+        factored, dense = factored_and_dense(dims)
+        A = np.random.default_rng(6).standard_normal((9, len(dims)))
+        images = factored.image(A.T)
+        assert images.shape == (len(dims), max(dims))
+        assert rel_err(np.einsum("gd,gd->g", images, images),
+                       dense.quad(A)) <= 1e-12
+        assert rel_err(factored.from_images(images), dense.apply(A)) <= 1e-12
+        assert rel_err(dense.from_images(dense.image(A.T)),
+                       dense.apply(A)) <= 1e-12
 
     def test_quad_shared_vector(self, dims):
         factored, dense = factored_and_dense(dims)
@@ -213,129 +225,142 @@ def dense_gram(seed, G=20, m=50):
     return GramBlocks(blocks=F @ F.transpose(0, 2, 1))
 
 
-def per_row(grams, R):
-    """The stacked product's reference: one `apply_each` per row."""
-    return np.stack([g.apply_each(r) for g, r in zip(grams, R)])
+#: a permutation of UNEVEN_DIMS: other group widths, one factor shape
+SHUFFLED_DIMS = tuple(np.random.default_rng(0).permutation(UNEVEN_DIMS).tolist())
 
 
-def bound(grams, R=None):
-    """`bind_stack` over `grams`, with the (R, out) it reads and writes."""
-    if R is None:
-        R = np.empty((len(grams), 50))
-    out = np.empty((len(grams), 20, 50))
-    return bind_stack(grams, R, out), R, out
+def images_of(grams, seed):
+    """Each row's images of random coefficients, stacked."""
+    rng = np.random.default_rng(seed)
+    return np.stack([g.image(rng.standard_normal((20, 50))) for g in grams])
+
+
+def per_row(grams, images, Y):
+    """The bound step's reference: each row's residual from its images,
+    by `from_images`, and that residual's `image`."""
+    R = np.stack([g.from_images(w) - y for g, w, y in zip(grams, images, Y)])
+    return R, np.stack([g.image(r) for g, r in zip(grams, R)])
+
+
+def bound(grams):
+    """`bind_stack` over `grams`, with the (Y, R, out) it reads and writes."""
+    width = grams[0].image(np.zeros((20, 50))).shape[-1]
+    Y = np.random.default_rng(98).standard_normal((len(grams), 50))
+    R, out = np.empty((len(grams), 50)), np.empty((len(grams), 20, width))
+    return bind_stack(grams, Y, R, out), Y, R, out
+
+
+def assert_step_keeps_the_bits(grams, seed):
+    step, Y, R, out = bound(grams)
+    images = images_of(grams, seed)
+    step(images)
+    want_R, want_out = per_row(grams, images, Y)
+    assert R.tobytes() == want_R.tobytes()
+    assert out.tobytes() == want_out.tobytes()
 
 
 class TestGramStack:
-    """The stacked Gram product gives each row its own product's bits."""
+    """The bound step gives each row the bits of its own gram's methods."""
 
     @pytest.mark.parametrize("n_rows", [1, 3, 8])
     @pytest.mark.parametrize("dims", [(5,) * 20, UNEVEN_DIMS],
                              ids=["even", "uneven"])
     def test_factored_rows_keep_their_bits(self, n_rows, dims):
         grams = [factored_gram(seed, dims) for seed in range(n_rows)]
-        R = np.random.default_rng(99).standard_normal((n_rows, 50))
-        product, _, out = bound(grams, R)
-        product()
-        assert out.tobytes() == per_row(grams, R).tobytes()
+        assert_step_keeps_the_bits(grams, 99)
 
     def test_mixed_rows_keep_their_bits(self):
-        # dense rows, and factored rows of two factor shapes, interleaved
-        grams = [dense_gram(0), factored_gram(1, UNEVEN_DIMS),
-                 factored_gram(2, (5,) * 20), dense_gram(3),
-                 factored_gram(4, UNEVEN_DIMS), factored_gram(5, (5,) * 20),
-                 factored_gram(6, (5,) * 20)]
-        R = np.random.default_rng(7).standard_normal((len(grams), 50))
-        product, _, out = bound(grams, R)
-        product()
-        assert out.tobytes() == per_row(grams, R).tobytes()
+        # rows of two sets of group widths that pad to one factor shape,
+        # interleaved, and dense rows
+        grams = [factored_gram(1, UNEVEN_DIMS), factored_gram(2, SHUFFLED_DIMS),
+                 factored_gram(4, UNEVEN_DIMS), factored_gram(5, SHUFFLED_DIMS)]
+        assert grams[0].factors.shape == grams[1].factors.shape
+        assert_step_keeps_the_bits(grams, 7)
+        assert_step_keeps_the_bits([dense_gram(0), dense_gram(3)], 7)
+
+    def test_mixed_storages_and_shapes_are_refused(self):
+        for grams in ([dense_gram(0), factored_gram(1, (5,) * 20)],
+                      [factored_gram(1, UNEVEN_DIMS),
+                       factored_gram(2, (5,) * 20)]):
+            with pytest.raises(ContractViolation, match="one storage"):
+                bound(grams)
 
     def test_dropped_rows_leave_the_rest_their_bits(self):
         # rows leave in four steps, from a same-shape factored stack and
-        # from a mixed one, and the rest are bound again
+        # from a dense one, and the rest are bound again
         stacks = (
             [factored_gram(seed, (5,) * 20) for seed in range(6)],
-            [dense_gram(0), factored_gram(1, UNEVEN_DIMS),
-             factored_gram(2, (5,) * 20), factored_gram(3, (5,) * 20),
-             factored_gram(4, UNEVEN_DIMS), factored_gram(5, (5,) * 20)],
+            [dense_gram(seed) for seed in range(6)],
         )
-        rng = np.random.default_rng(8)
         for grams in stacks:
             for sel in ([0, 1, 3, 4, 5], [1, 2, 3], [1, 2], [0]):
                 grams = [grams[i] for i in sel]
-                R = rng.standard_normal((len(grams), 50))
-                product, _, out = bound(grams, R)
-                product()
-                assert out.tobytes() == per_row(grams, R).tobytes(), sel
+                assert_step_keeps_the_bits(grams, len(grams))
 
     def test_a_same_shape_stack_holds_one_stacked_copy(self):
         for n_rows in (2, 6):
             grams = [factored_gram(seed, (5,) * 20) for seed in range(n_rows)]
-            # the (N, G, m, d_max) factors and their transposes
+            # the (N, m, G d_max) padded features and the (N, G, d_max, m)
+            # transposed factors
             copy = 2 * n_rows * grams[0].factors.nbytes
-            peak = bind_peak(grams) - projections(grams)
-            assert copy <= peak < copy + 4096, n_rows
+            assert copy <= bind_peak(grams) < copy + 4096, n_rows
 
     def test_a_lone_shape_uses_the_grams_own_factors(self):
-        lone = factored_gram(0, UNEVEN_DIMS)
-        pair = [factored_gram(1, (5,) * 20), factored_gram(2, (5,) * 20)]
-        # a lone row, and a lone shape beside another one
-        for grams in ([lone], [lone, *pair]):
-            assert bind_peak(grams) - projections(grams) < 4096, len(grams)
+        # a lone row of even widths, whose padded features are X itself,
+        # and one of uneven widths, whose gram pads them once
+        for grams in ([factored_gram(0, (5,) * 20)],
+                      [factored_gram(0, UNEVEN_DIMS)]):
+            assert bind_peak(grams) < 4096
 
     def test_dense_rows_are_not_stacked(self):
         for grams in ([dense_gram(seed) for seed in range(4)],
-                      [dense_gram(0), factored_gram(1, (5,) * 20),
-                       factored_gram(2, (5,) * 20)]):
-            assert bind_peak(grams) - projections(grams) < 4096, len(grams)
+                      [dense_gram(0)]):
+            assert bind_peak(grams) < 4096, len(grams)
 
 
 def bind_peak(grams):
     """The peak bytes that `tracemalloc` sees `bind_stack` allocate."""
-    R, out = np.empty((len(grams), 50)), np.empty((len(grams), 20, 50))
-    return traced(lambda: bind_stack(grams, R, out))[1]
-
-
-def projections(grams):
-    """Bytes of the (G, d_max, 1) projection buffers that a bind makes,
-    one per factored row, stacked or not."""
-    return sum(8 * g.n_groups * g.factors.shape[-1]
-               for g in grams if g.factors is not None)
+    _, Y, R, out = bound(grams)
+    return traced(lambda: bind_stack(grams, Y, R, out))[1]
 
 
 #: Stacks of each kind `bind_stack` can return: same-shape factored,
-#: dense, a lone factored row, and mixed, with a lone factored row
-#: between dense rows.
+#: dense, a lone factored row, and mixed, factored rows of two sets of
+#: group widths that pad to one factor shape.
 BOUND_STACKS = {
     "same-shape": lambda: [factored_gram(s, (5,) * 20) for s in range(4)],
     "dense": lambda: [dense_gram(s) for s in range(3)],
     "lone": lambda: [factored_gram(0, UNEVEN_DIMS)],
-    "mixed": lambda: [dense_gram(0), factored_gram(1, UNEVEN_DIMS),
-                      dense_gram(2), factored_gram(3, (5,) * 20),
-                      factored_gram(4, (5,) * 20)],
+    "mixed": lambda: [factored_gram(0, SHUFFLED_DIMS),
+                      factored_gram(1, UNEVEN_DIMS),
+                      factored_gram(2, SHUFFLED_DIMS)],
 }
 
 
 @pytest.mark.parametrize("kind", BOUND_STACKS)
 class TestBoundGramStack:
-    """A bound product repeats: each call reads R anew into `out`."""
+    """A bound step repeats: each call reads its images and Y anew."""
 
     def test_consecutive_calls_keep_the_bits(self, kind):
         grams = BOUND_STACKS[kind]()
         rng = np.random.default_rng(11)
-        product, R, out = bound(grams)
-        # new values in R before each call, so a row whose second matmul
-        # ran before its first would read the last call's projection
-        for _ in range(3):
-            R[...] = rng.standard_normal(R.shape)
-            product()
-            assert out.tobytes() == per_row(grams, R).tobytes()
+        step, Y, R, out = bound(grams)
+        # new images and responses before each call, so a row whose
+        # second matmul ran before its first would read the last residual
+        for seed in range(3):
+            images = images_of(grams, seed)
+            Y[...] = rng.standard_normal(Y.shape)
+            step(images)
+            want_R, want_out = per_row(grams, images, Y)
+            assert R.tobytes() == want_R.tobytes()
+            assert out.tobytes() == want_out.tobytes()
 
     def test_a_call_allocates_nothing(self, kind):
-        product, R, _ = bound(BOUND_STACKS[kind]())
-        R[...] = np.random.default_rng(12).standard_normal(R.shape)
-        product()
-        _, peak = traced(product)
+        grams = BOUND_STACKS[kind]()
+        step, _, _, _ = bound(grams)
+        images = images_of(grams, 12)
+        step(images)
+        _, peak = traced(lambda: step(images))
         assert peak < 1024
 
 

@@ -398,19 +398,21 @@ class TestChunkedBatch:
                                                        iters=20000))
         assert eight <= experiments.CHUNK_BYTES + one
 
-    # tracemalloc peaks of one `_run_chunk` per shape (master seed 0),
-    # recorded while a stack kept its first rows' stacked factors and
-    # compacted them in place as rows left (Python 3.11, numpy 2.4);
-    # binding each product from the rows it holds must not exceed them,
-    # nor must the Gaussian chunk's reference polish, whose (m, m)
-    # factors take the memory of the stack's spent step buffers. The
-    # slack covers the few hundred bytes of Python objects by which
-    # repeated runs of one chunk differ.
+    # tracemalloc peaks of one `_run_chunk` per shape (master seed 0,
+    # Python 3.11, numpy 2.4). The group-lasso ones were recorded once
+    # factored rows stepped in factor coordinates, holding (G, d_max)
+    # images where they held four (G, m) arrays; the Gaussian one while
+    # a stack kept its first rows' stacked factors and compacted them
+    # in place as rows left. Binding each product from the rows it holds
+    # must not exceed them, nor must the Gaussian chunk's reference
+    # polish, whose (m, m) factors take the memory of the stack's spent
+    # step buffers. The slack covers the few hundred bytes of Python
+    # objects by which repeated runs of one chunk differ.
     @pytest.mark.parametrize("cfg, keep_traces, recorded", [
         (ExperimentConfig.group_lasso_paper(n_instances=6, master_seed=0),
-         True, 1_999_519),
+         True, 1_656_682),
         (ExperimentConfig.group_lasso_paper(n_instances=8, master_seed=0),
-         False, 2_464_816),
+         False, 2_036_288),
         (gaussian_preset(4), False, 1_991_811),
     ], ids=["group-lasso-traced-6x5000", "group-lasso-8x5000",
             "gaussian-4x300"])
