@@ -53,8 +53,8 @@ problem = ProblemInstance(dataset=dataset, gram=gram,
 # only a few percent below the critical level, and the distance to
 # zero shrinks by tau * lambda * (1 - certificate) per step. The same
 # call takes the reference used below: the trajectory's limit, which
-# the reference polish certifies, or where it refuses, the trajectory
-# run on, untraced.
+# is the run's own result where it has settled, else what the reference
+# polish certifies, or where it refuses, a replay run on, untraced.
 
 config = SolverConfig(tau_factor=0.8, max_iters=30000, stop_tol=0.0,
                       record_trace=True)

@@ -53,9 +53,9 @@ print(f"iterations         {trace.iters_run}")
 print(f"final step norm    {trace.final_step_norm:.2e}")
 
 # The qualification report is taken at the reference: the limit of the
-# same trajectory, where it has settled or the reference polish
-# certifies it, else the trajectory run on for up to ten times the
-# budget. qc_holds means every off-support certificate is strictly
+# same trajectory: the run's own result where it has settled, else
+# what the reference polish certifies, else a replay from zero for up
+# to ten times the budget. qc_holds means every off-support certificate is strictly
 # below the level 1, so the recovered support is exact after finitely
 # many iterations, not just in the limit.
 report = qualification_check(result.reference, problem)

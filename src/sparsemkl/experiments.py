@@ -289,8 +289,9 @@ class BatchResult:
 #: How many instances a batch steps together, as one stack: as many as
 #: fit in this many bytes by `_row_bytes`' model of their Gram storage,
 #: stack state and, if traced, trace buffers. A model, not a bound: it
-#: leaves out the generated instances, the result and reference copies
-#: and Gaussian assembly's (m, m, p) tensor (ROADMAP item 8).
+#: leaves out the generated instances, the results and polished
+#: references, the polish's factors and Gaussian assembly's (m, m, p)
+#: tensor (ROADMAP item 8).
 CHUNK_BYTES = 2 << 20
 
 
@@ -302,15 +303,18 @@ def _row_bytes(config, keep_traces=True):
     keeps eight such arrays (AT, its images KA, their next values, B,
     the images' buffer V and the cycle checkpoint pair); a factored row
     keeps four (AT, its next value, B and the checkpoint's AT) and four
-    (G, d_max) images in place of the rest. The spare arrays are
-    headroom for the reference copies and the generated instances,
-    which it leaves out (ROADMAP item 8).
+    (G, d_max) images in place of the rest. The arrays it counts beyond
+    these are headroom for the generated instances and the results,
+    which it leaves out; the polish runs after the stack is freed
+    (ROADMAP item 8).
     """
     if config.family == "group-lasso":
         # the (G, m, d_max) factor stack and its transpose, and the
         # padded features and transposed factors that the chunk's bound
-        # step stacks when its rows are two or more (core.bind_stack)
-        gram = 4 * 8 * config.G * config.m * max(config.group_dims)
+        # step stacks when its rows are two or more (core.bind_stack);
+        # with unequal widths the gram keeps its own padded features too
+        copies = 4 + (len(set(config.group_dims)) > 1)
+        gram = copies * 8 * config.G * config.m * max(config.group_dims)
     else:
         gram = 8 * config.G * config.m * config.m
     return gram + 80 * config.G * config.m + 16 * config.iters * keep_traces
@@ -374,8 +378,8 @@ def run_batch(config, jobs=1, keep_traces=True):
     """Generate, solve, and certify every instance of a batch.
 
     Instances go in chunks of consecutive indices. Each chunk is
-    generated when it is reached, and its production solves and their
-    reference runs go through one stacked loop (see
+    generated when it is reached and solved as one stack, its references
+    taken after the stack's run (see
     :func:`~sparsemkl.solver.solve_with_reference`). A chunk is as
     many instances (at least one) as fit in `CHUNK_BYTES` by a model of
     their Gram storage, stack state and, when traces are kept, trace

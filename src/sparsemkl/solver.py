@@ -21,8 +21,10 @@ and the step norm are read off them, so a factored row never forms
 :math:`K_g \\alpha_g`.
 
 The limit of the trajectory is the reference that the identification
-checks compare against: :func:`solve_with_reference` takes it from the
-same run, certified by :func:`polish_reference` where the polish can.
+checks compare against. :func:`solve_with_reference` takes it after
+the stacked loop has run, from one of three sources: the production
+result itself where its last step has settled, else the certified
+limit from :func:`polish_reference`, else a replay from zero.
 """
 
 import math
@@ -37,9 +39,9 @@ from .errors import ContractViolation, DivergenceError
 __all__ = ["SolverConfig", "SolveTrace", "SolveResult", "solve",
            "solve_with_reference", "polish_reference"]
 
-#: A reference is the iterate at the trajectory's first step norm of at
-#: most REFERENCE_STOP_TOL; a row whose polish refuses runs on for it up
-#: to this many times the production budget.
+#: A production result whose last step norm is at most REFERENCE_STOP_TOL
+#: is its own reference; a row whose polish refuses is replayed from
+#: zero up to this many times the production budget, or to that step.
 REFERENCE_BUDGET_FACTOR = 10
 REFERENCE_STOP_TOL = 1e-12
 
@@ -213,11 +215,11 @@ class SolveTrace:
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
-    """One problem's results from the stacked loop (`solve_with_reference`)."""
+    """One problem's results from `solve_with_reference`."""
 
     coeffs: DualCoefficients
     trace: SolveTrace
-    reference: DualCoefficients | None
+    reference: DualCoefficients
     stepped: int
 
 
@@ -280,7 +282,7 @@ def solve(problem, config, alpha0=None):
         A stack raises for the first row that diverges.
     """
     stacked, problems, starts = _stack(problem, config, alpha0)
-    pairs = [(r.coeffs, r.trace) for r in _solve_stack(problems, config, starts)]
+    pairs = [run[:2] for run in _solve_stack(problems, config, starts)]
     return tuple(zip(*pairs)) if stacked else pairs[0]
 
 
@@ -289,22 +291,18 @@ def solve_with_reference(problem, config):
 
     The solve is :func:`solve`'s from zero. The reference is the limit
     of its trajectory, for identification checks; independent ground
-    truth lives in the oracle module. Where the trajectory has passed a
-    step norm of at most `REFERENCE_STOP_TOL` (1e-12) by the end of the
-    solve, the iterate there is the reference.
-    Otherwise :func:`polish_reference` is tried once, on the solve's
-    result, and the certified limit it returns is the reference. Where
-    it refuses, the reference is the trajectory's forward-backward tail:
-    run on for `REFERENCE_BUDGET_FACTOR` (10) times the configured
-    iteration budget or until the step norm falls to 1e-12, and returned
-    uncertified.
+    truth lives in the oracle module. It is chosen for each row after
+    the stacked loop has run, from three sources:
 
-    Both come from one call of the stacked loop, which runs the
-    trajectory once: its row takes the solve's result and the reference
-    as two results of one run, each where its own rule first stops it,
-    and runs on, untraced, after the solve's result if the reference is
-    still to take. An unpolished reference is bit-identical to a replay
-    from zero. A warm-started run is a separate `solve`.
+    * where the solve's last step norm is at most `REFERENCE_STOP_TOL`
+      (1e-12), the solve's result itself, the same object;
+    * otherwise the certified limit that :func:`polish_reference`
+      returns from the solve's result. A certified minimizer is unique,
+      so it is the limit of every trajectory;
+    * where the polish refuses, a replay from zero under
+      `REFERENCE_BUDGET_FACTOR` (10) times the configured budget and
+      a stop at a step norm of 1e-12, untraced and uncertified. The
+      rows to replay run as one stack.
 
     Parameters
     ----------
@@ -317,12 +315,30 @@ def solve_with_reference(problem, config):
     SolveResult
         `coeffs` and `trace` as :func:`solve` returns them, `reference`,
         and `stepped`: the row-iterations the loop computed for the
-        problem, its reference tail included and the periods a cycle
-        exit skipped not. A stack gets a tuple of them, one per problem
-        in the order given.
+        problem, its replay's included and the periods a cycle exit
+        skipped not. A stack gets a tuple of them, one per problem in
+        the order given.
     """
     stacked, problems, starts = _stack(problem, config, None)
-    results = _solve_stack(problems, config, starts, reference=True)
+    runs = _solve_stack(problems, config, starts)
+    references = [coeffs if trace.final_step_norm <= REFERENCE_STOP_TOL
+                  else polish_reference(p, coeffs)
+                  for p, (coeffs, trace, _) in zip(problems, runs)]
+    stepped = [n for _, _, n in runs]
+    refused = [i for i, ref in enumerate(references) if ref is None]
+    if refused:
+        replay = SolverConfig(
+            tau_factor=config.tau_factor,
+            max_iters=REFERENCE_BUDGET_FACTOR * config.max_iters,
+            stop_tol=REFERENCE_STOP_TOL, record_trace=False,
+        )
+        replays = _solve_stack([problems[i] for i in refused], replay,
+                               [None] * len(refused))
+        for i, (coeffs, _, n) in zip(refused, replays):
+            references[i] = coeffs
+            stepped[i] += n
+    results = tuple(SolveResult(coeffs, trace, ref, n) for (coeffs, trace, _),
+                    ref, n in zip(runs, references, stepped))
     return results if stacked else results[0]
 
 
@@ -344,25 +360,16 @@ def _stack(problem, config, alpha0):
 class _Row:
     """One row of a stack: everything but the stacked arrays."""
 
-    __slots__ = ("index", "gram", "lam", "tau", "thr", "rules", "stop",
-                 "budget", "record", "n", "skipped", "step", "ck_n", "ck_AT",
-                 "ck_IM", "ck_step", "span", "tile", "events", "last", "obj",
-                 "steps")
+    __slots__ = ("index", "gram", "lam", "tau", "thr", "n", "skipped", "step",
+                 "ck_n", "ck_AT", "ck_IM", "ck_step", "span", "tile", "events",
+                 "last", "obj", "steps")
 
-    def __init__(self, index, problem, tau, rules, record, image_shape):
+    def __init__(self, index, problem, tau, image_shape):
         self.index = index  # place in the stack as given
         self.gram = problem.gram
         self.lam = problem.effective_lambda
         self.tau = tau
         self.thr = tau * self.lam
-        # the results still to take, as {field: (stop, budget)} from their
-        # (stop_tol, max_iters) rules: "coeffs" (and its trace) is the run
-        # under the stack's config, "reference" its reference, if asked
-        # for. A step norm is never negative, so the stop -1 of a
-        # stop_tol of 0 never fires
-        self.rules = {name: (tol if tol > 0.0 else -1.0, iters)
-                      for name, (tol, iters) in rules.items()}
-        self.aim()
         self.n, self.skipped, self.step = 0, 0, None
         # the cycle checkpoint's state, overwritten in place each time;
         # no compare until it is first taken
@@ -370,49 +377,43 @@ class _Row:
         self.ck_IM = np.empty(image_shape)
         self.ck_n, self.ck_step = 0, None
         self.span = self.tile = None
-        # the trace of "coeffs": (iteration, support bytes) at each support
-        # change and, if recorded, one record per iteration; its objective
-        # is the penalty plus half the squared residual of the new iterate,
-        # the next iteration's r
-        self.record = record
+        # the trace: (iteration, support bytes) at each support change
+        # and, if recorded, one record per iteration; its objective is the
+        # penalty plus half the squared residual of the new iterate, the
+        # next iteration's r
         self.events, self.last = [], None
         self.obj, self.steps = array("d"), array("d")
 
-    def aim(self):
-        """Point the row's one stop test at its pending rules."""
-        self.stop = max(stop for stop, _ in self.rules.values())
-        self.budget = min(budget for _, budget in self.rules.values())
-
-    def jump(self):
-        """Skip whole periods of the found cycle, up to the next budget.
+    def jump(self, budget):
+        """Skip whole periods of the found cycle, up to the budget.
 
         The state at `self.n` is the one `span` iterations before, so the
         records and support changes of those iterations repeat over the
-        skipped periods. No pending stop fires in them: each was tested
-        on every step of the cycle. The iteration at the budget is always
-        computed, so the result taken there has its own record and step.
-        A traced row jumps once, as its reference's budget is the later.
+        skipped periods. The stop does not fire in them: it was tested on
+        every step of the cycle. The iteration at the budget is always
+        computed, so the result has its own record and step.
         """
         span = self.span
-        reps = max(0, (self.budget - 1 - self.n) // span)
-        if reps and self.record:
-            self.tile = (len(self.steps), reps)
-        if reps and self.events is not None:
-            events, first = self.events, self.n - span + 1
-            i = len(events)
-            while events[i - 1][0] > first:
-                i -= 1
-            period = events[i:]
-            if events[i - 1][1] != self.last:
-                # the support at `first` follows the one at `self.n`
-                period.insert(0, (first, events[i - 1][1]))
-            events += [(n + q * span, mask) for q in range(1, reps + 1)
-                       for n, mask in period]
+        reps = max(0, (budget - 1 - self.n) // span)
+        if not reps:
+            return
+        # an untraced row has no records, so its tile repeats none
+        self.tile = (len(self.steps), reps)
+        events, first = self.events, self.n - span + 1
+        i = len(events)
+        while events[i - 1][0] > first:
+            i -= 1
+        period = events[i:]
+        if events[i - 1][1] != self.last:
+            # the support at `first` follows the one at `self.n`
+            period.insert(0, (first, events[i - 1][1]))
+        events += [(n + q * span, mask) for q in range(1, reps + 1)
+                   for n, mask in period]
         self.n += reps * span
         self.skipped += reps * span
 
 
-def _start(index, problem, alpha0, rules, config):
+def _start(index, problem, alpha0, config):
     """Row `index` of a stack and its start: (row, AT, IM, y), with AT
     the coefficients' transpose and IM their `GramBlocks.image`."""
     if not isinstance(problem, ProblemInstance):
@@ -433,50 +434,39 @@ def _start(index, problem, alpha0, rules, config):
         AT = np.ascontiguousarray(alpha0.alpha.T)
         IM = gram.image(AT)
     tau = config.tau_factor / gram.lipschitz
-    row = _Row(index, problem, tau, rules, config.record_trace, IM.shape)
-    return row, AT, IM, problem.dataset.responses
+    return _Row(index, problem, tau, IM.shape), AT, IM, problem.dataset.responses
 
 
-def _solve_stack(problems, config, starts, reference=False):
-    """Solve a stack; returns a SolveResult per problem, in order.
+def _solve_stack(problems, config, starts):
+    """Solve a stack; returns (coeffs, trace, stepped) per problem, in order.
 
-    Each row runs one trajectory from its start and takes each of its
-    results where that result's rule first stops it: the traced result
-    at the first step norm of at most `config.stop_tol` or at
-    `config.max_iters`, and, with `reference`, the untraced reference
-    at `REFERENCE_STOP_TOL` or at `REFERENCE_BUDGET_FACTOR` times
-    `config.max_iters`. A row leaves the stack once it holds both.
-    Without `reference` every reference is None.
-
-    :func:`polish_reference` is tried on the traced result of each row
-    whose reference is still to take once that result is taken. A
-    reference it returns is taken, and the row leaves the stack; on None
-    the row runs on as without it.
+    Every row runs one trajectory from its start under the config's one
+    rule: it leaves the stack at its first step norm of at most
+    `config.stop_tol`, or at `config.max_iters`. `stepped` counts the
+    iterations it computed, not the periods a cycle exit skipped. The
+    loop knows nothing of references; :func:`solve_with_reference`
+    takes them from its results.
 
     The rows of one storage and image width step together (see
     `_step_rows`); a stack that mixes them steps each kind in turn.
     """
     if not problems:
         raise ContractViolation("a stack needs at least one problem")
-    rules = {"coeffs": (config.stop_tol, config.max_iters)}
-    if reference:
-        rules["reference"] = (REFERENCE_STOP_TOL,
-                              config.max_iters * REFERENCE_BUDGET_FACTOR)
     kinds = {}
     for i, (problem, alpha0) in enumerate(zip(problems, starts)):
-        start = _start(i, problem, alpha0, rules, config)
+        start = _start(i, problem, alpha0, config)
         kind = (start[0].gram.factors is None, start[2].shape)
         kinds.setdefault(kind, []).append(start)
     if len({start[1].shape for kind in kinds.values() for start in kind}) > 1:
         raise ContractViolation("stacked problems must share G and m")
     del start  # the starts live on in their kind's stack
-    results = [{"reference": None} for _ in problems]
+    results = [None] * len(problems)
     for kind in kinds.values():
-        _step_rows(kind, problems, results)
-    return tuple(SolveResult(**res) for res in results)
+        _step_rows(kind, config, results)
+    return results
 
 
-def _step_rows(starts, problems, results):
+def _step_rows(starts, config, results):
     """Step the rows of `starts` to their results, into `results`.
 
     The rows share one storage and image width. A step forms the
@@ -493,20 +483,13 @@ def _step_rows(starts, problems, results):
     factored = rows[0].gram.factors is not None
     one_pass = AT[0].size <= _EINSUM_BUFSIZE
     _, G, m = AT.shape
+    # a step norm is never negative, so the stop -1 of a stop_tol of 0
+    # never fires
+    stop = config.stop_tol if config.stop_tol > 0.0 else -1.0
+    budget, record = config.max_iters, config.record_trace
 
-    taken = True  # a row took a result in the last iteration
     product = None
     while True:
-        if taken:
-            sel = [j for j, row in enumerate(rows) if row.rules]
-            if not sel:
-                break
-            if len(sel) < len(rows):
-                rows = [rows[j] for j in sel]
-                AT, IM, Y = AT[sel], IM[sel], Y[sel]
-                product = None
-            recording = any(row.record for row in rows)
-            tracking = any(row.events is not None for row in rows)
         if product is None:  # the stack is new or has shrunk
             # the step's buffers, each overwritten in place every
             # iteration; AT and IM swap with their next values. No view
@@ -561,65 +544,52 @@ def _step_rows(starts, problems, results):
                          for b, v in zip(B, V)]
         AT, AT_next = AT_next, AT
         IM, IM_next = IM_next, IM
-        if recording:
+        if record:
             # each row's r @ r, with the same bits
             fits = np.matmul(r_row, r[:, :, None]).ravel().tolist()
-        if tracking:
-            masks = keep.tobytes()
+        masks = keep.tobytes()
 
-        taken = False
+        left = False
         for j, (row, s) in enumerate(zip(rows, steps)):
             row.n += 1
             if row.obj:
                 # the previous record's objective ends with this r
                 row.obj[-1] += 0.5 * fits[j]
             step = row.step = math.sqrt(max(s, 0.0))
-            if row.events is not None:
-                mask = masks[j * G:(j + 1) * G]
-                if mask != row.last:
-                    row.events.append((row.n, mask))
-                    row.last = mask
-            if row.record:
+            mask = masks[j * G:(j + 1) * G]
+            if mask != row.last:
+                row.events.append((row.n, mask))
+                row.last = mask
+            if record:
                 # surviving blocks have kernel norm nu - thr by construction
                 row.obj.append(row.lam * np.add.reduce(excess[j][keep[j]]))
                 row.steps.append(step)
-            if step <= row.stop or row.n >= row.budget:
-                taken, res = True, results[row.index]
-                for name, (stop, budget) in list(row.rules.items()):
-                    if step > stop and row.n < budget:
-                        continue
-                    del row.rules[name]
-                    # DualCoefficients copies: a view would pin the stack
-                    res[name] = DualCoefficients(AT[j].T)
-                    if name == "coeffs":
-                        penalty = row.lam * np.add.reduce(excess[j][keep[j]])
-                        res["trace"] = _finish(row, IM[j], Y[j], penalty)
-                if "reference" in row.rules:
-                    # the traced result is taken and the reference is
-                    # not. The step's buffers are spent: the polish gets
-                    # their memory, and the next step new ones
-                    AT_next = IM_next = B = V = product = None
-                    polished = polish_reference(problems[row.index],
-                                                res["coeffs"])
-                    if polished is not None:
-                        res["reference"] = polished
-                        del row.rules["reference"]
-                if not row.rules:
-                    res["stepped"] = row.n - row.skipped
-                    continue
-                row.aim()
-                if row.span is not None:
-                    row.jump()
-            if row.span is None:
+            if step <= stop or row.n >= budget:
+                # DualCoefficients copies: a view would pin the stack
+                penalty = row.lam * np.add.reduce(excess[j][keep[j]])
+                results[row.index] = (DualCoefficients(AT[j].T),
+                                      _finish(row, IM[j], Y[j], penalty),
+                                      row.n - row.skipped)
+                left = True
+            elif row.span is None:
                 if (step == row.ck_step and _same_bits(AT[j], row.ck_AT)
                         and _same_bits(IM[j], row.ck_IM)):
                     # state n equals state ck_n
                     row.span = row.n - row.ck_n
-                    row.jump()
+                    row.jump(budget)
                 elif row.n - row.ck_n == _CYCLE_WINDOW:
                     np.copyto(row.ck_AT, AT[j])
                     np.copyto(row.ck_IM, IM[j])
                     row.ck_n, row.ck_step = row.n, step
+
+        if left:
+            sel = [j for j, row in enumerate(rows)
+                   if results[row.index] is None]
+            if not sel:
+                break
+            rows = [rows[j] for j in sel]
+            AT, IM, Y = AT[sel], IM[sel], Y[sel]
+            product = None
 
 
 def _finish(row, IM, y, penalty):
@@ -642,7 +612,7 @@ def _finish(row, IM, y, penalty):
             for a in (objectives, step_norms)
         )
     iters, masks = zip(*row.events)
-    trace = SolveTrace(
+    return SolveTrace(
         change_iters=iters,
         change_supports=np.frombuffer(b"".join(masks), dtype=bool).reshape(
             len(masks), row.gram.n_groups),
@@ -652,9 +622,6 @@ def _finish(row, IM, y, penalty):
         iters_run=row.n,
         final_step_norm=row.step,
     )
-    # a row that runs on into its reference runs untraced
-    row.record, row.events, row.obj = False, None, None
-    return trace
 
 
 def polish_reference(problem, coeffs):

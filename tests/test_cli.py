@@ -202,6 +202,38 @@ def test_solve_lambda_override(tmp_path, capsys):
     assert lines["qc_holds"] == "true"
 
 
+def test_solve_a_duplicated_group_matches_recorded_report(tmp_path, capsys,
+                                                         polished):
+    # group 1 repeats group 0's columns, so the two groups' columns K_g r
+    # are equal, the polish refuses, and the reference is the replay from
+    # zero. tests/data holds the report.txt recorded when that reference
+    # was the production trajectory continued; the replay keeps its bits
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((12, 6))
+    data = tmp_path / "dup.npz"
+    np.savez(data, points=np.hstack([X[:, :2], X]),
+             responses=rng.standard_normal(12))
+    cfg = tmp_path / "dup.ini"
+    cfg.write_text(
+        "[problem]\n"
+        f"data = {data}\n"
+        "family = group-lasso\n"
+        "group_dims = 2, 2, 2, 2\n"
+        "lambda = 0.3\n"
+        "[solver]\n"
+        "iters = 200\n",
+        encoding="utf-8",
+    )
+    out_dir = tmp_path / "out"
+    rc, _, _ = run_cli(
+        ["solve", "--config", str(cfg), "--out-dir", str(out_dir)], capsys,
+    )
+    assert rc == 0
+    assert polished == [False]
+    golden = Path(__file__).parent / "data" / "report_duplicated_group.txt"
+    assert (out_dir / "report.txt").read_bytes() == golden.read_bytes()
+
+
 def test_solve_missing_config_is_a_usage_error(capsys):
     rc, _, err = run_cli(["solve"], capsys)
     assert rc == 1
@@ -702,8 +734,8 @@ def test_batch_trace_matches_recorded_output(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, golden", [
-    # instances 1 and 4-7 settle within the 600 iterations; the
-    # references of 0, 2 and 3 are polished at 600
+    # instances 1 and 4-7 end at a step of at most 1e-12 and are their
+    # own references; those of 0, 2 and 3 are polished at 600
     (["--preset", "group-lasso-paper", "--instances", "8", "--iters", "600"],
      "summary_group_lasso_8x600.json"),
     # every reference is polished at the 300 production iterations

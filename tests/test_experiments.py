@@ -346,6 +346,22 @@ class TestChunkedBatch:
         assert [len(c) for c in experiments._chunks(cfg, 1, True)] == [4, 4]
         assert [len(c) for c in experiments._chunks(cfg, 1, False)] == [8]
 
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (1, 2, 2, 3)])
+    def test_row_bytes_count_the_factored_gram(self, dims):
+        # the factor stack, its transpose and, with unequal widths, the
+        # zero-padded (m, G d_max) features, which equal widths share
+        # with X; and the padded features and transposed factors that a
+        # bound stack of two or more rows stacks
+        cfg = small_gl_config(group_dims=dims)
+        gram = generate_instance(cfg, 0)[0].gram
+        padded = gram._padded
+        held = (gram.factors.nbytes + gram._factors_t.nbytes
+                + (padded is not gram.features) * padded.nbytes)
+        stacked = padded.nbytes + gram._factors_t.nbytes
+        state = 80 * cfg.G * cfg.m + 16 * cfg.iters
+        assert (padded is gram.features) == (len(set(dims)) == 1)
+        assert experiments._row_bytes(cfg) == held + stacked + state
+
     @pytest.mark.parametrize("workload, keep_traces, sizes", [
         (lambda: gaussian_preset(8), False, [4, 4]),
         (lambda: ExperimentConfig.group_lasso_paper(n_instances=6), True,
@@ -400,19 +416,19 @@ class TestChunkedBatch:
 
     # tracemalloc peaks of one `_run_chunk` per shape (master seed 0,
     # Python 3.11, numpy 2.4). The group-lasso ones were recorded once
-    # factored rows stepped in factor coordinates, holding (G, d_max)
-    # images where they held four (G, m) arrays; the Gaussian one while
-    # a stack kept its first rows' stacked factors and compacted them
-    # in place as rows left. Binding each product from the rows it holds
-    # must not exceed them, nor must the Gaussian chunk's reference
-    # polish, whose (m, m) factors take the memory of the stack's spent
-    # step buffers. The slack covers the few hundred bytes of Python
-    # objects by which repeated runs of one chunk differ.
+    # references were taken after the loop, each settled row's result
+    # serving as its reference instead of a copy of it; the Gaussian one
+    # while a stack kept its first rows' stacked factors and compacted
+    # them in place as rows left. Binding each product from the rows it
+    # holds must not exceed them, nor must the Gaussian chunk's reference
+    # polish, which runs after the stack is freed. The slack covers the
+    # few hundred bytes of Python objects by which repeated runs of one
+    # chunk differ.
     @pytest.mark.parametrize("cfg, keep_traces, recorded", [
         (ExperimentConfig.group_lasso_paper(n_instances=6, master_seed=0),
-         True, 1_656_682),
+         True, 1_630_018),
         (ExperimentConfig.group_lasso_paper(n_instances=8, master_seed=0),
-         False, 2_036_288),
+         False, 1_992_162),
         (gaussian_preset(4), False, 1_991_811),
     ], ids=["group-lasso-traced-6x5000", "group-lasso-8x5000",
             "gaussian-4x300"])

@@ -18,12 +18,13 @@ whose every threshold is relative: (y, lambda) -> 2^k (y, lambda) scales
 it by 2^k, K -> 4^k K with lambda -> 2^k lambda (factored and dense
 storage) by 4^-k, and its support, extended support and qc margin are
 the same.
-A reference from the forward-backward tail is left out: its stop is an
-absolute step norm, which does not scale with the data, and at k = -40
-it fires before the production run ends (ROADMAP items 3 and 9).
+A reference that is not polished is left out: whether the production
+result is taken as it stands is decided by an absolute step norm, which
+does not scale with the data, and at k = -40 a run whose last step
+would be polished passes it (ROADMAP items 3 and 9).
 
 Permuting the groups is not exact: the loop sums them in another order.
-So a permuted reference, polished or taken at a step of 1e-12, is
+So a permuted reference, polished or a settled production result, is
 checked on its identification instead: its support, extended support
 and qualification permute exactly, and its qc margin agrees to 1e-12.
 """
@@ -42,7 +43,6 @@ from sparsemkl import (
     solve,
     solve_with_reference,
 )
-from sparsemkl import solver as solver_module
 
 # preset (master seed 0) instances and the budget each family runs
 FAMILIES = {
@@ -105,21 +105,6 @@ def test_scaling_data_and_lambda_scales_the_run(solved, case, k):
     assert scaled_trace.final_step_norm / c == trace.final_step_norm
 
 
-@pytest.fixture
-def polished(monkeypatch):
-    """Whether each call of the reference polish certified its result."""
-    polish = solver_module.polish_reference
-    calls = []
-
-    def spy(problem, coeffs):
-        ref = polish(problem, coeffs)
-        calls.append(ref is not None)
-        return ref
-
-    monkeypatch.setattr(solver_module, "polish_reference", spy)
-    return calls
-
-
 def assert_same_identification(reference, problem, base, base_problem):
     report = qualification_check(base, base_problem)
     scaled_report = qualification_check(reference, problem)
@@ -137,7 +122,7 @@ def test_scaling_data_and_lambda_scales_the_polished_reference(polished,
     scaled_problem = rescaled(problem, y_scale=c, lam_scale=c)
     base = solve_with_reference(problem, config).reference
     scaled = solve_with_reference(scaled_problem, config).reference
-    # both references come from the polish, not from the tail
+    # both references come from the polish, not from a replay
     assert polished == [True, True]
     assert same_bits(scaled.alpha / c, base.alpha)
     assert_same_identification(scaled, scaled_problem, base, problem)
@@ -151,8 +136,9 @@ def test_scaling_the_kernels_and_lambda_scales_the_polished_reference(
     # 0's reference is still to take in both families, so the polish
     # makes it; its weights are in units of 1/lipschitz, which scales
     # by 4^-k with them. The step norms scale by 2^-k, so at k = 10 the
-    # group-lasso run passes the absolute reference stop of 1e-12 (from
-    # 2e-11 at iteration 600) and its reference is not polished
+    # group-lasso run's last step falls under the absolute settle test
+    # of 1e-12 (from 2e-11 at iteration 600) and its reference is not
+    # polished
     problem, _ = preset(family, 0)
     config = SolverConfig(max_iters=600)
     gram, c = problem.gram, 2.0 ** k
@@ -184,7 +170,8 @@ def permuted(gram, perm):
 
 
 # per case, whether each of its two references (base, permuted) is
-# polished; the empty list: both are taken at a step of 1e-12, on the way
+# polished; the empty list: both runs end at a step of at most 1e-12 and
+# are their own references
 PERMUTED = {("gaussian", 0, 300): [True, True],
             ("gaussian", 1, 300): [True, True],
             ("group-lasso", 0, 600): [True, True],

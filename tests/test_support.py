@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from sparsemkl import (
     support_of,
 )
 from sparsemkl import solver as solver_module
+from sparsemkl.cli import main
 from sparsemkl.oracle import enumerate_solve
 from sparsemkl.solver import polish_reference
 
@@ -352,9 +355,10 @@ class TestPolish:
     def test_a_refused_row_keeps_the_forward_backward_reference(self):
         # a duplicated group splits the limit's weight over two equal
         # columns K_g r: rank 1, so the weights are not unique. On dense
-        # storage (the Gaussian preset's group 18) the tail runs out its
-        # budget; on factored storage (the group-lasso preset's group 0)
-        # it reaches a step of 1e-12
+        # storage (the Gaussian preset's group 18) the replay from zero
+        # runs out its budget; on factored storage (the group-lasso
+        # preset's group 0) it reaches a step of 1e-12. The row steps its
+        # production run and then the replay
         base = gaussian_preset(0)
         blocks = np.concatenate([base.gram.blocks, base.gram.blocks[18:19]])
         dense = ProblemInstance(base.dataset, GramBlocks(blocks=blocks),
@@ -375,7 +379,7 @@ class TestPolish:
                 max_iters=10 * iters, stop_tol=1e-12, record_trace=False))
             assert trace.iters_run == stepped
             assert same_bits(result.reference.alpha, tail.alpha)
-            assert result.stepped == stepped
+            assert result.stepped == iters + stepped
 
     def test_a_polished_row_leaves_at_its_production_result(self):
         problems = [gaussian_preset(i) for i in range(4)]
@@ -386,6 +390,29 @@ class TestPolish:
             # the same bits alone as in the stack
             alone = solve_with_reference(problem, config)
             assert same_bits(alone.reference.alpha, result.reference.alpha)
+
+    # the benchmark's three workloads at seed 0, as `sparsemkl batch` runs
+    # them (group lasso untraced here: the trace changes no result). A
+    # row is polished only where its last step is above the settle test
+    # of 1e-12, and the steps lie orders of magnitude either side of it
+    @pytest.mark.parametrize("argv, certified, steps", [
+        (["--preset", "group-lasso-paper", "--instances", "6"], [],
+         (0.0, 1e-15)),
+        (["--config", str(Path(__file__).resolve().parents[1] / "bench"
+                          / "large_m_linear.ini")], [], (0.0, 1e-15)),
+        (["--preset", "gaussian-kernel-paper", "--instances", "4",
+          "--iters", "300"], [True] * 4, (1e-4, 1e-1)),
+    ], ids=["group-lasso-6x5000", "large-m-linear", "gaussian-4x300"])
+    def test_the_polish_runs_only_on_unsettled_rows(
+            self, polished, capsys, tmp_path, argv, certified, steps):
+        assert main(["batch", *argv, "--seed", "0",
+                     "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert polished == certified
+        with open(tmp_path / "summary.json", encoding="utf-8") as fh:
+            runs = json.load(fh)["per_run"]
+        low, high = steps
+        assert all(low <= run["final_step_norm"] <= high for run in runs)
 
     def test_the_polish_is_tried_once_on_the_production_result(
             self, monkeypatch):

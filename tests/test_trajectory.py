@@ -1,7 +1,7 @@
-"""One trajectory per problem: the solver's exact-cycle exit and the
-reference that the production run goes on into.
+"""One trajectory per problem: the solver's exact-cycle exit, and the
+reference taken from the production run or replayed from zero.
 
-Both shortcuts claim bit-identical results, so every comparison here is
+Both claim bit-identical results, so every comparison here is
 bitwise. The oracle is a plain replica of the solver's arithmetic that
 runs and records every iteration.
 """
@@ -180,8 +180,8 @@ def products(monkeypatch):
 
 @pytest.fixture
 def unpolished(monkeypatch):
-    """References from the forward-backward tail alone: the polish
-    refuses every row, so the tail's rule decides what is taken."""
+    """References without the polish: it refuses every row, so each
+    reference is a settled production result or a replay from zero."""
     monkeypatch.setattr(solver_module, "polish_reference",
                         lambda problem, coeffs: None)
 
@@ -419,11 +419,11 @@ class TestEarlyCycleExit:
 
     def test_a_found_cycle_carries_into_the_reference(self, monkeypatch,
                                                       products, unpolished):
-        # with no reference stop, instance 2's reference is the iterate at
-        # its 50000-iteration budget. Its row finds its period-3 cycle
-        # before the production budget and jumps on it again towards the
-        # reference budget: at most one period's leftover iterations, not
-        # a second search for the cycle
+        # with no reference stop, instance 2's reference is a replay from
+        # zero to its 50000-iteration budget. The replay finds the
+        # period-3 cycle where the production run found it and skips its
+        # periods to the later budget: the two compute the same
+        # iterations, give or take one period's leftover
         monkeypatch.setattr(solver_module, "REFERENCE_STOP_TOL", 0.0)
         problem, period = preset_instance(2), PRESET_PERIODS[2]
         config = SolverConfig(max_iters=5000)
@@ -433,7 +433,8 @@ class TestEarlyCycleExit:
         assert alone < 5000 and (trace.step_norms[-period:] > 0.0).all()
         products.clear()
         ref = solve_with_reference(problem, config).reference
-        assert set(products) == {1} and len(products) - alone <= period
+        replayed = len(products) - alone
+        assert set(products) == {1} and abs(replayed - alone) < period
         full, _ = solve(problem, SolverConfig(max_iters=50000,
                                               record_trace=False))
         assert same_bits(ref.alpha, full.alpha)
@@ -462,20 +463,24 @@ class TestTraceMemory:
     def test_untraced_run_holds_no_per_iteration_arrays(self,
                                                          preset_problems):
         # what a batch instance's untraced solve leaves behind, at two
-        # budgets ten times apart
+        # budgets ten times apart. At 3000 iterations the run has settled
+        # and is its own reference, where at 300 the polish makes a
+        # second (G, m) array; that one is counted at both budgets
         problem = preset_problems[0]
         G, m = problem.n_groups, problem.m
         held = []
-        for iters in (300, 3000):
+        for iters, settled in ((300, False), (3000, True)):
             config = SolverConfig(max_iters=iters, record_trace=False)
             solve_with_reference(problem, config)
             tracemalloc.start()
             try:
                 out = solve_with_reference(problem, config)
-                held.append(tracemalloc.get_traced_memory()[0])
+                held.append(tracemalloc.get_traced_memory()[0]
+                            + settled * out.reference.alpha.nbytes)
             finally:
                 tracemalloc.stop()
             assert out.trace.n_recorded == 0 and out.trace.iters_run == iters
+            assert (out.reference is out.coeffs) == settled
             del out
         assert abs(held[1] - held[0]) < 8 * G * m
 
@@ -511,7 +516,7 @@ class TestContinuation:
 
 
 def replay(problem, n, tau_factor=0.8):
-    """The reference rule run from zero: 10x the budget n, stop at 1e-12."""
+    """The reference's replay from zero: 10x the budget n, stop at 1e-12."""
     config = SolverConfig(tau_factor=tau_factor, max_iters=10 * n,
                           stop_tol=1e-12, record_trace=False)
     return solve(problem, config)[0]
@@ -519,6 +524,10 @@ def replay(problem, n, tau_factor=0.8):
 
 @pytest.mark.usefixtures("unpolished")
 class TestContinuingReference:
+    """With the polish refusing, a reference is the production result
+    where its last step has settled, and otherwise the trajectory
+    continued: a replay from zero, in a second call of the loop."""
+
     @pytest.fixture
     def loops(self, monkeypatch):
         """The stacks entering the stacked loop, as their row counts."""
@@ -533,13 +542,15 @@ class TestContinuingReference:
         return calls
 
     def test_settled_production_run_is_reused(self, preset_problems, loops):
+        # instance 4 ends on a fixed point: its result is its reference,
+        # the same object, and nothing is replayed
         problem = preset_problems[4]
         config = SolverConfig(max_iters=5000)
         result = solve_with_reference(problem, config)
         trace = result.trace
         assert loops == [1]
-        assert trace.iters_run == 5000 and trace.step_norms.min() <= 1e-12
-        assert same_bits(result.reference.alpha, replay(problem, 5000).alpha)
+        assert trace.iters_run == 5000 and trace.final_step_norm <= 1e-12
+        assert result.reference is result.coeffs
 
     def test_unsettled_production_run_is_continued(self, loops):
         config = ExperimentConfig.gaussian_kernel_paper(
@@ -548,10 +559,10 @@ class TestContinuingReference:
         problem, _ = generate_instance(config, 0)
         solver_cfg = SolverConfig(max_iters=300)
         result = solve_with_reference(problem, solver_cfg)
-        assert loops == [1]
+        assert loops == [1, 1]
         assert result.trace.final_step_norm > 1e-12
         assert same_bits(result.reference.alpha, replay(problem, 300).alpha)
-        # the production run is untouched by the reference run after it
+        # the production run is untouched by the replay after it
         alone, alone_trace = solve(problem, solver_cfg)
         assert same_bits(result.coeffs.alpha, alone.alpha)
         for name in ("iterations", "supports", "objectives", "step_norms"):
@@ -564,7 +575,7 @@ class TestContinuingReference:
         config = SolverConfig(max_iters=5000, stop_tol=1e-9)
         result = solve_with_reference(problem, config)
         trace = result.trace
-        assert loops == [1]
+        assert loops == [1, 1]
         assert trace.iters_run < 5000 and trace.final_step_norm > 1e-12
         assert same_bits(result.reference.alpha, replay(problem, 5000).alpha)
 
@@ -577,12 +588,15 @@ class TestContinuingReference:
         assert not same_bits(ref.alpha, replay(problem, 500).alpha)
 
     def test_one_loop_per_batch_chunk(self, loops):
-        # the Gaussian Gram stacks split 8 instances into two chunks
+        # the Gaussian Gram stacks split 8 instances into two chunks. Each
+        # chunk is one stack, and its refused rows are replayed as one
+        # more, not one by one
         config = ExperimentConfig.gaussian_kernel_paper(
             n_instances=8, master_seed=0, iters=300,
         )
         run_batch(config, keep_traces=False)
-        assert loops == [len(chunk) for chunk in _chunks(config, 1)] == [4, 4]
+        assert loops == [len(chunk) for chunk in _chunks(config, 1)
+                         for _ in range(2)] == [4, 4, 4, 4]
 
 
 @pytest.mark.usefixtures("unpolished")
@@ -594,9 +608,9 @@ class TestStackedRows:
     compared bit for bit with the replica. Their exact cycles have
     periods {0: 1, 1: 14, 2: 3, 3: 2, 4: 1, 5: 1, 6: 6, 7: 2}, so rows
     leave the stack at different iterations. The polish refuses, so that
-    every reference is the forward-backward tail's and its replica
-    checks the stack's bits; `tests/test_support.py` stacks polished
-    rows.
+    every reference is either a settled production result or a replay
+    from zero, and its replica checks the stack's bits;
+    `tests/test_support.py` stacks polished rows.
     """
 
     SHUFFLED = [5, 2, 7, 0, 3, 6, 1, 4]
@@ -607,7 +621,10 @@ class TestStackedRows:
         return [preset_instance(i) for i in range(8)]
 
     @staticmethod
-    def reference_replica(problem, config):
+    def reference_replica(problem, config, expected):
+        """The reference of a row whose replica is `expected`."""
+        if expected["final_step_norm"] <= solver_module.REFERENCE_STOP_TOL:
+            return expected["alpha"]
         ref_cfg = SolverConfig(
             tau_factor=config.tau_factor,
             max_iters=config.max_iters * solver_module.REFERENCE_BUDGET_FACTOR,
@@ -617,7 +634,8 @@ class TestStackedRows:
 
     def check_stacks(self, problems, config):
         expected = [replica(p, config) for p in problems]
-        references = [self.reference_replica(p, config) for p in problems]
+        references = [self.reference_replica(p, config, e)
+                      for p, e in zip(problems, expected)]
         runs = []
         for i, problem in enumerate(problems):
             result = solve_with_reference(problem, config)
@@ -628,7 +646,7 @@ class TestStackedRows:
             results = solve_with_reference(rows, config)
             runs.append((stack, [(r.coeffs, r.trace) for r in results],
                          [r.reference for r in results]))
-            # without the references' runs in the stack
+            # without the references
             runs.append((stack, list(zip(*solve(rows, config))), None))
         for stack, outs, refs in runs:
             assert len(outs) == len(stack)
@@ -650,11 +668,12 @@ class TestStackedRows:
         assert max(stops) < 5000 and len(set(stops)) == len(stops)
 
     def test_settled_references_beside_continued_ones(self, problems):
-        # at 600 iterations instances 1, 4, 5, 6 and 7 have passed a step
-        # of 1e-12, whose iterate is their reference; 0, 2 and 3 continue
+        # at 600 iterations instances 1, 4, 5, 6 and 7 end at a step of
+        # at most 1e-12 and are their own references; 0, 2 and 3 are
+        # replayed, as one stack after the production one
         config = SolverConfig(max_iters=600)
         traces = self.check_stacks(problems, config)
-        settled = [bool((t.step_norms <= 1e-12).any()) for t in traces]
+        settled = [t.final_step_norm <= 1e-12 for t in traces]
         assert settled == [False, True, False, False, True, True, True, True]
 
     def test_rows_can_start_anywhere(self, problems):
@@ -722,24 +741,23 @@ class TestSteppedCount:
     """A result's `stepped` against the Gram products the loop ran."""
 
     def test_stepped_sums_to_the_rows_stepped(self, products):
-        # instances 0-5 end in exact cycles, and their references jump
-        # on the same cycles towards the 50000-iteration budget
+        # instances 0-5 end in exact cycles, settled, so that their
+        # production results are their references
         problems = [preset_instance(i) for i in range(6)]
         results = solve_with_reference(problems, SolverConfig(max_iters=5000))
         assert sum(r.stepped for r in results) == sum(products)
         for result in results:
-            assert result.reference is not None
+            assert result.reference is result.coeffs
             assert result.stepped < result.trace.iters_run == 5000
 
     def test_a_settled_reference_costs_no_iteration(self, preset_problems,
                                                     products):
-        # instance 4 passes a step of 1e-12 before its production result,
-        # so its reference is taken on the way and the row leaves the
-        # stack with it: the loop steps no iteration for the reference
+        # instance 4 ends at a step of 0, so its production result is its
+        # reference: the loop steps no iteration for the reference
         problem = preset_problems[4]
         config = SolverConfig(max_iters=5000)
         result = solve_with_reference(problem, config)
-        assert result.trace.step_norms.min() <= 1e-12
+        assert result.trace.final_step_norm <= 1e-12
         products.clear()
         solve(problem, config)
         assert result.stepped == sum(products) < 5000
