@@ -424,6 +424,14 @@ def _cmd_solve(args):
 # ------------------------------------------------------------------ batch
 
 def _batch_config(args):
+    # the flags first: a bad one fails before any file is read
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be >= 1")
+    if args.instances is not None and args.instances < 1:
+        raise ConfigError("--instances must be >= 1")
+    if args.trace_size is not None and not args.trace:
+        raise ConfigError("--trace-size needs --trace")
+    _check_problem_flags(args)
     if args.preset is not None:
         config = _BATCH_PRESETS[args.preset]()
     else:
@@ -437,9 +445,9 @@ def _batch_config(args):
         except ContractViolation as err:
             raise ConfigError(f"invalid [experiment] config: {err}") from err
 
-    if args.instances is not None and args.instances < 1:
-        raise ConfigError("--instances must be >= 1")
-    _check_problem_flags(args)
+    if args.trace_size is not None and not 0 <= args.trace_size <= config.G:
+        raise ConfigError(f"--trace-size must lie in [0, G={config.G}], "
+                          f"got {args.trace_size}")
     return dataclasses.replace(config, **_given(
         master_seed=args.seed, n_instances=args.instances, iters=args.iters,
         lam=args.lam, tau_factor=args.tau_factor,
@@ -450,16 +458,6 @@ def _cmd_batch(args):
     t0 = time.perf_counter()
     config = _batch_config(args)
     config_doc = config.as_dict()
-    if args.jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
-    if args.trace_size is not None:
-        if not args.trace:
-            raise ConfigError("--trace-size needs --trace")
-        if not 0 <= args.trace_size <= config.G:
-            raise ConfigError(
-                f"--trace-size must lie in [0, G={config.G}], "
-                f"got {args.trace_size}"
-            )
     if args.dry_run:
         _print_config(config_doc)
         return 0

@@ -53,11 +53,6 @@ REFERENCE_STOP_TOL = 1e-12
 POLISH_GAP_TOL = 1e-12
 POLISH_MAX_STEPS = 50
 
-#: Elements einsum reduces in one buffered pass. In a stack of rows
-#: longer than this it splits each row differently from the row alone,
-#: so their step norms are reduced one row at a time to keep the bits.
-_EINSUM_BUFSIZE = 8192
-
 #: Iterations between a row's cycle checkpoints: every state is compared
 #: with the last one taken, so the exit finds periods up to this long;
 #: a longer cycle runs out its budget, still exact.
@@ -250,16 +245,18 @@ def solve(problem, config, alpha0=None):
 
     A list or tuple of problems is solved as one stack: one loop steps
     every row together, each from its own start, with its own step size,
-    threshold, cycle exit, stop rule and trace. A row that finishes is
-    copied out of the stack and dropped from it. Each row's result is
-    bit-identical to solving its problem alone, whatever else is in the
-    stack; a single problem is solved as a stack of one, and
-    :func:`solve_with_reference` runs the same loop from zero.
+    threshold, cycle exit and trace, under the config's one stop rule
+    and budget. A row that finishes is copied out of the stack and
+    dropped from it. Each row's result is bit-identical to solving its
+    problem alone, whatever else is in the stack; a single problem is
+    solved as a stack of one, and :func:`solve_with_reference` runs the
+    same loop from zero.
 
     Parameters
     ----------
     problem : ProblemInstance or list/tuple of ProblemInstance
-        The problems of a stack must share G and m.
+        The problems of a stack must share G, m and storage: all dense,
+        or all factored with one factor shape.
     config : SolverConfig
     alpha0 : DualCoefficients, optional
         Starting point; defaults to zero. A stack takes a list or tuple
@@ -280,6 +277,8 @@ def solve(problem, config, alpha0=None):
         valid config this indicates the Gram blocks' `lipschitz` field
         under-reports the true operator norm, or data at overflow scale.
         A stack raises for the first row that diverges.
+    ContractViolation
+        If the problems of a stack differ in G, m or storage.
     """
     stacked, problems, starts = _stack(problem, config, alpha0)
     pairs = [run[:2] for run in _solve_stack(problems, config, starts)]
@@ -447,46 +446,30 @@ def _solve_stack(problems, config, starts):
     loop knows nothing of references; :func:`solve_with_reference`
     takes them from its results.
 
-    The rows of one storage and image width step together (see
-    `_step_rows`); a stack that mixes them steps each kind in turn.
+    The rows share G, m and storage. A step forms the residual r from
+    the images IM, its images V, B = AT - tau r and B's images
+    IM - tau V; a kernel norm pairs B's images with B on dense storage
+    and with themselves on factored storage, and the step norm pairs
+    the change of IM likewise, per group and then over the groups.
     """
     if not problems:
         raise ContractViolation("a stack needs at least one problem")
-    kinds = {}
-    for i, (problem, alpha0) in enumerate(zip(problems, starts)):
-        start = _start(i, problem, alpha0, config)
-        kind = (start[0].gram.factors is None, start[2].shape)
-        kinds.setdefault(kind, []).append(start)
-    if len({start[1].shape for kind in kinds.values() for start in kind}) > 1:
-        raise ContractViolation("stacked problems must share G and m")
-    del start  # the starts live on in their kind's stack
-    results = [None] * len(problems)
-    for kind in kinds.values():
-        _step_rows(kind, config, results)
-    return results
-
-
-def _step_rows(starts, config, results):
-    """Step the rows of `starts` to their results, into `results`.
-
-    The rows share one storage and image width. A step forms the
-    residual r from the images IM, its images V, B = AT - tau r and B's
-    images IM - tau V; a kernel norm pairs B's images with B on dense
-    storage and with themselves on factored storage, and the step norm
-    pairs the change of IM likewise. `starts` is emptied, so that the
-    stack holds the only copy of each start.
-    """
-    rows, ATs, IMs, Ys = zip(*starts)
-    starts.clear()
+    rows, ATs, IMs, Ys = zip(*(_start(i, problem, alpha0, config)
+                               for i, (problem, alpha0)
+                               in enumerate(zip(problems, starts))))
+    # a dense and a factored row of equal widths pass here and are
+    # refused by `bind_stack`
+    if len({(at.shape, im.shape) for at, im in zip(ATs, IMs)}) > 1:
+        raise ContractViolation("stacked problems must share G, m and storage")
     AT, IM, Y = np.stack(ATs), np.stack(IMs), np.stack(Ys)
-    del ATs, IMs
+    del ATs, IMs  # the stack holds the only copy of each start
     factored = rows[0].gram.factors is not None
-    one_pass = AT[0].size <= _EINSUM_BUFSIZE
     _, G, m = AT.shape
     # a step norm is never negative, so the stop -1 of a stop_tol of 0
     # never fires
     stop = config.stop_tol if config.stop_tol > 0.0 else -1.0
     budget, record = config.max_iters, config.record_trace
+    results = [None] * len(problems)
 
     product = None
     while True:
@@ -503,6 +486,8 @@ def _step_rows(starts, config, results):
             tau = np.array([row.tau for row in rows])[:, None, None]
             thr = np.array([row.thr for row in rows])[:, None]
             r_row, gamma_col = r[:, None, :], gamma[:, :, None]
+            # the first operand of the kernel norms and the step norm
+            pair = V if factored else B
             product = bind_stack([row.gram for row in rows], Y, r, V)
 
         product(IM)
@@ -510,11 +495,11 @@ def _step_rows(starts, config, results):
         # V is spent once scaled: it takes B's images
         np.subtract(IM, np.multiply(tau, V, out=V), out=V)
         # nu holds the squared kernel norms until it is rooted
-        np.einsum("ngi,ngi->ng", V if factored else B, V, out=nu)
+        np.einsum("ngi,ngi->ng", pair, V, out=nu)
         if not np.logical_and.reduce(np.isfinite(nu, out=finite), axis=None):
             j = int(np.flatnonzero(~np.logical_and.reduce(finite, axis=1))[0])
             n = rows[j].n + 1
-            raise DivergenceError(n, None if len(results) == 1 else (
+            raise DivergenceError(n, None if len(problems) == 1 else (
                 f"non-finite iterate at iteration {n} of stack row "
                 f"{rows[j].index}"
             ))
@@ -529,19 +514,13 @@ def _step_rows(starts, config, results):
         np.multiply(gamma_col, V, out=IM_next)
         # V is spent: it takes the step's images
         np.subtract(IM_next, IM, out=V)
-        if factored:
-            # per group, then over the groups, so that a zero group
-            # appended last adds an exact 0 to the sum
-            steps = np.add.reduce(np.einsum("ngi,ngi->ng", V, V, out=nu),
-                                  axis=1).tolist()
-        else:
+        if not factored:
             # B is spent: it takes the step
             np.subtract(AT_next, AT, out=B)
-            if one_pass or N == 1:
-                steps = np.einsum("ngi,ngi->n", B, V).tolist()
-            else:
-                steps = [float(np.einsum("gi,gi->", b, v))
-                         for b, v in zip(B, V)]
+        # per group, then over the groups: a row has the bits it has
+        # alone, and a zero group appended last adds an exact 0
+        steps = np.add.reduce(np.einsum("ngi,ngi->ng", pair, V, out=nu),
+                              axis=1).tolist()
         AT, AT_next = AT_next, AT
         IM, IM_next = IM_next, IM
         if record:
@@ -586,7 +565,7 @@ def _step_rows(starts, config, results):
             sel = [j for j, row in enumerate(rows)
                    if results[row.index] is None]
             if not sel:
-                break
+                return results
             rows = [rows[j] for j in sel]
             AT, IM, Y = AT[sel], IM[sel], Y[sel]
             product = None

@@ -850,6 +850,33 @@ def test_batch_rejects_bad_worker_count(tmp_path, capsys):
     assert out == ""
 
 
+def test_batch_checks_its_flags_before_reading_files(tmp_path, capsys,
+                                                     monkeypatch):
+    # a bad flag is named before the config file is read, even when
+    # the file does not exist
+    import sparsemkl.cli as cli
+
+    def no_read(*args):
+        raise AssertionError("read a file before the flags were checked")
+
+    monkeypatch.setattr(cli, "_read_ini", no_read)
+    for flags, message in (
+        (["--jobs", "0"], "--jobs must be >= 1"),
+        (["--instances", "0"], "--instances must be >= 1"),
+        (["--trace-size", "3"], "--trace-size needs --trace"),
+        (["--iters", "0"], "--iters must be >= 1"),
+        (["--lambda", "nan"], "--lambda must be positive and finite"),
+        (["--tau-factor", "2.5"], "--tau-factor must lie in (0, 2)"),
+    ):
+        rc, out, err = run_cli(
+            ["batch", "--config", str(tmp_path / "missing.ini"), *flags,
+             "--dry-run"], capsys,
+        )
+        assert rc == 1, flags
+        assert err.startswith("error:") and message in err, flags
+        assert out == "", flags
+
+
 def test_batch_unknown_key_named_in_error(tmp_path, capsys):
     cfg = write_batch_ini(tmp_path, master_sead=3)
     rc, _, err = run_cli(["batch", "--config", str(cfg)], capsys)

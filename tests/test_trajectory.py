@@ -76,10 +76,9 @@ def iterates(problem, config, alpha0=None):
         AT_new = gamma[:, None] * B
         IM_new = gamma[:, None] * IB
         dIM = IM_new - IM
-        if factored:
-            step_sq = float(np.einsum("gi,gi->g", dIM, dIM).sum())
-        else:
-            step_sq = float(np.einsum("gi,gi->", AT_new - AT, dIM))
+        # per group, then over the groups, on either storage
+        step_sq = float(np.einsum("gi,gi->g", dIM if factored else AT_new - AT,
+                                  dIM).sum())
         AT, IM = AT_new, IM_new
         yield n, nu, keep, AT, IM, float(np.sqrt(max(step_sq, 0.0)))
 
@@ -688,32 +687,40 @@ class TestStackedRows:
         for problem, start, c, t in zip(rows, starts, coeffs, traces):
             assert_matches_replica(c, t, replica(problem, config, start))
 
-    def test_dense_and_factored_rows_in_one_stack(self, problems):
-        # Gaussian (dense Gram) rows between group-lasso (factored) ones;
-        # the factored rows stop one by one, the dense ones run on
+    def test_dense_rows_in_one_stack(self):
+        # Gaussian (dense Gram) rows; neither reaches the stop within
+        # the budget
         config = ExperimentConfig.gaussian_kernel_paper(n_instances=2,
                                                         master_seed=0)
-        gauss = [generate_instance(config, i)[0] for i in range(2)]
-        rows = [problems[0], gauss[0], problems[5], problems[1], gauss[1]]
+        rows = [generate_instance(config, i)[0] for i in range(2)]
         solver_cfg = SolverConfig(max_iters=600, stop_tol=1e-8)
         coeffs, traces = solve(rows, solver_cfg)
-        stops = [t.iters_run for t in traces]
-        assert stops[1] == stops[4] == 600
-        assert len({stops[0], stops[2], stops[3]}) == 3 and max(stops) == 600
+        assert [t.iters_run for t in traces] == [600, 600]
         for problem, c, t in zip(rows, coeffs, traces):
             assert_matches_replica(c, t, replica(problem, solver_cfg))
 
+    def test_a_stack_that_mixes_storages_is_refused(self, problems):
+        config = ExperimentConfig.gaussian_kernel_paper(n_instances=1,
+                                                        master_seed=0)
+        rows = [problems[0], generate_instance(config, 0)[0]]
+        solver_cfg = SolverConfig(max_iters=10)
+        for run in (solve, solve_with_reference):
+            with pytest.raises(ContractViolation, match="storage"):
+                run(rows, solver_cfg)
+
     def test_rows_longer_than_one_einsum_pass(self):
-        # G*m = 8400 > solver._EINSUM_BUFSIZE: each row's step norm is
-        # reduced on its own, else stacking would change its bits
-        config = ExperimentConfig.group_lasso_paper(n_instances=3, m=420)
-        problems = [generate_instance(config, i)[0] for i in range(3)]
-        G, m = problems[0].n_groups, problems[0].m
-        assert G * m > solver_module._EINSUM_BUFSIZE
-        solver_cfg = SolverConfig(max_iters=100)
-        coeffs, traces = solve(problems, solver_cfg)
-        for problem, c, t in zip(problems, coeffs, traces):
-            assert_matches_replica(c, t, replica(problem, solver_cfg))
+        # G*m = 8400 elements a row, more than einsum's 8192-element
+        # buffer: a stack reduces each row's step norm per group, so that
+        # it has the bits of the row alone, dense or factored
+        for make, iters in ((ExperimentConfig.gaussian_kernel_paper, 60),
+                            (ExperimentConfig.group_lasso_paper, 100)):
+            config = make(n_instances=3, m=420)
+            problems = [generate_instance(config, i)[0] for i in range(3)]
+            assert problems[0].n_groups * problems[0].m == 8400
+            solver_cfg = SolverConfig(max_iters=iters)
+            coeffs, traces = solve(problems, solver_cfg)
+            for problem, c, t in zip(problems, coeffs, traces):
+                assert_matches_replica(c, t, replica(problem, solver_cfg))
 
 
 class TestCrossStorage:
