@@ -377,8 +377,11 @@ def _cmd_solve(args):
         return 0
 
     t1 = time.perf_counter()
-    # the reference is from zero; a warm start's run is a second solve
-    result = solve_with_reference(problem, config)
+    # the reference is from zero; a warm start's run is a second solve,
+    # the one reported, so the run from zero is not traced
+    ref_cfg = (config if alpha0 is None
+               else dataclasses.replace(config, record_trace=False))
+    result = solve_with_reference(problem, ref_cfg)
     coeffs, trace = (solve(problem, config, alpha0) if alpha0 is not None
                      else (result.coeffs, result.trace))
     t2 = time.perf_counter()
@@ -515,6 +518,10 @@ def _oracle_suite_small():
         lam = float((0.25 + 0.5 * rng.random()) * certs.max())
         problem = ProblemInstance(dataset=dataset, gram=gram, lam=lam)
 
+        # stop_tol is absolute, and the data are unit scale: standard-normal
+        # points and responses, lam a fraction of the largest certificate.
+        # So a step of 1e-12 is 1e-12 of that scale too, far inside the
+        # verdict's 1e-6 relative objective gap
         ikta, _ = solve(problem, SolverConfig(
             tau_factor=0.8, max_iters=200000, stop_tol=1e-12,
             record_trace=False,

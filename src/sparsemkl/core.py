@@ -106,11 +106,6 @@ class Dataset:
         """Number of samples."""
         return self.points.shape[0]
 
-    @property
-    def p(self):
-        """Ambient feature dimension of the points."""
-        return self.points.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class GramBlocks:
@@ -551,11 +546,6 @@ class DualCoefficients:
         if not np.isfinite(a).all():
             raise ContractViolation("alpha contains non-finite entries")
         object.__setattr__(self, "alpha", a)
-
-    @classmethod
-    def zeros(cls, m, n_groups):
-        """All-zero coefficients, the standard starting point."""
-        return cls(np.zeros((int(m), int(n_groups))))
 
     @property
     def m(self):

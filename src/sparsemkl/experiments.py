@@ -333,13 +333,20 @@ def _chunks(config, jobs, keep_traces=True):
 
 
 def _run_chunk(config, indices, keep_traces):
-    problems = [generate_instance(config, i)[0] for i in indices]
     solver_cfg = SolverConfig(
         tau_factor=config.tau_factor, max_iters=config.iters,
         stop_tol=0.0, record_trace=keep_traces,
     )
     try:
+        problems = [generate_instance(config, i)[0] for i in indices]
         results = solve_with_reference(problems, solver_cfg)
+    except MemoryError as err:
+        # a plain message, so that it crosses the process pool
+        raise MemoryError(
+            f"instances {indices[0]}-{indices[-1]}, a chunk predicted to "
+            f"take {len(indices) * _row_bytes(config, keep_traces)} bytes: "
+            f"{str(err) or 'allocation failed'}"
+        ) from err
     except DivergenceError as err:
         if len(indices) == 1:
             raise DivergenceError(
@@ -409,6 +416,9 @@ def run_batch(config, jobs=1, keep_traces=True):
     DivergenceError
         If any instance diverges; the message names the first such
         instance.
+    MemoryError
+        If a chunk runs out of memory; the message names its first and
+        last instance and the bytes `_row_bytes` predicted for it.
     """
     if not isinstance(config, ExperimentConfig):
         raise ContractViolation("config must be an ExperimentConfig")

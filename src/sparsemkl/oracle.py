@@ -24,8 +24,10 @@ from .errors import ContractViolation, OracleFailure
 
 __all__ = ["OracleResult", "enumerate_solve", "bcd_solve"]
 
-#: enumerate_solve walks 2^G candidate supports.
+#: enumerate_solve walks 2^G candidate supports, and accepts one whose
+#: off-support certificate norms are at most lam * (1 + ENUM_TOL).
 MAX_ENUM_GROUPS = 10
+ENUM_TOL = 1e-9
 
 _FP_MAX_ITERS = 2000
 _FP_WARMUP = 30
@@ -129,13 +131,13 @@ def _fixed_point(K_s, y, lam):
     return None
 
 
-def enumerate_solve(problem, tol=1e-9):
+def enumerate_solve(problem):
     """Global minimizer by certified enumeration of candidate supports.
 
     For each of the ``2^G`` supports, solves the stationarity system
     restricted to it and accepts the candidate only if every on-support
     block stays nonzero and every off-support certificate norm is at
-    most ``lam * (1 + tol)``. Among accepted candidates the smallest
+    most ``lam * (1 + ENUM_TOL)``. Among accepted candidates the smallest
     objective wins, with the lexicographically smallest support breaking
     ties, so the result is deterministic.
 
@@ -143,8 +145,6 @@ def enumerate_solve(problem, tol=1e-9):
     ----------
     problem : ProblemInstance
         At most ``MAX_ENUM_GROUPS`` groups.
-    tol : float
-        Relative slack on the off-support certificate bound.
 
     Returns
     -------
@@ -164,9 +164,6 @@ def enumerate_solve(problem, tol=1e-9):
             f"enumerate_solve walks 2^G supports and allows at most "
             f"G={MAX_ENUM_GROUPS}, got {G}"
         )
-    tol = float(tol)
-    if tol <= 0.0:
-        raise ContractViolation(f"tol must be positive, got {tol!r}")
     K = problem.gram.dense()
     y = problem.dataset.responses
     lam = problem.effective_lambda
@@ -184,7 +181,7 @@ def enumerate_solve(problem, tol=1e-9):
                 c, rho = sol
             theta = np.sqrt(np.maximum(problem.gram.quad(rho), 0.0))
             off = [g for g in range(G) if g not in S]
-            if off and theta[off].max() > lam * (1.0 + tol):
+            if off and theta[off].max() > lam * (1.0 + ENUM_TOL):
                 continue
             alpha = np.zeros((m, G))
             for c_g, g in zip(c, S):

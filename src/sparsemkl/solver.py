@@ -224,7 +224,7 @@ def _same_bits(a, b):
 
 
 def solve(problem, config, alpha0=None):
-    """Run the thresholded forward-backward iteration.
+    """Run the thresholded forward-backward iteration on one problem.
 
     Iterates until the budget is exhausted or the function-space step
     norm falls to `config.stop_tol`. Identical inputs produce
@@ -243,32 +243,19 @@ def solve(problem, config, alpha0=None):
     Coefficients, trace and `final_step_norm` are exactly those of
     running every iteration.
 
-    A list or tuple of problems is solved as one stack: one loop steps
-    every row together, each from its own start, with its own step size,
-    threshold, cycle exit and trace, under the config's one stop rule
-    and budget. A row that finishes is copied out of the stack and
-    dropped from it. Each row's result is bit-identical to solving its
-    problem alone, whatever else is in the stack; a single problem is
-    solved as a stack of one, and :func:`solve_with_reference` runs the
-    same loop from zero.
-
     Parameters
     ----------
-    problem : ProblemInstance or list/tuple of ProblemInstance
-        The problems of a stack must share G, m and storage: all dense,
-        or all factored with one factor shape.
+    problem : ProblemInstance
+        One problem; :func:`solve_with_reference` solves a stack.
     config : SolverConfig
     alpha0 : DualCoefficients, optional
-        Starting point; defaults to zero. A stack takes a list or tuple
-        of starts, None for zero, one per problem.
+        Starting point; defaults to zero.
 
     Returns
     -------
     coeffs : DualCoefficients
         Final iterate, with thresholded-out columns exactly zero.
     trace : SolveTrace
-        For a stack, `coeffs` and `trace` are tuples with one entry per
-        problem, in the order given.
 
     Raises
     ------
@@ -276,22 +263,31 @@ def solve(problem, config, alpha0=None):
         If a non-finite quantity appears, naming the iteration; with a
         valid config this indicates the Gram blocks' `lipschitz` field
         under-reports the true operator norm, or data at overflow scale.
-        A stack raises for the first row that diverges.
     ContractViolation
-        If the problems of a stack differ in G, m or storage.
+        If `problem` is a list or tuple.
     """
-    stacked, problems, starts = _stack(problem, config, alpha0)
-    pairs = [run[:2] for run in _solve_stack(problems, config, starts)]
-    return tuple(zip(*pairs)) if stacked else pairs[0]
+    if isinstance(problem, (list, tuple)):
+        raise ContractViolation(
+            "solve takes one problem; solve_with_reference solves a stack"
+        )
+    coeffs, trace, _ = _solve_stack([problem], config, [alpha0])[0]
+    return coeffs, trace
 
 
 def solve_with_reference(problem, config):
     """Solve from zero, and take the trajectory's limit as a reference.
 
-    The solve is :func:`solve`'s from zero. The reference is the limit
-    of its trajectory, for identification checks; independent ground
-    truth lives in the oracle module. It is chosen for each row after
-    the stacked loop has run, from three sources:
+    The solve is :func:`solve`'s from zero. A list or tuple of problems
+    is solved as one stack: one loop steps every row together, each with
+    its own step size, threshold, cycle exit and trace, under the
+    config's one stop rule and budget, and a row that finishes leaves
+    the stack. Each row's result is bit-identical to solving its problem
+    alone, whatever else is in the stack.
+
+    The reference is the limit of the trajectory, for identification
+    checks; independent ground truth lives in the oracle module. It is
+    chosen for each row after the stacked loop has run, from three
+    sources:
 
     * where the solve's last step norm is at most `REFERENCE_STOP_TOL`
       (1e-12), the solve's result itself, the same object;
@@ -305,9 +301,10 @@ def solve_with_reference(problem, config):
 
     Parameters
     ----------
-    problem, config
-        As for :func:`solve`; a list or tuple of problems is solved as
-        one stack.
+    problem : ProblemInstance or list/tuple of ProblemInstance
+        The problems of a stack must share G, m and storage: all dense,
+        or all factored with one factor shape.
+    config : SolverConfig
 
     Returns
     -------
@@ -317,9 +314,19 @@ def solve_with_reference(problem, config):
         problem, its replay's included and the periods a cycle exit
         skipped not. A stack gets a tuple of them, one per problem in
         the order given.
+
+    Raises
+    ------
+    DivergenceError
+        As for :func:`solve`, for the first row that diverges, named by
+        its place in the stack.
+    ContractViolation
+        If the stack is empty, or its problems differ in G, m or
+        storage.
     """
-    stacked, problems, starts = _stack(problem, config, None)
-    runs = _solve_stack(problems, config, starts)
+    stacked = isinstance(problem, (list, tuple))
+    problems = problem if stacked else [problem]
+    runs = _solve_stack(problems, config, [None] * len(problems))
     references = [coeffs if trace.final_step_norm <= REFERENCE_STOP_TOL
                   else polish_reference(p, coeffs)
                   for p, (coeffs, trace, _) in zip(problems, runs)]
@@ -339,21 +346,6 @@ def solve_with_reference(problem, config):
     results = tuple(SolveResult(coeffs, trace, ref, n) for (coeffs, trace, _),
                     ref, n in zip(runs, references, stepped))
     return results if stacked else results[0]
-
-
-def _stack(problem, config, alpha0):
-    """`solve`'s arguments, checked, as (stacked, problems, starts)."""
-    if not isinstance(config, SolverConfig):
-        raise ContractViolation("config must be a SolverConfig")
-    if not isinstance(problem, (list, tuple)):
-        return False, [problem], [alpha0]
-    if alpha0 is None:
-        alpha0 = [None] * len(problem)
-    elif not isinstance(alpha0, (list, tuple)) or len(alpha0) != len(problem):
-        raise ContractViolation(
-            "a stack's alpha0 must be a list or tuple of one start per problem"
-        )
-    return True, problem, alpha0
 
 
 class _Row:
@@ -452,6 +444,8 @@ def _solve_stack(problems, config, starts):
     and with themselves on factored storage, and the step norm pairs
     the change of IM likewise, per group and then over the groups.
     """
+    if not isinstance(config, SolverConfig):
+        raise ContractViolation("config must be a SolverConfig")
     if not problems:
         raise ContractViolation("a stack needs at least one problem")
     rows, ATs, IMs, Ys = zip(*(_start(i, problem, alpha0, config)

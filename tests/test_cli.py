@@ -122,6 +122,31 @@ def test_builtin_example_report_does_not_depend_on_the_trace(tmp_path,
     assert reports[0].decode().splitlines() == EXPECTED_1D_LINES
 
 
+def test_only_the_reported_run_is_traced(tmp_path, capsys, monkeypatch):
+    # paper-1d reports a warm-started run, so its reference from zero runs
+    # untraced; a file's problem reports the run from zero, traced
+    import sparsemkl.cli as cli
+
+    traced = []
+    original = cli.solve_with_reference
+
+    def spy(problem, config):
+        traced.append(config.record_trace)
+        return original(problem, config)
+
+    monkeypatch.setattr(cli, "solve_with_reference", spy)
+    cfg = write_two_group_inputs(tmp_path)
+    for source, want in ((["--example", "paper-1d"], False),
+                         (["--config", str(cfg)], True)):
+        traced.clear()
+        out_dir = tmp_path / source[0].lstrip("-")
+        rc, _, _ = run_cli(["solve", *source, "--trace",
+                            "--out-dir", str(out_dir)], capsys)
+        assert rc == 0, source
+        assert traced == [want], source
+        assert (out_dir / "trace.jsonl").read_text(), source
+
+
 def test_solve_dry_run_prints_config_and_writes_nothing(tmp_path, capsys):
     out_dir = tmp_path / "never"
     rc, out, _ = run_cli(
@@ -584,22 +609,47 @@ def out_of_memory(*args, **kwargs):
 
 def test_out_of_memory_exits_one(tmp_path, capsys, monkeypatch):
     # injected where each command allocates its problems: Gram assembly
-    # for `solve --config`, instance generation for `batch`
+    # for `solve --config`, instance generation for `batch`, whose
+    # message names the chunk and the bytes predicted for it
     import sparsemkl.cli as cli
     import sparsemkl.experiments as experiments
 
     monkeypatch.setattr(cli, "assemble_gram_blocks", out_of_memory)
     monkeypatch.setattr(experiments, "generate_instance", out_of_memory)
     cfg = write_two_group_inputs(tmp_path)
-    for argv in (["solve", "--config", str(cfg)],
-                 ["batch", "--preset", "group-lasso-paper",
-                  "--instances", "2", "--iters", "10"]):
+    predicted = 2 * experiments._row_bytes(
+        experiments.ExperimentConfig.group_lasso_paper(n_instances=2,
+                                                       iters=10),
+        keep_traces=False,
+    )
+    for argv, where in (
+        (["solve", "--config", str(cfg)], ""),
+        (["batch", "--preset", "group-lasso-paper", "--instances", "2",
+          "--iters", "10"],
+         f"instances 0-1, a chunk predicted to take {predicted} bytes: "),
+    ):
         out_dir = tmp_path / argv[0]
         rc, out, err = run_cli(argv + ["--out-dir", str(out_dir)], capsys)
         assert rc == 1, argv
-        assert err == ("error: out of memory: Unable to allocate 8.00 EiB "
-                       "for an array\n"), argv
+        assert err == (f"error: out of memory: {where}Unable to allocate "
+                       "8.00 EiB for an array\n"), argv
         assert out == "" and not out_dir.exists(), argv
+
+
+def test_a_chunk_out_of_memory_names_its_instances(monkeypatch):
+    # the message is the whole of the error, so a pool's pickling keeps it
+    import sparsemkl.experiments as experiments
+
+    monkeypatch.setattr(experiments, "generate_instance", out_of_memory)
+    config = experiments.ExperimentConfig.gaussian_kernel_paper(
+        n_instances=8, iters=300)
+    with pytest.raises(MemoryError) as exc:
+        experiments._run_chunk(config, range(4, 8), True)
+    predicted = 4 * experiments._row_bytes(config, True)
+    message = (f"instances 4-7, a chunk predicted to take {predicted} "
+               "bytes: Unable to allocate 8.00 EiB for an array")
+    assert str(exc.value) == message
+    assert str(pickle.loads(pickle.dumps(exc.value))) == message
 
 
 # ---------------------------------------------------------------- batch

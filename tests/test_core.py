@@ -23,7 +23,7 @@ class TestDataset:
     def test_shapes_and_properties(self):
         ds = Dataset(np.arange(6.0).reshape(3, 2), np.ones(3))
         assert ds.m == 3
-        assert ds.p == 2
+        assert ds.points.shape == (3, 2)
 
     def test_rejects_nonfinite_points(self):
         pts = np.ones((2, 2))
@@ -400,7 +400,7 @@ class TestFactoredValidation:
 
 class TestDualCoefficients:
     def test_zeros_and_column(self):
-        c = DualCoefficients.zeros(3, 2)
+        c = DualCoefficients(np.zeros((3, 2)))
         assert c.alpha.shape == (3, 2)
         assert c.m == 3 and c.n_groups == 2
         assert np.array_equal(c.alpha[:, 1], np.zeros(3))
@@ -449,7 +449,7 @@ class TestProblemInstance:
 
 class TestResidual:
     def test_zero_coefficients_give_minus_y(self, ortho):
-        c = DualCoefficients.zeros(2, 2)
+        c = DualCoefficients(np.zeros((2, 2)))
         r = residual(c, ortho.gram, ortho.dataset.responses)
         assert np.array_equal(r, -ortho.dataset.responses)
 
@@ -498,12 +498,12 @@ class TestResidual:
 
 class TestObjective:
     def test_zero_coefficients(self, ortho):
-        c = DualCoefficients.zeros(2, 2)
+        c = DualCoefficients(np.zeros((2, 2)))
         expected = 0.5 * float(ortho.dataset.responses @ ortho.dataset.responses)
         assert objective(c, ortho) == pytest.approx(expected, rel=1e-14)
 
     def test_scalar_example_values(self, one_d):
-        zero = DualCoefficients.zeros(1, 1)
+        zero = DualCoefficients(np.zeros((1, 1)))
         one = DualCoefficients(np.ones((1, 1)))
         # F(0) = 0.5 < F(1) = 1.0, so zero beats the data-fitting point
         assert objective(zero, one_d) == 0.5

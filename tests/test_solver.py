@@ -120,11 +120,11 @@ class TestIktaStep:
 
     def test_zero_fixed_point_under_large_lambda(self, ortho):
         big = ProblemInstance(dataset=ortho.dataset, gram=ortho.gram, lam=3.5)
-        out = one_step(big, DualCoefficients.zeros(2, 2), 0.9)
+        out = one_step(big, DualCoefficients(np.zeros((2, 2))), 0.9)
         assert np.array_equal(out.alpha, np.zeros((2, 2)))
 
     def test_orthonormal_single_step_solves(self, ortho):
-        out = one_step(ortho, DualCoefficients.zeros(2, 2), 1.0)
+        out = one_step(ortho, DualCoefficients(np.zeros((2, 2))), 1.0)
         # w_g = e_g^T alpha_g: group 1 lands on 2, group 2 dies
         assert out.alpha[0, 0] == pytest.approx(2.0, rel=1e-15)
         assert np.array_equal(out.alpha[:, 1], np.zeros(2))
@@ -132,11 +132,11 @@ class TestIktaStep:
     @pytest.mark.parametrize("tau", [0.0, -0.5, 2.0, 2.1])
     def test_step_size_window_enforced(self, one_d, tau):
         with pytest.raises(ContractViolation):
-            one_step(one_d, DualCoefficients.zeros(1, 1), tau)
+            one_step(one_d, DualCoefficients(np.zeros((1, 1))), tau)
 
     def test_coefficient_shape_checked(self, one_d):
         with pytest.raises(ContractViolation):
-            one_step(one_d, DualCoefficients.zeros(2, 1), 0.5)
+            one_step(one_d, DualCoefficients(np.zeros((2, 1))), 0.5)
 
 
 class TestSolveScalarExample:
@@ -200,7 +200,12 @@ class TestSolveGeneral:
     def test_warm_start_shape_checked(self, ortho):
         cfg = SolverConfig(max_iters=5)
         with pytest.raises(ContractViolation):
-            solve(ortho, cfg, alpha0=DualCoefficients.zeros(3, 2))
+            solve(ortho, cfg, alpha0=DualCoefficients(np.zeros((3, 2))))
+
+    def test_config_type_checked(self, ortho):
+        for run in (solve, solve_with_reference):
+            with pytest.raises(ContractViolation, match="SolverConfig"):
+                run(ortho, {"max_iters": 5})
 
     def test_deterministic_rerun_is_bit_identical(self):
         prob = group_lasso_instance(11)
@@ -214,28 +219,37 @@ class TestSolveGeneral:
 
 
 class TestSolveStack:
+    def test_solve_refuses_a_stack(self, ortho):
+        # one problem per call; a stack has one entry of its own
+        for stack in ([ortho, ortho], (ortho,)):
+            with pytest.raises(ContractViolation,
+                               match="solve_with_reference"):
+                solve(stack, SolverConfig())
+
     def test_results_come_back_in_the_order_given(self, ortho):
         big = ProblemInstance(dataset=ortho.dataset, gram=ortho.gram, lam=10.0)
         cfg = SolverConfig(tau_factor=0.8, max_iters=50)
-        coeffs, traces = solve((big, ortho), cfg)
-        for problem, c, t in zip((big, ortho), coeffs, traces):
+        results = solve_with_reference((big, ortho), cfg)
+        for problem, result in zip((big, ortho), results):
             alone, trace = solve(problem, cfg)
-            assert np.array_equal(c.alpha, alone.alpha)
-            assert np.array_equal(t.objectives, trace.objectives)
+            assert np.array_equal(result.coeffs.alpha, alone.alpha)
+            assert np.array_equal(result.trace.objectives, trace.objectives)
 
     def test_rejects_an_empty_stack(self):
         with pytest.raises(ContractViolation):
-            solve([], SolverConfig())
+            solve_with_reference([], SolverConfig())
 
     def test_rejects_rows_of_other_shapes(self, ortho):
         with pytest.raises(ContractViolation):
-            solve([ortho, group_lasso_instance(0)], SolverConfig())
+            solve_with_reference([ortho, group_lasso_instance(0)],
+                                 SolverConfig())
 
     def test_rejects_starts_that_do_not_match_the_rows(self, ortho):
+        # a row's start is one DualCoefficients, not a list of them
         with pytest.raises(ContractViolation):
-            solve([ortho, ortho], SolverConfig(), [None])
+            solve(ortho, SolverConfig(), [None])
         with pytest.raises(ContractViolation):
-            solve([ortho], SolverConfig(), DualCoefficients.zeros(2, 2))
+            solve(ortho, SolverConfig(), [DualCoefficients(np.zeros((2, 2)))])
 
     def test_divergence_names_the_row(self, ortho):
         huge = ProblemInstance(
@@ -245,7 +259,7 @@ class TestSolveStack:
         )
         cfg = SolverConfig(tau_factor=0.8, max_iters=10)
         with pytest.raises(DivergenceError, match="stack row 1") as exc:
-            solve([ortho, huge], cfg)
+            solve_with_reference([ortho, huge], cfg)
         assert exc.value.iteration == 1
 
 

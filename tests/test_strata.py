@@ -30,7 +30,7 @@ I, S = DualMark.INTERIOR, DualMark.SPHERE
 
 class TestPrimalStrata:
     def test_zero_coefficients_all_zero_pattern(self):
-        stratum = primal_stratum_of(DualCoefficients.zeros(3, 4))
+        stratum = primal_stratum_of(DualCoefficients(np.zeros((3, 4))))
         assert stratum.pattern == (Z, Z, Z, Z)
 
     def test_pattern_from_support(self):
@@ -72,7 +72,7 @@ class TestDualStrata:
     def test_scalar_example_saturated(self, one_d):
         from sparsemkl import certificate_norms
 
-        norms = certificate_norms(DualCoefficients.zeros(1, 1), one_d)
+        norms = certificate_norms(DualCoefficients(np.zeros((1, 1))), one_d)
         stratum = dual_stratum_of(norms)
         assert stratum.pattern == (S,)
         # its primal image under the inverse transfer names the esupp

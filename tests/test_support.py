@@ -36,7 +36,7 @@ from _fixtures import coeffs_like, group_lasso_instance
 
 class TestSupportOf:
     def test_zero_coefficients(self):
-        assert support_of(DualCoefficients.zeros(4, 3)) == frozenset()
+        assert support_of(DualCoefficients(np.zeros((4, 3)))) == frozenset()
 
     def test_scalar_example_iterates(self, one_d):
         c = DualCoefficients(np.ones((1, 1)))
@@ -56,7 +56,7 @@ class TestSupportOf:
 
 class TestCertificatesAndEsupp:
     def test_scalar_example_saturates_at_zero(self, one_d):
-        zero = DualCoefficients.zeros(1, 1)
+        zero = DualCoefficients(np.zeros((1, 1)))
         norms = certificate_norms(zero, one_d)
         assert norms[0] == 1.0
         assert qualification_check(zero, one_d).extended_support == {0}
@@ -68,7 +68,7 @@ class TestCertificatesAndEsupp:
             gram=one_d.gram,
             lam=1.0,
         )
-        zero = DualCoefficients.zeros(1, 1)
+        zero = DualCoefficients(np.zeros((1, 1)))
         assert qualification_check(zero, silent).extended_support == frozenset()
 
     def test_orthonormal_solution(self, ortho):
@@ -80,7 +80,7 @@ class TestCertificatesAndEsupp:
         assert support_of(c) == {0}
 
     def test_norms_scale_with_convention(self, ortho):
-        c = DualCoefficients.zeros(2, 2)
+        c = DualCoefficients(np.zeros((2, 2)))
         per_sample = ProblemInstance(
             dataset=ortho.dataset,
             gram=ortho.gram,
@@ -114,7 +114,7 @@ class TestCertificatesAndEsupp:
 
 class TestQualificationCheck:
     def test_scalar_example_fails_qc_with_zero_margin(self, one_d):
-        report = qualification_check(DualCoefficients.zeros(1, 1), one_d)
+        report = qualification_check(DualCoefficients(np.zeros((1, 1))), one_d)
         assert not report.qc_holds
         assert report.qc_margin == 0.0
         assert report.support == frozenset()
@@ -126,7 +126,7 @@ class TestQualificationCheck:
             gram=one_d.gram,
             lam=1.0,
         )
-        report = qualification_check(DualCoefficients.zeros(1, 1), silent)
+        report = qualification_check(DualCoefficients(np.zeros((1, 1))), silent)
         assert report.qc_holds
         assert report.qc_margin == 1.0
 
@@ -159,7 +159,7 @@ class TestSandwichCheck:
     def test_scalar_example_passes_any_burn_in(self, one_d):
         cfg = SolverConfig(tau_factor=0.5, max_iters=30)
         _, trace = solve(one_d, cfg, alpha0=DualCoefficients(np.ones((1, 1))))
-        reference = qualification_check(DualCoefficients.zeros(1, 1), one_d)
+        reference = qualification_check(DualCoefficients(np.zeros((1, 1))), one_d)
         for burn in (0, 1, 15, 30):
             verdict = sandwich_check(trace, reference, burn)
             assert verdict.passed
@@ -204,7 +204,7 @@ class TestSandwichCheck:
     def test_burn_in_beyond_trace_rejected(self, one_d):
         cfg = SolverConfig(tau_factor=0.5, max_iters=10)
         _, trace = solve(one_d, cfg, alpha0=DualCoefficients(np.ones((1, 1))))
-        report = qualification_check(DualCoefficients.zeros(1, 1), one_d)
+        report = qualification_check(DualCoefficients(np.zeros((1, 1))), one_d)
         with pytest.raises(ContractViolation):
             sandwich_check(trace, report, 11)
 
@@ -222,7 +222,7 @@ class TestSandwichCheck:
             certificate_norms=np.zeros(1), qc_holds=True, qc_margin=1.0,
             eps_rel=1e-4,
         )
-        passing = qualification_check(DualCoefficients.zeros(1, 1), one_d)
+        passing = qualification_check(DualCoefficients(np.zeros((1, 1))), one_d)
         for burn in (0, 1, 4, 10):
             for report in (passing, fake):
                 assert (sandwich_check(trace, report, burn)

@@ -109,6 +109,14 @@ def replica(problem, config, alpha0=None):
     }
 
 
+def solve_stack(problems, config, starts=None):
+    """The stacked loop's (coeffs, traces), one entry per problem, without
+    the references that `solve_with_reference` takes after it."""
+    runs = solver_module._solve_stack(problems, config,
+                                      starts or [None] * len(problems))
+    return tuple(zip(*(run[:2] for run in runs)))
+
+
 def first_repeat(problem, config):
     """(first iteration of the cycle, period) of a zero-start trajectory."""
     seen = {}
@@ -387,15 +395,15 @@ class TestEarlyCycleExit:
         config = ExperimentConfig.gaussian_kernel_paper(n_instances=8,
                                                         master_seed=0)
         problems = [generate_instance(config, i)[0] for i in range(8)]
-        _, traces = solve(problems, SolverConfig(max_iters=3000))
+        _, traces = solve_stack(problems, SolverConfig(max_iters=3000))
         assert {t.iters_run for t in traces} == {3000}
         assert products == [8] * 3000
 
     def test_a_stack_binds_once_and_again_as_rows_leave(self, binds):
         # instances 0-5 leave the stack at six different iterations: one
         # bind for the stack, then one each time rows leave and some remain
-        solve([preset_instance(i) for i in range(6)],
-              SolverConfig(max_iters=5000))
+        solve_stack([preset_instance(i) for i in range(6)],
+                    SolverConfig(max_iters=5000))
         assert binds == [6, 5, 4, 3, 2, 1]
 
     def test_the_window_bounds_the_periods_found(self, monkeypatch, products,
@@ -646,7 +654,7 @@ class TestStackedRows:
             runs.append((stack, [(r.coeffs, r.trace) for r in results],
                          [r.reference for r in results]))
             # without the references
-            runs.append((stack, list(zip(*solve(rows, config))), None))
+            runs.append((stack, list(zip(*solve_stack(rows, config))), None))
         for stack, outs, refs in runs:
             assert len(outs) == len(stack)
             for k, (i, (c, t)) in enumerate(zip(stack, outs)):
@@ -683,7 +691,7 @@ class TestStackedRows:
                 for p, n in ((problems[2], 40), (problems[4], 7))]
         rows = problems[1:5]
         starts = [None, warm[0], None, warm[1]]
-        coeffs, traces = solve(rows, config, starts)
+        coeffs, traces = solve_stack(rows, config, starts)
         for problem, start, c, t in zip(rows, starts, coeffs, traces):
             assert_matches_replica(c, t, replica(problem, config, start))
 
@@ -694,7 +702,7 @@ class TestStackedRows:
                                                         master_seed=0)
         rows = [generate_instance(config, i)[0] for i in range(2)]
         solver_cfg = SolverConfig(max_iters=600, stop_tol=1e-8)
-        coeffs, traces = solve(rows, solver_cfg)
+        coeffs, traces = solve_stack(rows, solver_cfg)
         assert [t.iters_run for t in traces] == [600, 600]
         for problem, c, t in zip(rows, coeffs, traces):
             assert_matches_replica(c, t, replica(problem, solver_cfg))
@@ -704,7 +712,7 @@ class TestStackedRows:
                                                         master_seed=0)
         rows = [problems[0], generate_instance(config, 0)[0]]
         solver_cfg = SolverConfig(max_iters=10)
-        for run in (solve, solve_with_reference):
+        for run in (solve_stack, solve_with_reference):
             with pytest.raises(ContractViolation, match="storage"):
                 run(rows, solver_cfg)
 
@@ -718,7 +726,7 @@ class TestStackedRows:
             problems = [generate_instance(config, i)[0] for i in range(3)]
             assert problems[0].n_groups * problems[0].m == 8400
             solver_cfg = SolverConfig(max_iters=iters)
-            coeffs, traces = solve(problems, solver_cfg)
+            coeffs, traces = solve_stack(problems, solver_cfg)
             for problem, c, t in zip(problems, coeffs, traces):
                 assert_matches_replica(c, t, replica(problem, solver_cfg))
 
