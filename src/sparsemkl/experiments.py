@@ -22,7 +22,7 @@ import numpy.random  # noqa: F401
 from .core import Dataset, DualCoefficients, ProblemInstance
 from .errors import ContractViolation, DivergenceError
 from .kernels import GaussianFamily, LinearGroupProjection, assemble_gram_blocks
-from .solver import SolverConfig, solve_with_reference
+from .solver import SolverConfig, solve_with_reference, stack_state_floats
 from .support import (
     last_support_change,
     qualification_check,
@@ -298,26 +298,26 @@ CHUNK_BYTES = 2 << 20
 def _row_bytes(config, keep_traces=True):
     """Bytes one instance holds while its chunk is solved.
 
-    Its Gram storage, ten (G, m) float arrays of stack state and, if
-    traced, an objective and a step norm per iteration. A dense row
-    keeps eight such arrays (AT, its images KA, their next values, B,
-    the images' buffer V and the cycle checkpoint pair); a factored row
-    keeps four (AT, its next value, B and the checkpoint's AT) and four
-    (G, d_max) images in place of the rest. The arrays it counts beyond
-    these are headroom for the generated instances and the results,
-    which it leaves out; the polish runs after the stack is freed
-    (ROADMAP item 8).
+    Its Gram storage, its stack state (`solver.stack_state_floats`)
+    beside two spare (G, m) float arrays and, if traced, an objective
+    and a step norm per iteration. The spare arrays are headroom for the
+    generated instances and the results, which it leaves out; the polish
+    runs after the stack is freed (ROADMAP item 8).
     """
+    G, m = config.G, config.m
     if config.family == "group-lasso":
+        d_max = max(config.group_dims)
         # the (G, m, d_max) factor stack and its transpose, and the
         # padded features and transposed factors that the chunk's bound
         # step stacks when its rows are two or more (core.bind_stack);
         # with unequal widths the gram keeps its own padded features too
         copies = 4 + (len(set(config.group_dims)) > 1)
-        gram = copies * 8 * config.G * config.m * max(config.group_dims)
+        gram = copies * 8 * G * m * d_max
+        state = stack_state_floats(G, m, d_max)
     else:
-        gram = 8 * config.G * config.m * config.m
-    return gram + 80 * config.G * config.m + 16 * config.iters * keep_traces
+        gram = 8 * G * m * m
+        state = stack_state_floats(G, m)
+    return gram + 8 * (state + 2 * G * m) + 16 * config.iters * keep_traces
 
 
 def _chunks(config, jobs, keep_traces=True):

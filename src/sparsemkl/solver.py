@@ -18,7 +18,9 @@ Beside the coefficients the loop carries their images
 dense storage and :math:`X_g^T \\alpha_g` on factored storage, which
 is :math:`d_{\\max}` wide instead of m. The residual, the kernel norms
 and the step norm are read off them, so a factored row never forms
-:math:`K_g \\alpha_g`.
+:math:`K_g \\alpha_g`, and its images are the whole state of its
+trajectory: once they repeat, its coefficients follow by a two-op
+recurrence, with no Gram product.
 
 The limit of the trajectory is the reference that the identification
 checks compare against. :func:`solve_with_reference` takes it after
@@ -55,7 +57,9 @@ POLISH_MAX_STEPS = 50
 
 #: Iterations between a row's cycle checkpoints: every state is compared
 #: with the last one taken, so the exit finds periods up to this long;
-#: a longer cycle runs out its budget, still exact.
+#: a longer cycle runs out its budget, still exact. A factored row's
+#: advance over the skipped periods checks its coefficients about as
+#: often.
 _CYCLE_WINDOW = 64
 
 
@@ -210,7 +214,13 @@ class SolveTrace:
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
-    """One problem's results from `solve_with_reference`."""
+    """One problem's results from `solve_with_reference`.
+
+    `stepped` counts the Gram products the loop computed for the
+    problem, its replay's included: one per computed iteration, none for
+    the periods a cycle exit skipped or for the advance of a factored
+    row's coefficients over them.
+    """
 
     coeffs: DualCoefficients
     trace: SolveTrace
@@ -232,14 +242,21 @@ def solve(problem, config, alpha0=None):
     order is fixed.
 
     The iteration is a deterministic map of its state, so once the state
-    repeats bit for bit every later iterate is known. The loop looks for
-    such a repeat with one checkpoint, a copy of the state taken every
-    `_CYCLE_WINDOW` (64) iterations: each state is compared with the
-    last copy, bit for bit but only when the step norms are equal. A
-    cycle of period p <= 64 is found within 64 + p iterations of its
-    start; a longer one runs the full budget. On a repeat it skips whole
+    repeats bit for bit every later iterate is known. The state is the
+    coefficients and their images on dense storage, and the images alone
+    on factored storage, where the residual, the kernel norms and the
+    step norm are read off them. The loop looks for a repeat with one
+    checkpoint, a copy of the state taken every `_CYCLE_WINDOW` (64)
+    iterations: each state is compared with the last copy, bit for bit
+    but only when the step norms are equal. A cycle of period p <= 64 is
+    found within 64 + p iterations of its start; a longer one runs the
+    full budget. A factored row also finds a fixed point at once: a zero
+    step from images bit-equal to the last. On a repeat it skips whole
     periods, computes only the iterations left over, and repeats the
-    trace records of the last period over the skipped iterations.
+    trace records of the last period over the skipped iterations. A
+    factored row first records one period of the factors that step its
+    coefficients, ``AT <- gamma (AT - tau r)``, and advances them over
+    the skipped periods by those two ops, until they repeat too.
     Coefficients, trace and `final_step_norm` are exactly those of
     running every iteration.
 
@@ -310,10 +327,11 @@ def solve_with_reference(problem, config):
     -------
     SolveResult
         `coeffs` and `trace` as :func:`solve` returns them, `reference`,
-        and `stepped`: the row-iterations the loop computed for the
-        problem, its replay's included and the periods a cycle exit
-        skipped not. A stack gets a tuple of them, one per problem in
-        the order given.
+        and `stepped`: the Gram products the loop computed for the
+        problem, one per computed iteration, its replay's included and
+        the periods a cycle exit skipped not, nor the two-op advance of
+        a factored row's coefficients over them. A stack gets a tuple of
+        them, one per problem in the order given.
 
     Raises
     ------
@@ -348,12 +366,27 @@ def solve_with_reference(problem, config):
     return results if stacked else results[0]
 
 
+def stack_state_floats(G, m, d_max=None):
+    """Floats of stack state that one row of `_solve_stack` holds at most.
+
+    A dense row (`d_max` None) keeps eight (G, m) arrays: AT, its images,
+    their next values, B, the images' buffer V and the cycle checkpoint
+    pair. A factored row keeps three, AT, its next value and B, beside
+    four (G, d_max) images and, once its images cycle, one period's
+    ``(gamma, tau r)``, at most `_CYCLE_WINDOW` (G + m) floats; the AT
+    advance over the skipped periods works in B and the next AT.
+    """
+    if d_max is None:
+        return 8 * G * m
+    return 3 * G * m + 4 * G * d_max + _CYCLE_WINDOW * (G + m)
+
+
 class _Row:
     """One row of a stack: everything but the stacked arrays."""
 
     __slots__ = ("index", "gram", "lam", "tau", "thr", "n", "skipped", "step",
-                 "ck_n", "ck_AT", "ck_IM", "ck_step", "span", "tile", "events",
-                 "last", "obj", "steps")
+                 "ck_n", "ck_AT", "ck_IM", "ck_step", "span", "period", "tile",
+                 "events", "last", "obj", "steps")
 
     def __init__(self, index, problem, tau, image_shape):
         self.index = index  # place in the stack as given
@@ -363,11 +396,15 @@ class _Row:
         self.thr = tau * self.lam
         self.n, self.skipped, self.step = 0, 0, None
         # the cycle checkpoint's state, overwritten in place each time;
-        # no compare until it is first taken
-        self.ck_AT = np.empty((self.gram.n_groups, self.gram.m))
+        # no compare until it is first taken. A factored row's images
+        # are its whole state, so it keeps no AT
+        self.ck_AT = (np.empty((self.gram.n_groups, self.gram.m))
+                      if self.gram.factors is None else None)
         self.ck_IM = np.empty(image_shape)
         self.ck_n, self.ck_step = 0, None
-        self.span = self.tile = None
+        # a factored row's (gamma, tau r) over one period of its cycle,
+        # recorded once the period is found
+        self.span = self.period = self.tile = None
         # the trace: (iteration, support bytes) at each support change
         # and, if recorded, one record per iteration; its objective is the
         # penalty plus half the squared residual of the new iterate, the
@@ -382,12 +419,13 @@ class _Row:
         records and support changes of those iterations repeat over the
         skipped periods. The stop does not fire in them: it was tested on
         every step of the cycle. The iteration at the budget is always
-        computed, so the result has its own record and step.
+        computed, so the result has its own record and step. Returns the
+        number of periods skipped.
         """
         span = self.span
         reps = max(0, (budget - 1 - self.n) // span)
         if not reps:
-            return
+            return 0
         # an untraced row has no records, so its tile repeats none
         self.tile = (len(self.steps), reps)
         events, first = self.events, self.n - span + 1
@@ -402,6 +440,38 @@ class _Row:
                    for n, mask in period]
         self.n += reps * span
         self.skipped += reps * span
+        return reps
+
+
+def _advance(AT, period, reps, moving, ck):
+    """Advance a factored row's AT in place over `reps` periods.
+
+    The images repeat, but AT need not: each step of a period takes its
+    recorded ``(gamma, tau r)`` by the loop's own two ops, so AT gets the
+    bits the loop would give it. A group thresholded to 0 at every step
+    of the period holds a signed zero that the recorded period has
+    fixed, so only the other groups move, in the first rows of `moving`.
+    Every `_CYCLE_WINDOW` iterations or so, at the end of a period, they
+    are compared with a copy in `ck` taken as many periods before: once
+    they equal it, they repeat at that spacing, and the whole repeats
+    left are skipped.
+    """
+    live = np.flatnonzero(np.logical_or.reduce([g for g, _ in period]))
+    moving, ck = moving[:live.size], ck[:live.size]
+    np.take(AT, live, axis=0, out=moving)
+    period = [(gamma[live], tau_r) for gamma, tau_r in period]
+    every = max(1, _CYCLE_WINDOW // len(period))
+    done = 0
+    while done < reps:
+        for gamma, tau_r in period:
+            np.subtract(moving, tau_r, out=moving)
+            np.multiply(gamma, moving, out=moving)
+        done += 1
+        if done % every == 0:
+            if done > every and _same_bits(moving, ck):
+                done = reps - (reps - done) % every
+            np.copyto(ck, moving)
+    AT[live] = moving
 
 
 def _start(index, problem, alpha0, config):
@@ -434,15 +504,17 @@ def _solve_stack(problems, config, starts):
     Every row runs one trajectory from its start under the config's one
     rule: it leaves the stack at its first step norm of at most
     `config.stop_tol`, or at `config.max_iters`. `stepped` counts the
-    iterations it computed, not the periods a cycle exit skipped. The
-    loop knows nothing of references; :func:`solve_with_reference`
-    takes them from its results.
+    iterations it computed, each one Gram product, not the periods a
+    cycle exit skipped. The loop knows nothing of references;
+    :func:`solve_with_reference` takes them from its results.
 
     The rows share G, m and storage. A step forms the residual r from
     the images IM, its images V, B = AT - tau r and B's images
     IM - tau V; a kernel norm pairs B's images with B on dense storage
     and with themselves on factored storage, and the step norm pairs
-    the change of IM likewise, per group and then over the groups.
+    the change of IM likewise, per group and then over the groups. So a
+    factored row's AT is read by nothing but its result: its cycle check
+    compares IM and the step norm alone.
     """
     if not isinstance(config, SolverConfig):
         raise ContractViolation("config must be a SolverConfig")
@@ -544,16 +616,37 @@ def _solve_stack(problems, config, starts):
                                       _finish(row, IM[j], Y[j], penalty),
                                       row.n - row.skipped)
                 left = True
-            elif row.span is None:
-                if (step == row.ck_step and _same_bits(AT[j], row.ck_AT)
+                continue
+            if row.span is None:
+                if factored and step == 0.0 and _same_bits(IM[j], IM_next[j]):
+                    # IM_next holds the last images: a fixed point, found
+                    # at once. The compare guards against squares that
+                    # underflow to 0
+                    row.span, row.period = 1, []
+                elif (step == row.ck_step
+                        and (factored or _same_bits(AT[j], row.ck_AT))
                         and _same_bits(IM[j], row.ck_IM)):
                     # state n equals state ck_n
                     row.span = row.n - row.ck_n
-                    row.jump(budget)
+                    if factored:
+                        row.period = []
+                    else:
+                        row.jump(budget)
                 elif row.n - row.ck_n == _CYCLE_WINDOW:
-                    np.copyto(row.ck_AT, AT[j])
+                    if not factored:
+                        np.copyto(row.ck_AT, AT[j])
                     np.copyto(row.ck_IM, IM[j])
                     row.ck_n, row.ck_step = row.n, step
+            if row.period is not None:
+                # the images repeat, and this step's came from a state of
+                # their cycle, as the next span - 1 steps' will: a period
+                # of the factors that step AT, then the jump. AT_next and
+                # B are spent until the next iteration
+                row.period.append((gamma_col[j].copy(), tau_r[j].copy()))
+                if len(row.period) == row.span:
+                    _advance(AT[j], row.period, row.jump(budget), B[j],
+                             AT_next[j])
+                    row.period = None
 
         if left:
             sel = [j for j, row in enumerate(rows)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsemkl import experiments
+from sparsemkl import experiments, solver
 from sparsemkl import (
     BatchResult,
     ContractViolation,
@@ -358,7 +358,12 @@ class TestChunkedBatch:
         held = (gram.factors.nbytes + gram._factors_t.nbytes
                 + (padded is not gram.features) * padded.nbytes)
         stacked = padded.nbytes + gram._factors_t.nbytes
-        state = 80 * cfg.G * cfg.m + 16 * cfg.iters
+        # three (G, m) arrays and two spare, four (G, d_max) images, and
+        # a cycle period's (gamma, tau r) pairs; then the trace buffers
+        G, m, d_max = cfg.G, cfg.m, gram.factors.shape[2]
+        state = (8 * (5 * G * m + 4 * G * d_max
+                      + solver._CYCLE_WINDOW * (G + m))
+                 + 16 * cfg.iters)
         assert (padded is gram.features) == (len(set(dims)) == 1)
         assert experiments._row_bytes(cfg) == held + stacked + state
 

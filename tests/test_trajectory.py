@@ -19,6 +19,7 @@ import pytest
 from sparsemkl import (
     ContractViolation,
     Dataset,
+    DualCoefficients,
     ExperimentConfig,
     GramBlocks,
     LinearGroupProjection,
@@ -33,8 +34,12 @@ from sparsemkl import (
     solve,
     solve_with_reference,
 )
+from sparsemkl.cli import _batch_config, _build_parser
 from sparsemkl.experiments import _chunks
 from sparsemkl import solver as solver_module
+
+LARGE_M_LINEAR = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                              "bench", "large_m_linear.ini")
 
 # periods of the exact cycles the group-lasso preset (master seed 0)
 # falls into within its 5000-iteration budget, by instance; they move
@@ -128,6 +133,19 @@ def first_repeat(problem, config):
     return None
 
 
+def first_image_repeat(problem, config):
+    """(first iteration of the image cycle, period) of a zero-start
+    trajectory. On factored storage the images are the whole state, and
+    they can repeat long before the coefficients do."""
+    seen = {}
+    for n, _, _, _, IM, _ in iterates(problem, config):
+        key = IM.tobytes()
+        if key in seen:
+            return seen[key], n - seen[key]
+        seen[key] = n
+    return None
+
+
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -139,6 +157,15 @@ def assert_matches_replica(coeffs, trace, expected):
         assert same_bits(getattr(trace, name), expected[name]), name
     assert trace.iters_run == expected["iters_run"]
     assert same_bits(trace.final_step_norm, expected["final_step_norm"])
+
+
+def large_m_linear(seed=0):
+    """Instance 0 of `bench/large_m_linear.ini` (factored, m = 800, G = 20)
+    at a master seed, and the file's budget."""
+    args = _build_parser().parse_args(
+        ["batch", "--config", LARGE_M_LINEAR, "--seed", str(seed)])
+    config = _batch_config(args)
+    return generate_instance(config, 0)[0], config.iters
 
 
 def preset_instance(index):
@@ -372,6 +399,186 @@ class TestCycleWithSupportChanges:
             assert short.change_iters.size < 30
 
 
+class TestImageCycleExit:
+    """Factored rows exit once their images repeat.
+
+    On factored storage the residual, the kernel norms and the step norm
+    are read off the images alone, so a row's cycle check compares its
+    images and step norm, and a zero step from unchanged images is a
+    fixed point, found at once. The coefficients need not repeat with
+    them: the row records one period of the factors ``(gamma, tau r)``
+    that step AT, and AT is advanced over the skipped periods by the
+    loop's own two ops. In every case here the images repeat before the
+    coefficients do, and the run is compared bit for bit with the
+    replica.
+    """
+
+    @pytest.fixture(scope="class")
+    def large_m(self):
+        return large_m_linear()
+
+    def test_large_m_linear_images_settle_first(self, large_m):
+        # a fixed point of the images more than 100 iterations before
+        # the budget, while the coefficients still change at its last
+        # iteration
+        problem, iters = large_m
+        start, period = first_image_repeat(problem,
+                                           SolverConfig(max_iters=iters))
+        assert period == 1 and start + period < iters - 100
+        last = [replica(problem, SolverConfig(max_iters=n))["alpha"]
+                for n in (iters - 1, iters)]
+        assert not same_bits(*last)
+
+    @pytest.mark.parametrize("max_iters", [199, 200, 1000])
+    def test_large_m_linear(self, large_m, products, max_iters):
+        problem, _ = large_m
+        config = SolverConfig(max_iters=max_iters)
+        coeffs, trace = solve(problem, config)
+        assert len(products) < max_iters - 100
+        assert_matches_replica(coeffs, trace, replica(problem, config))
+
+    def test_large_m_linear_steps_to_its_image_fixed_point(self, large_m,
+                                                           products):
+        # the fixed point is found at its first iteration, whose factors
+        # step AT at every later one, and the budget's own is computed
+        problem, iters = large_m
+        config = SolverConfig(max_iters=iters)
+        start, period = first_image_repeat(problem, config)
+        assert period == 1
+        solve(problem, config)
+        assert len(products) <= start + period + 1 < iters
+
+    @pytest.mark.parametrize("index", [0, 1, 7])
+    def test_every_remainder_of_the_period(self, products, index):
+        # period + 1 consecutive budgets from the first that the images'
+        # cycle surely leaves a period to skip, all before the
+        # coefficients repeat, put the remainder at every value
+        problem = preset_instance(index)
+        config = SolverConfig(max_iters=5000)
+        start, period = first_image_repeat(problem, config)
+        base = start + solver_module._CYCLE_WINDOW + 3 * period
+        assert base + period < first_repeat(problem, config)[0]
+        for max_iters in range(base, base + period + 1):
+            products.clear()
+            config = SolverConfig(max_iters=max_iters)
+            coeffs, trace = solve(problem, config)
+            assert len(products) < max_iters
+            assert_matches_replica(coeffs, trace, replica(problem, config))
+
+    def test_untraced_run(self, large_m, products):
+        problem, iters = large_m
+        config = SolverConfig(max_iters=iters, record_trace=False)
+        coeffs, trace = solve(problem, config)
+        assert len(products) < iters and trace.n_recorded == 0
+        assert_matches_replica(coeffs, trace, replica(problem, config))
+
+    def test_warm_start(self, large_m, products):
+        problem, iters = large_m
+        warm, _ = solve(problem, SolverConfig(max_iters=40,
+                                              record_trace=False))
+        products.clear()
+        config = SolverConfig(max_iters=iters)
+        coeffs, trace = solve(problem, config, alpha0=warm)
+        assert len(products) < iters
+        assert_matches_replica(coeffs, trace, replica(problem, config, warm))
+
+    def test_stop_tol_run(self, large_m, products):
+        # the first zero step ends the large-m run before its exit would;
+        # preset instance 1's period-14 cycle has no step below the stop,
+        # so there the exit fires under an active stop rule
+        problem, iters = large_m
+        config = SolverConfig(max_iters=iters, stop_tol=1e-300)
+        start, period = first_image_repeat(problem, config)
+        coeffs, trace = solve(problem, config)
+        assert trace.iters_run == len(products) == start + period
+        assert_matches_replica(coeffs, trace, replica(problem, config))
+        problem = preset_instance(1)
+        start, period = first_image_repeat(problem,
+                                           SolverConfig(max_iters=5000))
+        max_iters = start + solver_module._CYCLE_WINDOW + 3 * period
+        config = SolverConfig(max_iters=max_iters, stop_tol=1e-300)
+        products.clear()
+        coeffs, trace = solve(problem, config)
+        assert trace.iters_run == max_iters > len(products)
+        assert (trace.step_norms[-period:] > 1e-300).all()
+        assert_matches_replica(coeffs, trace, replica(problem, config))
+
+    def test_support_changes_inside_the_period(self, products):
+        # boundary_problem(11) with a point of zero features and response
+        # appended: its images cycle on, on, off from the zero start, as
+        # the problem's own do. Coefficients that start at 1 on that
+        # point keep their images at 0, and keep it past the first two
+        # steps, times the factors that scale the group, until the
+        # group's first off resets it: the coefficients cycle from
+        # iteration 3
+        tau_factor, period = TestCycleWithSupportChanges.CASES[11]
+        base = boundary_problem(11)
+        m, G = base.m, base.n_groups
+        X = np.vstack([base.dataset.points, np.zeros((1, G))])
+        gram = assemble_gram_blocks(Dataset(X, np.zeros(m + 1)),
+                                    LinearGroupProjection((1,) * G))
+        problem = ProblemInstance(
+            dataset=Dataset(X, np.append(base.dataset.responses, 0.0)),
+            gram=gram, lam=base.lam, lam_convention="raw")
+        alpha = np.zeros((m + 1, G))
+        alpha[m] = 1.0
+        start = DualCoefficients(alpha)
+        states = list(iterates(problem, SolverConfig(
+            tau_factor=tau_factor, max_iters=3 + period), start))
+        # (n, nu, keep, AT, IM, step) at iterations 1 to 3 + period
+        assert [bool(s[2].any()) for s in states[:period]] == [True, True,
+                                                              False]
+        for k in range(period):
+            assert same_bits(states[k][4], states[k + period][4])
+            assert same_bits(states[k][3], states[k + period][3]) == (k == 2)
+        for max_iters in range(200, 201 + period):
+            products.clear()
+            config = SolverConfig(tau_factor=tau_factor, max_iters=max_iters)
+            coeffs, trace = solve(problem, config, alpha0=start)
+            assert len(products) < max_iters
+            assert_matches_replica(coeffs, trace,
+                                   replica(problem, config, start))
+
+    def test_dense_rows_compare_their_coefficients_too(self, monkeypatch):
+        # a dense row's kernel norms pair B with its images, so AT is
+        # part of its state: its checkpoint keeps AT, and every compare
+        # that finds a repeat reads it. The same problem on factored
+        # storage keeps no AT
+        rows, compared = [], []
+
+        class Row(solver_module._Row):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                rows.append(self)
+
+        original = solver_module._same_bits
+
+        def spy(a, b):
+            compared.append(b)
+            return original(a, b)
+
+        monkeypatch.setattr(solver_module, "_Row", Row)
+        monkeypatch.setattr(solver_module, "_same_bits", spy)
+        tau_factor, _ = TestCycleWithSupportChanges.CASES[8]
+        problem = boundary_problem(8)
+        gram = problem.gram
+        dense = dataclasses.replace(problem, gram=GramBlocks(
+            blocks=gram.dense(), lipschitz=gram.lipschitz))
+        config = SolverConfig(tau_factor=tau_factor, max_iters=200)
+        for p, factored in ((problem, True), (dense, False)):
+            rows.clear()
+            compared.clear()
+            coeffs, trace = solve(p, config)
+            [row] = rows
+            assert row.span is not None, "the cycle exit did not fire"
+            assert (row.ck_AT is None) == factored
+            assert any(b is row.ck_IM for b in compared)
+            assert any(b is row.ck_AT for b in compared) == (not factored)
+            assert_matches_replica(coeffs, trace, replica(p, config))
+
+
 class TestEarlyCycleExit:
     """The cycle checkpoint ends a cycling row soon after its cycle starts.
 
@@ -382,12 +589,16 @@ class TestEarlyCycleExit:
 
     @pytest.mark.parametrize("index", range(8))
     def test_exit_follows_the_cycle_start(self, products, index):
+        # the rows are factored, so the exit follows their images: found
+        # within a window and a period of the images' cycle start, then
+        # the rest of a period to record the factors that step AT, and
+        # at most one period left over after the jump
         problem = preset_instance(index)
         config = SolverConfig(max_iters=5000)
-        start, period = first_repeat(problem, config)
+        start, period = first_image_repeat(problem, config)
         coeffs, trace = solve(problem, config)
         assert set(products) == {1}
-        assert len(products) <= start + solver_module._CYCLE_WINDOW + 2 * period
+        assert len(products) <= start + solver_module._CYCLE_WINDOW + 3 * period
         assert_matches_replica(coeffs, trace, replica(problem, config))
 
     def test_a_row_that_never_repeats_never_arms(self, products):
