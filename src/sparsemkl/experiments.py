@@ -121,6 +121,8 @@ class ExperimentConfig:
             if self.group_dims is None:
                 raise ContractViolation("group-lasso needs group_dims")
             dims = tuple(int(d) for d in self.group_dims)
+            if any(d < 1 for d in dims):
+                raise ContractViolation(f"group_dims must be >= 1, got {dims}")
             if len(dims) != self.G:
                 raise ContractViolation(
                     f"group_dims lists {len(dims)} groups but G={self.G}"
@@ -135,12 +137,12 @@ class ExperimentConfig:
         else:
             if self.sigma_range is None:
                 raise ContractViolation("gaussian-kernel needs sigma_range")
-            lo, hi = (float(v) for v in self.sigma_range)
-            if not (0.0 < lo <= hi) or not np.isfinite(hi):
+            bounds = tuple(float(v) for v in np.ravel(self.sigma_range))
+            if len(bounds) != 2 or not 0.0 < bounds[0] <= bounds[1] < np.inf:
                 raise ContractViolation(
-                    f"sigma_range must satisfy 0 < lo <= hi, got {self.sigma_range!r}"
+                    f"sigma_range must be lo, hi with 0 < lo <= hi, got {self.sigma_range!r}"
                 )
-            object.__setattr__(self, "sigma_range", (lo, hi))
+            object.__setattr__(self, "sigma_range", bounds)
             if self.group_dims is not None:
                 raise ContractViolation("group_dims is a group-lasso field")
 

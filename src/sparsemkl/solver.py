@@ -57,9 +57,8 @@ POLISH_MAX_STEPS = 50
 
 #: Iterations between a row's cycle checkpoints: every state is compared
 #: with the last one taken, so the exit finds periods up to this long;
-#: a longer cycle runs out its budget, still exact. A factored row's
-#: advance over the skipped periods checks its coefficients about as
-#: often.
+#: a longer cycle runs out its budget, still exact. A row's advance over
+#: the skipped periods checks its coefficients about as often.
 _CYCLE_WINDOW = 64
 
 
@@ -218,8 +217,8 @@ class SolveResult:
 
     `stepped` counts the Gram products the loop computed for the
     problem, its replay's included: one per computed iteration, none for
-    the periods a cycle exit skipped or for the advance of a factored
-    row's coefficients over them.
+    the periods a cycle exit skipped or for the advance of the row's
+    coefficients over them.
     """
 
     coeffs: DualCoefficients
@@ -250,15 +249,15 @@ def solve(problem, config, alpha0=None):
     iterations: each state is compared with the last copy, bit for bit
     but only when the step norms are equal. A cycle of period p <= 64 is
     found within 64 + p iterations of its start; a longer one runs the
-    full budget. A factored row also finds a fixed point at once: a zero
-    step from images bit-equal to the last. On a repeat it skips whole
-    periods, computes only the iterations left over, and repeats the
-    trace records of the last period over the skipped iterations. A
-    factored row first records one period of the factors that step its
-    coefficients, ``AT <- gamma (AT - tau r)``, and advances them over
-    the skipped periods by those two ops, until they repeat too.
-    Coefficients, trace and `final_step_norm` are exactly those of
-    running every iteration.
+    full budget. A fixed point is found at once: a zero step from a
+    state bit-equal to the last. On a repeat the row records one period
+    of the factors that step its coefficients, ``AT <- gamma (AT - tau
+    r)``, then skips whole periods, computes only the iterations left
+    over, and repeats the trace records of the last period over the
+    skipped iterations. Its coefficients advance over the skipped
+    periods by those two ops, until they repeat too; on dense storage
+    they repeat with the state. Coefficients, trace and
+    `final_step_norm` are exactly those of running every iteration.
 
     Parameters
     ----------
@@ -330,7 +329,7 @@ def solve_with_reference(problem, config):
         and `stepped`: the Gram products the loop computed for the
         problem, one per computed iteration, its replay's included and
         the periods a cycle exit skipped not, nor the two-op advance of
-        a factored row's coefficients over them. A stack gets a tuple of
+        the row's coefficients over them. A stack gets a tuple of
         them, one per problem in the order given.
 
     Raises
@@ -371,39 +370,36 @@ def stack_state_floats(G, m, d_max=None):
 
     A dense row (`d_max` None) keeps eight (G, m) arrays: AT, its images,
     their next values, B, the images' buffer V and the cycle checkpoint
-    pair. A factored row keeps three, AT, its next value and B, beside
-    four (G, d_max) images and, once its images cycle, one period's
-    ``(gamma, tau r)``, at most `_CYCLE_WINDOW` (G + m) floats; the AT
-    advance over the skipped periods works in B and the next AT.
+    of the pair; a factored row three, AT, its next value and B, beside
+    four (G, d_max) images. Once its state cycles, a row keeps one
+    period's ``(gamma, tau r)``, at most `_CYCLE_WINDOW` (G + m) floats,
+    whose AT advance over the skipped periods works in B and the next AT.
     """
-    if d_max is None:
-        return 8 * G * m
-    return 3 * G * m + 4 * G * d_max + _CYCLE_WINDOW * (G + m)
+    own = 8 * G * m if d_max is None else 3 * G * m + 4 * G * d_max
+    return own + _CYCLE_WINDOW * (G + m)
 
 
 class _Row:
     """One row of a stack: everything but the stacked arrays."""
 
     __slots__ = ("index", "gram", "lam", "tau", "thr", "n", "skipped", "step",
-                 "ck_n", "ck_AT", "ck_IM", "ck_step", "span", "period", "tile",
-                 "events", "last", "obj", "steps")
+                 "ck_n", "ck", "ck_step", "span", "period", "tile", "events",
+                 "last", "obj", "steps")
 
-    def __init__(self, index, problem, tau, image_shape):
+    def __init__(self, index, problem, tau, AT, IM):
         self.index = index  # place in the stack as given
         self.gram = problem.gram
         self.lam = problem.effective_lambda
         self.tau = tau
         self.thr = tau * self.lam
         self.n, self.skipped, self.step = 0, 0, None
-        # the cycle checkpoint's state, overwritten in place each time;
-        # no compare until it is first taken. A factored row's images
-        # are its whole state, so it keeps no AT
-        self.ck_AT = (np.empty((self.gram.n_groups, self.gram.m))
-                      if self.gram.factors is None else None)
-        self.ck_IM = np.empty(image_shape)
+        # the cycle checkpoint of the row's state, overwritten in place
+        # each time; no compare until it is first taken
+        self.ck = [np.empty_like(a) for a in
+                   _state(self.gram.factors is not None, AT, IM)]
         self.ck_n, self.ck_step = 0, None
-        # a factored row's (gamma, tau r) over one period of its cycle,
-        # recorded once the period is found
+        # the row's (gamma, tau r) over one period of its cycle, recorded
+        # once the period is found
         self.span = self.period = self.tile = None
         # the trace: (iteration, support bytes) at each support change
         # and, if recorded, one record per iteration; its objective is the
@@ -444,21 +440,22 @@ class _Row:
 
 
 def _advance(AT, period, reps, moving, ck):
-    """Advance a factored row's AT in place over `reps` periods.
+    """Advance a row's AT in place over `reps` periods.
 
-    The images repeat, but AT need not: each step of a period takes its
-    recorded ``(gamma, tau r)`` by the loop's own two ops, so AT gets the
-    bits the loop would give it. A group thresholded to 0 at every step
-    of the period holds a signed zero that the recorded period has
-    fixed, so only the other groups move, in the first rows of `moving`.
-    Every `_CYCLE_WINDOW` iterations or so, at the end of a period, they
-    are compared with a copy in `ck` taken as many periods before: once
-    they equal it, they repeat at that spacing, and the whole repeats
-    left are skipped.
+    The state repeats, and a factored row's AT need not: each step of a
+    period takes its recorded ``(gamma, tau r)`` by the loop's own two
+    ops, so AT gets the bits the loop would give it. A group thresholded
+    to 0 at every step of the period holds a signed zero that the
+    recorded period has fixed, so only the other groups move, in the
+    first rows of `moving`. Every `_CYCLE_WINDOW` iterations or so, at
+    the end of a period, they are compared with a copy in `ck` taken as
+    many periods before, the first with AT itself: once they equal it,
+    they repeat at that spacing, and the whole repeats left are skipped.
     """
     live = np.flatnonzero(np.logical_or.reduce([g for g, _ in period]))
     moving, ck = moving[:live.size], ck[:live.size]
     np.take(AT, live, axis=0, out=moving)
+    np.copyto(ck, moving)
     period = [(gamma[live], tau_r) for gamma, tau_r in period]
     every = max(1, _CYCLE_WINDOW // len(period))
     done = 0
@@ -468,7 +465,7 @@ def _advance(AT, period, reps, moving, ck):
             np.multiply(gamma, moving, out=moving)
         done += 1
         if done % every == 0:
-            if done > every and _same_bits(moving, ck):
+            if _same_bits(moving, ck):
                 done = reps - (reps - done) % every
             np.copyto(ck, moving)
     AT[live] = moving
@@ -495,7 +492,12 @@ def _start(index, problem, alpha0, config):
         AT = np.ascontiguousarray(alpha0.alpha.T)
         IM = gram.image(AT)
     tau = config.tau_factor / gram.lipschitz
-    return _Row(index, problem, tau, IM.shape), AT, IM, problem.dataset.responses
+    return _Row(index, problem, tau, AT, IM), AT, IM, problem.dataset.responses
+
+
+def _state(factored, AT, IM):
+    # a row's state, what its step reads: IM, and AT on dense storage
+    return (IM,) if factored else (AT, IM)
 
 
 def _solve_stack(problems, config, starts):
@@ -513,8 +515,8 @@ def _solve_stack(problems, config, starts):
     IM - tau V; a kernel norm pairs B's images with B on dense storage
     and with themselves on factored storage, and the step norm pairs
     the change of IM likewise, per group and then over the groups. So a
-    factored row's AT is read by nothing but its result: its cycle check
-    compares IM and the step norm alone.
+    row's state (`_state`) is IM on factored storage, where AT is read
+    by nothing but the result, and (AT, IM) on dense storage.
     """
     if not isinstance(config, SolverConfig):
         raise ContractViolation("config must be a SolverConfig")
@@ -589,6 +591,8 @@ def _solve_stack(problems, config, starts):
                               axis=1).tolist()
         AT, AT_next = AT_next, AT
         IM, IM_next = IM_next, IM
+        state = _state(factored, AT, IM)
+        last = _state(factored, AT_next, IM_next)
         if record:
             # each row's r @ r, with the same bits
             fits = np.matmul(r_row, r[:, :, None]).ravel().tolist()
@@ -618,30 +622,24 @@ def _solve_stack(problems, config, starts):
                 left = True
                 continue
             if row.span is None:
-                if factored and step == 0.0 and _same_bits(IM[j], IM_next[j]):
-                    # IM_next holds the last images: a fixed point, found
-                    # at once. The compare guards against squares that
-                    # underflow to 0
+                if step == 0.0 and all(_same_bits(a[j], b[j])
+                                       for a, b in zip(state, last)):
+                    # a fixed point, found at once. The compare guards
+                    # against squares that underflow to 0
                     row.span, row.period = 1, []
-                elif (step == row.ck_step
-                        and (factored or _same_bits(AT[j], row.ck_AT))
-                        and _same_bits(IM[j], row.ck_IM)):
+                elif step == row.ck_step and all(
+                        _same_bits(a[j], b) for a, b in zip(state, row.ck)):
                     # state n equals state ck_n
-                    row.span = row.n - row.ck_n
-                    if factored:
-                        row.period = []
-                    else:
-                        row.jump(budget)
+                    row.span, row.period = row.n - row.ck_n, []
                 elif row.n - row.ck_n == _CYCLE_WINDOW:
-                    if not factored:
-                        np.copyto(row.ck_AT, AT[j])
-                    np.copyto(row.ck_IM, IM[j])
+                    for ck, a in zip(row.ck, state):
+                        np.copyto(ck, a[j])
                     row.ck_n, row.ck_step = row.n, step
             if row.period is not None:
-                # the images repeat, and this step's came from a state of
-                # their cycle, as the next span - 1 steps' will: a period
-                # of the factors that step AT, then the jump. AT_next and
-                # B are spent until the next iteration
+                # the state repeats, and this step came from a state of
+                # its cycle, as the next span - 1 steps will: a period of
+                # the factors that step AT, then the jump. AT_next and B
+                # are spent until the next iteration
                 row.period.append((gamma_col[j].copy(), tau_r[j].copy()))
                 if len(row.period) == row.span:
                     _advance(AT[j], row.period, row.jump(budget), B[j],

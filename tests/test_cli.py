@@ -991,6 +991,20 @@ BATCH_INI_ERRORS = {
     "group-dims-sum": ({"group_dims": "2,2,2,1"},
                        "invalid [experiment] config: group_dims sums to 7 "
                        "but p=8"),
+    "zero-group-dim": ({"G": 3, "p": 6, "group_dims": "0,3,3"},
+                       "invalid [experiment] config: group_dims must be "
+                       ">= 1, got (0, 3, 3)"),
+    "negative-group-dim": ({"G": 3, "p": 6, "group_dims": "-1,4,3"},
+                           "invalid [experiment] config: group_dims must be "
+                           ">= 1, got (-1, 4, 3)"),
+    "one-sigma": ({"family": "gaussian-kernel", "p": 2, "group_dims": None,
+                   "sigma_range": "0.5"},
+                  "invalid [experiment] config: sigma_range must be lo, hi "
+                  "with 0 < lo <= hi, got (0.5,)"),
+    "three-sigmas": ({"family": "gaussian-kernel", "p": 2, "group_dims": None,
+                      "sigma_range": "0.1, 1, 10"},
+                     "invalid [experiment] config: sigma_range must be lo, "
+                     "hi with 0 < lo <= hi, got (0.1, 1.0, 10.0)"),
     "bad-tau-factor": ({"tau_factor": 2.5},
                        "invalid [experiment] config: tau_factor must lie "
                        "in (0, 2), got 2.5"),
@@ -1030,6 +1044,23 @@ def test_batch_zero_response_fails_before_any_instance(tmp_path, capsys):
     )
     assert (rc, out) == (1, "")
     assert err.startswith("error: invalid [experiment] config: s = 0 with ")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("case", ["zero-group-dim", "one-sigma"])
+def test_batch_bad_family_field_fails_before_any_instance(tmp_path, capsys,
+                                                          case):
+    # the run without --dry-run fails as the dry run does, with the
+    # config's message and not a traceback
+    edits, message = BATCH_INI_ERRORS[case]
+    cfg = write_batch_ini(tmp_path, **edits)
+    cfg.write_text("".join(line for line in cfg.read_text().splitlines(True)
+                           if not line.endswith("= None\n")))
+    out_dir = tmp_path / "out"
+    rc, out, err = run_cli(
+        ["batch", "--config", str(cfg), "--out-dir", str(out_dir)], capsys,
+    )
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
     assert not out_dir.exists()
 
 

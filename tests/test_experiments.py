@@ -71,6 +71,17 @@ class TestExperimentConfig:
         with pytest.raises(ContractViolation):
             small_gl_config(group_dims=(2, 2, 2, 3))
 
+    @pytest.mark.parametrize("dims", [(0, 2, 3, 3), (-1, 3, 3, 3)])
+    def test_group_dims_must_be_positive(self, dims):
+        # they sum to p, so only their sign can refuse them
+        with pytest.raises(ContractViolation, match="group_dims must be >= 1"):
+            small_gl_config(group_dims=dims)
+
+    @pytest.mark.parametrize("bounds", [0.5, (0.5,), (0.1, 1.0, 10.0), ()])
+    def test_sigma_range_must_be_two_bounds(self, bounds):
+        with pytest.raises(ContractViolation, match="sigma_range must be lo, hi"):
+            ExperimentConfig.gaussian_kernel_paper(sigma_range=bounds)
+
     def test_family_specific_fields_enforced(self):
         with pytest.raises(ContractViolation):
             small_gl_config(sigma_range=(0.1, 1.0))

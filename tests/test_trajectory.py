@@ -174,6 +174,13 @@ def preset_instance(index):
     return problem
 
 
+def dense_copy(problem):
+    """`problem` with its Gram blocks on dense storage."""
+    gram = problem.gram
+    return dataclasses.replace(problem, gram=GramBlocks(
+        blocks=gram.dense(), lipschitz=gram.lipschitz))
+
+
 @pytest.fixture(scope="module")
 def preset_problems():
     return {i: preset_instance(i) for i in PRESET_PERIODS}
@@ -541,9 +548,9 @@ class TestImageCycleExit:
 
     def test_dense_rows_compare_their_coefficients_too(self, monkeypatch):
         # a dense row's kernel norms pair B with its images, so AT is
-        # part of its state: its checkpoint keeps AT, and every compare
-        # that finds a repeat reads it. The same problem on factored
-        # storage keeps no AT
+        # part of its state: its one checkpoint holds AT and the images,
+        # and the compare that finds the repeat reads both. The same
+        # problem on factored storage checkpoints its images alone
         rows, compared = [], []
 
         class Row(solver_module._Row):
@@ -563,20 +570,67 @@ class TestImageCycleExit:
         monkeypatch.setattr(solver_module, "_same_bits", spy)
         tau_factor, _ = TestCycleWithSupportChanges.CASES[8]
         problem = boundary_problem(8)
-        gram = problem.gram
-        dense = dataclasses.replace(problem, gram=GramBlocks(
-            blocks=gram.dense(), lipschitz=gram.lipschitz))
         config = SolverConfig(tau_factor=tau_factor, max_iters=200)
-        for p, factored in ((problem, True), (dense, False)):
+        for p, factored in ((problem, True), (dense_copy(problem), False)):
             rows.clear()
             compared.clear()
             coeffs, trace = solve(p, config)
             [row] = rows
             assert row.span is not None, "the cycle exit did not fire"
-            assert (row.ck_AT is None) == factored
-            assert any(b is row.ck_IM for b in compared)
-            assert any(b is row.ck_AT for b in compared) == (not factored)
+            # the state at the checkpoint's iteration
+            *_, AT, IM, _ = list(iterates(p, dataclasses.replace(
+                config, max_iters=row.ck_n)))[-1]
+            state = [IM] if factored else [AT, IM]
+            assert len(row.ck) == len(state)
+            for ck, expected in zip(row.ck, state):
+                assert same_bits(ck, expected)
+                assert any(b is ck for b in compared)
             assert_matches_replica(coeffs, trace, replica(p, config))
+
+
+class TestDenseCycleExit:
+    """Dense rows take the factored rows' exit: their state is AT and its
+    images, a fixed point of it is found at once, and on a repeat the
+    row records one period of ``(gamma, tau r)`` before the jump.
+
+    Group-lasso preset instances (master seed 0) on dense storage, whose
+    arithmetic is not the factored rows': 1, 3 and 7 reach a fixed point
+    within 5000 iterations, and 0, 4 and 5 cycles of periods 2, 5 and 3.
+    The periods move with the low bits of the instances: under
+    OpenBLAS's Haswell kernels 4 and 5 reach fixed points too.
+    """
+
+    @pytest.fixture(scope="class")
+    def problems(self):
+        return {i: dense_copy(preset_instance(i)) for i in (0, 1, 3, 4, 5, 7)}
+
+    @pytest.mark.parametrize("index", [1, 3, 7])
+    def test_a_fixed_point_costs_two_products_past_its_start(self, problems,
+                                                             products, index):
+        # the zero step into the repeated state finds it, and the
+        # budget's own iteration is computed
+        problem = problems[index]
+        config = SolverConfig(max_iters=5000)
+        start, period = first_repeat(problem, config)
+        assert period == 1
+        coeffs, trace = solve(problem, config)
+        assert len(products) == start + 2
+        assert_matches_replica(coeffs, trace, replica(problem, config))
+
+    @pytest.mark.parametrize("index", [0, 4, 5])
+    def test_every_remainder_of_the_period(self, problems, products, index):
+        # period + 1 consecutive budgets that leave a period to skip after
+        # the exit records one: AT is advanced by the recorded period,
+        # which finds it repeated, and the remainder takes every value
+        problem = problems[index]
+        start, period = first_repeat(problem, SolverConfig(max_iters=5000))
+        base = start + solver_module._CYCLE_WINDOW + 3 * period
+        for max_iters in range(base, base + period + 1):
+            products.clear()
+            config = SolverConfig(max_iters=max_iters)
+            coeffs, trace = solve(problem, config)
+            assert len(products) < max_iters
+            assert_matches_replica(coeffs, trace, replica(problem, config))
 
 
 class TestEarlyCycleExit:
@@ -949,9 +1003,7 @@ class TestCrossStorage:
     @pytest.mark.parametrize("index", range(4))
     def test_factored_and_dense_storage_agree(self, index):
         problem = preset_instance(index)
-        gram = problem.gram
-        dense = dataclasses.replace(problem, gram=GramBlocks(
-            blocks=gram.dense(), lipschitz=gram.lipschitz))
+        dense = dense_copy(problem)
         config = SolverConfig(max_iters=600)
         (a, ta), (b, tb) = solve(problem, config), solve(dense, config)
         for name in ("change_iters", "change_supports"):
