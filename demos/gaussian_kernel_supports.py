@@ -41,9 +41,9 @@ y += 1e-2 * rng.standard_normal(m)
 
 dataset = Dataset(points, y)
 gram = assemble_gram_blocks(dataset, GaussianFamily(sigmas))
-certs = np.sqrt(gram.quad(y))
+# lambda at half the largest kernel norm of y, sqrt(y' K_g y)
 problem = ProblemInstance(dataset=dataset, gram=gram,
-                          lam=0.5 * certs.max())
+                          lam=0.5 * gram.norms(y).max())
 
 # ------------------------------------------------------------------
 # Trace the support size.

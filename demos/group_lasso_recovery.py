@@ -32,8 +32,9 @@ dataset = Dataset(X, y)
 gram = assemble_gram_blocks(dataset, LinearGroupProjection(dims))
 
 # Weights are meaningful relative to the certificate norms
-# sqrt(y' K_g y); a quarter of the largest is a sensible default.
-certs = np.sqrt(gram.quad(y))
+# sqrt(y' K_g y), the kernel norms of y; a quarter of the largest is a
+# sensible default.
+certs = gram.norms(y)
 lam = 0.25 * certs.max()
 problem = ProblemInstance(dataset=dataset, gram=gram, lam=lam)
 print(f"certificate norms  {np.array2string(certs, precision=2)}")

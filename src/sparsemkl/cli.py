@@ -514,8 +514,7 @@ def _oracle_suite_small():
         y_seed = rng.standard_normal(m)
         dataset = Dataset(points, y_seed)
         gram = assemble_gram_blocks(dataset, LinearGroupProjection(dims))
-        certs = np.sqrt(gram.quad(y_seed))
-        lam = float((0.25 + 0.5 * rng.random()) * certs.max())
+        lam = float((0.25 + 0.5 * rng.random()) * gram.norms(y_seed).max())
         problem = ProblemInstance(dataset=dataset, gram=gram, lam=lam)
 
         # stop_tol is absolute, and the data are unit scale: standard-normal

@@ -111,11 +111,11 @@ class Dataset:
 class GramBlocks:
     """Per-group Gram matrices and the operator they define.
 
-    The package applies the Gram operator through three methods:
-    :meth:`apply` for :math:`\\sum_g K_g \\alpha_g`, :meth:`apply_each`
-    for :math:`K_g v` per group, and :meth:`quad` for the group
-    quadratic forms; :meth:`resolvent` solves with
-    :math:`I + \\sum_g c_g K_g`, and the solver steps in the
+    The package applies the Gram operator through :meth:`apply` for
+    :math:`\\sum_g K_g \\alpha_g` and :meth:`apply_each` for
+    :math:`K_g v` per group, and takes every kernel norm outside the
+    solver's loop and the oracles from :meth:`norms`; :meth:`resolvent`
+    solves with :math:`I + \\sum_g c_g K_g`, and the solver steps in the
     coordinates of :meth:`image`. They work on one of two storages:
 
     * dense, from `blocks`: the ``(G, m, m)`` stack itself, for implicit
@@ -361,9 +361,8 @@ class GramBlocks:
         `v` is as for :meth:`apply_each`. The image is ``K_g v_g`` on
         dense storage, a ``(G, m)`` array, and ``X_g' v_g`` on factored
         storage, a ``(G, d_max)`` array whose padding columns are zero.
-        The kernel norm of ``v_g`` is ``sqrt(v_g' image_g)`` on the one
-        and ``||image_g||`` on the other, and :meth:`from_images` sums
-        the images to ``sum_g K_g v_g``.
+        :meth:`norms` reads the kernel norms off it, and
+        :meth:`from_images` sums the images to ``sum_g K_g v_g``.
         """
         if self.factors is None:
             return self.apply_each(v)
@@ -378,8 +377,12 @@ class GramBlocks:
             return np.add.reduce(images, axis=0)
         return self._padded @ images.reshape(-1)
 
-    def quad(self, v):
-        """Group quadratic forms ``v_g' K_g v_g``, one per group.
+    def norms(self, v):
+        """Each group's kernel norm ``sqrt(v_g' K_g v_g)``, read off the
+        :meth:`image` of v as the solver reads its own: the root of
+        ``v_g' image_g`` on dense storage and of ``||image_g||^2`` on
+        factored storage, clamped at 0 first, as a dense PSD block can
+        give a square a few ulp below it.
 
         Parameters
         ----------
@@ -390,15 +393,15 @@ class GramBlocks:
         Returns
         -------
         (G,) ndarray
-            Not clamped: dense PSD blocks can give values a few ulp
-            below 0. Factored blocks give ``||X_g' v_g||^2 >= 0``.
         """
+        if v.ndim == 2:
+            v = np.ascontiguousarray(v.T)
+        image = self.image(v)
         if self.factors is not None:
-            u = self._project(v if v.ndim == 1 else v.T)
-            return np.einsum("gdk,gdk->g", u, u)
-        if v.ndim == 1:
-            return np.einsum("i,gij,j->g", v, self.blocks, v)
-        return np.einsum("ig,gij,jg->g", v, self.blocks, v)
+            sq = np.einsum("gi,gi->g", image, image)
+        else:
+            sq = np.einsum("gi,i->g" if v.ndim == 1 else "gi,gi->g", image, v)
+        return np.sqrt(np.maximum(sq, 0.0))
 
     def resolvent(self, weights):
         """``(I + sum_g weights[g] K_g)^-1`` as a callable on (m,) or
@@ -645,8 +648,9 @@ def objective(coeffs, problem):
     -------
     float
         ``effective_lambda * sum_g sqrt(a_g' K_g a_g) + 0.5 * ||r||^2``
-        where r is the data-fit residual.
+        where r is the data-fit residual, each kernel norm from
+        :meth:`GramBlocks.norms`.
     """
     r = residual(coeffs, problem.gram, problem.dataset.responses)
-    norms = np.sqrt(np.maximum(problem.gram.quad(coeffs.alpha), 0.0))
+    norms = problem.gram.norms(coeffs.alpha)
     return float(problem.effective_lambda * norms.sum() + 0.5 * (r @ r))

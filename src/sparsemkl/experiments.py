@@ -243,10 +243,9 @@ def generate_instance(config, index):
     noise = config.noise_std * rng.standard_normal(config.m)
     y = gram.apply(alpha_star) + noise
 
-    certs = np.sqrt(np.maximum(gram.quad(y), 0.0))
     problem = ProblemInstance(
         dataset=Dataset(data.points, y), gram=gram,
-        lam=config.lam * float(certs.max()),
+        lam=config.lam * float(gram.norms(y).max()),
         lam_convention="raw",
     )
     return problem, DualCoefficients(alpha_star)

@@ -93,10 +93,12 @@ def assemble_gram_blocks(dataset, spec):
     if not isinstance(spec, GaussianFamily):
         raise ContractViolation(f"unsupported kernel spec {type(spec).__name__}")
 
-    X = dataset.points
-    diff = X[:, None, :] - X[None, :, :]
-    # symmetric to the bit: diff is antisymmetric and sums in one order
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
+    # squared distances one coordinate at a time, O(m^2) memory for any
+    # p; symmetric to the bit, as each difference is antisymmetric and
+    # every entry sums its coordinates in one order
+    sq = np.zeros((dataset.m, dataset.m))
+    for x in dataset.points.T:
+        sq += np.square(np.subtract.outer(x, x))
     blocks = np.empty((len(spec.sigmas), dataset.m, dataset.m))
     for g, sigma in enumerate(spec.sigmas):
         blocks[g] = np.exp(-sq / (2.0 * sigma * sigma))

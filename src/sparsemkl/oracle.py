@@ -179,7 +179,7 @@ def enumerate_solve(problem):
                 if sol is None:
                     continue
                 c, rho = sol
-            theta = np.sqrt(np.maximum(problem.gram.quad(rho), 0.0))
+            theta = problem.gram.norms(rho)
             off = [g for g in range(G) if g not in S]
             if off and theta[off].max() > lam * (1.0 + ENUM_TOL):
                 continue

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DualCoefficients, ProblemInstance, bind_stack, residual
+from .core import (DualCoefficients, ProblemInstance, bind_stack, objective,
+                   residual)
 from .errors import ContractViolation, DivergenceError
 
 __all__ = ["SolverConfig", "SolveTrace", "SolveResult", "solve",
@@ -663,9 +664,9 @@ def _finish(row, IM, y, penalty):
     last iteration's, as its record would hold it.
     """
     r = row.gram.from_images(IM) - y
-    objective = penalty + 0.5 * (r @ r)
+    final = penalty + 0.5 * (r @ r)
     if row.obj:
-        row.obj[-1] = objective
+        row.obj[-1] = final
     objectives = np.frombuffer(row.obj)
     step_norms = np.frombuffer(row.steps)
     if row.tile is not None:
@@ -682,7 +683,7 @@ def _finish(row, IM, y, penalty):
             len(masks), row.gram.n_groups),
         objectives=objectives,
         step_norms=step_norms,
-        objective=objective,
+        objective=final,
         iters_run=row.n,
         final_step_norm=row.step,
     )
@@ -753,15 +754,14 @@ def polish_reference(problem, coeffs):
             return None
         polished = DualCoefficients(alpha)
         r = residual(polished, gram, y)
-        Kr = gram.apply_each(r)
-        certs = np.sqrt(np.maximum(np.einsum("gi,i->g", Kr, r), 0.0)) / lam
-        primal = lam * _block_norms(gram, alpha).sum() + 0.5 * (r @ r)
+        certs = gram.norms(r) / lam
+        primal = objective(polished, problem)
         scale = max(1.0, float(certs.max()))
         dual = -(y @ r) / scale - 0.5 * (r @ r) / (scale * scale)
         certified = (
             (weights[S] > 0.0).all()
             and (np.delete(certs, S) < 1.0).all()
-            and np.linalg.matrix_rank(Kr[S].T) == S.size
+            and np.linalg.matrix_rank(gram.apply_each(r)[S].T) == S.size
             and primal - dual <= POLISH_GAP_TOL * primal
         )
     return polished if certified else None
@@ -780,7 +780,7 @@ def _kernel_weights(gram, y, lam, coeffs):
     every = np.arange(gram.n_groups)
     # an interior start: the iterate's weights, all raised a little,
     # and slacks no smaller than a hundredth
-    c = _block_norms(gram, coeffs.alpha) / lam
+    c = gram.norms(coeffs.alpha) / lam
     top = c.max()
     c += 1e-2 * (top if top > 0.0 else 1.0 / gram.lipschitz)
     grad, hess = _weight_state(gram, y, lam2, c, every)
@@ -837,14 +837,6 @@ def _weight_state(gram, y, lam2, c, S):
     grad = 1.0 - np.einsum("gi,i->g", U, w) / lam2
     hess = 2.0 * np.einsum("gi,ih->gh", U[S], solve(U[S].T)) / lam2
     return grad, 0.5 * (hess + hess.T)
-
-
-def _block_norms(gram, alpha):
-    """``sqrt(alpha_g' K_g alpha_g)`` per group, without the transient
-    that `GramBlocks.quad` takes on dense storage."""
-    AT = np.ascontiguousarray(alpha.T)
-    return np.sqrt(np.maximum(np.einsum("gi,gi->g", gram.apply_each(AT), AT),
-                              0.0))
 
 
 def _to_boundary(x, dx):

@@ -111,7 +111,8 @@ def support_of(coeffs):
 
 
 def certificate_norms(coeffs, problem):
-    """Scaled dual certificate norms ``sqrt(r' K_g r) / lambda``.
+    """Scaled dual certificate norms ``sqrt(r' K_g r) / lambda``, the
+    residual's kernel norms from :meth:`GramBlocks.norms`.
 
     Parameters
     ----------
@@ -123,8 +124,7 @@ def certificate_norms(coeffs, problem):
     (G,) ndarray
     """
     r = residual(coeffs, problem.gram, problem.dataset.responses)
-    quad = problem.gram.quad(r)
-    return np.sqrt(np.maximum(quad, 0.0)) / problem.effective_lambda
+    return problem.gram.norms(r) / problem.effective_lambda
 
 
 def qualification_check(coeffs, problem, eps_rel=DEFAULT_EPS_REL):

@@ -42,7 +42,7 @@ def group_lasso_instance(index):
     alpha[:, chosen] = rng.standard_normal((m, s))
     gram = assemble_gram_blocks(Dataset(X, np.zeros(m)), LinearGroupProjection(dims))
     y = gram.apply(alpha) + 1e-2 * rng.standard_normal(m)
-    certs = np.sqrt(gram.quad(y))
+    certs = gram.norms(y)
     f = 10.0 ** rng.uniform(np.log10(0.05), np.log10(2.0))
     lam = float(f * certs.max())
     return ProblemInstance(dataset=Dataset(X, y), gram=gram, lam=lam)
@@ -66,7 +66,7 @@ def gaussian_sandwich_instance(index):
     alpha[:, chosen] = rng.standard_normal((m, s))
     gram = assemble_gram_blocks(Dataset(X, np.zeros(m)), GaussianFamily(sigmas))
     y = gram.apply(alpha) + 1e-2 * rng.standard_normal(m)
-    certs = np.sqrt(gram.quad(y))
+    certs = gram.norms(y)
     f = 10.0 ** rng.uniform(np.log10(0.15), np.log10(1.5))
     lam = float(f * certs.max())
     return ProblemInstance(dataset=Dataset(X, y), gram=gram, lam=lam)

@@ -183,8 +183,8 @@ class TestFactoredAgreesWithDense:
         A = np.random.default_rng(6).standard_normal((9, len(dims)))
         images = factored.image(A.T)
         assert images.shape == (len(dims), max(dims))
-        assert rel_err(np.einsum("gd,gd->g", images, images),
-                       dense.quad(A)) <= 1e-12
+        assert rel_err(np.sqrt(np.einsum("gd,gd->g", images, images)),
+                       dense.norms(A)) <= 1e-12
         assert rel_err(factored.from_images(images), dense.apply(A)) <= 1e-12
         assert rel_err(dense.from_images(dense.image(A.T)),
                        dense.apply(A)) <= 1e-12
@@ -192,12 +192,12 @@ class TestFactoredAgreesWithDense:
     def test_quad_shared_vector(self, dims):
         factored, dense = factored_and_dense(dims)
         v = np.random.default_rng(4).standard_normal(9)
-        assert rel_err(factored.quad(v), dense.quad(v)) <= 1e-12
+        assert rel_err(factored.norms(v), dense.norms(v)) <= 1e-12
 
     def test_quad_column_per_group(self, dims):
         factored, dense = factored_and_dense(dims)
         A = np.random.default_rng(5).standard_normal((9, len(dims)))
-        assert rel_err(factored.quad(A), dense.quad(A)) <= 1e-12
+        assert rel_err(factored.norms(A), dense.norms(A)) <= 1e-12
 
     def test_lipschitz(self, dims):
         factored, dense = factored_and_dense(dims)
@@ -539,14 +539,14 @@ class TestObjective:
 
 
 class TestGroupDualNorm:
-    """The kernel-weighted norm sqrt(v' K_g v), through `GramBlocks.quad`."""
+    """The kernel-weighted norm sqrt(v' K_g v), through `GramBlocks.norms`."""
 
     def test_operator_norm_bound(self, rng):
         prob = group_lasso_instance(7)
         top = [float(np.linalg.eigvalsh(K)[-1]) for K in prob.gram.dense()]
         for _ in range(20):
             v = rng.standard_normal(prob.m)
-            nu = np.sqrt(np.maximum(prob.gram.quad(v), 0.0))
+            nu = prob.gram.norms(v)
             for g in range(prob.n_groups):
                 assert nu[g] * nu[g] <= top[g] * float(v @ v) + 1e-9
 
@@ -556,4 +556,18 @@ class TestGroupDualNorm:
         v = np.array([1.0, -1.0])
         for gram in (GramBlocks(blocks=np.ones((1, 2, 2))),
                      GramBlocks(features=np.ones((2, 1)), group_dims=(1,))):
-            assert np.sqrt(np.maximum(gram.quad(v), 0.0))[0] == 0.0
+            assert gram.norms(v)[0] == 0.0
+
+    def test_dense_peak_is_the_image(self):
+        # a Gaussian preset gram, G = 20 and m = 50: the (G, m) image and
+        # the transposed coefficients are 8 kB each, where a quadratic
+        # form contracted over the (G, m, m) stack peaked at 122 kB
+        from sparsemkl.experiments import ExperimentConfig, generate_instance
+
+        config = ExperimentConfig.gaussian_kernel_paper(n_instances=1)
+        problem, alpha = generate_instance(config, 0)
+        gram, y = problem.gram, problem.dataset.responses
+        for v in (y, alpha.alpha):
+            norms, peak = traced(lambda: gram.norms(v))
+            assert norms.shape == (gram.n_groups,)
+            assert peak < 32_000

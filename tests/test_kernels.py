@@ -114,6 +114,39 @@ class TestGaussianAssembly:
         assert gram.blocks is built[0]
         assert not gram.blocks.flags.writeable
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 64])
+    def test_symmetric_to_the_bit(self, rng, p):
+        X = rng.standard_normal((30, p))
+        gram = assemble_gram_blocks(Dataset(X, np.zeros(30)),
+                                    GaussianFamily((0.5, 2.0)))
+        assert np.array_equal(gram.blocks, gram.blocks.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_low_dimensions_keep_the_difference_tensor_bits(self, rng, p):
+        # both presets and their recorded outputs have p <= 2, where
+        # summing one coordinate at a time rounds as a contraction of
+        # the (m, m, p) difference tensor does
+        X = rng.standard_normal((30, p))
+        gram = assemble_gram_blocks(Dataset(X, np.zeros(30)),
+                                    GaussianFamily((0.5, 2.0)))
+        diff = X[:, None, :] - X[None, :, :]
+        sq = np.einsum("ijk,ijk->ij", diff, diff)
+        for K, sigma in zip(gram.blocks, (0.5, 2.0)):
+            assert np.array_equal(K, np.exp(-sq / (2.0 * sigma * sigma)))
+
+    def test_peak_memory_is_the_stack(self, rng):
+        # m = 200, p = 64: the (m, m, p) difference tensor alone would be
+        # 20 MB, against a 0.64 MB stack of two blocks
+        m, p = 200, 64
+        ds = Dataset(rng.standard_normal((m, p)), np.zeros(m))
+        tracemalloc.start()
+        try:
+            gram = assemble_gram_blocks(ds, GaussianFamily((4.0, 8.0)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * gram.blocks.nbytes
+
     def test_diagonal_exactly_one(self, rng):
         X = rng.standard_normal((6, 2))
         gram = assemble_gram_blocks(Dataset(X, np.zeros(6)), GaussianFamily((0.5, 2.0)))

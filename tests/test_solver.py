@@ -92,7 +92,7 @@ class TestGroupThreshold:
         K = prob.gram.dense()[0]
 
         def norm(v):
-            return float(np.sqrt(max(prob.gram.quad(v)[0], 0.0)))
+            return float(prob.gram.norms(v)[0])
 
         for _ in range(20):
             a = rng.standard_normal(prob.m)
@@ -281,7 +281,7 @@ class TestDescentAndKkt:
         lam = prob.effective_lambda
         r = residual(coeffs, prob.gram, prob.dataset.responses)
         supp = support_of(coeffs)
-        certs = np.sqrt(np.maximum(prob.gram.quad(r), 0.0))
+        certs = prob.gram.norms(r)
         for g, cert in enumerate(certs):
             if g in supp:
                 assert abs(cert - lam) <= 1e-6 * lam
@@ -292,11 +292,11 @@ class TestDescentAndKkt:
         prob = group_lasso_instance(6)
         cfg = SolverConfig(tau_factor=0.8, max_iters=200)
         coeffs, _ = solve(prob, cfg)
-        quad = prob.gram.quad(coeffs.alpha)
+        norms = prob.gram.norms(coeffs.alpha)
         for g in range(prob.n_groups):
             col = coeffs.alpha[:, g]
             if g in support_of(coeffs):
-                assert quad[g] > 0.0
+                assert norms[g] > 0.0
             else:
                 assert np.array_equal(col, np.zeros(prob.m))
 
@@ -423,9 +423,8 @@ class TestTrace:
         y = X[:, [3, 70, 99]] @ np.array([2.0, -1.5, 1.0])
         dataset = Dataset(X, y)
         gram = assemble_gram_blocks(dataset, LinearGroupProjection((1,) * G))
-        certs = np.sqrt(gram.quad(y))
         prob = ProblemInstance(dataset=dataset, gram=gram,
-                               lam=0.5 * float(certs.max()))
+                               lam=0.5 * float(gram.norms(y).max()))
         cfg = SolverConfig(tau_factor=0.8, max_iters=400)
         result = solve_with_reference(prob, cfg)
         trace = result.trace

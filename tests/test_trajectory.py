@@ -326,7 +326,7 @@ def boundary_problem(seed):
     y = rng.standard_normal(m)
     gram = assemble_gram_blocks(Dataset(X, np.zeros(m)),
                                 LinearGroupProjection((1,) * G))
-    lam = float(np.sqrt(gram.quad(y)).max()) * (1.0 - 2.0**-52)
+    lam = float(gram.norms(y).max()) * (1.0 - 2.0**-52)
     return ProblemInstance(dataset=Dataset(X, y), gram=gram, lam=lam,
                            lam_convention="raw")
 
