@@ -308,6 +308,10 @@ def _load_dataset(path):
             except (ValueError, zipfile.BadZipFile) as err:
                 raise ConfigError(
                     f"cannot parse .npz dataset {path}: {err}") from err
+        # frozen with the buffers they view, they become the dataset's
+        for a in (points, responses, points.base, responses.base):
+            if a is not None:
+                a.setflags(write=False)
         return Dataset(points, responses)
     try:
         table = np.loadtxt(path, delimiter=",", ndmin=2)

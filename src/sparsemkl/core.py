@@ -49,14 +49,17 @@ LIPSCHITZ_MARGIN = 1.01
 def _readonly(a, dtype=np.float64):
     """`a` as a C-contiguous read-only float array.
 
-    An array that already is one and owns its data is returned as is;
-    anything else, a read-only view of a writable array included, is
-    copied, so no writable alias of the result is left behind.
+    An array that already is one, and owns its data or reshapes the
+    whole of a read-only array that does, is returned as is; anything
+    else, a read-only view of a writable array included, is copied, so
+    no writable alias of the result is left behind.
     """
     if (isinstance(a, np.ndarray) and a.dtype == dtype
-            and a.flags.c_contiguous and a.flags.owndata
-            and not a.flags.writeable):
-        return a
+            and a.flags.c_contiguous and not a.flags.writeable):
+        owner = a if a.base is None else a.base
+        if (isinstance(owner, np.ndarray) and owner.base is None
+                and not owner.flags.writeable and owner.nbytes == a.nbytes):
+            return a
     out = np.array(a, dtype=dtype, order="C", copy=True)
     out.setflags(write=False)
     return out
@@ -121,10 +124,12 @@ class GramBlocks:
     * dense, from `blocks`: the ``(G, m, m)`` stack itself, for implicit
       kernels such as the Gaussian family;
     * factored, from `features` and `group_dims`: linear kernels on
-      consecutive column groups, ``K_g = X_g X_g'``. The column groups
-      are stored as a zero-padded ``(G, m, d_max)`` factor stack, so
-      ``K_g v = X_g (X_g' v)`` costs two batched matrix products of
-      O(m d_max) per group, and no ``(m, m)`` block is ever formed.
+      consecutive column groups, ``K_g = X_g X_g'``. The ``(G, m,
+      d_max)`` factor stack is a read-only view of the features, padded
+      with zeros in one copy if the widths differ, and its transpose the
+      one contiguous copy, so ``K_g v = X_g (X_g' v)`` costs two batched
+      matrix products of O(m d_max) per group, and no ``(m, m)`` block
+      is ever formed.
 
     :meth:`dense` returns the ``(G, m, m)`` stack for code that needs
     the blocks themselves; on factored storage it builds them anew.
@@ -252,19 +257,20 @@ class GramBlocks:
                 f"p={X.shape[1]}, got {dims}"
             )
 
-        # F_g holds X_g zero-padded to d_max columns, and P the F_g side
-        # by side, which is X itself when the widths are equal; the zeros
-        # add nothing to F_g' v, F_g u or P w. F' is kept contiguous for
-        # matmul
-        F = np.zeros((len(dims), X.shape[0], max(dims)))
-        start = 0
-        for g, d in enumerate(dims):
-            F[g, :, :d] = X[:, start:start + d]
-            start += d
-        P = X if len(set(dims)) == 1 else np.hstack(F)
+        # P holds the X_g zero-padded to d_max columns side by side, X
+        # itself when the widths are equal; the zeros add nothing to F_g'
+        # v, F_g u or P w. F_g views P's g-th slice, and F', which the
+        # loop's products read, is the one contiguous copy
+        m, G, d_max = X.shape[0], len(dims), max(dims)
+        P = X
+        if len(set(dims)) > 1:
+            P = np.zeros((m, G * d_max))
+            P[:, np.concatenate([g * d_max + np.arange(d)
+                                 for g, d in enumerate(dims)])] = X
+            P.setflags(write=False)
+        F = P.reshape(m, G, d_max).transpose(1, 0, 2)
         FT = np.ascontiguousarray(F.transpose(0, 2, 1))
-        for a in (F, FT, P):
-            a.setflags(write=False)
+        FT.setflags(write=False)
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "group_dims", dims)
         object.__setattr__(self, "factors", F)

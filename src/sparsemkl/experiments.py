@@ -226,13 +226,13 @@ def generate_instance(config, index):
         )
     rng = np.random.default_rng(instance_seed(config.master_seed, index))
     points = rng.standard_normal((config.m, config.p))
+    points.setflags(write=False)  # the dataset's and the Gram's, uncopied
     if config.family == "group-lasso":
         spec = LinearGroupProjection(config.group_dims)
     else:
         lo, hi = config.sigma_range
         sigmas = np.exp(rng.uniform(np.log(lo), np.log(hi), size=config.G))
         spec = GaussianFamily(tuple(float(s) for s in sigmas))
-    # the problem's dataset shares these read-only points with the Gram
     data = Dataset(points, np.zeros(config.m))
     gram = assemble_gram_blocks(data, spec)
 
@@ -290,9 +290,8 @@ class BatchResult:
 #: How many instances a batch steps together, as one stack: as many as
 #: fit in this many bytes by `_row_bytes`' model of their Gram storage,
 #: stack state and, if traced, trace buffers. A model, not a bound: it
-#: leaves out the generated instances, the results and polished
-#: references, the polish's factors and Gaussian assembly's (m, m, p)
-#: tensor (ROADMAP item 8).
+#: leaves out the results and polished references and the polish's
+#: factors (ROADMAP item 8).
 CHUNK_BYTES = 2 << 20
 
 
@@ -302,18 +301,19 @@ def _row_bytes(config, keep_traces=True):
     Its Gram storage, its stack state (`solver.stack_state_floats`)
     beside two spare (G, m) float arrays and, if traced, an objective
     and a step norm per iteration. The spare arrays are headroom for the
-    generated instances and the results, which it leaves out; the polish
-    runs after the stack is freed (ROADMAP item 8).
+    rest of the instance and the results, which it leaves out; the
+    polish runs after the stack is freed (ROADMAP item 8).
     """
     G, m = config.G, config.m
     if config.family == "group-lasso":
         d_max = max(config.group_dims)
-        # the (G, m, d_max) factor stack and its transpose, and the
-        # padded features and transposed factors that the chunk's bound
-        # step stacks when its rows are two or more (core.bind_stack);
-        # with unequal widths the gram keeps its own padded features too
-        copies = 4 + (len(set(config.group_dims)) > 1)
-        gram = copies * 8 * G * m * d_max
+        # the features and the (G, d_max, m) transposed factor stack, and
+        # the padded features and transposed factors that the chunk's
+        # bound step stacks when its rows are two or more
+        # (core.bind_stack); with unequal widths the gram keeps its own
+        # padded features too
+        copies = 3 + (len(set(config.group_dims)) > 1)
+        gram = 8 * m * config.p + copies * 8 * G * m * d_max
         state = stack_state_floats(G, m, d_max)
     else:
         gram = 8 * G * m * m

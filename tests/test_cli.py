@@ -7,6 +7,7 @@ stdout/stderr, and the files left in a temporary output directory.
 import hashlib
 import json
 import pickle
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -566,6 +567,32 @@ def test_solve_gaussian_kernel_from_npz(tmp_path, capsys):
     doc = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
     assert doc["config"]["G"] == 2 and doc["config"]["m"] == 6
     assert doc["outputs"] == [str(out_dir / "report.txt")]
+
+
+def test_npz_dataset_is_loaded_without_a_copy(tmp_path):
+    # the archive's float arrays become the dataset's, frozen in place;
+    # a Fortran-ordered one is still copied to C order. The peak's
+    # excess over the points is numpy's read buffer, 256 kB
+    from sparsemkl.cli import _load_dataset
+
+    rng = np.random.default_rng(0)
+    points = rng.standard_normal((2000, 100))
+    for order in ("C", "F"):
+        data = tmp_path / f"data_{order}.npz"
+        np.savez(data, points=np.asarray(points, order=order),
+                 responses=rng.standard_normal(2000))
+        tracemalloc.start()
+        try:
+            dataset = _load_dataset(str(data))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(dataset.points, points)
+        assert not dataset.points.flags.writeable
+        assert dataset.points.flags.c_contiguous
+        if order == "C":
+            assert peak < 1.5 * points.nbytes
+            assert not dataset.points.base.flags.writeable
 
 
 def test_missing_dataset_file_named_in_error(tmp_path, capsys):

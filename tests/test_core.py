@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,14 +8,16 @@ from sparsemkl import (
     ContractViolation,
     Dataset,
     DualCoefficients,
+    ExperimentConfig,
     GramBlocks,
     LinearGroupProjection,
     ProblemInstance,
     assemble_gram_blocks,
+    generate_instance,
     objective,
     residual,
 )
-from sparsemkl.core import LIPSCHITZ_MARGIN, PSD_TOL, bind_stack
+from sparsemkl.core import LIPSCHITZ_MARGIN, PSD_TOL, _readonly, bind_stack
 
 from _fixtures import coeffs_like, group_lasso_instance
 
@@ -108,6 +111,22 @@ class TestGramBlocks:
         frozen = self._valid()
         frozen.setflags(write=False)
         assert GramBlocks(blocks=frozen).blocks is frozen
+
+    def test_frozen_reshape_of_a_frozen_owner_is_kept(self):
+        # a whole-buffer reshape whose owner is read-only has no writable
+        # alias; a part of one, or a reshape of a writable owner, is copied
+        owner = self._valid().flatten()
+        owner.setflags(write=False)
+        stack = owner.reshape(2, 2, 2)
+        assert GramBlocks(blocks=stack).blocks is stack
+        part = np.arange(12.0)
+        part.setflags(write=False)
+        part = part[:8].reshape(2, 4)
+        assert not np.shares_memory(_readonly(part), part)
+        writable = self._valid().flatten()
+        stack = writable.reshape(2, 2, 2)
+        stack.setflags(write=False)
+        assert not np.shares_memory(GramBlocks(blocks=stack).blocks, writable)
 
     def test_rejects_understated_lipschitz(self):
         with pytest.raises(ContractViolation):
@@ -372,6 +391,54 @@ def traced(fn):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+class TestFactorsViewTheFeatures:
+    """A factored gram holds its features once: the factor stack is a
+    read-only view of them, zero-padded in one copy when the widths
+    differ, beside the one transposed copy."""
+
+    def test_equal_widths_view_the_features(self):
+        gram = factored_gram(0, (5,) * 20)
+        assert gram._padded is gram.features
+        assert np.shares_memory(gram.factors, gram.features)
+        assert not gram.factors.flags.writeable
+
+    def test_unequal_widths_view_the_padded_features(self):
+        gram = factored_gram(0, UNEVEN_DIMS)
+        X, F, d_max = gram.features, gram.factors, max(UNEVEN_DIMS)
+        assert gram._padded.shape == (50, 20 * d_max)
+        assert np.shares_memory(F, gram._padded)
+        assert not np.shares_memory(F, X)
+        assert not F.flags.writeable and not gram._padded.flags.writeable
+        starts = np.cumsum((0,) + UNEVEN_DIMS)
+        for g, d in enumerate(UNEVEN_DIMS):
+            assert np.array_equal(F[g, :, :d], X[:, starts[g]:starts[g] + d])
+            assert not F[g, :, d:].any()
+        assert np.array_equal(gram._factors_t, F.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("dims, bound", [((5,) * 20, 1.5),
+                                             ((3, 7) * 10, 3.0)],
+                             ids=["even", "uneven"])
+    def test_building_copies_the_features_at_most_twice(self, dims, bound):
+        # beside the features: the transposed stack and, with unequal
+        # widths, the padded features
+        X = np.random.default_rng(0).standard_normal((800, 100))
+        X.setflags(write=False)
+        gram, peak = traced(lambda: GramBlocks(features=X, group_dims=dims))
+        assert gram.features is X
+        assert peak < bound * X.nbytes
+
+    def test_an_instance_is_generated_around_one_draw(self):
+        # the generator's draw, the dataset's points and the gram's
+        # features are one array
+        cfg = ExperimentConfig.group_lasso_paper(n_instances=1)
+        cfg = dataclasses.replace(cfg, m=800)
+        generate_instance(cfg, 0)
+        (problem, _), peak = traced(lambda: generate_instance(cfg, 0))
+        points = problem.dataset.points
+        assert points is problem.gram.features and points.flags.owndata
+        assert peak < 3 * points.nbytes
 
 
 class TestFactoredValidation:

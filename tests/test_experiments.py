@@ -359,14 +359,16 @@ class TestChunkedBatch:
 
     @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (1, 2, 2, 3)])
     def test_row_bytes_count_the_factored_gram(self, dims):
-        # the factor stack, its transpose and, with unequal widths, the
-        # zero-padded (m, G d_max) features, which equal widths share
-        # with X; and the padded features and transposed factors that a
-        # bound stack of two or more rows stacks
+        # what the gram owns: the features, the transposed factor stack
+        # and, with unequal widths, the zero-padded (m, G d_max)
+        # features, which equal widths share with X and of which the
+        # factor stack is a view; and the padded features and transposed
+        # factors that a bound stack of two or more rows stacks
         cfg = small_gl_config(group_dims=dims)
         gram = generate_instance(cfg, 0)[0].gram
         padded = gram._padded
-        held = (gram.factors.nbytes + gram._factors_t.nbytes
+        assert np.shares_memory(gram.factors, padded)
+        held = (gram.features.nbytes + gram._factors_t.nbytes
                 + (padded is not gram.features) * padded.nbytes)
         stacked = padded.nbytes + gram._factors_t.nbytes
         # three (G, m) arrays and two spare, four (G, d_max) images, and
@@ -431,23 +433,27 @@ class TestChunkedBatch:
         assert eight <= experiments.CHUNK_BYTES + one
 
     # tracemalloc peaks of one `_run_chunk` per shape (master seed 0,
-    # Python 3.11, numpy 2.4). The group-lasso ones were recorded once
-    # references were taken after the loop, each settled row's result
-    # serving as its reference instead of a copy of it; the Gaussian one
-    # while a stack kept its first rows' stacked factors and compacted
-    # them in place as rows left. Binding each product from the rows it
-    # holds must not exceed them, nor must the Gaussian chunk's reference
-    # polish, which runs after the stack is freed. The slack covers the
-    # few hundred bytes of Python objects by which repeated runs of one
-    # chunk differ.
+    # Python 3.11, numpy 2.4), each with about 57 kB of headroom. The
+    # group-lasso ones were recorded once each instance held its features
+    # once, the factor stack a view of them and the generator's draw
+    # frozen into the dataset; the Gaussian one while a stack kept its
+    # first rows' stacked factors and compacted them in place as rows
+    # left. Binding each product from the rows it holds must not exceed
+    # them, nor must the Gaussian chunk's reference polish, which runs
+    # after the stack is freed. The slack covers the few hundred bytes of
+    # Python objects by which repeated runs of one chunk differ.
     @pytest.mark.parametrize("cfg, keep_traces, recorded", [
         (ExperimentConfig.group_lasso_paper(n_instances=6, master_seed=0),
-         True, 1_630_018),
+         True, 1_390_018),
         (ExperimentConfig.group_lasso_paper(n_instances=8, master_seed=0),
-         False, 1_992_162),
+         False, 1_672_210),
         (gaussian_preset(4), False, 1_991_811),
+        # the shape of bench/large_m_linear.ini: one row at m = 800
+        (dataclasses.replace(
+            ExperimentConfig.group_lasso_paper(n_instances=1, master_seed=0),
+            m=800, iters=200), False, 1_902_092),
     ], ids=["group-lasso-traced-6x5000", "group-lasso-8x5000",
-            "gaussian-4x300"])
+            "gaussian-4x300", "large-m-linear"])
     def test_chunk_peak_does_not_grow(self, cfg, keep_traces, recorded):
         [chunk] = experiments._chunks(cfg, 1, keep_traces)
         experiments._run_chunk(cfg, chunk, keep_traces)
