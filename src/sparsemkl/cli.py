@@ -227,8 +227,7 @@ def _float_tuple(raw):
     return tuple(float(tok) for tok in raw.replace(" ", "").split(",") if tok)
 
 
-_PROBLEM_KEYS = {"data": str, "family": str, "lambda": float,
-                 "lambda_convention": str}
+_PROBLEM_KEYS = {"data": str, "family": str, "lambda": float}
 _PROBLEM_FAMILY_KEYS = {"group-lasso": {"group_dims": _int_tuple},
                         "gaussian-kernel": {"sigmas": _float_tuple}}
 _SOLVER_KEYS = {"tau_factor": float, "iters": int, "stop_tol": float}
@@ -325,8 +324,7 @@ def _load_dataset(path):
 def _solve_from_config(path):
     ini = _read_ini(path)
     keys, optional = _family_keys(ini, "problem", _PROBLEM_FAMILY_KEYS)
-    kw = _read_section(ini, "problem", {**_PROBLEM_KEYS, **keys},
-                       ("lambda_convention", *optional))
+    kw = _read_section(ini, "problem", {**_PROBLEM_KEYS, **keys}, optional)
     family = kw.pop("family")
     if family == "group-lasso":
         spec = LinearGroupProjection(kw.pop("group_dims"))
@@ -368,7 +366,6 @@ def _cmd_solve(args):
     config_doc = {
         "preset": args.preset,
         "lambda": problem.lam,
-        "lambda_convention": problem.lam_convention,
         "m": problem.m,
         "G": problem.n_groups,
         "tau_factor": config.tau_factor,

@@ -575,17 +575,14 @@ class ProblemInstance:
     gram : GramBlocks
         Must share the dataset's sample count.
     lam : float
-        Positive regularization weight.
-    lam_convention : {"raw", "per-sample"}
-        "raw" uses `lam` as-is in the objective; "per-sample" multiplies
-        it by the sample count, matching formulations that average the
-        data-fit term instead of summing it.
+        Positive regularization weight: the λ that multiplies the sum of
+        group norms in the objective. A formulation that averages the
+        data-fit term over the m samples sets ``lam = λ·m``.
     """
 
     dataset: Dataset
     gram: GramBlocks
     lam: float
-    lam_convention: str = "raw"
 
     def __post_init__(self):
         if not isinstance(self.dataset, Dataset):
@@ -600,19 +597,7 @@ class ProblemInstance:
         lam = float(self.lam)
         if not np.isfinite(lam) or lam <= 0.0:
             raise ContractViolation(f"lam must be positive, got {lam!r}")
-        if self.lam_convention not in ("raw", "per-sample"):
-            raise ContractViolation(
-                f"lam_convention must be 'raw' or 'per-sample', "
-                f"got {self.lam_convention!r}"
-            )
         object.__setattr__(self, "lam", lam)
-
-    @property
-    def effective_lambda(self):
-        """Weight actually multiplying the group-norm sum."""
-        if self.lam_convention == "per-sample":
-            return self.lam * self.dataset.m
-        return self.lam
 
     @property
     def m(self):
@@ -653,10 +638,10 @@ def objective(coeffs, problem):
     Returns
     -------
     float
-        ``effective_lambda * sum_g sqrt(a_g' K_g a_g) + 0.5 * ||r||^2``
+        ``lam * sum_g sqrt(a_g' K_g a_g) + 0.5 * ||r||^2``
         where r is the data-fit residual, each kernel norm from
         :meth:`GramBlocks.norms`.
     """
     r = residual(coeffs, problem.gram, problem.dataset.responses)
     norms = problem.gram.norms(coeffs.alpha)
-    return float(problem.effective_lambda * norms.sum() + 0.5 * (r @ r))
+    return float(problem.lam * norms.sum() + 0.5 * (r @ r))

@@ -246,7 +246,6 @@ def generate_instance(config, index):
     problem = ProblemInstance(
         dataset=Dataset(data.points, y), gram=gram,
         lam=config.lam * float(gram.norms(y).max()),
-        lam_convention="raw",
     )
     return problem, DualCoefficients(alpha_star)
 
@@ -288,37 +287,45 @@ class BatchResult:
 
 
 #: How many instances a batch steps together, as one stack: as many as
-#: fit in this many bytes by `_row_bytes`' model of their Gram storage,
+#: fit in this many bytes by `_chunk_bytes`' model of their Gram storage,
 #: stack state and, if traced, trace buffers. A model, not a bound: it
 #: leaves out the results and polished references and the polish's
 #: factors (ROADMAP item 8).
 CHUNK_BYTES = 2 << 20
 
 
-def _row_bytes(config, keep_traces=True):
-    """Bytes one instance holds while its chunk is solved.
+def _chunk_bytes(config, rows, keep_traces=True):
+    """Bytes a chunk of `rows` instances holds while it is solved.
 
-    Its Gram storage, its stack state (`solver.stack_state_floats`)
-    beside two spare (G, m) float arrays and, if traced, an objective
-    and a step norm per iteration. The spare arrays are headroom for the
-    rest of the instance and the results, which it leaves out; the
-    polish runs after the stack is freed (ROADMAP item 8).
+    Each row's Gram storage, its stack state
+    (`solver.stack_state_floats`) beside two spare (G, m) float arrays
+    and, if traced, an objective and a step norm per iteration. The
+    spare arrays are headroom for the rest of the instance and the
+    results, which it leaves out; the polish runs after the stack is
+    freed (ROADMAP item 8).
     """
     G, m = config.G, config.m
     if config.family == "group-lasso":
         d_max = max(config.group_dims)
-        # the features and the (G, d_max, m) transposed factor stack, and
-        # the padded features and transposed factors that the chunk's
-        # bound step stacks when its rows are two or more
-        # (core.bind_stack); with unequal widths the gram keeps its own
-        # padded features too
-        copies = 3 + (len(set(config.group_dims)) > 1)
+        # the features and the (G, d_max, m) transposed factor stack;
+        # with unequal widths the gram keeps its own padded features
+        # too; and when the rows are two or more, the padded features
+        # and transposed factors that the chunk's bound step stacks (a
+        # lone row reads its gram's own, core.bind_stack)
+        copies = 1 + (len(set(config.group_dims)) > 1) + 2 * (rows > 1)
         gram = 8 * m * config.p + copies * 8 * G * m * d_max
         state = stack_state_floats(G, m, d_max)
     else:
         gram = 8 * G * m * m
         state = stack_state_floats(G, m)
-    return gram + 8 * (state + 2 * G * m) + 16 * config.iters * keep_traces
+    return rows * (gram + 8 * (state + 2 * G * m)
+                   + 16 * config.iters * keep_traces)
+
+
+def _row_bytes(config, keep_traces=True):
+    """Bytes each row of a chunk of two or more holds (`_chunk_bytes`),
+    the figure `_chunks` sizes chunks by."""
+    return _chunk_bytes(config, 2, keep_traces) // 2
 
 
 def _chunks(config, jobs, keep_traces=True):
@@ -345,7 +352,7 @@ def _run_chunk(config, indices, keep_traces):
         # a plain message, so that it crosses the process pool
         raise MemoryError(
             f"instances {indices[0]}-{indices[-1]}, a chunk predicted to "
-            f"take {len(indices) * _row_bytes(config, keep_traces)} bytes: "
+            f"take {_chunk_bytes(config, len(indices), keep_traces)} bytes: "
             f"{str(err) or 'allocation failed'}"
         ) from err
     except DivergenceError as err:
@@ -419,7 +426,7 @@ def run_batch(config, jobs=1, keep_traces=True):
         instance.
     MemoryError
         If a chunk runs out of memory; the message names its first and
-        last instance and the bytes `_row_bytes` predicted for it.
+        last instance and the bytes `_chunk_bytes` predicted for it.
     """
     if not isinstance(config, ExperimentConfig):
         raise ContractViolation("config must be an ExperimentConfig")

@@ -166,7 +166,7 @@ def enumerate_solve(problem):
         )
     K = problem.gram.dense()
     y = problem.dataset.responses
-    lam = problem.effective_lambda
+    lam = problem.lam
     m = problem.m
 
     accepted = []
@@ -277,7 +277,7 @@ def bcd_solve(problem, tol=1e-10, max_sweeps=10000):
         raise ContractViolation("bcd_solve needs Gram blocks built from features")
     dims = problem.gram.group_dims
     y = problem.dataset.responses
-    lam = problem.effective_lambda
+    lam = problem.lam
 
     slices = np.split(X, np.cumsum(dims)[:-1], axis=1)
     spectra = []

@@ -390,7 +390,7 @@ class _Row:
     def __init__(self, index, problem, tau, AT, IM):
         self.index = index  # place in the stack as given
         self.gram = problem.gram
-        self.lam = problem.effective_lambda
+        self.lam = problem.lam
         self.tau = tau
         self.thr = tau * self.lam
         self.n, self.skipped, self.step = 0, 0, None
@@ -737,8 +737,7 @@ def polish_reference(problem, coeffs):
     -------
     DualCoefficients or None
     """
-    gram, y = problem.gram, problem.dataset.responses
-    lam = problem.effective_lambda
+    gram, y, lam = problem.gram, problem.dataset.responses, problem.lam
     with np.errstate(all="ignore"):
         try:
             found = _kernel_weights(gram, y, lam, coeffs)

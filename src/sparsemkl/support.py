@@ -111,8 +111,9 @@ def support_of(coeffs):
 
 
 def certificate_norms(coeffs, problem):
-    """Scaled dual certificate norms ``sqrt(r' K_g r) / lambda``, the
-    residual's kernel norms from :meth:`GramBlocks.norms`.
+    """Scaled dual certificate norms ``sqrt(r' K_g r) / lam``, the
+    residual's kernel norms from :meth:`GramBlocks.norms` over the
+    problem's λ.
 
     Parameters
     ----------
@@ -124,7 +125,7 @@ def certificate_norms(coeffs, problem):
     (G,) ndarray
     """
     r = residual(coeffs, problem.gram, problem.dataset.responses)
-    return problem.gram.norms(r) / problem.effective_lambda
+    return problem.gram.norms(r) / problem.lam
 
 
 def qualification_check(coeffs, problem, eps_rel=DEFAULT_EPS_REL):

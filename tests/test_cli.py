@@ -162,7 +162,6 @@ def test_solve_dry_run_prints_config_and_writes_nothing(tmp_path, capsys):
         "eps_rel=0.0001",
         "iters=50",
         "lambda=1.0",
-        "lambda_convention=raw",
         "m=1",
         "preset=paper-1d",
         "stop_tol=0.0",
@@ -390,7 +389,7 @@ def test_solve_ini_keys_left_out_take_the_library_defaults(tmp_path, capsys):
     bare = tmp_path / "bare.ini"
     bare.write_text(problem, encoding="utf-8")
     spelled = tmp_path / "spelled.ini"
-    spelled.write_text(problem + "lambda_convention = raw\n[solver]\n"
+    spelled.write_text(problem + "[solver]\n"
                        "tau_factor = 0.8\niters = 1000\nstop_tol = 0\n",
                        encoding="utf-8")
     dry = [run_cli(["solve", "--config", str(cfg), "--dry-run"], capsys)
@@ -432,7 +431,6 @@ def test_readme_solve_config_parses(tmp_path, monkeypatch, capsys):
         "eps_rel=0.0001",
         "iters=10000",
         "lambda=1.0",
-        "lambda_convention=raw",
         "m=4",
         "preset=None",
         "stop_tol=1e-12",
@@ -468,6 +466,12 @@ SOLVE_INI_ERRORS = {
                            "group_dims = 1,1\nlambda = 1.0\n[solver]\n"
                            "tol = 1\n",
                            "unknown key 'tol' in section [solver]"),
+    # λ has one spelling: the weight on the group norms
+    "lambda-convention": ("data = {data}\nfamily = group-lasso\n"
+                          "group_dims = 1,1\nlambda = 1.0\n"
+                          "lambda_convention = raw\n",
+                          "unknown key 'lambda_convention' in section "
+                          "[problem]"),
 }
 
 

@@ -492,27 +492,6 @@ class TestProblemInstance:
         with pytest.raises(ContractViolation):
             ProblemInstance(dataset=ortho.dataset, gram=one_d.gram, lam=1.0)
 
-    def test_rejects_unknown_convention(self, one_d):
-        with pytest.raises(ContractViolation):
-            ProblemInstance(
-                dataset=one_d.dataset,
-                gram=one_d.gram,
-                lam=1.0,
-                lam_convention="mean",
-            )
-
-    def test_effective_lambda_conventions(self, ortho):
-        raw = ProblemInstance(dataset=ortho.dataset, gram=ortho.gram, lam=0.5)
-        scaled = ProblemInstance(
-            dataset=ortho.dataset,
-            gram=ortho.gram,
-            lam=0.5,
-            lam_convention="per-sample",
-        )
-        assert raw.effective_lambda == 0.5
-        # m = 2 samples
-        assert scaled.effective_lambda == 1.0
-
 
 class TestResidual:
     def test_zero_coefficients_give_minus_y(self, ortho):
@@ -581,17 +560,6 @@ class TestObjective:
         # the second coordinate is invisible through e_1 e_1^T
         c = coeffs_like(ortho, {0: np.array([2.0, 0.0])})
         assert objective(c, ortho) == 2.625
-
-    def test_per_sample_convention_scales_penalty(self, ortho):
-        c = coeffs_like(ortho, {0: np.array([2.0, 0.0])})
-        scaled = ProblemInstance(
-            dataset=ortho.dataset,
-            gram=ortho.gram,
-            lam=1.0,
-            lam_convention="per-sample",
-        )
-        # penalty doubles (m = 2), data fit unchanged
-        assert objective(c, scaled) == pytest.approx(2.0 * 2.0 + 0.625, rel=1e-14)
 
     def test_convex_along_segments(self, rng):
         prob = group_lasso_instance(5)

@@ -441,7 +441,10 @@ class TestChunkedBatch:
     # left. Binding each product from the rows it holds must not exceed
     # them, nor must the Gaussian chunk's reference polish, which runs
     # after the stack is freed. The slack covers the few hundred bytes of
-    # Python objects by which repeated runs of one chunk differ.
+    # Python objects by which repeated runs of one chunk differ. Each
+    # peak is also within 1.1x the chunk's prediction (ROADMAP item 8),
+    # and the one-row chunk's prediction, which leaves out the copies
+    # only a stack of two or more rows makes, within 1.5x its peak.
     @pytest.mark.parametrize("cfg, keep_traces, recorded", [
         (ExperimentConfig.group_lasso_paper(n_instances=6, master_seed=0),
          True, 1_390_018),
@@ -464,6 +467,10 @@ class TestChunkedBatch:
         finally:
             tracemalloc.stop()
         assert peak <= recorded + 4096
+        predicted = experiments._chunk_bytes(cfg, len(chunk), keep_traces)
+        assert peak <= 1.1 * predicted
+        if len(chunk) == 1:
+            assert predicted <= 1.5 * peak
 
     def test_a_pool_starts_no_more_workers_than_chunks(self, monkeypatch):
         # a fake pool that records its size and maps in this process, so

@@ -65,7 +65,6 @@ def rescaled(problem, gram=None, y_scale=1.0, lam_scale=1.0):
                         y_scale * problem.dataset.responses),
         gram=problem.gram if gram is None else gram,
         lam=lam_scale * problem.lam,
-        lam_convention=problem.lam_convention,
     )
 
 

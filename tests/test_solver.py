@@ -278,7 +278,7 @@ class TestDescentAndKkt:
         cfg = SolverConfig(tau_factor=0.8, max_iters=200000, stop_tol=1e-12)
         coeffs, trace = solve(prob, cfg)
         assert trace.final_step_norm <= 1e-12
-        lam = prob.effective_lambda
+        lam = prob.lam
         r = residual(coeffs, prob.gram, prob.dataset.responses)
         supp = support_of(coeffs)
         certs = prob.gram.norms(r)
@@ -331,7 +331,7 @@ class TestRepresenterEquivalence:
             lam=0.7,
         )
         tau = 0.8 / prob.gram.lipschitz
-        lam = prob.effective_lambda
+        lam = prob.lam
 
         slices = []
         off = 0

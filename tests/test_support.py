@@ -79,19 +79,6 @@ class TestCertificatesAndEsupp:
         assert qualification_check(c, ortho).extended_support == {0}
         assert support_of(c) == {0}
 
-    def test_norms_scale_with_convention(self, ortho):
-        c = DualCoefficients(np.zeros((2, 2)))
-        per_sample = ProblemInstance(
-            dataset=ortho.dataset,
-            gram=ortho.gram,
-            lam=0.5,
-            lam_convention="per-sample",
-        )
-        raw = ProblemInstance(dataset=ortho.dataset, gram=ortho.gram, lam=1.0)
-        assert np.allclose(
-            certificate_norms(c, per_sample), certificate_norms(c, raw)
-        )
-
     def test_relabeling_equivariance(self, rng):
         prob = group_lasso_instance(9)
         alpha = rng.standard_normal((prob.m, prob.n_groups))

@@ -61,7 +61,7 @@ def iterates(problem, config, alpha0=None):
     G, m = gram.n_groups, gram.m
     y = problem.dataset.responses
     tau = config.tau_factor / problem.gram.lipschitz
-    thr = tau * problem.effective_lambda
+    thr = tau * problem.lam
     AT = np.zeros((G, m))
     if alpha0 is None:
         IM = np.zeros(gram.image(AT).shape)
@@ -91,7 +91,7 @@ def iterates(problem, config, alpha0=None):
 def replica(problem, config, alpha0=None):
     """Every iteration and its record, without shortcuts."""
     y = problem.dataset.responses
-    lam = problem.effective_lambda
+    lam = problem.lam
     thr = config.tau_factor / problem.gram.lipschitz * lam
     rows = []
     for n, nu, keep, AT, IM, step in iterates(problem, config, alpha0):
@@ -327,8 +327,7 @@ def boundary_problem(seed):
     gram = assemble_gram_blocks(Dataset(X, np.zeros(m)),
                                 LinearGroupProjection((1,) * G))
     lam = float(gram.norms(y).max()) * (1.0 - 2.0**-52)
-    return ProblemInstance(dataset=Dataset(X, y), gram=gram, lam=lam,
-                           lam_convention="raw")
+    return ProblemInstance(dataset=Dataset(X, y), gram=gram, lam=lam)
 
 
 def sandwich_of_rows(iterations, rows, report, burn_in):
@@ -526,7 +525,7 @@ class TestImageCycleExit:
                                     LinearGroupProjection((1,) * G))
         problem = ProblemInstance(
             dataset=Dataset(X, np.append(base.dataset.responses, 0.0)),
-            gram=gram, lam=base.lam, lam_convention="raw")
+            gram=gram, lam=base.lam)
         alpha = np.zeros((m + 1, G))
         alpha[m] = 1.0
         start = DualCoefficients(alpha)
