@@ -8,8 +8,8 @@ extended supports, qualification margins, strata lattices), two
 independent oracle solvers for certifying results on small instances,
 and a reproducible synthetic benchmark harness.
 
-The oracle and strata exports load on first access: a batch or a solve
-runs neither, and importing them costs start-up time.
+The oracle exports load on first access: a batch or a solve never runs
+an oracle, and importing it costs start-up time.
 """
 
 import importlib
@@ -46,11 +46,15 @@ from .kernels import (
     assemble_gram_blocks,
 )
 from .solver import SolveTrace, SolverConfig, solve, solve_with_reference
+from .strata import (DualMark, DualStratum, LatticeVerdict, PrimalMark,
+                     PrimalStratum, dual_stratum_of, stratum_leq, transfer_JR,
+                     transfer_JRstar, verify_lattice)
 from .support import (
     SandwichVerdict,
     SupportReport,
     certificate_norms,
     last_support_change,
+    primal_stratum_of,
     qualification_check,
     sandwich_check,
     support_of,
@@ -109,22 +113,14 @@ __all__ = [
     "support_of",
 ]
 
-# export name -> the submodule that defines it, imported on first access
-_LAZY = {
-    **dict.fromkeys(("OracleResult", "bcd_solve", "enumerate_solve"), "oracle"),
-    **dict.fromkeys((
-        "DualMark", "DualStratum", "LatticeVerdict", "PrimalMark",
-        "PrimalStratum", "dual_stratum_of", "primal_stratum_of",
-        "stratum_leq", "transfer_JR", "transfer_JRstar", "verify_lattice",
-    ), "strata"),
-}
+# the oracle's exports, imported on first access
+_LAZY = ("OracleResult", "bcd_solve", "enumerate_solve")
 
 
 def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    value = getattr(importlib.import_module(".oracle", __name__), name)
     globals()[name] = value
     return value
 

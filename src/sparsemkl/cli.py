@@ -40,8 +40,8 @@ from .experiments import (
 )
 from .kernels import GaussianFamily, LinearGroupProjection, assemble_gram_blocks
 from .solver import SolverConfig, solve, solve_with_reference
+from .strata import DEFAULT_EPS_REL, MAX_LATTICE_GROUPS, verify_lattice
 from .support import (
-    DEFAULT_EPS_REL,
     last_support_change,
     qualification_check,
     sandwich_check,
@@ -544,8 +544,6 @@ def _oracle_suite_small():
 
 
 def _cmd_verify(args):
-    from .strata import MAX_LATTICE_GROUPS, verify_lattice
-
     t0 = time.perf_counter()
     if not 1 <= args.lattice_g <= MAX_LATTICE_GROUPS:
         raise ConfigError(

@@ -12,7 +12,8 @@ reverses their partial orders, subset inclusion of on-sets on the
 primal side and superset inclusion on the dual side.
 :func:`verify_lattice` checks these facts exhaustively, which is what
 makes the identification theorems mechanically checkable here rather
-than trusted.
+than trusted. :func:`sparsemkl.support.sandwich_check` decides by
+:func:`stratum_leq`, and :func:`sphere_groups` decides extended supports.
 
 Patterns are immutable tuples of enum marks; all functions are pure.
 """
@@ -23,14 +24,13 @@ from enum import Enum
 import numpy as np
 
 from .errors import ContractViolation, DualInfeasible
-from .support import DEFAULT_EPS_REL, support_of
 
 __all__ = [
     "PrimalMark",
     "DualMark",
     "PrimalStratum",
     "DualStratum",
-    "primal_stratum_of",
+    "sphere_groups",
     "dual_stratum_of",
     "transfer_JR",
     "transfer_JRstar",
@@ -41,6 +41,9 @@ __all__ = [
 
 #: Exhaustive verification enumerates 2^G strata.
 MAX_LATTICE_GROUPS = 16
+
+#: Default relative tolerance band around the certificate level 1.
+DEFAULT_EPS_REL = 1e-4
 
 
 class PrimalMark(Enum):
@@ -70,13 +73,6 @@ class _Stratum:
             )
         object.__setattr__(self, "pattern", pat)
 
-    @classmethod
-    def _of(cls, on, n_groups):
-        """Stratum of `n_groups` marks whose on-set is `on`."""
-        return cls(tuple(
-            cls._on if g in on else cls._off for g in range(n_groups)
-        ))
-
     @property
     def n_groups(self):
         return len(self.pattern)
@@ -92,7 +88,23 @@ class _Stratum:
 
     @classmethod
     def from_mask(cls, mask, n_groups):
-        return cls._of({g for g in range(n_groups) if mask >> g & 1}, n_groups)
+        return cls.from_support(
+            (g for g in range(n_groups) if mask >> g & 1), n_groups
+        )
+
+    @classmethod
+    def from_support(cls, support, n_groups):
+        """Stratum of `n_groups` marks whose on-set is exactly `support`:
+        the Nonzero groups of a primal stratum, the Sphere groups (an
+        extended support) of a dual one."""
+        support = set(int(g) for g in support)
+        if support and (min(support) < 0 or max(support) >= n_groups):
+            raise ContractViolation(
+                f"support {sorted(support)} out of range for G={n_groups}"
+            )
+        return cls(tuple(
+            cls._on if g in support else cls._off for g in range(n_groups)
+        ))
 
 
 @dataclass(frozen=True)
@@ -101,16 +113,6 @@ class PrimalStratum(_Stratum):
 
     _off, _on = PrimalMark.ZERO, PrimalMark.NONZERO
     nonzero_set = _Stratum._on_set
-
-    @classmethod
-    def from_support(cls, support, n_groups):
-        """Stratum whose Nonzero positions are exactly `support`."""
-        support = set(int(g) for g in support)
-        if support and (min(support) < 0 or max(support) >= n_groups):
-            raise ContractViolation(
-                f"support {sorted(support)} out of range for G={n_groups}"
-            )
-        return cls._of(support, n_groups)
 
 
 @dataclass(frozen=True)
@@ -121,9 +123,13 @@ class DualStratum(_Stratum):
     sphere_set = _Stratum._on_set
 
 
-def primal_stratum_of(coeffs):
-    """Stratum containing a coefficient matrix (exact-zero convention)."""
-    return PrimalStratum.from_support(support_of(coeffs), coeffs.n_groups)
+def sphere_groups(norms, eps_rel=DEFAULT_EPS_REL):
+    """Groups whose scaled certificate norm reaches ``1 - eps_rel``, for
+    `eps_rel` in [0, 1): an extended support, a dual stratum's on-set."""
+    eps_rel = float(eps_rel)
+    if not (0.0 <= eps_rel < 1.0):
+        raise ContractViolation(f"eps_rel must lie in [0, 1), got {eps_rel!r}")
+    return set(np.flatnonzero(np.asarray(norms) >= 1.0 - eps_rel).tolist())
 
 
 def dual_stratum_of(norms, eps_rel=DEFAULT_EPS_REL):
@@ -135,7 +141,7 @@ def dual_stratum_of(norms, eps_rel=DEFAULT_EPS_REL):
         Nonnegative certificate norms, already scaled by lambda so the
         dual domain is the product of unit balls.
     eps_rel : float
-        Norms within `eps_rel` of 1 count as on the sphere.
+        In [0, 1); norms within `eps_rel` of 1 count as on the sphere.
 
     Raises
     ------
@@ -149,28 +155,27 @@ def dual_stratum_of(norms, eps_rel=DEFAULT_EPS_REL):
         raise ContractViolation("norms must be a non-empty vector")
     if not np.isfinite(norms).all() or norms.min() < 0.0:
         raise ContractViolation("norms must be finite and nonnegative")
+    sphere = sphere_groups(norms, eps_rel)
     if float(norms.max()) > 1.0 + eps_rel:
         raise DualInfeasible(
             f"certificate norm {float(norms.max())!r} exceeds the dual "
             f"bound 1 beyond eps_rel={eps_rel!r}"
         )
-    return DualStratum._of(
-        set(np.flatnonzero(norms >= 1.0 - eps_rel).tolist()), norms.size
-    )
+    return DualStratum.from_support(sphere, norms.size)
 
 
 def transfer_JR(stratum):
     """Primal-to-dual transfer: Nonzero -> Sphere, Zero -> Interior."""
     if not isinstance(stratum, PrimalStratum):
         raise ContractViolation("transfer_JR expects a PrimalStratum")
-    return DualStratum._of(stratum.nonzero_set(), stratum.n_groups)
+    return DualStratum.from_support(stratum.nonzero_set(), stratum.n_groups)
 
 
 def transfer_JRstar(stratum):
     """Dual-to-primal transfer: Sphere -> Nonzero, Interior -> Zero."""
     if not isinstance(stratum, DualStratum):
         raise ContractViolation("transfer_JRstar expects a DualStratum")
-    return PrimalStratum._of(stratum.sphere_set(), stratum.n_groups)
+    return PrimalStratum.from_support(stratum.sphere_set(), stratum.n_groups)
 
 
 def stratum_leq(a, b):

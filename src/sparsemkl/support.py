@@ -16,19 +16,19 @@ import numpy as np
 
 from .core import DualCoefficients, residual
 from .errors import ContractViolation
+from .strata import (DEFAULT_EPS_REL, DualStratum, PrimalStratum,
+                     sphere_groups, stratum_leq, transfer_JRstar)
 
 __all__ = [
     "SupportReport",
     "SandwichVerdict",
     "support_of",
+    "primal_stratum_of",
     "certificate_norms",
     "qualification_check",
     "sandwich_check",
     "last_support_change",
 ]
-
-#: Default relative tolerance band around the certificate level 1.
-DEFAULT_EPS_REL = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,6 +110,11 @@ def support_of(coeffs):
     return set(int(g) for g in np.flatnonzero(nz))
 
 
+def primal_stratum_of(coeffs):
+    """Stratum containing a coefficient matrix (exact-zero convention)."""
+    return PrimalStratum.from_support(support_of(coeffs), coeffs.n_groups)
+
+
 def certificate_norms(coeffs, problem):
     """Scaled dual certificate norms ``sqrt(r' K_g r) / lam``, the
     residual's kernel norms from :meth:`GramBlocks.norms` over the
@@ -138,18 +143,17 @@ def qualification_check(coeffs, problem, eps_rel=DEFAULT_EPS_REL):
     problem : ProblemInstance
     eps_rel : float
         Band around the certificate level 1 deciding extended-support
-        membership, and the strictness margin required for `qc_holds`.
+        membership, and the strictness margin required for `qc_holds`;
+        in [0, 1).
 
     Returns
     -------
     SupportReport
     """
-    eps_rel = float(eps_rel)
-    if not (0.0 <= eps_rel < 1.0):
-        raise ContractViolation(f"eps_rel must lie in [0, 1), got {eps_rel!r}")
     supp = support_of(coeffs)
     norms = certificate_norms(coeffs, problem)
-    esupp = set(int(g) for g in np.flatnonzero(norms >= 1.0 - eps_rel))
+    esupp = sphere_groups(norms, eps_rel)
+    eps_rel = float(eps_rel)
     off = [g for g in range(problem.n_groups) if g not in supp]
     if off:
         margin = 1.0 - float(norms[off].max())
@@ -174,8 +178,9 @@ def sandwich_check(trace, reference_report, burn_in=0):
 
         reference support <= trace support at n <= reference esupp,
 
-    reading the trace's support change events, so an untraced run is
-    checked as a traced one is.
+    compared as strata (the upper bound is J_R* of the esupp's dual
+    stratum). It reads the trace's support change events, so an untraced
+    run is checked as a traced one is.
 
     Parameters
     ----------
@@ -199,22 +204,17 @@ def sandwich_check(trace, reference_report, burn_in=0):
             f"burn_in {burn_in} is beyond the last iteration {trace.iters_run}"
         )
     G = trace.n_groups
-    supp = reference_report.support
-    esupp = reference_report.extended_support
-    if any(g >= G for g in supp | esupp):
-        raise ContractViolation(
-            f"reference report names groups beyond the trace's G={G}"
-        )
-    lo = np.isin(np.arange(G), sorted(supp))
-    hi = np.isin(np.arange(G), sorted(esupp))
+    lower = PrimalStratum.from_support(reference_report.support, G)
+    upper = transfer_JRstar(
+        DualStratum.from_support(reference_report.extended_support, G)
+    )
     # the support in force at burn_in, and every change after it
     k = max(int(np.searchsorted(trace.change_iters, burn_in, "right")) - 1, 0)
-    rows = trace.change_supports[k:]
-    ok = (rows >= lo).all(axis=1) & (rows <= hi).all(axis=1)
-    if ok.all():
-        return SandwichVerdict(True, None)
-    first = int(trace.change_iters[k + np.flatnonzero(~ok)[0]])
-    return SandwichVerdict(False, max(first, burn_in))
+    for it, row in zip(trace.change_iters[k:], trace.change_supports[k:]):
+        here = PrimalStratum.from_support(np.flatnonzero(row), G)
+        if not (stratum_leq(lower, here) and stratum_leq(here, upper)):
+            return SandwichVerdict(False, max(int(it), burn_in))
+    return SandwichVerdict(True, None)
 
 
 def last_support_change(trace):

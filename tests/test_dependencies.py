@@ -6,6 +6,7 @@ import ast
 import os
 import subprocess
 import sys
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,8 +39,10 @@ def loaded(prefix):
                   if m == prefix or m.startswith(prefix + "."))
 
 for prefix in ("concurrent.futures", "multiprocessing", "sparsemkl.oracle",
-               "sparsemkl.strata", "scipy"):
+               "scipy"):
     assert not loaded(prefix), loaded(prefix)
+# every batch decides its sandwich by the strata order
+assert loaded("sparsemkl.strata"), sorted(sys.modules)
 
 import sparsemkl
 names = {}
@@ -62,8 +65,8 @@ print("ok")
 
 
 def test_cli_import_loads_only_what_every_command_runs(tmp_path):
-    # oracle and strata are exported lazily; a process pool is built only
-    # for --jobs > 1
+    # the oracle is exported lazily; a process pool is built only for
+    # --jobs > 1
     assert run_fresh(IMPORT_SET, tmp_path).strip() == "ok"
 
 
@@ -95,3 +98,17 @@ def test_solver_and_support_import_nothing_from_each_other():
         if {importer, module or name} == {"solver", "support"}
     ]
     assert not crossing, crossing
+
+
+def test_package_imports_form_no_cycle():
+    # ``from . import name`` imports from the package itself unless
+    # `name` is one of its modules
+    modules = {path.stem for path in (ROOT / "src" / "sparsemkl").glob("*.py")}
+    graph = {}
+    for importer, module, name in package_imports():
+        imported = module or (name if name in modules else "__init__")
+        graph.setdefault(importer, set()).add(imported)
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as err:
+        raise AssertionError(f"import cycle: {err.args[1]}") from None

@@ -9,13 +9,16 @@ from sparsemkl import (
     DualStratum,
     PrimalMark,
     PrimalStratum,
+    SandwichVerdict,
     SolverConfig,
+    SolveTrace,
+    SupportReport,
     dual_stratum_of,
+    last_support_change,
     primal_stratum_of,
     qualification_check,
     sandwich_check,
     solve_with_reference,
-    last_support_change,
     stratum_leq,
     transfer_JR,
     transfer_JRstar,
@@ -88,6 +91,15 @@ class TestDualStrata:
     def test_infeasible_norms_rejected(self):
         with pytest.raises(DualInfeasible):
             dual_stratum_of(np.array([0.5, 1.2]))
+
+    @pytest.mark.parametrize("eps_rel", [np.nan, -0.5, 1.0, 1.5])
+    def test_eps_rel_outside_unit_interval_rejected(self, eps_rel, ortho):
+        # the one sphere rule refuses the band for both entry points
+        with pytest.raises(ContractViolation, match="eps_rel must lie in"):
+            dual_stratum_of(np.array([1.0, 0.5]), eps_rel)
+        c = coeffs_like(ortho, {0: np.array([2.0, 0.0])})
+        with pytest.raises(ContractViolation, match="eps_rel must lie in"):
+            qualification_check(c, ortho, eps_rel)
 
     def test_band_tolerance(self):
         eps = 1e-4
@@ -182,6 +194,20 @@ class TestVerifyLattice:
         assert verdict.check == "inverse"
 
 
+def sandwich_by_masks(trace, report, burn_in):
+    """The sandwich as set inclusions, iteration by iteration: the
+    reference that `sandwich_check`'s stratum comparison must match."""
+    G = trace.n_groups
+    lo = np.isin(np.arange(G), sorted(report.support))
+    hi = np.isin(np.arange(G), sorted(report.extended_support))
+    for n in range(max(burn_in, 1), trace.iters_run + 1):
+        k = np.searchsorted(trace.change_iters, n, "right") - 1
+        row = trace.change_supports[k]
+        if not ((row >= lo).all() and (row <= hi).all()):
+            return SandwichVerdict(False, n)
+    return SandwichVerdict(True, None)
+
+
 class TestIdentificationOnTraces:
     @pytest.mark.parametrize("index", [2, 13, 21])
     def test_lattice_sandwich_agrees_with_mask_sandwich(self, index):
@@ -200,6 +226,7 @@ class TestIdentificationOnTraces:
 
         burn = last_support_change(trace)
         verdict = sandwich_check(trace, report, burn)
+        assert verdict == sandwich_by_masks(trace, report, burn)
 
         lattice_ok = True
         for i in range(trace.n_recorded):
@@ -213,3 +240,43 @@ class TestIdentificationOnTraces:
                 break
         assert lattice_ok == verdict.passed
         assert verdict.passed
+
+    def test_sandwich_agrees_with_mask_oracle_on_random_traces(self):
+        rng = np.random.default_rng(20181)
+        verdicts = []
+        for _ in range(400):
+            G = int(rng.integers(1, 21))
+            iters = int(rng.integers(1, 41))
+            n_events = int(rng.integers(1, min(iters, 6) + 1))
+            later = rng.choice(np.arange(2, iters + 1), n_events - 1,
+                               replace=False)
+            change_iters = np.concatenate([[1], np.sort(later)])
+            supp = rng.random(G) < 0.3
+            if rng.random() < 0.8:
+                esupp = supp | (rng.random(G) < 0.3)
+            else:
+                esupp = rng.random(G) < 0.5
+            # iterate supports between the two bounds, one group flipped
+            # now and then so that both inclusions fail in some cases
+            rows = supp | (esupp & (rng.random((n_events, G)) < 0.5))
+            for row in rows:
+                if rng.random() < 0.15:
+                    g = rng.integers(G)
+                    row[g] = not row[g]
+            trace = SolveTrace(
+                change_iters=change_iters, change_supports=rows,
+                objectives=[], step_norms=[], objective=0.0, iters_run=iters,
+                final_step_norm=0.0,
+            )
+            report = SupportReport(
+                support=np.flatnonzero(supp),
+                extended_support=np.flatnonzero(esupp),
+                certificate_norms=np.zeros(G), qc_holds=False, qc_margin=0.0,
+                eps_rel=1e-4,
+            )
+            burn_in = int(rng.integers(0, iters + 1))
+            verdict = sandwich_check(trace, report, burn_in)
+            assert verdict == sandwich_by_masks(trace, report, burn_in)
+            verdicts.append(verdict.passed)
+        # both verdicts are drawn often
+        assert 100 <= sum(verdicts) <= 300

@@ -12,6 +12,7 @@ from sparsemkl import (
     ExperimentConfig,
     GramBlocks,
     ProblemInstance,
+    SandwichVerdict,
     SolverConfig,
     SolveTrace,
     SupportReport,
@@ -187,6 +188,39 @@ class TestSandwichCheck:
         assert not verdict.passed
         assert verdict.first_violation == 4
         assert not bool(verdict)
+
+    def test_lower_failure_reports_first_bad_iteration(self):
+        # group 0 of the reference support leaves the iterate support at
+        # iteration 6, inside the extended support all along
+        trace = SolveTrace(
+            change_iters=[1, 3, 6],
+            change_supports=[[True, False], [True, True], [False, True]],
+            objectives=[], step_norms=[], objective=0.0, iters_run=8,
+            final_step_norm=0.0,
+        )
+        report = SupportReport(
+            support=frozenset({0}), extended_support=frozenset({0, 1}),
+            certificate_norms=np.ones(2), qc_holds=False, qc_margin=0.0,
+            eps_rel=1e-4,
+        )
+        assert sandwich_check(trace, report, 1) == SandwichVerdict(False, 6)
+        assert sandwich_check(trace, report, 7) == SandwichVerdict(False, 7)
+        report = dataclasses.replace(report, support=frozenset({1}))
+        assert sandwich_check(trace, report, 3) == SandwichVerdict(True, None)
+
+    def test_report_groups_beyond_the_trace_rejected(self):
+        trace = SolveTrace(
+            change_iters=[1], change_supports=[[True, False]], objectives=[],
+            step_norms=[], objective=0.0, iters_run=3, final_step_norm=0.0,
+        )
+        for supp, esupp in (({2}, {0, 1, 2}), ({0}, {0, 2})):
+            report = SupportReport(
+                support=supp, extended_support=esupp,
+                certificate_norms=np.ones(3), qc_holds=False, qc_margin=0.0,
+                eps_rel=1e-4,
+            )
+            with pytest.raises(ContractViolation, match="G=2"):
+                sandwich_check(trace, report, 1)
 
     def test_burn_in_beyond_trace_rejected(self, one_d):
         cfg = SolverConfig(tau_factor=0.5, max_iters=10)
